@@ -187,6 +187,9 @@ def _cmd_verify_algebra(opts: dict) -> tuple[list[dict], bool]:
         _log(f"verify-algebra ({N},{n}) symbolic: "
              f"{len(report.results)} checks in {report.total_time():.2f}s")
     else:
+        if opts["samples"] < 1:
+            raise ConfigError(f"--samples must be at least 1 in sampled mode, "
+                              f"got {opts['samples']}")
         rng = random.Random(opts["seed"])
         for sample_idx in range(opts["samples"]):
             values = _random_rationals(rng)

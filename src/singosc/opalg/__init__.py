@@ -2,19 +2,19 @@
 
 from .classical import PhaseFn, poisson_bracket
 from .diffop import (DiffOp, DimensionMismatchError, anticommutator, combine,
-                     commutator, op_mul)
+                     commutator)
 from .generators import (ClassicalGenerators, QuantumGenerators, angular_momentum,
                          build_classical, build_quantum, classical_angular_momentum)
-from .poly import BlockLayout, BlockPoly
+from .poly import BlockLayout, BlockPoly, ExponentOverflowError
 from .report import CheckResult, VerificationReport
 from .scalars import ParamScalar, random_scalar
 from .verify import (MUTABLE_CONSTANTS, QuadraticConstants, verify_q3, verify_qp3)
 
 __all__ = [
     "BlockLayout", "BlockPoly", "CheckResult", "ClassicalGenerators", "DiffOp",
-    "DimensionMismatchError", "MUTABLE_CONSTANTS", "ParamScalar", "PhaseFn",
-    "QuadraticConstants", "QuantumGenerators", "VerificationReport",
+    "DimensionMismatchError", "ExponentOverflowError", "MUTABLE_CONSTANTS",
+    "ParamScalar", "PhaseFn", "QuadraticConstants", "QuantumGenerators", "VerificationReport",
     "angular_momentum", "anticommutator", "build_classical", "build_quantum",
-    "classical_angular_momentum", "combine", "commutator", "op_mul",
+    "classical_angular_momentum", "combine", "commutator",
     "poisson_bracket", "random_scalar", "verify_q3", "verify_qp3",
 ]

@@ -8,6 +8,8 @@ Composition uses the Leibniz rule
     (f d^a) (g d^b) = sum_{d <= a} binom(a, d) f (d^d g) d^{a-d+b}
 
 and accumulates everything in one pass so that commutators cancel in place.
+The accumulator holds one raw term dict per (derivative slot, j, k), with
+integer numerators over that dict's own common denominator.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iproduct
-from math import comb
+from math import comb, lcm
 
-from .poly import BlockLayout, BlockPoly, _raw_mul, _raw_mul_into, _raw_add_into
+from .poly import BlockLayout, BlockPoly, _lift_into, _raw_mul_into
 from .scalars import ParamScalar
 
 Beta = tuple[int, ...]
@@ -106,7 +108,7 @@ class DiffOp:
     def __mul__(self, other: DiffOp) -> DiffOp:
         self._check(other)
         acc: dict = {}
-        _compose_into(acc, self, other, Fraction(1))
+        _compose_into(acc, self, other, 1)
         return _finalize(self.layout, acc)
 
     def __pow__(self, power: int) -> DiffOp:
@@ -176,7 +178,33 @@ class DiffOp:
 _MISSING = object()
 
 
-def _compose_into(acc: dict, left: DiffOp, right: DiffOp, scale: Fraction) -> None:
+class _Bucket(dict):
+    """Raw terms accumulated as integer numerators over the common denominator ``den``."""
+
+    __slots__ = ("den",)
+
+
+def _open_bucket(buckets: dict, jk: tuple[int, int], den: int) -> tuple[_Bucket, int]:
+    """The accumulator for jk, and the factor that lifts terms over ``den`` onto it.
+
+    The bucket's denominator only grows (to an lcm) when ``den`` does not divide
+    it, so every (j, k) keeps a single dict and commutators cancel in place."""
+    bucket = buckets.get(jk)
+    if bucket is None:
+        bucket = buckets[jk] = _Bucket()
+        bucket.den = den
+        return bucket, 1
+    common = bucket.den
+    if common % den:
+        wider = lcm(common, den)
+        factor = wider // common
+        for key in bucket:
+            bucket[key] *= factor
+        bucket.den = common = wider
+    return bucket, common // den
+
+
+def _compose_into(acc: dict, left: DiffOp, right: DiffOp, scale: int) -> None:
     """Accumulate scale * (left o right) into acc[beta][(j, k)] raw term dicts."""
     layout = left.layout
     dcaches: dict[int, dict[Beta, BlockPoly | None]] = {}
@@ -196,11 +224,8 @@ def _compose_into(acc: dict, left: DiffOp, right: DiffOp, scale: Fraction) -> No
                 buckets = acc.get(beta_out)
                 if buckets is None:
                     buckets = acc[beta_out] = {}
-                jk = (f.j + gd.j, f.k + gd.k)
-                bucket = buckets.get(jk)
-                if bucket is None:
-                    bucket = buckets[jk] = {}
-                _raw_mul_into(bucket, f.num, gd.num, scale * binom)
+                bucket, lift = _open_bucket(buckets, (f.j + gd.j, f.k + gd.k), f.den * gd.den)
+                _raw_mul_into(bucket, f.num, gd.num, scale * binom * lift)
 
 
 def _cached_derivative(cache: dict, g: BlockPoly, delta: Beta,
@@ -227,40 +252,32 @@ def _finalize(layout: BlockLayout, acc: dict) -> DiffOp:
     for beta, buckets in acc.items():
         jmax = max(j for j, _ in buckets)
         kmax = max(k for _, k in buckets)
-        merged: dict[int, Fraction] = {}
+        den = lcm(*(raw.den for raw in buckets.values() if raw))
+        merged: dict[int, int] = {}
         for (j, k), raw in buckets.items():
             if not raw:
                 continue
-            dj, dk = jmax - j, kmax - k
-            if dj:
-                raw = _raw_mul(raw, layout.rpow(1, dj))
-            if dk:
-                raw = _raw_mul(raw, layout.rpow(2, dk))
-            _raw_add_into(merged, raw, 1)
-        value = BlockPoly(layout, merged, jmax, kmax)
+            layout.check_keys(raw)
+            _lift_into(layout, merged, raw, den // raw.den, jmax - j, kmax - k)
+        value = BlockPoly._make(layout, merged, den, jmax, kmax)
         if not value.is_zero():
             terms[beta] = value
     return DiffOp(layout, terms, prune=False)
 
 
-def op_mul(left: DiffOp, right: DiffOp) -> DiffOp:
-    """Normal-ordered composition left o right."""
-    return left * right
-
-
 def commutator(left: DiffOp, right: DiffOp) -> DiffOp:
     left._check(right)
     acc: dict = {}
-    _compose_into(acc, left, right, Fraction(1))
-    _compose_into(acc, right, left, Fraction(-1))
+    _compose_into(acc, left, right, 1)
+    _compose_into(acc, right, left, -1)
     return _finalize(left.layout, acc)
 
 
 def anticommutator(left: DiffOp, right: DiffOp) -> DiffOp:
     left._check(right)
     acc: dict = {}
-    _compose_into(acc, left, right, Fraction(1))
-    _compose_into(acc, right, left, Fraction(1))
+    _compose_into(acc, left, right, 1)
+    _compose_into(acc, right, left, 1)
     return _finalize(left.layout, acc)
 
 
@@ -271,21 +288,15 @@ def combine(terms: list[tuple[ParamScalar | Fraction | int, DiffOp]]) -> DiffOp:
     layout = terms[0][1].layout
     acc: dict = {}
     for scale, op in terms:
-        if isinstance(scale, ParamScalar):
-            frags = layout.embed_scalar(scale)
-        else:
-            scale = Fraction(scale)
-            frags = [(0, scale)] if scale else []
+        if not isinstance(scale, ParamScalar):
+            scale = ParamScalar.rational(scale)
+        frags, fden = layout.embed_scalar(scale)
         if not frags:
             continue
-        frag_dict = dict(frags)
         for beta, val in op.terms.items():
             buckets = acc.get(beta)
             if buckets is None:
                 buckets = acc[beta] = {}
-            jk = (val.j, val.k)
-            bucket = buckets.get(jk)
-            if bucket is None:
-                bucket = buckets[jk] = {}
-            _raw_mul_into(bucket, frag_dict, val.num, 1)
+            bucket, lift = _open_bucket(buckets, (val.j, val.k), fden * val.den)
+            _raw_mul_into(bucket, frags, val.num, lift)
     return _finalize(layout, acc)

@@ -1,35 +1,54 @@
 """Sparse coordinate polynomials over the parameter ring, with r1^2/r2^2 denominators.
 
-Monomials are packed into single integers: one 7-bit field per coordinate
+Monomials are packed into single integers: one 8-bit field per coordinate
 exponent (x_1 is the most significant, so integer order on keys is lex order
 with x_1 first), followed by four fields for the parameter exponents.
-Monomial multiplication is then plain integer addition; no individual
-exponent may reach 128, which holds by a wide margin for every operator
-built here.
+Monomial multiplication is then plain integer addition.  An exponent lives in
+the low 7 bits of its field and must stay below 128; the top bit is a guard.
+The sum of two exponents below 128 never carries out of its field, so an
+overflowing product sets a guard bit, and every normalization pass raises
+``ExponentOverflowError`` on a guard bit instead of letting a carry change the
+monomial.
 
-A ``BlockPoly`` is numerator/(r1^2)^j/(r2^2)^k where r1^2 = x_1^2+..+x_n^2
+Coefficients are Python integers over one common positive denominator, the
+layout of FLINT's ``fmpq_poly``: a ``BlockPoly`` holds ``num`` (packed key ->
+nonzero int) and ``den``, with gcd(den, every numerator) == 1 and den == 1 for
+the zero polynomial.  ``Fraction`` and ``ParamScalar`` appear only at the API:
+the constructor accepts rational coefficients, and ``as_dict``, ``scaled``,
+``substitute_params``, ``embed_scalar`` and ``repr`` convert.
+
+A ``BlockPoly`` is (num/den)/(r1^2)^j/(r2^2)^k where r1^2 = x_1^2+..+x_n^2
 and r2^2 = x_{n+1}^2+..+x_N^2.  The canonical form divides out every exact
 factor of r1^2 (resp. r2^2) from the numerator while j (resp. k) is positive;
 for a one-coordinate block the divisor degenerates to the square of that
-coordinate.
+coordinate.  Both divisors are monic with unit coefficients, so exact
+division keeps integer numerators integral.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from functools import reduce as _fold
+from math import gcd, lcm
+from operator import or_
+from typing import Mapping
 
-from .scalars import ParamScalar, Exponents
+from .scalars import ParamScalar, Exponents, VAR_NAMES
 
-_BITS = 7
+_BITS = 8
 _MASK = (1 << _BITS) - 1
+_LIMIT = 1 << (_BITS - 1)
+
+
+class ExponentOverflowError(OverflowError):
+    """Raised when an exponent would reach 128 and overflow its packed field."""
 
 
 class BlockLayout:
     """Variable layout for a concrete (N, n) split, optionally with momenta."""
 
     __slots__ = (
-        "N", "n", "momenta", "nfields", "xshift", "pshift", "param_shift",
+        "N", "n", "momenta", "nfields", "xshift", "pshift", "param_shift", "guard",
         "r1sq", "r2sq", "_lead", "_rest", "_rpow",
     )
 
@@ -45,14 +64,15 @@ class BlockLayout:
         self.xshift = tuple((top - i) * _BITS for i in range(N))
         self.pshift = tuple((top - N - i) * _BITS for i in range(N)) if momenta else ()
         self.param_shift = tuple((3 - t) * _BITS for t in range(4))
-        self.r1sq = {2 << self.xshift[i]: Fraction(1) for i in range(n)}
-        self.r2sq = {2 << self.xshift[i]: Fraction(1) for i in range(n, N)}
+        self.guard = sum(_LIMIT << (f * _BITS) for f in range(self.nfields))
+        self.r1sq = {2 << self.xshift[i]: 1 for i in range(n)}
+        self.r2sq = {2 << self.xshift[i]: 1 for i in range(n, N)}
         # lex-leading variable of each block divisor, plus the divisor remainder
         # (r_block^2 = x_lead^2 + rest; rest is empty for a one-coordinate block)
         self._lead = {1: self.xshift[0], 2: self.xshift[n]}
-        self._rest = {1: {2 << self.xshift[i]: Fraction(1) for i in range(1, n)},
-                      2: {2 << self.xshift[i]: Fraction(1) for i in range(n + 1, N)}}
-        self._rpow: dict[tuple[int, int], dict[int, Fraction]] = {}
+        self._rest = {1: {2 << self.xshift[i]: 1 for i in range(1, n)},
+                      2: {2 << self.xshift[i]: 1 for i in range(n + 1, N)}}
+        self._rpow: dict[tuple[int, int], dict[int, int]] = {}
 
     def same_split(self, other: "BlockLayout") -> bool:
         return self.N == other.N and self.n == other.n and self.momenta == other.momenta
@@ -60,14 +80,21 @@ class BlockLayout:
     # -- key packing -------------------------------------------------------
 
     def x_key(self, i: int, power: int = 1) -> int:
-        return power << self.xshift[i]
+        return _field(power) << self.xshift[i]
 
     def p_key(self, i: int, power: int = 1) -> int:
-        return power << self.pshift[i]
+        return _field(power) << self.pshift[i]
 
     def param_key(self, exps: Exponents) -> int:
         s = self.param_shift
-        return (exps[0] << s[0]) | (exps[1] << s[1]) | (exps[2] << s[2]) | (exps[3] << s[3])
+        return ((_field(exps[0]) << s[0]) | (_field(exps[1]) << s[1])
+                | (_field(exps[2]) << s[2]) | (_field(exps[3]) << s[3]))
+
+    def check_keys(self, terms: dict[int, int]) -> None:
+        """Raise if any packed key has a guard bit set (an exponent reached 128)."""
+        if _fold(or_, terms, 0) & self.guard:
+            raise ExponentOverflowError(
+                f"an exponent reached {_LIMIT}, beyond the packed monomial field")
 
     def unpack(self, key: int) -> tuple[tuple[int, ...], tuple[int, ...], Exponents]:
         """Split a packed key into (x exponents, p exponents, parameter exponents)."""
@@ -76,36 +103,51 @@ class BlockLayout:
         pa = tuple((key >> s) & _MASK for s in self.param_shift)
         return xe, pe, pa  # type: ignore[return-value]
 
-    def embed_scalar(self, scalar: ParamScalar) -> list[tuple[int, Fraction]]:
-        return [(self.param_key(e), c) for e, c in scalar.terms.items()]
+    def embed_scalar(self, scalar: ParamScalar) -> tuple[dict[int, int], int]:
+        """The scalar as integer numerators on parameter keys, over one denominator."""
+        return _integer_terms({self.param_key(e): c for e, c in scalar.terms.items()})
 
     def block_of(self, i: int) -> int:
         return 1 if i < self.n else 2
 
-    def rpow(self, block: int, power: int) -> dict[int, Fraction]:
+    def rpow(self, block: int, power: int) -> dict[int, int]:
         """(r_block^2)**power as a raw term dict, memoized."""
         if power == 0:
-            return {0: Fraction(1)}
+            return {0: 1}
         cached = self._rpow.get((block, power))
         if cached is None:
             base = self.r1sq if block == 1 else self.r2sq
             cached = base
             for _ in range(power - 1):
                 cached = _raw_mul(cached, base)
+                self.check_keys(cached)
             self._rpow[(block, power)] = cached
         return cached
 
 
+def _field(power: int) -> int:
+    if not 0 <= power < _LIMIT:
+        raise ExponentOverflowError(f"exponent {power} outside [0, {_LIMIT})")
+    return power
+
+
+def _integer_terms(terms: Mapping[int, int | Fraction]) -> tuple[dict[int, int], int]:
+    """Rational coefficients as integer numerators over their least common denominator."""
+    fracs = {key: Fraction(c) for key, c in terms.items() if c}
+    den = lcm(*(c.denominator for c in fracs.values()))
+    return {key: c.numerator * (den // c.denominator) for key, c in fracs.items()}, den
+
+
 # -- raw term-dict helpers (hot paths) --------------------------------------
 
-def _raw_mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+def _raw_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
     _raw_mul_into(out, a, b, 1)
     return out
 
 
-def _raw_mul_into(dst: dict[int, Fraction], a: dict[int, Fraction],
-                  b: dict[int, Fraction], scale) -> None:
+def _raw_mul_into(dst: dict[int, int], a: dict[int, int],
+                  b: dict[int, int], scale: int) -> None:
     if not a or not b or not scale:
         return
     if len(a) > len(b):
@@ -127,7 +169,7 @@ def _raw_mul_into(dst: dict[int, Fraction], a: dict[int, Fraction],
                     del dst[key]
 
 
-def _raw_add_into(dst: dict[int, Fraction], src: dict[int, Fraction], scale) -> None:
+def _raw_add_into(dst: dict[int, int], src: dict[int, int], scale: int) -> None:
     if not scale:
         return
     get = dst.get
@@ -143,8 +185,22 @@ def _raw_add_into(dst: dict[int, Fraction], src: dict[int, Fraction], scale) -> 
                 del dst[key]
 
 
-def _raw_diff(terms: dict[int, Fraction], shift: int) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+def _lift_into(layout: BlockLayout, dst: dict[int, int], terms: dict[int, int],
+               scale: int, dj: int, dk: int) -> None:
+    """Add scale * terms * (r1^2)^dj * (r2^2)^dk into dst."""
+    if dj and dk:
+        terms = _raw_mul(terms, layout.rpow(1, dj))
+        dj = 0
+    if dj:
+        _raw_mul_into(dst, terms, layout.rpow(1, dj), scale)
+    elif dk:
+        _raw_mul_into(dst, terms, layout.rpow(2, dk), scale)
+    else:
+        _raw_add_into(dst, terms, scale)
+
+
+def _raw_diff(terms: dict[int, int], shift: int) -> dict[int, int]:
+    out: dict[int, int] = {}
     unit = 1 << shift
     for key, coeff in terms.items():
         e = (key >> shift) & _MASK
@@ -153,15 +209,15 @@ def _raw_diff(terms: dict[int, Fraction], shift: int) -> dict[int, Fraction]:
     return out
 
 
-def _try_divide(terms: dict[int, Fraction], rest: dict[int, Fraction],
-                lead_shift: int) -> dict[int, Fraction] | None:
+def _try_divide(terms: dict[int, int], rest: dict[int, int],
+                lead_shift: int) -> dict[int, int] | None:
     """Exact division by x_lead^2 + rest, where x_lead is lex-largest in the divisor.
 
     Slicing the numerator by the lead exponent turns the division into the
     recurrence Q_{d-2} = A_d - Q_d * rest (descending d), with the d = 1, 0
     slices required to cancel exactly.  Returns the quotient or None.
     """
-    slices: dict[int, dict[int, Fraction]] = {}
+    slices: dict[int, dict[int, int]] = {}
     for key, coeff in terms.items():
         e = (key >> lead_shift) & _MASK
         base = key - (e << lead_shift)
@@ -175,7 +231,7 @@ def _try_divide(terms: dict[int, Fraction], rest: dict[int, Fraction],
     dmax = max(slices)
     if dmax < 2:
         return None
-    quot_slices: dict[int, dict[int, Fraction]] = {}
+    quot_slices: dict[int, dict[int, int]] = {}
     for d in range(dmax, 1, -1):
         qd = dict(slices.get(d, ()))
         upper = quot_slices.get(d)
@@ -190,7 +246,7 @@ def _try_divide(terms: dict[int, Fraction], rest: dict[int, Fraction],
             _raw_mul_into(remainder, upper, rest, -1)
         if remainder:
             return None
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for d, sl in quot_slices.items():
         base = d << lead_shift
         for key, coeff in sl.items():
@@ -199,16 +255,39 @@ def _try_divide(terms: dict[int, Fraction], rest: dict[int, Fraction],
 
 
 class BlockPoly:
-    """numerator / (r1^2)^j / (r2^2)^k in canonical reduced form."""
+    """(num/den) / (r1^2)^j / (r2^2)^k in canonical reduced form."""
 
-    __slots__ = ("layout", "num", "j", "k")
+    __slots__ = ("layout", "num", "den", "j", "k")
 
-    def __init__(self, layout: BlockLayout, num: dict[int, Fraction] | None = None,
+    def __init__(self, layout: BlockLayout, num: Mapping[int, int | Fraction] | None = None,
                  j: int = 0, k: int = 0, reduce: bool = True):
+        ints, den = _integer_terms(num or {})
+        self._set(layout, ints, den, j, k, reduce)
+
+    @classmethod
+    def _make(cls, layout: BlockLayout, num: dict[int, int], den: int,
+              j: int, k: int, reduce: bool = True) -> BlockPoly:
+        """Canonical value from integer numerators over a positive denominator."""
+        self = object.__new__(cls)
+        self._set(layout, num, den, j, k, reduce)
+        return self
+
+    def _set(self, layout: BlockLayout, num: dict[int, int], den: int,
+             j: int, k: int, reduce: bool) -> None:
         self.layout = layout
-        self.num = num or {}
         self.j = j
         self.k = k
+        if num:
+            layout.check_keys(num)
+            if den != 1:
+                g = gcd(den, *num.values())
+                if g != 1:
+                    num = {key: c // g for key, c in num.items()}
+                    den //= g
+        else:
+            den = 1
+        self.num = num
+        self.den = den
         if reduce:
             self._reduce()
 
@@ -216,7 +295,7 @@ class BlockPoly:
 
     @classmethod
     def zero(cls, layout: BlockLayout) -> BlockPoly:
-        return cls(layout, {}, 0, 0, reduce=False)
+        return cls._make(layout, {}, 1, 0, 0, reduce=False)
 
     @classmethod
     def scalar(cls, layout: BlockLayout, value: ParamScalar | Fraction | int) -> BlockPoly:
@@ -231,8 +310,7 @@ class BlockPoly:
         if isinstance(coeff, ParamScalar):
             num = {key + layout.param_key(e): c for e, c in coeff.terms.items()}
         else:
-            coeff = Fraction(coeff)
-            num = {key: coeff} if coeff else {}
+            num = {key: coeff}
         return cls(layout, num, j, k)
 
     def _reduce(self) -> None:
@@ -259,45 +337,47 @@ class BlockPoly:
         layout = self.layout
         j = max(self.j, other.j)
         k = max(self.k, other.k)
-        out: dict[int, Fraction] = {}
+        den = lcm(self.den, other.den)
+        out: dict[int, int] = {}
         for val in (self, other):
-            terms = val.num
-            dj, dk = j - val.j, k - val.k
-            if dj:
-                terms = _raw_mul(terms, layout.rpow(1, dj))
-            if dk:
-                terms = _raw_mul(terms, layout.rpow(2, dk))
-            _raw_add_into(out, terms, 1)
-        return BlockPoly(layout, out, j, k)
+            _lift_into(layout, out, val.num, den // val.den, j - val.j, k - val.k)
+        return BlockPoly._make(layout, out, den, j, k)
 
     def __sub__(self, other: BlockPoly) -> BlockPoly:
         return self + (-other)
 
     def __neg__(self) -> BlockPoly:
-        return BlockPoly(self.layout, {key: -c for key, c in self.num.items()},
-                         self.j, self.k, reduce=False)
+        out = object.__new__(BlockPoly)
+        out.layout, out.den, out.j, out.k = self.layout, self.den, self.j, self.k
+        out.num = {key: -c for key, c in self.num.items()}
+        return out
 
     def __mul__(self, other: BlockPoly) -> BlockPoly:
-        return BlockPoly(self.layout, _raw_mul(self.num, other.num),
-                         self.j + other.j, self.k + other.k)
+        return BlockPoly._make(self.layout, _raw_mul(self.num, other.num),
+                               self.den * other.den, self.j + other.j, self.k + other.k)
 
     def scaled(self, value: ParamScalar | Fraction | int) -> BlockPoly:
+        # a nonzero factor free of x cannot make the numerator divisible by
+        # r1^2 or r2^2, so no reduction is attempted
         if isinstance(value, ParamScalar):
-            out: dict[int, Fraction] = {}
-            for frag, coeff in self.layout.embed_scalar(value):
+            frags, fden = self.layout.embed_scalar(value)
+            out: dict[int, int] = {}
+            for frag, coeff in frags.items():
                 for key, c in self.num.items():
                     nk = key + frag
-                    cur = out.get(nk, Fraction(0)) + c * coeff
+                    cur = out.get(nk, 0) + c * coeff
                     if cur:
                         out[nk] = cur
                     else:
                         out.pop(nk, None)
-            return BlockPoly(self.layout, out, self.j, self.k)
+            return BlockPoly._make(self.layout, out, self.den * fden, self.j, self.k,
+                                   reduce=False)
         value = Fraction(value)
         if not value:
             return BlockPoly.zero(self.layout)
-        return BlockPoly(self.layout, {key: c * value for key, c in self.num.items()},
-                         self.j, self.k, reduce=False)
+        p = value.numerator
+        return BlockPoly._make(self.layout, {key: c * p for key, c in self.num.items()},
+                               self.den * value.denominator, self.j, self.k, reduce=False)
 
     # -- calculus ------------------------------------------------------------
 
@@ -309,17 +389,17 @@ class BlockPoly:
         block = layout.block_of(i)
         exp = self.j if block == 1 else self.k
         if exp == 0:
-            return BlockPoly(layout, dnum, self.j, self.k)
+            return BlockPoly._make(layout, dnum, self.den, self.j, self.k)
         rsq = layout.r1sq if block == 1 else layout.r2sq
         out = _raw_mul(dnum, rsq)
-        _raw_mul_into(out, self.num, {layout.x_key(i): Fraction(-2 * exp)}, 1)
+        _raw_mul_into(out, self.num, {layout.x_key(i): -2 * exp}, 1)
         if block == 1:
-            return BlockPoly(layout, out, self.j + 1, self.k)
-        return BlockPoly(layout, out, self.j, self.k + 1)
+            return BlockPoly._make(layout, out, self.den, self.j + 1, self.k)
+        return BlockPoly._make(layout, out, self.den, self.j, self.k + 1)
 
     def diff_p(self, i: int) -> BlockPoly:
-        return BlockPoly(self.layout, _raw_diff(self.num, self.layout.pshift[i]),
-                         self.j, self.k, reduce=False)
+        return BlockPoly._make(self.layout, _raw_diff(self.num, self.layout.pshift[i]),
+                               self.den, self.j, self.k, reduce=False)
 
     # -- queries ---------------------------------------------------------------
 
@@ -332,24 +412,21 @@ class BlockPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockPoly):
             return NotImplemented
-        return (self.j, self.k) == (other.j, other.k) and self.num == other.num
+        return ((self.j, self.k, self.den) == (other.j, other.k, other.den)
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.j, self.k, frozenset(self.num.items())))
+        return hash((self.j, self.k, self.den, frozenset(self.num.items())))
 
     def equivalent(self, other: BlockPoly) -> bool:
         """Equality via cross-multiplied numerators, independent of reduction."""
         layout = self.layout
-        left = dict(self.num)
-        if other.j - self.j > 0:
-            left = _raw_mul(left, layout.rpow(1, other.j - self.j))
-        if other.k - self.k > 0:
-            left = _raw_mul(left, layout.rpow(2, other.k - self.k))
-        right = dict(other.num)
-        if self.j - other.j > 0:
-            right = _raw_mul(right, layout.rpow(1, self.j - other.j))
-        if self.k - other.k > 0:
-            right = _raw_mul(right, layout.rpow(2, self.k - other.k))
+        left: dict[int, int] = {}
+        _lift_into(layout, left, self.num, other.den,
+                   max(other.j - self.j, 0), max(other.k - self.k, 0))
+        right: dict[int, int] = {}
+        _lift_into(layout, right, other.num, self.den,
+                   max(self.j - other.j, 0), max(self.k - other.k, 0))
         return left == right
 
     def term_count(self) -> int:
@@ -358,24 +435,18 @@ class BlockPoly:
     def substitute_params(self, values) -> BlockPoly:
         """Substitute exact rationals for a subset of (hbar, omega, c1, c2)."""
         layout = self.layout
-        from .scalars import VAR_NAMES
         subs = [(layout.param_shift[VAR_NAMES.index(name)], Fraction(v))
                 for name, v in values.items()]
         out: dict[int, Fraction] = {}
-        for key, coeff in self.num.items():
+        for key, num in self.num.items():
+            coeff = Fraction(num, self.den)
             nk = key
             for shift, v in subs:
                 e = (nk >> shift) & _MASK
                 if e:
                     coeff = coeff * v ** e
                     nk -= e << shift
-            if not coeff:
-                continue
-            cur = out.get(nk, Fraction(0)) + coeff
-            if cur:
-                out[nk] = cur
-            else:
-                out.pop(nk, None)
+            out[nk] = out.get(nk, 0) + coeff
         return BlockPoly(layout, out, self.j, self.k)
 
     def x_degree(self) -> int:
@@ -397,15 +468,12 @@ class BlockPoly:
         return best
 
     def as_dict(self) -> dict[tuple[int, ...], ParamScalar]:
-        """Numerator grouped as {coordinate exponents: ParamScalar}, for inspection."""
+        """Numerator over den, grouped as {coordinate exponents: ParamScalar}."""
         grouped: dict[tuple[int, ...], dict] = {}
         for key, coeff in self.num.items():
             xe, pe, pa = self.layout.unpack(key)
-            grouped.setdefault(xe + pe, {})[pa] = coeff
+            grouped.setdefault(xe + pe, {})[pa] = Fraction(coeff, self.den)
         return {mono: ParamScalar(terms) for mono, terms in grouped.items()}
-
-    def iter_terms(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(self.num.items())
 
     def __repr__(self) -> str:
         if not self.num:
@@ -413,14 +481,13 @@ class BlockPoly:
         parts = []
         for key in sorted(self.num, reverse=True):
             xe, pe, pa = self.layout.unpack(key)
-            factors = [str(self.num[key])]
+            factors = [str(Fraction(self.num[key], self.den))]
             for i, e in enumerate(xe):
                 if e:
                     factors.append(f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}")
             for i, e in enumerate(pe):
                 if e:
                     factors.append(f"p{i + 1}^{e}" if e > 1 else f"p{i + 1}")
-            from .scalars import VAR_NAMES
             for name, e in zip(VAR_NAMES, pa):
                 if e:
                     factors.append(f"{name}^{e}" if e > 1 else name)

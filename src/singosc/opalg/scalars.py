@@ -147,9 +147,6 @@ class ParamScalar:
             raise ValueError(f"scalar is not constant: {self}")
         return self.terms[_ZERO4]
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def substitute(self, values: Mapping[str, Rational]) -> ParamScalar:
         """Substitute exact rationals for a subset of the parameters."""
         idx = {name: VAR_NAMES.index(name) for name in values}

@@ -198,14 +198,6 @@ def casimir_central_terms(cache: _ProductCache, subs: dict | None = None) -> lis
     ]
 
 
-def casimir_from_generators(cache: _ProductCache, subs: dict | None = None) -> DiffOp:
-    return combine(casimir_generator_terms(cache, subs))
-
-
-def casimir_from_central(cache: _ProductCache, subs: dict | None = None) -> DiffOp:
-    return combine(casimir_central_terms(cache, subs))
-
-
 def casimir_residual(cache: _ProductCache, subs: dict | None = None) -> DiffOp:
     """Generator-built Casimir minus its central-element form, in one pass."""
     terms = casimir_generator_terms(cache, subs)
@@ -228,13 +220,15 @@ def _timed(report: VerificationReport, name: str, residual_fn, detail: str = "")
                            wall_time=elapsed, detail=detail))
 
 
-def _so_block_residuals(ops: dict, hbar_sign: Fraction, layout) -> DiffOp:
-    """Aggregate residual of [L_ab, L_cd] = -hbar (d_ac L_bd + d_bd L_ac - d_ad L_bc - d_bc L_ad).
+def _so_block_residuals(ops: dict, hbar_sign: Fraction, layout,
+                        subs: dict | None) -> DiffOp:
+    """First nonzero residual of [L_ab, L_cd] = -hbar (d_ac L_bd + d_bd L_ac
+    - d_ad L_bc - d_bc L_ad), or zero when every pair holds.
 
-    Stated in the real form; pairwise residuals are summed after confirming each
-    one individually (the per-pair check short-circuits on the first failure).
+    Stated in the real form.  ``subs`` must be the substitution already applied
+    to ``ops``, so that the hbar of the right-hand side matches theirs.
     """
-    total = DiffOp.zero(layout)
+    hbar = _scalar_mapper(subs)(ParamScalar.hbar(1, hbar_sign))
     pairs = sorted(ops)
     for ab in pairs:
         for cd in pairs:
@@ -257,12 +251,10 @@ def _so_block_residuals(ops: dict, hbar_sign: Fraction, layout) -> DiffOp:
                 rhs = rhs - gen(b, c)
             if b == c:
                 rhs = rhs - gen(a, d)
-            residual = commutator(ops[ab], ops[cd]) - rhs.scaled(
-                ParamScalar.hbar(1, hbar_sign))
-            total = total + residual
+            residual = commutator(ops[ab], ops[cd]) - rhs.scaled(hbar)
             if not residual.is_zero():
                 return residual
-    return total
+    return DiffOp.zero(layout)
 
 
 def verify_q3(N: int, n: int, *, constants: QuadraticConstants | None = None,
@@ -300,10 +292,10 @@ def verify_q3(N: int, n: int, *, constants: QuadraticConstants | None = None,
         _timed(report, "casimir[generators-vs-central]",
                lambda: casimir_residual(cache, substitutions))
     _timed(report, "so-rotations[block1]",
-           lambda: _so_block_residuals(gens.J, Fraction(-1), gens.layout),
+           lambda: _so_block_residuals(gens.J, Fraction(-1), gens.layout, substitutions),
            detail=f"{len(gens.J)} generators")
     _timed(report, "so-rotations[block2]",
-           lambda: _so_block_residuals(gens.K, Fraction(-1), gens.layout),
+           lambda: _so_block_residuals(gens.K, Fraction(-1), gens.layout, substitutions),
            detail=f"{len(gens.K)} generators")
     return report.finalize()
 

@@ -27,6 +27,14 @@ def test_invalid_partition_exits_2(capsys):
     assert "invalid partition" in err
 
 
+def test_sampled_mode_without_samples_exits_2(capsys):
+    code, out, err = _run(capsys, ["verify-algebra", "--N", "2", "--n", "1",
+                                   "--param-mode", "sampled", "--samples", "0"])
+    assert code == 2
+    assert out == ""
+    assert "--samples must be at least 1" in err
+
+
 def test_bad_rational_exits_2(capsys):
     code, _, err = _run(capsys, ["spectrum", "--N", "4", "--n", "2", "--c1", "0.25x"])
     assert code == 2

@@ -34,6 +34,18 @@ def test_sampled_mode_passes():
     assert report.all_passed, [r.name for r in report.failures()]
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sampled_mode_checks_rotations_of_a_three_dimensional_block(seed):
+    # (5,2): so(3) on the second block is the smallest non-abelian rotation algebra,
+    # and its right-hand side must use the same substituted hbar as the generators
+    rng = random.Random(seed)
+    values = {name: Fraction(rng.randrange(1, 40), rng.randrange(1, 12))
+              for name in ("hbar", "omega", "c1", "c2")}
+    report = verify_q3(5, 2, casimir=False, substitutions=values)
+    assert report.all_passed, [r.name for r in report.failures()]
+    assert report["so-rotations[block2]"].detail == "3 generators"
+
+
 @pytest.mark.parametrize("field_name", MUTABLE_CONSTANTS)
 def test_mutating_any_structure_constant_fails(field_name):
     N, n = 4, 2
