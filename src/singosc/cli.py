@@ -243,9 +243,10 @@ def _cmd_radial(opts: dict) -> tuple[list[dict], bool]:
         mode = radial.closed_form(spec, idx)
         fd_rec = fd.record()[idx]
         rel = abs(fd.energies[idx] - mode.energy) / abs(mode.energy)
-        ok = ok and rel < 1e-6
+        ok = ok and rel < 1e-6 and fd.converged
         rec = mode.record()
         rec.update({"fd_energy": fd.energies[idx], "fd_rel_error": rel,
+                    "fd_converged": fd.converged,
                     "fd_observed_order": fd_rec["observed_order"],
                     "fd_h": fd_rec["h"], "fd_raw": fd_rec["raw"],
                     "scheme": fd.scheme, "r_max": fd.r_max})
@@ -268,7 +269,9 @@ def _cmd_wavefunction(opts: dict) -> tuple[list[dict], bool]:
     mode = radial.closed_form(spec, opts["nr"])
     import math
     r_max = opts["r_max"] or 8.0 / math.sqrt(float(spec.omega_reduced))
-    samples = opts["samples"] or 200
+    samples = opts["samples"]
+    if samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {samples}")
     records = []
     for i in range(1, samples + 1):
         r = r_max * i / samples

@@ -6,6 +6,10 @@ and the factorized form whose roots encode the finite-representation
 constraints.  Arithmetic is exact (Fraction) whenever the angular/coupling
 data make m1, m2 rational, and 60-digit mpmath otherwise; "equals zero" in
 root checks then means smaller than 1e-30 relative to the polynomial scale.
+
+The unirrep solver never expands the factorized form: it evaluates Phi at the
+integer points as lead times the product of the six linear factors, and on
+the exact path that product is one of integers over a common denominator.
 """
 
 from __future__ import annotations
@@ -233,23 +237,29 @@ def structure_poly_raw(u: Number, energy: Number, ce: CentralEigs) -> StructureF
     return StructureFn(coeffs=tuple(coeffs_x), provenance="raw", u=u, energy=energy, ce=ce)
 
 
+def _m_roots(m1: Number, m2: Number) -> list:
+    """The four roots (2 +- m1 +- m2)/4, which depend on the central elements only."""
+    return [(2 + m1 + m2) / 4, (2 - m1 + m2) / 4, (2 + m1 - m2) / 4, (2 - m1 - m2) / 4]
+
+
+def _energy_roots(energy: Number, hw: Number) -> list:
+    """The two roots (hbar omega -+ E)/(2 hbar omega) of the energy factor."""
+    return [(-energy + hw) / (2 * hw), (energy + hw) / (2 * hw)]
+
+
 def factored_roots(u: Number, energy: Number, ce: CentralEigs,
                    mq: MQuantum) -> list:
     """The six root locations of x + u in the factorized structure function."""
-    m1, m2, u2, e2 = unify(mq.m1, mq.m2, u, energy)
+    m1, m2, _, energy = unify(mq.m1, mq.m2, u, energy)
     hw = ce.hbar * ce.omega
     if not isinstance(m1, Fraction):
         hw = to_mpf(hw)
-    two = 2 if isinstance(m1, Fraction) else mp.mpf(2)
-    quarter = Fraction(1, 4) if isinstance(m1, Fraction) else mp.mpf("0.25")
-    return [
-        (two + m1 + m2) * quarter,
-        (two - m1 + m2) * quarter,
-        (two + m1 - m2) * quarter,
-        (two - m1 - m2) * quarter,
-        (-e2 + hw) / (2 * hw),
-        (e2 + hw) / (2 * hw),
-    ]
+    return _m_roots(m1, m2) + _energy_roots(energy, hw)
+
+
+def _lead(ce: CentralEigs) -> Fraction:
+    """Leading coefficient of the factorized structure polynomial."""
+    return -12582912 * ce.hbar ** 18 * ce.omega ** 2
 
 
 def structure_poly_factored(u: Number, energy: Number, ce: CentralEigs,
@@ -269,8 +279,8 @@ def structure_poly_factored(u: Number, energy: Number, ce: CentralEigs,
         roots = [r + d for r, d in zip(roots, root_offsets)]
     exact = all(isinstance(r, Fraction) for r in roots) and isinstance(u, Fraction)
     uu = u if exact else to_mpf(u)
-    lead = -12582912 * ce.hbar ** 18 * ce.omega ** 2
-    coeffs = [Fraction(lead) if exact else to_mpf(lead)]
+    lead = _lead(ce)
+    coeffs = [lead if exact else to_mpf(lead)]
     for idx, root in enumerate(roots):
         offset = uu if (shift_last_factor or idx < 5) else (uu * 0)
         coeffs = poly_mul(coeffs, [offset - root, coeffs[0] * 0 + 1])
@@ -344,27 +354,72 @@ def set_solution(set_id: int, eps1: int, eps2: int, p: int,
 
 
 def solve_unirreps(p: int, ce: CentralEigs) -> list[UnirrepSolution]:
-    """All 12 (set, sign) branches with their structure-function positivity status."""
+    """All 12 (set, sign) branches with their structure-function positivity status.
+
+    Phi(x) = lead * prod_i (x + u - r_i) is evaluated from its six linear
+    factors at x = 0..p+1; no coefficients are built.  The four m-dependent
+    roots and lead are computed once and shared by every branch.  Positivity
+    is read from Phi / eta = -512 * prod_i (x + u - r_i), since
+    eta = 24576 hbar^18 omega^2 is -lead / 512.  With rational m1, m2 the
+    exact path uses integer products (``_factor_values_exact``); otherwise the
+    shifts u - r_i and their products are 60-digit mpf.
+    """
     if p < 0:
         raise ValueError("p must be non-negative")
     mq = m_values(ce)
-    eta_scale = 24576 * ce.hbar ** 18 * ce.omega ** 2
+    exact = mq.exact
+    lead = _lead(ce)
+    hw = ce.hbar * ce.omega
+    m1, m2 = mq.m1, mq.m2
+    if not exact:
+        lead, hw, m1, m2 = to_mpf(lead), to_mpf(hw), to_mpf(m1), to_mpf(m2)
+    factor_values = _factor_values_exact if exact else _factor_values_mpf
+    m_roots = _m_roots(m1, m2)
+    points = range(p + 2)
     out: list[UnirrepSolution] = []
     for set_id in (1, 2, 3):
         for eps1, eps2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             u, energy = set_solution(set_id, eps1, eps2, p, ce, mq)
-            phi = structure_poly_factored(u, energy, ce, mq)
-            exact = all(isinstance(c, Fraction) for c in phi.coeffs)
-            values = tuple(phi(x if exact else mp.mpf(x)) for x in range(p + 2))
-            # normalize by eta so tolerances are scale-free
-            scale = eta_scale if exact else to_mpf(eta_scale)
-            norm = tuple(v / scale for v in values)
+            shifts = [u - r for r in m_roots + _energy_roots(energy, hw)]
+            values, norm = factor_values(shifts, lead, points)
             admissible, failing = _admissibility(norm, energy, p, exact)
             out.append(UnirrepSolution(
                 set_id=set_id, eps1=eps1, eps2=eps2, u=u, energy=energy, p=p,
                 phi_values=values, admissible=admissible, failing_x=failing,
                 exact=exact))
     return out
+
+
+def _factor_values_mpf(shifts: list, lead: mp.mpf, points: range) -> tuple[tuple, tuple]:
+    """(lead * prod, -512 * prod) with prod = prod_i (x + shift_i), per point x."""
+    values, norm = [], []
+    for x in points:
+        s1, s2, s3, s4, s5, s6 = (x + s for s in shifts)
+        prod = s1 * s2 * s3 * s4 * s5 * s6
+        values.append(lead * prod)
+        norm.append(-512 * prod)
+    return tuple(values), tuple(norm)
+
+
+def _factor_values_exact(shifts: list, lead: Fraction, points: range) -> tuple[tuple, tuple]:
+    """The exact twin of ``_factor_values_mpf``, in integer arithmetic.
+
+    Over one common denominator D the shifts are a_i / D, so
+    prod = P(x) / D^6 with the integer P(x) = prod_i (x D + a_i).  Each value
+    is one Fraction; the normalized values are the integers -512 P(x), which
+    differ from -512 * prod by the positive factor D^6 and so have the same
+    zeros and signs, all the exact admissibility test reads.
+    """
+    den = math.lcm(*(s.denominator for s in shifts))
+    a1, a2, a3, a4, a5, a6 = (s.numerator * (den // s.denominator) for s in shifts)
+    lead_num, lead_den = lead.numerator, lead.denominator * den ** 6
+    values, norm = [], []
+    for x in points:
+        xd = x * den
+        prod = (xd + a1) * (xd + a2) * (xd + a3) * (xd + a4) * (xd + a5) * (xd + a6)
+        values.append(Fraction(lead_num * prod, lead_den))
+        norm.append(-512 * prod)
+    return tuple(values), tuple(norm)
 
 
 def _admissibility(norm_values: tuple, energy: Number, p: int,

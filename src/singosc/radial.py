@@ -181,6 +181,12 @@ def wavefunction_sign_changes(mode: RadialMode, r_max: float | None = None,
 # -- finite-difference oracle -----------------------------------------------------
 
 
+# Both schemes are built to be second order in h; an observed order further
+# than this from 2 means the grids are not in the asymptotic regime or the
+# scheme cannot represent the solution (chi at m = 2, c = 0 shows about 0.27).
+ORDER_TOL = 0.5
+
+
 class GridError(ValueError):
     """Raised when the grid cannot resolve the requested levels."""
 
@@ -213,6 +219,12 @@ class FdResult:
     observed_orders: tuple[float, ...]
     r_max: float
     scheme: str
+
+    @property
+    def converged(self) -> bool:
+        """Every observed order lies within ORDER_TOL of 2.  An order that
+        could not be observed (fewer than three grid levels) is not converged."""
+        return all(abs(order - 2.0) <= ORDER_TOL for order in self.observed_orders)
 
     def record(self) -> list[dict]:
         out = []

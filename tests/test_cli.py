@@ -3,8 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import singosc
 from singosc.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _run(capsys, argv):
@@ -92,6 +101,7 @@ def test_radial_subcommand(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert len(records) == 2
     assert all(rec["fd_rel_error"] < 1e-6 for rec in records)
+    assert all(rec["fd_converged"] is True for rec in records)
 
 
 def test_wavefunction_subcommand(capsys):
@@ -109,3 +119,38 @@ def test_verify_poisson_subcommand(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert all(rec["passed"] for rec in records)
     assert any(rec["check"].startswith("classical-limit") for rec in records)
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_wavefunction_without_samples_exits_2(capsys, samples):
+    code, out, err = _run(capsys, ["wavefunction", "--m", "3", "--l", "1", "--nr", "2",
+                                   "--samples", samples])
+    assert code == 2
+    assert out == ""
+    assert "--samples must be at least 1" in err
+
+
+def test_radial_without_fd_convergence_exits_1(capsys):
+    # the literal chi grid at m = 2, c = 0 is first order at best: not converged
+    code, out, _ = _run(capsys, ["radial", "--m", "2", "--count", "1", "--scheme", "chi"])
+    assert code == 1
+    assert json.loads(out)["fd_converged"] is False
+
+
+def test_spectrum_output_is_pinned(capsys):
+    # m2 is rational at l_Nn = 1 and irrational otherwise; m1 is always irrational
+    code, out, _ = _run(capsys, ["spectrum", "--N", "5", "--n", "2", "--c1", "3/7",
+                                 "--c2", "5", "--p-max", "6", "--l-max", "3"])
+    assert code == 0
+    golden = GOLDEN / "spectrum-N5-n2-c1-3_7-c2-5.jsonl"
+    assert out == golden.read_text(encoding="utf-8")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(singosc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "singosc", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: singosc")

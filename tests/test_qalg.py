@@ -8,8 +8,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from singosc.qalg import (CentralEigs, exact_sqrt, harmonic_limit_check, m_values,
-                          recursion_consistency, set_solution, solve_unirreps,
+from singosc.qalg import (CentralEigs, _admissibility, exact_sqrt, harmonic_limit_check,
+                          m_values, recursion_consistency, set_solution, solve_unirreps,
                           structure_fn_factored, structure_fn_raw,
                           structure_poly_factored, structure_poly_raw)
 
@@ -118,6 +118,70 @@ def test_solve_unirreps_boundaries_and_positivity():
     s3 = by_key[(3, 1, 1)]
     assert s3.admissible
     assert abs(mp.mpf(float(s3.energy)) - mp.mpf(float(best.energy))) < 1e-12
+
+
+def _expanded_unirreps(p, ce):
+    """Oracle for solve_unirreps: expand the factored polynomial, evaluate it by
+    Horner, divide by eta = 24576 hbar^18 omega^2 and test admissibility."""
+    mq = m_values(ce)
+    eta = 24576 * ce.hbar ** 18 * ce.omega ** 2
+    out = []
+    for set_id in (1, 2, 3):
+        for eps in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            u, energy = set_solution(set_id, *eps, p, ce, mq)
+            phi = structure_poly_factored(u, energy, ce, mq)
+            exact = all(isinstance(c, Fraction) for c in phi.coeffs)
+            points = [Fraction(x) if exact else mp.mpf(x) for x in range(p + 2)]
+            values = [phi(x) for x in points]
+            scale = eta if exact else mp.mpf(eta.numerator) / eta.denominator
+            verdict = _admissibility(tuple(v / scale for v in values), energy, p, exact)
+            out.append(((set_id, *eps), phi, points, values, exact, verdict))
+    return out
+
+
+def _irrational_m_eigs(rng):
+    while True:
+        ce = CentralEigs(N=rng.randrange(3, 9), n=2, l_n=rng.randrange(0, 3),
+                         l_Nn=rng.randrange(0, 2), c1=Fraction(rng.randrange(1, 30), 7),
+                         c2=Fraction(rng.randrange(1, 30), 3),
+                         hbar=Fraction(rng.randrange(1, 4), 2), omega=Fraction(3, 2))
+        if not m_values(ce).exact:
+            return ce
+
+
+def test_factor_evaluation_matches_expanded_polynomial():
+    rng = random.Random(11)
+    cases = [_rational_m_eigs(rng)[0] for _ in range(3)]
+    cases += [_irrational_m_eigs(rng) for _ in range(3)]
+    cases += [
+        CentralEigs(N=5, n=2, l_n=0, l_Nn=0, c1=Fraction(9, 8), c2=Fraction(1, 3)),
+        # m1 = 0: the four m-roots collide in pairs
+        CentralEigs(N=5, n=2, l_n=0, l_Nn=1, c2=Fraction(2)),
+        CentralEigs(N=5, n=2, l_n=0, l_Nn=1, c2=Fraction(5, 8)),
+        # harmonic limit c1 = c2 = 0
+        CentralEigs(N=4, n=2, l_n=0, l_Nn=0),
+        CentralEigs(N=6, n=3, l_n=1, l_Nn=2, hbar=Fraction(2, 3)),
+    ]
+    seen_exact = set()
+    for ce in cases:
+        for p in (0, 1, 3, 10):
+            sols = solve_unirreps(p, ce)
+            oracle = _expanded_unirreps(p, ce)
+            assert len(sols) == len(oracle) == 12
+            for sol, (key, phi, points, values, exact, verdict) in zip(sols, oracle):
+                assert (sol.set_id, sol.eps1, sol.eps2) == key
+                assert sol.exact == exact
+                assert (sol.admissible, sol.failing_x) == verdict
+                assert len(sol.phi_values) == p + 2
+                seen_exact.add(exact)
+                for x, got, want in zip(points, sol.phi_values, values):
+                    if exact:
+                        assert isinstance(got, Fraction) and got == want
+                    else:
+                        # relative to the size of the terms Horner adds up
+                        scale = sum(abs(c) * x ** k for k, c in enumerate(phi.coeffs))
+                        assert abs(got - want) <= mp.mpf("1e-40") * scale
+    assert seen_exact == {True, False}
 
 
 def test_negative_branch_with_large_m_is_inadmissible():
