@@ -7,6 +7,10 @@ The heavy lifting lives in the submodules:
 - ``singosc.radial`` closed-form levels, wavefunctions, FD eigensolver
 - ``singosc.levels`` degeneracy tables and oscillator-limit counting
 - ``singosc.cli``    command-line front end
+
+Importing ``singosc`` loads only ``opalg``, which is pure Python.  ``qalg``
+and ``levels`` load mpmath, and ``radial`` loads numpy and mpmath (scipy on
+its first FD solve or quadrature), each when it is first imported.
 """
 
 from .opalg import build_classical, build_quantum, verify_q3, verify_qp3

@@ -16,8 +16,6 @@ import random
 import sys
 from fractions import Fraction
 
-from . import levels as levels_mod
-from . import qalg, radial
 from .opalg import verify_q3, verify_qp3
 
 SUBCOMMANDS = ("verify-algebra", "verify-poisson", "spectrum", "radial",
@@ -110,6 +108,9 @@ _DEFAULTS = {
     "nr": 0,
 }
 
+# Per-subcommand defaults that differ from _DEFAULTS.
+_COMMAND_DEFAULTS = {"wavefunction": {"samples": 200}}
+
 
 def _read_config(path: str) -> dict:
     values = {}
@@ -130,6 +131,7 @@ def _read_config(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace, config: dict) -> dict:
     """Flag > config-file > default, per option."""
+    defaults = {**_DEFAULTS, **_COMMAND_DEFAULTS.get(args.command, {})}
     out = {}
     for key, value in vars(args).items():
         if key in ("config", "command"):
@@ -137,7 +139,7 @@ def _resolve(args: argparse.Namespace, config: dict) -> dict:
         if value is None or value is False:
             if key in config:
                 raw = config[key]
-                default = _DEFAULTS.get(key)
+                default = defaults.get(key)
                 if isinstance(default, int) and not isinstance(default, bool):
                     value = int(raw)
                 elif isinstance(default, float) or key == "r_max":
@@ -145,7 +147,7 @@ def _resolve(args: argparse.Namespace, config: dict) -> dict:
                 else:
                     value = raw
             elif value is None:
-                value = _DEFAULTS.get(key)
+                value = defaults.get(key)
         out[key] = value
     return out
 
@@ -176,14 +178,14 @@ def _random_rationals(rng: random.Random) -> dict:
     return {"hbar": draw(), "omega": draw(), "c1": draw(), "c2": draw()}
 
 
-def _cmd_verify_algebra(opts: dict) -> tuple[list[dict], bool]:
+def _cmd_verify_algebra(opts: dict) -> tuple[list[dict], list[str]]:
     N, n = opts["N"], opts["n"]
     records: list[dict] = []
-    ok = True
+    failures: list[str] = []
     if opts["param_mode"] == "symbolic":
         report = verify_q3(N, n, casimir=not opts["skip_casimir"])
         records.extend(report.records())
-        ok = report.all_passed
+        failures.extend(r.name for r in report.failures())
         _log(f"verify-algebra ({N},{n}) symbolic: "
              f"{len(report.results)} checks in {report.total_time():.2f}s")
     else:
@@ -199,20 +201,21 @@ def _cmd_verify_algebra(opts: dict) -> tuple[list[dict], bool]:
                 rec["sample"] = sample_idx
                 rec["sample_values"] = {k: str(v) for k, v in values.items()}
                 records.append(rec)
-            ok = ok and report.all_passed
+            failures.extend(r.name for r in report.failures())
             _log(f"verify-algebra ({N},{n}) sample {sample_idx}: "
                  f"{report.total_time():.2f}s")
-    return records, ok
+    return records, failures
 
 
-def _cmd_verify_poisson(opts: dict) -> tuple[list[dict], bool]:
+def _cmd_verify_poisson(opts: dict) -> tuple[list[dict], list[str]]:
     report = verify_qp3(opts["N"], opts["n"])
     _log(f"verify-poisson ({opts['N']},{opts['n']}): "
          f"{len(report.results)} checks in {report.total_time():.2f}s")
-    return report.records(), report.all_passed
+    return report.records(), [r.name for r in report.failures()]
 
 
-def _cmd_spectrum(opts: dict) -> tuple[list[dict], bool]:
+def _cmd_spectrum(opts: dict) -> tuple[list[dict], list[str]]:
+    from . import qalg
     N, n = opts["N"], opts["n"]
     c1, c2 = _fraction(opts["c1"]), _fraction(opts["c2"])
     hbar, omega = _fraction(opts["hbar"]), _fraction(opts["omega"])
@@ -226,10 +229,11 @@ def _cmd_spectrum(opts: dict) -> tuple[list[dict], bool]:
             for p in range(opts["p_max"] + 1):
                 for sol in qalg.solve_unirreps(p, ce):
                     records.append(sol.record(ce))
-    return records, True
+    return records, []
 
 
-def _cmd_radial(opts: dict) -> tuple[list[dict], bool]:
+def _cmd_radial(opts: dict) -> tuple[list[dict], list[str]]:
+    from . import radial
     spec = radial.ComponentSpec(m=opts["m"], c=_fraction(opts["c"]), l=opts["l"],
                                 hbar=_fraction(opts["hbar"]),
                                 omega=_fraction(opts["omega"]))
@@ -238,12 +242,16 @@ def _cmd_radial(opts: dict) -> tuple[list[dict], bool]:
     count = opts["count"]
     fd = radial.fd_eigenvalues(spec, grid, count=count)
     records = []
-    ok = True
+    failures = []
     for idx in range(count):
         mode = radial.closed_form(spec, idx)
         fd_rec = fd.record()[idx]
         rel = abs(fd.energies[idx] - mode.energy) / abs(mode.energy)
-        ok = ok and rel < 1e-6 and fd.converged
+        reasons = [] if fd.converged else ["fd_converged false"]
+        if not rel < 1e-6:
+            reasons.append(f"fd_rel_error {rel:.3g} > 1e-6")
+        if reasons:
+            failures.append(f"Nr={mode.Nr} ({', '.join(reasons)})")
         rec = mode.record()
         rec.update({"fd_energy": fd.energies[idx], "fd_rel_error": rel,
                     "fd_converged": fd.converged,
@@ -251,18 +259,20 @@ def _cmd_radial(opts: dict) -> tuple[list[dict], bool]:
                     "fd_h": fd_rec["h"], "fd_raw": fd_rec["raw"],
                     "scheme": fd.scheme, "r_max": fd.r_max})
         records.append(rec)
-    return records, ok
+    return records, failures
 
 
-def _cmd_levels(opts: dict) -> tuple[list[dict], bool]:
-    table = levels_mod.enumerate_levels(
+def _cmd_levels(opts: dict) -> tuple[list[dict], list[str]]:
+    from . import levels
+    table = levels.enumerate_levels(
         opts["N"], opts["n"], _fraction(opts["c1"]), _fraction(opts["c2"]),
         e_cut=float(_fraction(opts["e_cut"])), hbar=_fraction(opts["hbar"]),
         omega=_fraction(opts["omega"]))
-    return table.records(), True
+    return table.records(), []
 
 
-def _cmd_wavefunction(opts: dict) -> tuple[list[dict], bool]:
+def _cmd_wavefunction(opts: dict) -> tuple[list[dict], list[str]]:
+    from . import radial
     spec = radial.ComponentSpec(m=opts["m"], c=_fraction(opts["c"]), l=opts["l"],
                                 hbar=_fraction(opts["hbar"]),
                                 omega=_fraction(opts["omega"]))
@@ -277,7 +287,7 @@ def _cmd_wavefunction(opts: dict) -> tuple[list[dict], bool]:
         r = r_max * i / samples
         records.append({"r": r, "psi": radial.wavefunction(mode, r),
                         "m": spec.m, "l": spec.l, "Nr": mode.Nr})
-    return records, True
+    return records, []
 
 
 def _log(message: str) -> None:
@@ -302,16 +312,13 @@ def main(argv: list[str] | None = None) -> int:
         opts = _resolve(args, config)
         if "N" in opts and "n" in opts and not 1 <= opts["n"] <= opts["N"] - 1:
             raise ConfigError(f"invalid partition (N, n) = ({opts['N']}, {opts['n']})")
-        records, ok = _HANDLERS[args.command](opts)
+        records, failures = _HANDLERS[args.command](opts)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(records, opts["format"], opts["output"])
-    if not ok:
-        failing = [r.get("check") for r in records
-                   if r.get("passed") is False or
-                   (r.get("fd_rel_error") or 0) > 1e-6]
-        print(f"FAILED: {', '.join(str(f) for f in failing if f)}", file=sys.stderr)
+    if failures:
+        print(f"FAILED: {', '.join(failures)}", file=sys.stderr)
         return 1
     return 0
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .qalg import exact_sqrt
 
@@ -286,6 +285,7 @@ def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
     regularity at 0 and a Dirichlet cutoff at r_max; eigenvalues are returned
     in energy units (multiplied back by hbar^2).
     """
+    from scipy.linalg import eigh_tridiagonal
     if count < 1:
         raise ValueError("need at least one eigenvalue")
     grid = grid or GridSpec()
@@ -348,6 +348,7 @@ def _richardson(raw: list[tuple[float, ...]]) -> tuple[list[float], list[float]]
 def fd_eigenvector(spec: ComponentSpec, grid: GridSpec | None = None,
                    index: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(radial nodes, eigenvector samples) on the finest grid, for node counting."""
+    from scipy.linalg import eigh_tridiagonal
     grid = grid or GridSpec()
     w = float(spec.omega_reduced)
     e_top = closed_form(spec, index + 4).energy / float(spec.hbar ** 2)

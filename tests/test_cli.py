@@ -132,9 +132,40 @@ def test_wavefunction_without_samples_exits_2(capsys, samples):
 
 def test_radial_without_fd_convergence_exits_1(capsys):
     # the literal chi grid at m = 2, c = 0 is first order at best: not converged
-    code, out, _ = _run(capsys, ["radial", "--m", "2", "--count", "1", "--scheme", "chi"])
+    code, out, err = _run(capsys, ["radial", "--m", "2", "--count", "3",
+                                   "--scheme", "chi"])
     assert code == 1
-    assert json.loads(out)["fd_converged"] is False
+    assert all(json.loads(line)["fd_converged"] is False for line in out.splitlines())
+    assert err.startswith("FAILED: Nr=0 (")
+    assert err.count("> 1e-6)") == 3
+    for nr in range(3):
+        assert f"Nr={nr} (fd_converged false, fd_rel_error " in err
+
+
+def test_radial_failure_names_only_the_reason_that_holds(capsys):
+    # two grid levels give no observed order, but the levels still agree
+    code, out, err = _run(capsys, ["radial", "--m", "2", "--c", "1", "--count", "2",
+                                   "--grid-levels", "2"])
+    assert code == 1
+    assert all(json.loads(line)["fd_rel_error"] < 1e-6 for line in out.splitlines())
+    assert err.strip() == "FAILED: Nr=0 (fd_converged false), Nr=1 (fd_converged false)"
+
+
+def test_samples_default_depends_on_the_subcommand(tmp_path, capsys):
+    code, out, _ = _run(capsys, ["wavefunction", "--m", "3", "--l", "1"])
+    assert code == 0
+    assert len(out.splitlines()) == 200
+    code, out, _ = _run(capsys, ["verify-algebra", "--N", "2", "--n", "1",
+                                 "--param-mode", "sampled", "--skip-casimir"])
+    assert code == 0
+    assert {json.loads(line)["sample"] for line in out.splitlines()} == {0, 1, 2}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 7\n")
+    _, out, _ = _run(capsys, ["--config", str(cfg), "wavefunction", "--m", "3"])
+    assert len(out.splitlines()) == 7
+    _, out, _ = _run(capsys, ["--config", str(cfg), "wavefunction", "--m", "3",
+                              "--samples", "5"])
+    assert len(out.splitlines()) == 5
 
 
 def test_spectrum_output_is_pinned(capsys):
@@ -146,11 +177,40 @@ def test_spectrum_output_is_pinned(capsys):
     assert out == golden.read_text(encoding="utf-8")
 
 
-def test_python_dash_m_runs_the_cli():
+def _source_env() -> dict:
     src = str(Path(singosc.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "singosc", "--help"], env=env,
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "singosc", "--help"], env=_source_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: singosc")
+
+
+_IMPORT_WEIGHT = """
+import contextlib, io, json, sys
+def heavy():
+    return sorted(m for m in ("numpy", "scipy", "mpmath") if m in sys.modules)
+seen = {}
+import singosc.cli
+seen["import"] = heavy()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["verify-algebra", "--N", "2", "--n", "1", "--skip-casimir"],
+                 ["spectrum", "--N", "4", "--n", "2"]):
+        seen[argv[0]] = [singosc.cli.main(argv)] + heavy()
+print(json.dumps(seen))
+"""
+
+
+def test_commands_load_only_the_libraries_they_use():
+    # a fresh interpreter: this one has imported numpy, scipy and mpmath already
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_WEIGHT], env=_source_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # each command's exit code, then the heavy libraries loaded after it
+    assert json.loads(proc.stdout) == {"import": [], "verify-algebra": [0],
+                                       "spectrum": [0, "mpmath"]}
