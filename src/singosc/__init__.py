@@ -6,11 +6,13 @@ The heavy lifting lives in the submodules:
 - ``singosc.qalg``   structure functions, unirreps, algebraic spectrum
 - ``singosc.radial`` closed-form levels, wavefunctions, FD eigensolver
 - ``singosc.levels`` degeneracy tables and oscillator-limit counting
+- ``singosc.exact``  exact rational helpers shared by the three above
 - ``singosc.cli``    command-line front end
 
 Importing ``singosc`` loads only ``opalg``, which is pure Python.  ``qalg``
-and ``levels`` load mpmath, and ``radial`` loads numpy and mpmath (scipy on
-its first FD solve or quadrature), each when it is first imported.
+loads mpmath and ``radial`` loads numpy (scipy on its first FD solve or
+quadrature), each when it is first imported; ``levels`` and ``exact`` use the
+standard library only.
 """
 
 from .opalg import build_classical, build_quantum, verify_q3, verify_qp3

@@ -217,6 +217,9 @@ def _cmd_verify_poisson(opts: dict) -> tuple[list[dict], list[str]]:
 def _cmd_spectrum(opts: dict) -> tuple[list[dict], list[str]]:
     from . import qalg
     N, n = opts["N"], opts["n"]
+    for key in ("p_max", "l_max"):
+        if opts[key] < 0:
+            raise ConfigError(f"--{key.replace('_', '-')} must be at least 0, got {opts[key]}")
     c1, c2 = _fraction(opts["c1"]), _fraction(opts["c2"])
     hbar, omega = _fraction(opts["hbar"]), _fraction(opts["omega"])
     records = []
@@ -268,6 +271,8 @@ def _cmd_levels(opts: dict) -> tuple[list[dict], list[str]]:
         opts["N"], opts["n"], _fraction(opts["c1"]), _fraction(opts["c2"]),
         e_cut=float(_fraction(opts["e_cut"])), hbar=_fraction(opts["hbar"]),
         omega=_fraction(opts["omega"]))
+    if not table.levels:
+        raise ConfigError(f"no level lies at or below --e-cut {opts['e_cut']}")
     return table.records(), []
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count as _count
 
-from .qalg import exact_sqrt
+from .exact import exact_sqrt
 
 MERGE_REL_TOL = 1e-9
 

@@ -3,13 +3,19 @@
 A PhaseFn is a polynomial in x_1..x_N, p_1..p_N over the parameter ring,
 divided by powers of r1^2 and r2^2, backed by the same packed representation
 as the operator coefficients (momenta carry no denominators).
+
+Sums of products are written as words (scale, f, g | None).  ``combine_phase``
+adds every word's product, unreduced, into the (j, k) buckets of one
+accumulator and reduces the total once; the Poisson bracket is the sum of the
+2N words df/dx_i dg/dp_i and -df/dp_i dg/dx_i, so a bracket costs one
+reduction, not one per product and per partial sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import BlockLayout, BlockPoly
+from .poly import BlockLayout, BlockPoly, _merge, _open_bucket, _raw_mul_into
 from .scalars import ParamScalar
 
 
@@ -62,12 +68,6 @@ class PhaseFn:
         self._check(other)
         return PhaseFn(self.value * other.value)
 
-    def __pow__(self, power: int) -> PhaseFn:
-        result = PhaseFn.scalar(self.value.layout, 1)
-        for _ in range(power):
-            result = result * self
-        return result
-
     def scaled(self, value: ParamScalar | Fraction | int) -> PhaseFn:
         return PhaseFn(self.value.scaled(value))
 
@@ -88,25 +88,47 @@ class PhaseFn:
     def momentum_degree(self) -> int:
         return self.value.p_degree()
 
-    def substitute_params(self, values) -> PhaseFn:
-        return PhaseFn(self.value.substitute_params(values))
-
     def __repr__(self) -> str:
         return f"PhaseFn<{self.value!r}>"
 
 
+def combine_phase(words: list[tuple[ParamScalar | Fraction | int, PhaseFn, PhaseFn | None]]
+                  ) -> PhaseFn:
+    """sum_i scale_i * f_i * g_i, accumulated in one pass and reduced once.
+
+    A word whose g is None stands for scale_i * f_i.  The scale is folded into
+    whichever factor has fewer terms before multiplying."""
+    if not words:
+        raise ValueError("empty combination")
+    layout = words[0][1].value.layout
+    one = BlockPoly.scalar(layout, 1)
+    buckets: dict = {}
+    for scale, f, g in words:
+        if g is None:
+            f, g = one, f.value
+        else:
+            f._check(g)
+            f, g = f.value, g.value
+        if f.num and g.num:
+            if len(f.num) > len(g.num):
+                f, g = g, f
+            f = f.scaled(scale)
+            bucket, lift = _open_bucket(buckets, (f.j + g.j, f.k + g.k), f.den * g.den)
+            _raw_mul_into(bucket, f.num, g.num, lift)
+    return PhaseFn(_merge(layout, buckets))
+
+
+def bracket_words(f: PhaseFn, g: PhaseFn) -> list[tuple[int, PhaseFn, PhaseFn]]:
+    """{f, g} as the words df/dx_i dg/dp_i and -df/dp_i dg/dx_i, for combine_phase."""
+    f._check(g)
+    fv, gv = f.value, g.value
+    words = []
+    for i in range(fv.layout.N):
+        words.append((1, PhaseFn(fv.diff_x(i)), PhaseFn(gv.diff_p(i))))
+        words.append((-1, PhaseFn(fv.diff_p(i)), PhaseFn(gv.diff_x(i))))
+    return words
+
+
 def poisson_bracket(f: PhaseFn, g: PhaseFn) -> PhaseFn:
     """{f, g} = sum_i df/dx_i dg/dp_i - df/dp_i dg/dx_i."""
-    f._check(g)
-    layout = f.value.layout
-    out = BlockPoly.zero(layout)
-    for i in range(layout.N):
-        fx = f.value.diff_x(i)
-        gp = g.value.diff_p(i)
-        if not (fx.is_zero() or gp.is_zero()):
-            out = out + fx * gp
-        fp = f.value.diff_p(i)
-        gx = g.value.diff_x(i)
-        if not (fp.is_zero() or gx.is_zero()):
-            out = out - fp * gx
-    return PhaseFn(out)
+    return combine_phase(bracket_words(f, g))

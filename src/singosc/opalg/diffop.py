@@ -9,7 +9,10 @@ Composition uses the Leibniz rule
 
 and accumulates everything in one pass so that commutators cancel in place.
 The accumulator holds one raw term dict per (derivative slot, j, k), with
-integer numerators over that dict's own common denominator.
+integer numerators over that dict's own common denominator.  ``combine``
+composes a whole list of words (scale, left, right | None) into one
+accumulator; ``poly._merge`` reduces each slot once, as it does for the
+Poisson side.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iproduct
-from math import comb, lcm
+from math import comb
 
-from .poly import BlockLayout, BlockPoly, _lift_into, _raw_mul_into
+from .poly import BlockLayout, BlockPoly, _merge, _open_bucket, _raw_mul_into
 from .scalars import ParamScalar
 
 Beta = tuple[int, ...]
@@ -111,14 +114,6 @@ class DiffOp:
         _compose_into(acc, self, other, 1)
         return _finalize(self.layout, acc)
 
-    def __pow__(self, power: int) -> DiffOp:
-        if power < 0:
-            raise ValueError("operators are not invertible here")
-        result = DiffOp.identity(self.layout)
-        for _ in range(power):
-            result = result * self
-        return result
-
     # -- action on functions -------------------------------------------------------
 
     def apply(self, fn: BlockPoly) -> BlockPoly:
@@ -178,32 +173,6 @@ class DiffOp:
 _MISSING = object()
 
 
-class _Bucket(dict):
-    """Raw terms accumulated as integer numerators over the common denominator ``den``."""
-
-    __slots__ = ("den",)
-
-
-def _open_bucket(buckets: dict, jk: tuple[int, int], den: int) -> tuple[_Bucket, int]:
-    """The accumulator for jk, and the factor that lifts terms over ``den`` onto it.
-
-    The bucket's denominator only grows (to an lcm) when ``den`` does not divide
-    it, so every (j, k) keeps a single dict and commutators cancel in place."""
-    bucket = buckets.get(jk)
-    if bucket is None:
-        bucket = buckets[jk] = _Bucket()
-        bucket.den = den
-        return bucket, 1
-    common = bucket.den
-    if common % den:
-        wider = lcm(common, den)
-        factor = wider // common
-        for key in bucket:
-            bucket[key] *= factor
-        bucket.den = common = wider
-    return bucket, common // den
-
-
 def _compose_into(acc: dict, left: DiffOp, right: DiffOp, scale: int) -> None:
     """Accumulate scale * (left o right) into acc[beta][(j, k)] raw term dicts."""
     layout = left.layout
@@ -250,16 +219,7 @@ def _finalize(layout: BlockLayout, acc: dict) -> DiffOp:
     """Merge the (j, k) buckets of each derivative slot and reduce to canonical form."""
     terms: dict[Beta, BlockPoly] = {}
     for beta, buckets in acc.items():
-        jmax = max(j for j, _ in buckets)
-        kmax = max(k for _, k in buckets)
-        den = lcm(*(raw.den for raw in buckets.values() if raw))
-        merged: dict[int, int] = {}
-        for (j, k), raw in buckets.items():
-            if not raw:
-                continue
-            layout.check_keys(raw)
-            _lift_into(layout, merged, raw, den // raw.den, jmax - j, kmax - k)
-        value = BlockPoly._make(layout, merged, den, jmax, kmax)
+        value = _merge(layout, buckets)
         if not value.is_zero():
             terms[beta] = value
     return DiffOp(layout, terms, prune=False)
@@ -281,22 +241,24 @@ def anticommutator(left: DiffOp, right: DiffOp) -> DiffOp:
     return _finalize(left.layout, acc)
 
 
-def combine(terms: list[tuple[ParamScalar | Fraction | int, DiffOp]]) -> DiffOp:
-    """Linear combination sum_i scale_i * op_i, accumulated in one pass."""
-    if not terms:
+def combine(words: list[tuple[ParamScalar | Fraction | int, DiffOp, DiffOp | None]]
+            ) -> DiffOp:
+    """sum_i scale_i * left_i o right_i, accumulated in one pass and reduced once.
+
+    A word whose right factor is None stands for scale_i * left_i.  The scale
+    is folded into whichever factor has fewer terms before composing."""
+    if not words:
         raise ValueError("empty combination")
-    layout = terms[0][1].layout
+    layout = words[0][1].layout
+    one = DiffOp.identity(layout)
     acc: dict = {}
-    for scale, op in terms:
-        if not isinstance(scale, ParamScalar):
-            scale = ParamScalar.rational(scale)
-        frags, fden = layout.embed_scalar(scale)
-        if not frags:
-            continue
-        for beta, val in op.terms.items():
-            buckets = acc.get(beta)
-            if buckets is None:
-                buckets = acc[beta] = {}
-            bucket, lift = _open_bucket(buckets, (val.j, val.k), fden * val.den)
-            _raw_mul_into(bucket, frags, val.num, lift)
+    for scale, left, right in words:
+        if right is None:
+            left, right = one, left
+        left._check(right)
+        if left.term_count() <= right.term_count():
+            left = left.scaled(scale)
+        else:
+            right = right.scaled(scale)
+        _compose_into(acc, left, right, 1)
     return _finalize(layout, acc)

@@ -162,13 +162,6 @@ def _phase_r_squared(layout: BlockLayout, indices) -> PhaseFn:
     return out
 
 
-def _phase_singular(layout: BlockLayout) -> PhaseFn:
-    c1 = BlockPoly.scalar(layout, ParamScalar.c1())
-    c2 = BlockPoly.scalar(layout, ParamScalar.c2())
-    return PhaseFn(BlockPoly(layout, c1.num, 1, 0, reduce=False)
-                   + BlockPoly(layout, c2.num, 0, 1, reduce=False))
-
-
 def classical_angular_momentum(layout: BlockLayout, i: int, jdx: int) -> PhaseFn:
     return (PhaseFn.coordinate(layout, i) * PhaseFn.momentum(layout, jdx)
             - PhaseFn.coordinate(layout, jdx) * PhaseFn.momentum(layout, i))
@@ -183,7 +176,7 @@ def build_classical(N: int, n: int) -> ClassicalGenerators:
     for i in range(N):
         p2_all = p2_all + PhaseFn.momentum(layout, i, 2)
     r2_all = _phase_r_squared(layout, range(N))
-    singular = _phase_singular(layout)
+    singular = PhaseFn(_singular_terms(layout))
 
     H = p2_all.scaled(Fraction(1, 2)) + r2_all.scaled(omega2 * Fraction(1, 2)) + singular
 
@@ -202,12 +195,8 @@ def build_classical(N: int, n: int) -> ClassicalGenerators:
     r1 = _phase_r_squared(layout, range(n))
     r2 = _phase_r_squared(layout, range(n, N))
     # same antisymmetric singular sign as the quantum B (forced by {H, B} = 0)
-    c1 = BlockPoly.scalar(layout, ParamScalar.c1())
-    c2neg = BlockPoly.scalar(layout, ParamScalar.c2(1, -1))
-    singular_b = PhaseFn(BlockPoly(layout, c1.num, 1, 0, reduce=False)
-                         + BlockPoly(layout, c2neg.num, 0, 1, reduce=False))
     B = ((p2_1 - p2_2).scaled(Fraction(1, 2))
-         + (r1 - r2).scaled(omega2 * Fraction(1, 2)) + singular_b)
+         + (r1 - r2).scaled(omega2 * Fraction(1, 2)) + PhaseFn(_singular_terms(layout, -1)))
 
     J = {(i + 1, jdx + 1): classical_angular_momentum(layout, i, jdx)
          for i in range(n) for jdx in range(i + 1, n)}

@@ -199,6 +199,47 @@ def _lift_into(layout: BlockLayout, dst: dict[int, int], terms: dict[int, int],
         _raw_add_into(dst, terms, scale)
 
 
+class _Bucket(dict):
+    """Raw terms accumulated as integer numerators over the common denominator ``den``."""
+
+    __slots__ = ("den",)
+
+
+def _open_bucket(buckets: dict, jk: tuple[int, int], den: int) -> tuple[_Bucket, int]:
+    """The accumulator for jk, and the factor that lifts terms over ``den`` onto it.
+
+    The bucket's denominator only grows (to an lcm) when ``den`` does not divide
+    it, so every (j, k) keeps a single dict and sums cancel in place."""
+    bucket = buckets.get(jk)
+    if bucket is None:
+        bucket = buckets[jk] = _Bucket()
+        bucket.den = den
+        return bucket, 1
+    common = bucket.den
+    if common % den:
+        wider = lcm(common, den)
+        factor = wider // common
+        for key in bucket:
+            bucket[key] *= factor
+        bucket.den = common = wider
+    return bucket, common // den
+
+
+def _merge(layout: BlockLayout, buckets: dict) -> BlockPoly:
+    """Lift every (j, k) bucket onto the largest j and k and reduce the sum once."""
+    live = {jk: raw for jk, raw in buckets.items() if raw}
+    if not live:
+        return BlockPoly.zero(layout)
+    jmax = max(j for j, _ in live)
+    kmax = max(k for _, k in live)
+    den = lcm(*(raw.den for raw in live.values()))
+    merged: dict[int, int] = {}
+    for (j, k), raw in live.items():
+        layout.check_keys(raw)
+        _lift_into(layout, merged, raw, den // raw.den, jmax - j, kmax - k)
+    return BlockPoly._make(layout, merged, den, jmax, kmax)
+
+
 def _raw_diff(terms: dict[int, int], shift: int) -> dict[int, int]:
     out: dict[int, int] = {}
     unit = 1 << shift

@@ -2,9 +2,12 @@
 
 Every check subtracts a closed-form right-hand side from an engine-computed
 left-hand side and asserts that the difference is the exact zero operator
-(or phase-space function).  The structure constants live in small dataclasses
-so that mutation tests can knock any single one off by a unit and watch the
-corresponding check fail.
+(or phase-space function).  The quadratic relations and the Casimirs are word
+lists (scale, f, g | None) whose sum is the residual: ``combine`` and
+``combine_phase`` add every word's product into one accumulator and reduce
+once.  The structure constants live in small dataclasses so that mutation
+tests can knock any single one off by a unit and watch the corresponding
+check fail.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .classical import PhaseFn, poisson_bracket
+from .classical import PhaseFn, bracket_words, combine_phase, poisson_bracket
 from .diffop import DiffOp, anticommutator, combine, commutator
 from .generators import (ClassicalGenerators, QuantumGenerators, build_classical,
                          build_quantum)
@@ -80,44 +83,28 @@ MUTABLE_CONSTANTS = tuple(QuadraticConstants.__dataclass_fields__)
 
 
 class _ProductCache:
-    """Memoizes the expensive operator products used across several identities."""
+    """Memoizes the products used across several identities, quantum or classical.
 
-    def __init__(self, gens: QuantumGenerators):
+    ``bracket`` gives C = bracket(A, B): the commutator for operators, the
+    Poisson bracket for phase-space functions."""
+
+    def __init__(self, gens: QuantumGenerators | ClassicalGenerators, bracket=commutator):
         self.g = gens
-        self._cache: dict[str, DiffOp] = {}
-
-    def get(self, name: str) -> DiffOp:
-        op = self._cache.get(name)
-        if op is None:
-            op = self._build(name)
-            self._cache[name] = op
-        return op
-
-    def _build(self, name: str) -> DiffOp:
-        g = self.g
-        builders = {
-            "C": lambda: commutator(g.A, g.B),
-            "AB_anti": lambda: anticommutator(g.A, g.B),
-            "B2": lambda: g.B * g.B,
-            "H2": lambda: g.H * g.H,
-            "A2": lambda: g.A * g.A,
-            "C2": lambda: self.get("C") * self.get("C"),
-            "AB2_anti": lambda: anticommutator(g.A, self.get("B2")),
-            "J2H": lambda: g.J2 * g.H,
-            "K2H": lambda: g.K2 * g.H,
-            "HB": lambda: g.H * g.B,
-            "J2HB": lambda: self.get("J2H") * g.B,
-            "K2HB": lambda: self.get("K2H") * g.B,
-            "J2A": lambda: g.J2 * g.A,
-            "K2A": lambda: g.K2 * g.A,
-            "H2A": lambda: self.get("H2") * g.A,
-            "J2H2": lambda: self.get("J2H") * g.H,
-            "K2H2": lambda: self.get("K2H") * g.H,
-            "J2J2": lambda: g.J2 * g.J2,
-            "K2K2": lambda: g.K2 * g.K2,
-            "J2K2": lambda: g.J2 * g.K2,
+        self._cache: dict = {}
+        self._builders = {
+            "C": lambda: bracket(gens.A, gens.B),
+            "AB_anti": lambda: anticommutator(gens.A, gens.B),
+            "B2": lambda: gens.B * gens.B,
+            "H2": lambda: gens.H * gens.H,
+            "J2H": lambda: gens.J2 * gens.H,
+            "K2H": lambda: gens.K2 * gens.H,
         }
-        return builders[name]()
+
+    def get(self, name: str):
+        value = self._cache.get(name)
+        if value is None:
+            value = self._cache[name] = self._builders[name]()
+        return value
 
 
 def quadratic_ac_rhs(cache: _ProductCache, consts: QuadraticConstants,
@@ -125,11 +112,11 @@ def quadratic_ac_rhs(cache: _ProductCache, consts: QuadraticConstants,
     g = cache.g
     s = _scalar_mapper(subs)
     return combine([
-        (s(_H2 * consts.ac_anti), cache.get("AB_anti")),
-        (s(_H2 * consts.ac_j2h), cache.get("J2H")),
-        (s(_H2 * consts.ac_k2h), cache.get("K2H")),
-        (s(_H2 * (_C1 * consts.ac_c1h + _C2 * consts.ac_c2h) + _H4 * consts.ac_h4h), g.H),
-        (s(_H4 * consts.ac_b), g.B),
+        (s(_H2 * consts.ac_anti), cache.get("AB_anti"), None),
+        (s(_H2 * consts.ac_j2h), cache.get("J2H"), None),
+        (s(_H2 * consts.ac_k2h), cache.get("K2H"), None),
+        (s(_H2 * (_C1 * consts.ac_c1h + _C2 * consts.ac_c2h) + _H4 * consts.ac_h4h), g.H, None),
+        (s(_H4 * consts.ac_b), g.B, None),
     ])
 
 
@@ -137,46 +124,48 @@ def quadratic_bc_rhs(cache: _ProductCache, consts: QuadraticConstants,
                      subs: dict | None = None) -> DiffOp:
     g = cache.g
     s = _scalar_mapper(subs)
-    ident = DiffOp.identity(g.layout)
     h2w2 = _H2 * _W2
     return combine([
-        (s(_H2 * consts.bc_b2), cache.get("B2")),
-        (s(_H2 * consts.bc_h2), cache.get("H2")),
-        (s(h2w2 * consts.bc_a), g.A),
-        (s(h2w2 * consts.bc_j2), g.J2),
-        (s(h2w2 * consts.bc_k2), g.K2),
-        (s(h2w2 * ((_C1 + _C2) * consts.bc_c) + _H4 * _W2 * consts.bc_h4), ident),
+        (s(_H2 * consts.bc_b2), cache.get("B2"), None),
+        (s(_H2 * consts.bc_h2), cache.get("H2"), None),
+        (s(h2w2 * consts.bc_a), g.A, None),
+        (s(h2w2 * consts.bc_j2), g.J2, None),
+        (s(h2w2 * consts.bc_k2), g.K2, None),
+        (s(h2w2 * ((_C1 + _C2) * consts.bc_c) + _H4 * _W2 * consts.bc_h4),
+         DiffOp.identity(g.layout), None),
     ])
 
 
 def casimir_generator_terms(cache: _ProductCache, subs: dict | None = None) -> list:
-    """Term list of the cubic Casimir built from A, B, C and the central elements."""
+    """Words (scale, left, right) of the cubic Casimir built from A, B, C and the
+    central elements; right None stands for the identity."""
     g = cache.g
     N, n = g.N, g.n
     s = _scalar_mapper(subs)
     h2w2 = _H2 * _W2
+    B2 = cache.get("B2")
     scalar_b = _H2 * (_C1 * 4 - _C2 * 4) + _H4 * Fraction(-(N - 4) * (N - 2 * n), 2)
     return [
-        (ParamScalar.rational(1), cache.get("C2")),
-        (s(_H2 * Fraction(-2)), cache.get("AB2_anti")),
-        (s(_H4 * Fraction(16 - N * (N - 4), 4)), cache.get("B2")),
-        (s(_H2 * Fraction(2)), cache.get("J2HB")),
-        (s(_H2 * Fraction(-2)), cache.get("K2HB")),
-        (s(scalar_b), cache.get("HB")),
-        (s(h2w2 * Fraction(-16)), cache.get("A2")),
-        (s(h2w2 * ((_C1 + _C2) * 16) + _H4 * _W2 * Fraction(-4 * n * (N - n))), g.A),
-        (s(h2w2 * Fraction(8)), cache.get("J2A")),
-        (s(h2w2 * Fraction(8)), cache.get("K2A")),
-        (s(_H2 * Fraction(4)), cache.get("H2A")),
+        (ParamScalar.rational(1), cache.get("C"), cache.get("C")),
+        (s(_H2 * Fraction(-2)), g.A, B2),
+        (s(_H2 * Fraction(-2)), B2, g.A),
+        (s(_H4 * Fraction(16 - N * (N - 4), 4)), B2, None),
+        (s(_H2 * Fraction(2)), cache.get("J2H"), g.B),
+        (s(_H2 * Fraction(-2)), cache.get("K2H"), g.B),
+        (s(scalar_b), g.H, g.B),
+        (s(h2w2 * Fraction(-16)), g.A, g.A),
+        (s(h2w2 * ((_C1 + _C2) * 16) + _H4 * _W2 * Fraction(-4 * n * (N - n))), g.A, None),
+        (s(h2w2 * Fraction(8)), g.J2, g.A),
+        (s(h2w2 * Fraction(8)), g.K2, g.A),
+        (s(_H2 * Fraction(4)), cache.get("H2"), g.A),
     ]
 
 
 def casimir_central_terms(cache: _ProductCache, subs: dict | None = None) -> list:
-    """Term list of the same Casimir expressed through H, J2, K2 alone."""
+    """Words of the same Casimir expressed through H, J2, K2 alone."""
     g = cache.g
     N, n = g.N, g.n
     s = _scalar_mapper(subs)
-    ident = DiffOp.identity(g.layout)
     h2w2 = _H2 * _W2
     coeff_h2 = _H2 * ((_C1 + _C2) * 4) + _H4 * Fraction(-(4 * (N - 4) - (N - 2 * n) ** 2), 4)
     coeff_j2 = h2w2 * ((_C1 - _C2) * 4) + _H4 * _W2 * Fraction(-(N - 4) * (N - n))
@@ -186,23 +175,26 @@ def casimir_central_terms(cache: _ProductCache, subs: dict | None = None) -> lis
                                + _C2 * Fraction(-2 * n * (N - 4)))
                 + ParamScalar.hbar(6) * _W2 * Fraction(n * (N - n) * (N - 4)))
     return [
-        (s(_H2 * Fraction(2)), cache.get("J2H2")),
-        (s(_H2 * Fraction(2)), cache.get("K2H2")),
-        (s(coeff_h2), cache.get("H2")),
-        (s(h2w2), cache.get("J2J2")),
-        (s(h2w2), cache.get("K2K2")),
-        (s(h2w2 * Fraction(-2)), cache.get("J2K2")),
-        (s(coeff_j2), g.J2),
-        (s(coeff_k2), g.K2),
-        (s(coeff_id), ident),
+        (s(_H2 * Fraction(2)), cache.get("J2H"), g.H),
+        (s(_H2 * Fraction(2)), cache.get("K2H"), g.H),
+        (s(coeff_h2), cache.get("H2"), None),
+        (s(h2w2), g.J2, g.J2),
+        (s(h2w2), g.K2, g.K2),
+        (s(h2w2 * Fraction(-2)), g.J2, g.K2),
+        (s(coeff_j2), g.J2, None),
+        (s(coeff_k2), g.K2, None),
+        (s(coeff_id), DiffOp.identity(g.layout), None),
     ]
 
 
 def casimir_residual(cache: _ProductCache, subs: dict | None = None) -> DiffOp:
     """Generator-built Casimir minus its central-element form, in one pass."""
-    terms = casimir_generator_terms(cache, subs)
-    terms.extend((-scale, op) for scale, op in casimir_central_terms(cache, subs))
-    return combine(terms)
+    return combine(casimir_generator_terms(cache, subs)
+                   + _negated(casimir_central_terms(cache, subs)))
+
+
+def _negated(words: list) -> list:
+    return [(-scale, left, right) for scale, left, right in words]
 
 
 def _scalar_mapper(subs: dict | None):
@@ -220,29 +212,29 @@ def _timed(report: VerificationReport, name: str, residual_fn, detail: str = "")
                            wall_time=elapsed, detail=detail))
 
 
-def _so_block_residuals(ops: dict, hbar_sign: Fraction, layout,
-                        subs: dict | None) -> DiffOp:
-    """First nonzero residual of [L_ab, L_cd] = -hbar (d_ac L_bd + d_bd L_ac
-    - d_ad L_bc - d_bc L_ad), or zero when every pair holds.
+def _vanishing_checks(report: VerificationReport, gens, bracket, families) -> None:
+    """H commutes with everything, and J2, K2 are central: each bracket is zero."""
+    for pair in ("H,A", "H,B", "H,J2", "H,K2", "A,J2", "A,K2", "B,J2", "B,K2", "J2,K2"):
+        f, g = (getattr(gens, name) for name in pair.split(","))
+        family = families[0] if pair.startswith("H,") else families[1]
+        _timed(report, f"{family}[{pair}]", lambda: bracket(f, g))
 
-    Stated in the real form.  ``subs`` must be the substitution already applied
-    to ``ops``, so that the hbar of the right-hand side matches theirs.
+
+def _so_residual(gens: dict, bracket, zero, scale):
+    """First nonzero residual of bracket(L_ab, L_cd) = scale (d_ac L_bd + d_bd L_ac
+    - d_ad L_bc - d_bc L_ad), or ``zero`` when every pair holds.
+
+    The quantum real form has scale -hbar, the Poisson form scale 1.
     """
-    hbar = _scalar_mapper(subs)(ParamScalar.hbar(1, hbar_sign))
-    pairs = sorted(ops)
-    for ab in pairs:
-        for cd in pairs:
-            a, b = ab
-            c, d = cd
+    def gen(i, jdx):
+        if i == jdx:
+            return zero
+        return gens[(i, jdx)] if i < jdx else -gens[(jdx, i)]
 
-            def gen(i, jdx):
-                if i == jdx:
-                    return DiffOp.zero(layout)
-                if i < jdx:
-                    return ops[(i, jdx)]
-                return -ops[(jdx, i)]
-
-            rhs = DiffOp.zero(layout)
+    pairs = sorted(gens)
+    for a, b in pairs:
+        for c, d in pairs:
+            rhs = zero
             if a == c:
                 rhs = rhs + gen(b, d)
             if b == d:
@@ -251,10 +243,10 @@ def _so_block_residuals(ops: dict, hbar_sign: Fraction, layout,
                 rhs = rhs - gen(b, c)
             if b == c:
                 rhs = rhs - gen(a, d)
-            residual = commutator(ops[ab], ops[cd]) - rhs.scaled(hbar)
+            residual = bracket(gens[(a, b)], gens[(c, d)]) - rhs.scaled(scale)
             if not residual.is_zero():
                 return residual
-    return DiffOp.zero(layout)
+    return zero
 
 
 def verify_q3(N: int, n: int, *, constants: QuadraticConstants | None = None,
@@ -273,15 +265,7 @@ def verify_q3(N: int, n: int, *, constants: QuadraticConstants | None = None,
     cache = _ProductCache(gens)
     report = VerificationReport(context={"family": "quantum", "N": N, "n": n})
 
-    _timed(report, "commute[H,A]", lambda: commutator(gens.H, gens.A))
-    _timed(report, "commute[H,B]", lambda: commutator(gens.H, gens.B))
-    _timed(report, "commute[H,J2]", lambda: commutator(gens.H, gens.J2))
-    _timed(report, "commute[H,K2]", lambda: commutator(gens.H, gens.K2))
-    _timed(report, "central[A,J2]", lambda: commutator(gens.A, gens.J2))
-    _timed(report, "central[A,K2]", lambda: commutator(gens.A, gens.K2))
-    _timed(report, "central[B,J2]", lambda: commutator(gens.B, gens.J2))
-    _timed(report, "central[B,K2]", lambda: commutator(gens.B, gens.K2))
-    _timed(report, "central[J2,K2]", lambda: commutator(gens.J2, gens.K2))
+    _vanishing_checks(report, gens, commutator, ("commute", "central"))
     _timed(report, "quadratic[A,C]",
            lambda: commutator(gens.A, cache.get("C"))
            - quadratic_ac_rhs(cache, consts, substitutions))
@@ -291,11 +275,14 @@ def verify_q3(N: int, n: int, *, constants: QuadraticConstants | None = None,
     if casimir:
         _timed(report, "casimir[generators-vs-central]",
                lambda: casimir_residual(cache, substitutions))
+    # the hbar of the right-hand side must be substituted like the generators
+    minus_hbar = _scalar_mapper(substitutions)(ParamScalar.hbar(1, -1))
+    zero = DiffOp.zero(gens.layout)
     _timed(report, "so-rotations[block1]",
-           lambda: _so_block_residuals(gens.J, Fraction(-1), gens.layout, substitutions),
+           lambda: _so_residual(gens.J, commutator, zero, minus_hbar),
            detail=f"{len(gens.J)} generators")
     _timed(report, "so-rotations[block2]",
-           lambda: _so_block_residuals(gens.K, Fraction(-1), gens.layout, substitutions),
+           lambda: _so_residual(gens.K, commutator, zero, minus_hbar),
            detail=f"{len(gens.K)} generators")
     return report.finalize()
 
@@ -316,74 +303,63 @@ def _substituted(gens: QuantumGenerators, values: dict) -> QuantumGenerators:
 # -- classical (Poisson) side --------------------------------------------------
 
 
-def poisson_ac_rhs(g: ClassicalGenerators) -> PhaseFn:
-    # {A, C} = -4 A B + J2 H - K2 H + 2 (c1 - c2) H
-    return (g.A * g.B).scaled(Fraction(-4)) + g.J2 * g.H - g.K2 * g.H \
-        + g.H.scaled(_C1 * 2 - _C2 * 2)
+def poisson_ac_rhs(cache: _ProductCache) -> list:
+    """Words of {A, C} = -4 A B + J2 H - K2 H + 2 (c1 - c2) H."""
+    g = cache.g
+    return [
+        (-4, g.A, g.B),
+        (1, cache.get("J2H"), None),
+        (-1, cache.get("K2H"), None),
+        (_C1 * 2 - _C2 * 2, g.H, None),
+    ]
 
 
-def poisson_bc_rhs(g: ClassicalGenerators) -> PhaseFn:
-    # {B, C} = 2 B^2 - 2 H^2 + 16 w^2 A - 4 w^2 J2 - 4 w^2 K2 - 8 w^2 (c1 + c2)
-    ident = PhaseFn.scalar(g.layout, 1)
-    return ((g.B * g.B).scaled(Fraction(2)) + (g.H * g.H).scaled(Fraction(-2))
-            + g.A.scaled(_W2 * 16) + g.J2.scaled(_W2 * -4) + g.K2.scaled(_W2 * -4)
-            + ident.scaled(_W2 * (_C1 + _C2) * -8))
+def poisson_bc_rhs(cache: _ProductCache) -> list:
+    """Words of {B, C} = 2 B^2 - 2 H^2 + 16 w^2 A - 4 w^2 J2 - 4 w^2 K2 - 8 w^2 (c1 + c2)."""
+    g = cache.g
+    return [
+        (2, cache.get("B2"), None),
+        (-2, cache.get("H2"), None),
+        (_W2 * 16, g.A, None),
+        (_W2 * -4, g.J2, None),
+        (_W2 * -4, g.K2, None),
+        (_W2 * (_C1 + _C2) * -8, PhaseFn.scalar(g.layout, 1), None),
+    ]
 
 
-def poisson_casimir(g: ClassicalGenerators, C: PhaseFn) -> PhaseFn:
-    # K = C^2 + 4 A B^2 - 2 [J2 H - K2 H + 2 (c1-c2) H] B + 16 w^2 A^2
-    #     - 2 [8 w^2 (c1+c2) + 4 w^2 J2 + 4 w^2 K2 + 2 H^2] A
-    bracket_b = g.J2 * g.H - g.K2 * g.H + g.H.scaled((_C1 - _C2) * 2)
-    bracket_a = (g.J2.scaled(_W2 * 4) + g.K2.scaled(_W2 * 4)
-                 + (g.H * g.H).scaled(Fraction(2))
-                 + PhaseFn.scalar(g.layout, _W2 * (_C1 + _C2) * 8))
-    return (C * C + (g.A * g.B * g.B).scaled(Fraction(4))
-            - (bracket_b * g.B).scaled(Fraction(2))
-            + (g.A * g.A).scaled(_W2 * 16)
-            - (bracket_a * g.A).scaled(Fraction(2)))
+def poisson_casimir(cache: _ProductCache) -> list:
+    """Words of K = C^2 + 4 A B^2 - 2 [J2 H - K2 H + 2 (c1-c2) H] B + 16 w^2 A^2
+    - 2 [8 w^2 (c1+c2) + 4 w^2 J2 + 4 w^2 K2 + 2 H^2] A."""
+    g = cache.g
+    return [
+        (1, cache.get("C"), cache.get("C")),
+        (4, g.A, cache.get("B2")),
+        (-2, cache.get("J2H"), g.B),
+        (2, cache.get("K2H"), g.B),
+        ((_C1 - _C2) * -4, g.H, g.B),
+        (_W2 * 16, g.A, g.A),
+        (_W2 * (_C1 + _C2) * -16, g.A, None),
+        (_W2 * -8, g.J2, g.A),
+        (_W2 * -8, g.K2, g.A),
+        (-4, cache.get("H2"), g.A),
+    ]
 
 
-def poisson_casimir_central(g: ClassicalGenerators) -> PhaseFn:
-    # K1 = -2 J2 H^2 - 2 K2 H^2 - 4 (c1+c2) H^2 - w^2 J2^2 - w^2 K2^2 + 2 w^2 J2 K2
-    #      - 4 w^2 (c1-c2) J2 + 4 w^2 (c1-c2) K2 - 4 w^2 (c1-c2)^2
-    h2 = g.H * g.H
-    ident = PhaseFn.scalar(g.layout, 1)
-    return ((g.J2 * h2).scaled(Fraction(-2)) + (g.K2 * h2).scaled(Fraction(-2))
-            + h2.scaled((_C1 + _C2) * -4)
-            + (g.J2 * g.J2).scaled(-_W2) + (g.K2 * g.K2).scaled(-_W2)
-            + (g.J2 * g.K2).scaled(_W2 * 2)
-            + g.J2.scaled(_W2 * (_C1 - _C2) * -4) + g.K2.scaled(_W2 * (_C1 - _C2) * 4)
-            + ident.scaled(_W2 * (_C1 - _C2) * (_C1 - _C2) * -4))
-
-
-def _poisson_so_residual(fns: dict, layout) -> PhaseFn:
-    """{L_ab, L_cd} = d_ac L_bd + d_bd L_ac - d_ad L_bc - d_bc L_ad."""
-    pairs = sorted(fns)
-    for ab in pairs:
-        for cd in pairs:
-            a, b = ab
-            c, d = cd
-
-            def gen(i, jdx):
-                if i == jdx:
-                    return PhaseFn.zero(layout)
-                if i < jdx:
-                    return fns[(i, jdx)]
-                return -fns[(jdx, i)]
-
-            rhs = PhaseFn.zero(layout)
-            if a == c:
-                rhs = rhs + gen(b, d)
-            if b == d:
-                rhs = rhs + gen(a, c)
-            if a == d:
-                rhs = rhs - gen(b, c)
-            if b == c:
-                rhs = rhs - gen(a, d)
-            residual = poisson_bracket(fns[ab], fns[cd]) - rhs
-            if not residual.is_zero():
-                return residual
-    return PhaseFn.zero(layout)
+def poisson_casimir_central(cache: _ProductCache) -> list:
+    """Words of K1 = -2 J2 H^2 - 2 K2 H^2 - 4 (c1+c2) H^2 - w^2 J2^2 - w^2 K2^2
+    + 2 w^2 J2 K2 - 4 w^2 (c1-c2) J2 + 4 w^2 (c1-c2) K2 - 4 w^2 (c1-c2)^2."""
+    g = cache.g
+    return [
+        (-2, cache.get("J2H"), g.H),
+        (-2, cache.get("K2H"), g.H),
+        ((_C1 + _C2) * -4, cache.get("H2"), None),
+        (-_W2, g.J2, g.J2),
+        (-_W2, g.K2, g.K2),
+        (_W2 * 2, g.J2, g.K2),
+        (_W2 * (_C1 - _C2) * -4, g.J2, None),
+        (_W2 * (_C1 - _C2) * 4, g.K2, None),
+        (_W2 * (_C1 - _C2) * (_C1 - _C2) * -4, PhaseFn.scalar(g.layout, 1), None),
+    ]
 
 
 def verify_qp3(N: int, n: int, *, gens: ClassicalGenerators | None = None,
@@ -392,66 +368,57 @@ def verify_qp3(N: int, n: int, *, gens: ClassicalGenerators | None = None,
 
     Also checks that the hbar^2-leading part of the quantum structure constants
     reproduces the Poisson relations (the classical-limit consistency check).
+    Each relation is one word list, summed and reduced once by ``combine_phase``.
     """
     if gens is None:
         gens = build_classical(N, n)
     report = VerificationReport(context={"family": "classical", "N": N, "n": n})
-    C = poisson_bracket(gens.A, gens.B)
+    cache = _ProductCache(gens, poisson_bracket)
 
-    _timed(report, "poisson[H,A]", lambda: poisson_bracket(gens.H, gens.A))
-    _timed(report, "poisson[H,B]", lambda: poisson_bracket(gens.H, gens.B))
-    _timed(report, "poisson[H,J2]", lambda: poisson_bracket(gens.H, gens.J2))
-    _timed(report, "poisson[H,K2]", lambda: poisson_bracket(gens.H, gens.K2))
-    _timed(report, "poisson-central[A,J2]", lambda: poisson_bracket(gens.A, gens.J2))
-    _timed(report, "poisson-central[A,K2]", lambda: poisson_bracket(gens.A, gens.K2))
-    _timed(report, "poisson-central[B,J2]", lambda: poisson_bracket(gens.B, gens.J2))
-    _timed(report, "poisson-central[B,K2]", lambda: poisson_bracket(gens.B, gens.K2))
-    _timed(report, "poisson-central[J2,K2]", lambda: poisson_bracket(gens.J2, gens.K2))
-    _timed(report, "poisson-quadratic[A,C]",
-           lambda: poisson_bracket(gens.A, C) - poisson_ac_rhs(gens))
-    _timed(report, "poisson-quadratic[B,C]",
-           lambda: poisson_bracket(gens.B, C) - poisson_bc_rhs(gens))
-    _timed(report, "poisson-casimir[K-vs-K1]",
-           lambda: poisson_casimir(gens, C) - poisson_casimir_central(gens))
+    _vanishing_checks(report, gens, poisson_bracket, ("poisson", "poisson-central"))
+    _timed(report, "poisson-quadratic[A,C]", lambda: combine_phase(
+        bracket_words(gens.A, cache.get("C")) + _negated(poisson_ac_rhs(cache))))
+    _timed(report, "poisson-quadratic[B,C]", lambda: combine_phase(
+        bracket_words(gens.B, cache.get("C")) + _negated(poisson_bc_rhs(cache))))
+    _timed(report, "poisson-casimir[K-vs-K1]", lambda: combine_phase(
+        poisson_casimir(cache) + _negated(poisson_casimir_central(cache))))
+    zero = PhaseFn.zero(gens.layout)
     _timed(report, "poisson-so[block1]",
-           lambda: _poisson_so_residual(gens.J, gens.layout))
+           lambda: _so_residual(gens.J, poisson_bracket, zero, 1))
     _timed(report, "poisson-so[block2]",
-           lambda: _poisson_so_residual(gens.K, gens.layout))
+           lambda: _so_residual(gens.K, poisson_bracket, zero, 1))
 
     consts = quantum_constants or QuadraticConstants.for_dims(N, n)
     _timed(report, "classical-limit[A,C]",
-           lambda: _classical_limit_ac_residual(gens, consts))
+           lambda: combine_phase(_classical_limit_ac_words(cache, consts)))
     _timed(report, "classical-limit[B,C]",
-           lambda: _classical_limit_bc_residual(gens, consts))
+           lambda: combine_phase(_classical_limit_bc_words(cache, consts)))
     return report.finalize()
 
 
-def _classical_limit_ac_residual(g: ClassicalGenerators,
-                                 consts: QuadraticConstants) -> PhaseFn:
+def _classical_limit_ac_words(cache: _ProductCache, consts: QuadraticConstants) -> list:
     """Leading hbar^2 part of the quantum [A,C] relation vs the Poisson {A,C}.
 
     Under [.,.] -> i hbar {.,.} the double commutator [A, [A, B]] maps onto
     -hbar^2 {A, {A, B}}, so {A, C} must equal minus the hbar^2-coefficient of
-    the quantum right side with {A,B} read as 2AB.
+    the quantum right side with {A,B} read as 2AB: the words sum to zero.
     """
-    expected = -(
-        (g.A * g.B).scaled(consts.ac_anti * 2)
-        + (g.J2 * g.H).scaled(consts.ac_j2h)
-        + (g.K2 * g.H).scaled(consts.ac_k2h)
-        + g.H.scaled(_C1 * consts.ac_c1h + _C2 * consts.ac_c2h)
-    )
-    return poisson_ac_rhs(g) - expected
+    g = cache.g
+    return poisson_ac_rhs(cache) + [
+        (consts.ac_anti * 2, g.A, g.B),
+        (consts.ac_j2h, cache.get("J2H"), None),
+        (consts.ac_k2h, cache.get("K2H"), None),
+        (_C1 * consts.ac_c1h + _C2 * consts.ac_c2h, g.H, None),
+    ]
 
 
-def _classical_limit_bc_residual(g: ClassicalGenerators,
-                                 consts: QuadraticConstants) -> PhaseFn:
-    ident = PhaseFn.scalar(g.layout, 1)
-    expected = -(
-        (g.B * g.B).scaled(consts.bc_b2)
-        + (g.H * g.H).scaled(consts.bc_h2)
-        + g.A.scaled(_W2 * consts.bc_a)
-        + g.J2.scaled(_W2 * consts.bc_j2)
-        + g.K2.scaled(_W2 * consts.bc_k2)
-        + ident.scaled(_W2 * (_C1 + _C2) * consts.bc_c)
-    )
-    return poisson_bc_rhs(g) - expected
+def _classical_limit_bc_words(cache: _ProductCache, consts: QuadraticConstants) -> list:
+    g = cache.g
+    return poisson_bc_rhs(cache) + [
+        (consts.bc_b2, cache.get("B2"), None),
+        (consts.bc_h2, cache.get("H2"), None),
+        (_W2 * consts.bc_a, g.A, None),
+        (_W2 * consts.bc_j2, g.J2, None),
+        (_W2 * consts.bc_k2, g.K2, None),
+        (_W2 * (_C1 + _C2) * consts.bc_c, PhaseFn.scalar(g.layout, 1), None),
+    ]

@@ -21,22 +21,12 @@ from typing import Sequence, Union
 
 import mpmath as mp
 
+from .exact import exact_sqrt
+
 mp.mp.dps = 60
 
 Number = Union[Fraction, mp.mpf]
 ZERO_TOL = mp.mpf("1e-30")
-
-
-def exact_sqrt(value: Fraction) -> Fraction | None:
-    """Square root of a non-negative rational if it is again rational."""
-    if value < 0:
-        raise ValueError("negative radicand")
-    num, den = value.numerator, value.denominator
-    rn = math.isqrt(num)
-    rd = math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 def sqrt_number(value: Fraction) -> Number:

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qalg import exact_sqrt
+from .exact import exact_sqrt
 
 Rational = Fraction | int
 

@@ -5,7 +5,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from singosc.opalg import (PhaseFn, build_classical, poisson_bracket, verify_qp3)
+import pytest
+
+from singosc.opalg import (MUTABLE_CONSTANTS, BlockPoly, PhaseFn, QuadraticConstants,
+                           build_classical, poisson_bracket, verify_qp3)
+from singosc.opalg.classical import combine_phase
+from singosc.opalg.verify import (_ProductCache, poisson_casimir, poisson_casimir_central)
 
 
 def _layout():
@@ -85,3 +90,76 @@ def test_full_poisson_verification_4_2():
 def test_poisson_verification_small_asymmetric():
     report = verify_qp3(3, 1)
     assert report.all_passed, [r.name for r in report.failures()]
+
+
+def _chained_bracket(f, g):
+    """The bracket with every product and every partial sum reduced."""
+    out = BlockPoly.zero(f.value.layout)
+    for i in range(f.value.layout.N):
+        out = out + f.value.diff_x(i) * g.value.diff_p(i)
+        out = out - f.value.diff_p(i) * g.value.diff_x(i)
+    return PhaseFn(out)
+
+
+def _random_laurent_phase(layout, rng):
+    """Random x, p, parameter terms over denominators 3..7, divided by r1^2 r2^2 powers."""
+    num = {}
+    for _ in range(rng.randrange(2, 5)):
+        key = layout.param_key((rng.randrange(2), 0, rng.randrange(2), 0))
+        for _ in range(rng.randrange(0, 4)):
+            i = rng.randrange(layout.N)
+            key += layout.x_key(i) if rng.random() < 0.5 else layout.p_key(i)
+        num[key] = num.get(key, 0) + Fraction(rng.randrange(-9, 10) or 1, rng.randrange(3, 8))
+    return PhaseFn(BlockPoly(layout, num, j=rng.randrange(1, 3), k=rng.randrange(1, 3)))
+
+
+@pytest.mark.parametrize("split", [(3, 1), (4, 2)])
+def test_bracket_matches_chained_reference(split):
+    layout = PhaseFn.layout(*split)
+    rng = random.Random(23)
+    with_denominators = 0
+    for _ in range(12):
+        f, g = _random_laurent_phase(layout, rng), _random_laurent_phase(layout, rng)
+        got, expected = poisson_bracket(f, g), _chained_bracket(f, g)
+        assert got == expected
+        assert hash(got) == hash(expected)
+        with_denominators += got.value.j > 0 and got.value.k > 0 and got.value.den > 1
+    assert with_denominators >= 6
+
+
+@pytest.fixture(scope="module")
+def gens_4_2():
+    return build_classical(4, 2)
+
+
+# the hbar^2-leading structure constants are the ones the Poisson relations see
+CLASSICAL_CONSTANTS = tuple(f for f in MUTABLE_CONSTANTS if f not in ("ac_h4h", "ac_b", "bc_h4"))
+
+
+@pytest.mark.parametrize("field_name", MUTABLE_CONSTANTS)
+def test_mutating_a_structure_constant_fails_its_classical_limit(gens_4_2, field_name):
+    consts = QuadraticConstants.for_dims(4, 2).bumped(field_name)
+    report = verify_qp3(4, 2, gens=gens_4_2, quantum_constants=consts)
+    failed = [r.name for r in report.failures()]
+    if field_name in CLASSICAL_CONSTANTS:
+        check = "classical-limit[A,C]" if field_name.startswith("ac_") else "classical-limit[B,C]"
+        assert failed == [check]
+        assert report[check].residual_terms > 0
+    else:
+        # an hbar^4 term has no classical limit
+        assert failed == []
+
+
+@pytest.mark.parametrize("side", ["K", "K1"])
+def test_perturbing_any_poisson_casimir_word_leaves_a_residual(gens_4_2, side):
+    cache = _ProductCache(gens_4_2, poisson_bracket)
+    casimir, central = poisson_casimir(cache), poisson_casimir_central(cache)
+    negated = [(-scale, f, g) for scale, f, g in central]
+    assert combine_phase(casimir + negated).is_zero()
+    words = casimir if side == "K" else negated
+    for idx, (scale, f, g) in enumerate(words):
+        perturbed = list(words)
+        perturbed[idx] = (scale + 1, f, g)
+        total = perturbed + negated if side == "K" else casimir + perturbed
+        residual = combine_phase(total)
+        assert not residual.is_zero() and residual.term_count() > 0, idx

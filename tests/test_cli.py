@@ -44,6 +44,25 @@ def test_sampled_mode_without_samples_exits_2(capsys):
     assert "--samples must be at least 1" in err
 
 
+@pytest.mark.parametrize("flag", ["--p-max", "--l-max"])
+def test_spectrum_with_negative_range_exits_2(capsys, flag):
+    code, out, err = _run(capsys, ["spectrum", "--N", "4", "--n", "2", flag, "-1"])
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be at least 0" in err
+
+
+@pytest.mark.parametrize("cut", ["0", "-3", "1"])
+def test_levels_below_the_ground_level_exits_2(capsys, cut):
+    # the ground level of (4,2) at c1 = c2 = 0 is 2 hbar omega
+    code, out, err = _run(capsys, ["levels", "--N", "4", "--n", "2", "--e-cut", cut])
+    assert code == 2
+    assert out == ""
+    assert f"no level lies at or below --e-cut {cut}" in err
+    code, out, _ = _run(capsys, ["levels", "--N", "4", "--n", "2", "--e-cut", "2"])
+    assert code == 0 and len(out.splitlines()) == 1
+
+
 def test_bad_rational_exits_2(capsys):
     code, _, err = _run(capsys, ["spectrum", "--N", "4", "--n", "2", "--c1", "0.25x"])
     assert code == 2
@@ -200,6 +219,9 @@ import singosc.cli
 seen["import"] = heavy()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for argv in (["verify-algebra", "--N", "2", "--n", "1", "--skip-casimir"],
+                 ["levels", "--N", "4", "--n", "2", "--e-cut", "9/2"],
+                 ["wavefunction", "--m", "3", "--samples", "5"],
+                 ["radial", "--m", "2", "--c", "1", "--count", "1"],
                  ["spectrum", "--N", "4", "--n", "2"]):
         seen[argv[0]] = [singosc.cli.main(argv)] + heavy()
 print(json.dumps(seen))
@@ -212,5 +234,8 @@ def test_commands_load_only_the_libraries_they_use():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     # each command's exit code, then the heavy libraries loaded after it
-    assert json.loads(proc.stdout) == {"import": [], "verify-algebra": [0],
-                                       "spectrum": [0, "mpmath"]}
+    # (cumulative: the commands run in this order in one interpreter)
+    assert json.loads(proc.stdout) == {"import": [], "verify-algebra": [0], "levels": [0],
+                                       "wavefunction": [0, "numpy"],
+                                       "radial": [0, "numpy", "scipy"],
+                                       "spectrum": [0, "mpmath", "numpy", "scipy"]}

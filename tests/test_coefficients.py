@@ -2,7 +2,9 @@
 
 Coefficients use the non-dyadic denominators 3, 5, 7 and 11 and every value
 carries r1^2/r2^2 denominators, so common-denominator lifting, gcd
-normalization and block reduction all take part.
+normalization and block reduction all take part.  The one-pass word sums
+(``combine``, ``combine_phase``) are checked against chained arithmetic, in
+which every product and every partial sum is reduced.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from math import gcd
 import pytest
 
 from singosc.opalg import (BlockLayout, BlockPoly, DiffOp, ExponentOverflowError,
-                           commutator)
+                           PhaseFn, combine, commutator, random_scalar)
+from singosc.opalg.classical import combine_phase
 
 DENOMINATORS = (3, 5, 7, 11)
 
@@ -138,6 +141,56 @@ def test_commutator_matches_expanded_products():
         # the action on a function never goes through operator composition
         f = _random_value(layout, rng)
         assert comm.apply(f) == p.apply(q.apply(f)) - q.apply(p.apply(f))
+
+
+def _random_words(rng, make, count=6):
+    """(scale, f, g | None) words, the last cancelling the first exactly."""
+    words = []
+    for idx in range(count):
+        scale = random_scalar(rng, max_degree=1) if idx % 2 else Fraction(
+            rng.randrange(-9, 10) or 1, rng.choice(DENOMINATORS))
+        words.append((scale, make(), make() if idx % 3 else None))
+    scale, f, g = words[0]
+    return words + [(-scale, f, g)]
+
+
+@pytest.mark.parametrize("split", [(3, 1), (4, 2)])
+def test_phase_word_sum_matches_chained_arithmetic(split):
+    layout = BlockLayout(*split, momenta=True)
+    rng = random.Random(41)
+    for _ in range(10):
+        words = _random_words(rng, lambda: PhaseFn(_random_value(layout, rng)))
+        got = combine_phase(words).value
+        expected = BlockPoly.zero(layout)
+        for scale, f, g in words:
+            expected = expected + (f.value if g is None else f.value * g.value).scaled(scale)
+        assert got == expected
+        assert hash(got) == hash(expected)
+        assert got.den > 0 and gcd(got.den, *got.num.values()) == 1
+
+
+@pytest.mark.parametrize("split", [(3, 1), (4, 2)])
+def test_operator_word_sum_matches_chained_arithmetic(split):
+    layout = BlockLayout(*split)
+    rng = random.Random(43)
+
+    def make():
+        terms = {}
+        for _ in range(2):
+            beta = [0] * layout.N
+            for _ in range(rng.randrange(0, 3)):
+                beta[rng.randrange(layout.N)] += 1
+            terms[tuple(beta)] = _random_value(layout, rng)
+        return DiffOp(layout, terms)
+
+    for _ in range(6):
+        words = _random_words(rng, make)
+        got = combine(words)
+        expected = DiffOp.zero(layout)
+        for scale, left, right in words:
+            expected = expected + (left if right is None else left * right).scaled(scale)
+        assert got == expected
+        assert hash(got) == hash(expected)
 
 
 def test_exponent_overflow_raises():

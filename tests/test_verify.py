@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from singosc.opalg import (MUTABLE_CONSTANTS, QuadraticConstants, build_quantum,
+from singosc.opalg import (MUTABLE_CONSTANTS, QuadraticConstants, build_quantum, combine,
                            commutator, verify_q3)
-from singosc.opalg.verify import (_ProductCache, quadratic_ac_rhs, quadratic_bc_rhs)
+from singosc.opalg.verify import (_ProductCache, casimir_central_terms,
+                                  casimir_generator_terms, quadratic_ac_rhs, quadratic_bc_rhs)
 
 
 def test_small_split_passes_symbolically():
@@ -69,6 +70,22 @@ def test_specific_mutation_from_4_to_3():
     residual = commutator(gens.A, cache.get("C")) - quadratic_ac_rhs(cache, bad)
     assert not residual.is_zero()
     assert residual.term_count() > 0
+
+
+@pytest.mark.parametrize("side", ["generators", "central"])
+def test_perturbing_any_casimir_word_leaves_a_residual(side):
+    # (4,2): both so(2) Casimirs are nonzero, so every word contributes
+    cache = _ProductCache(build_quantum(4, 2))
+    generators = casimir_generator_terms(cache)
+    negated = [(-scale, left, right) for scale, left, right in casimir_central_terms(cache)]
+    assert combine(generators + negated).is_zero()
+    words = generators if side == "generators" else negated
+    for idx, (scale, left, right) in enumerate(words):
+        perturbed = list(words)
+        perturbed[idx] = (scale + 1, left, right)
+        total = perturbed + negated if side == "generators" else generators + perturbed
+        residual = combine(total)
+        assert not residual.is_zero() and residual.term_count() > 0, idx
 
 
 def test_report_is_name_ordered_and_serializable():
