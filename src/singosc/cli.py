@@ -231,7 +231,7 @@ def _cmd_spectrum(opts: dict) -> tuple[list[dict], list[str]]:
                                   hbar=hbar, omega=omega)
             for p in range(opts["p_max"] + 1):
                 for sol in qalg.solve_unirreps(p, ce):
-                    records.append(sol.record(ce))
+                    records.append(sol.record())
     return records, []
 
 

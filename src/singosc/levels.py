@@ -189,6 +189,8 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
     c1, c2, hbar, omega = Fraction(c1), Fraction(c2), Fraction(hbar), Fraction(omega)
     if c1 < 0 or c2 < 0:
         raise ValueError("couplings must be non-negative")
+    if hbar <= 0 or omega <= 0:
+        raise ValueError("hbar and omega must be positive")
     h2 = hbar ** 2
     c1r, c2r = c1 / h2, c2 / h2
     hw = float(hbar * omega)

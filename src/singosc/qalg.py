@@ -3,25 +3,30 @@
 The structure function is handled in two independent forms: the raw degree-6
 polynomial assembled from the quadratic algebra and both Casimir expressions,
 and the factorized form whose roots encode the finite-representation
-constraints.  Arithmetic is exact (Fraction) whenever the angular/coupling
-data make m1, m2 rational, and 60-digit mpmath otherwise; "equals zero" in
-root checks then means smaller than 1e-30 relative to the polynomial scale.
+constraints.  Coefficients and values are exact (Fraction) whenever the
+angular/coupling data make m1, m2 rational, and 60-digit mpmath otherwise;
+the two agreement checks on mpf (``StructureFn.agrees_with`` and
+``recursion_consistency``) then read "equals zero" as smaller than 1e-30
+relative to the scale.
 
-The unirrep solver never expands the factorized form: it evaluates Phi at the
-integer points as lead times the product of the six linear factors, and on
-the exact path that product is one of integers over a common denominator.
+The unirrep solver decides every verdict exactly, in integers, for rational
+and irrational m alike: it places the roots of Phi's six linear factors among
+the integers by exact sign tests on c + a sqrt(A) + b sqrt(B)
+(``exact.sqrt_sum_sign``).  u, E and the values of Phi are computed only when
+a solution is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 import mpmath as mp
 
-from .exact import exact_sqrt
+from .exact import exact_sqrt, sqrt_sum_sign
 
 mp.mp.dps = 60
 
@@ -93,16 +98,24 @@ class CentralEigs:
 
 @dataclass(frozen=True)
 class MQuantum:
-    """Positive roots m1, m2 of the central-element combinations."""
+    """Positive roots m1, m2 of the central-element combinations, from their
+    exact squares; an irrational root is taken in 60-digit mpf on first read."""
 
-    m1: Number
-    m2: Number
     m1_squared: Fraction
     m2_squared: Fraction
 
+    @cached_property
+    def m1(self) -> Number:
+        return sqrt_number(self.m1_squared)
+
+    @cached_property
+    def m2(self) -> Number:
+        return sqrt_number(self.m2_squared)
+
     @property
     def exact(self) -> bool:
-        return isinstance(self.m1, Fraction) and isinstance(self.m2, Fraction)
+        return (exact_sqrt(self.m1_squared) is not None
+                and exact_sqrt(self.m2_squared) is not None)
 
 
 def m_values(ce: CentralEigs) -> MQuantum:
@@ -112,8 +125,7 @@ def m_values(ce: CentralEigs) -> MQuantum:
     m2_sq = (8 * ce.c2 + 4 * ce.k2) / h2 + (ce.N - ce.n - 2) ** 2
     if m1_sq < 0 or m2_sq < 0:
         raise ValueError("negative radicand for m1/m2")
-    return MQuantum(m1=sqrt_number(m1_sq), m2=sqrt_number(m2_sq),
-                    m1_squared=m1_sq, m2_squared=m2_sq)
+    return MQuantum(m1_squared=m1_sq, m2_squared=m2_sq)
 
 
 # -- dense degree-6 polynomials over the numeric tower ---------------------------
@@ -291,23 +303,53 @@ def structure_fn_factored(x: Number, u: Number, energy: Number, ce: CentralEigs,
 # -- finite unirreps -------------------------------------------------------------
 
 
+_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
 @dataclass(frozen=True)
 class UnirrepSolution:
-    """One (set, sign) branch of the finite-representation constraints."""
+    """One (set, sign) branch of the finite-representation constraints.
+
+    The verdict is decided when the branch is solved; u, the energy and the
+    values of Phi at x = 0..p+1 are computed on first read.
+    """
 
     set_id: int
     eps1: int
     eps2: int
-    u: Number
-    energy: Number
     p: int
-    phi_values: tuple
     admissible: bool
     failing_x: int | None
     exact: bool
-    flags: tuple[str, ...] = ()
+    ce: CentralEigs = field(repr=False, compare=False)
+    mq: MQuantum = field(repr=False, compare=False)
 
-    def record(self, ce: CentralEigs) -> dict:
+    @cached_property
+    def _closed_form(self) -> tuple[Number, Number]:
+        return set_solution(self.set_id, self.eps1, self.eps2, self.p, self.ce, self.mq)
+
+    @property
+    def u(self) -> Number:
+        return self._closed_form[0]
+
+    @property
+    def energy(self) -> Number:
+        return self._closed_form[1]
+
+    @cached_property
+    def phi_values(self) -> tuple:
+        """Phi(x) = lead * prod_i (x + u - r_i) at x = 0..p+1, as Fractions when
+        m1 and m2 are rational and as 60-digit mpf otherwise."""
+        lead, hw = _lead(self.ce), self.ce.hbar * self.ce.omega
+        m1, m2 = self.mq.m1, self.mq.m2
+        if not self.exact:
+            lead, hw, m1, m2 = to_mpf(lead), to_mpf(hw), to_mpf(m1), to_mpf(m2)
+        shifts = [self.u - r for r in _m_roots(m1, m2) + _energy_roots(self.energy, hw)]
+        factor_values = _factor_values_exact if self.exact else _factor_values_mpf
+        return factor_values(shifts, lead, range(self.p + 2))
+
+    def record(self) -> dict:
+        ce = self.ce
         return {
             "N": ce.N, "n": ce.n, "c1": str(ce.c1), "c2": str(ce.c2),
             "p": self.p, "l_n": ce.l_n, "l_Nn": ce.l_Nn,
@@ -346,101 +388,118 @@ def set_solution(set_id: int, eps1: int, eps2: int, p: int,
 def solve_unirreps(p: int, ce: CentralEigs) -> list[UnirrepSolution]:
     """All 12 (set, sign) branches with their structure-function positivity status.
 
-    Phi(x) = lead * prod_i (x + u - r_i) is evaluated from its six linear
-    factors at x = 0..p+1; no coefficients are built.  The four m-dependent
-    roots and lead are computed once and shared by every branch.  Positivity
-    is read from Phi / eta = -512 * prod_i (x + u - r_i), since
-    eta = 24576 hbar^18 omega^2 is -lead / 512.  With rational m1, m2 the
-    exact path uses integer products (``_factor_values_exact``); otherwise the
-    shifts u - r_i and their products are 60-digit mpf.
+    Every verdict is exact and computed in integers, for rational and
+    irrational m1, m2 alike.  With s = eps1 m1 + eps2 m2, E / (2 hbar omega)
+    = p + 1 + s/4, so E > 0 exactly when 4 (p + 1) + s > 0.  u, the four
+    m-roots (2 +- m1 +- m2)/4 and the two energy roots each read 1/2 + an
+    integer + (k1 m1 + k2 m2)/4, so each factor x + u - r_i of
+    Phi(x) = lead * prod_i (x + u - r_i) is x + n_i + (K1 m1 + K2 m2)/4 with
+    an integer n_i and K1, K2 in {-2, 0, 2}.  ``_placements`` puts its root
+    among the integers once per distinct (K1, K2).  Since eta = 24576 hbar^18
+    omega^2 = -lead / 512 > 0, Phi / eta = -512 prod_i (x + u - r_i) vanishes
+    at an integer x that is a root and is otherwise positive exactly when an
+    odd number of roots lie above x.  u, E and Phi are not built here.
     """
     if p < 0:
         raise ValueError("p must be non-negative")
     mq = m_values(ce)
     exact = mq.exact
-    lead = _lead(ce)
-    hw = ce.hbar * ce.omega
-    m1, m2 = mq.m1, mq.m2
-    if not exact:
-        lead, hw, m1, m2 = to_mpf(lead), to_mpf(hw), to_mpf(m1), to_mpf(m2)
-    factor_values = _factor_values_exact if exact else _factor_values_mpf
-    m_roots = _m_roots(m1, m2)
-    points = range(p + 2)
+    m1_sq, m2_sq = mq.m1_squared, mq.m2_squared
+    den = math.lcm(m1_sq.denominator, m2_sq.denominator)
+    # m_i = sqrt(rad_i) / den with integer radicands
+    rad1 = m1_sq.numerator * (den // m1_sq.denominator) * den
+    rad2 = m2_sq.numerator * (den // m2_sq.denominator) * den
+    placed = _placements(rad1, rad2, den)
+    q = p + 1
+    energy_positive = {eps: sqrt_sum_sign(4 * q * den, eps[0], rad1, eps[1], rad2) > 0
+                       for eps in _SIGNS}
     out: list[UnirrepSolution] = []
     for set_id in (1, 2, 3):
-        for eps1, eps2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            u, energy = set_solution(set_id, eps1, eps2, p, ce, mq)
-            shifts = [u - r for r in m_roots + _energy_roots(energy, hw)]
-            values, norm = factor_values(shifts, lead, points)
-            admissible, failing = _admissibility(norm, energy, p, exact)
+        for eps1, eps2 in _SIGNS:
+            if not energy_positive[eps1, eps2]:
+                admissible, failing = False, None
+            else:
+                # u and the six roots r_i as (n, k1, k2) in 1/2 + n + (k1 m1 + k2 m2)/4
+                un, uk1, uk2 = ((-q, -eps1, -eps2) if set_id == 1
+                                else (q if set_id == 2 else 0, eps1, eps2))
+                factors = [(0, a, b) for a, b in _SIGNS] + [(-q, -eps1, -eps2), (q, eps1, eps2)]
+                roots = []
+                for n, k1, k2 in factors:
+                    floor, integral = placed[uk1 - k1, uk2 - k2]
+                    # x + u - r_i vanishes at x = n - un - (K1 m1 + K2 m2)/4
+                    roots.append((n - un - floor, integral))
+                admissible, failing = _verdict(roots, p)
             out.append(UnirrepSolution(
-                set_id=set_id, eps1=eps1, eps2=eps2, u=u, energy=energy, p=p,
-                phi_values=values, admissible=admissible, failing_x=failing,
-                exact=exact))
+                set_id=set_id, eps1=eps1, eps2=eps2, p=p, admissible=admissible,
+                failing_x=failing, exact=exact, ce=ce, mq=mq))
     return out
 
 
-def _factor_values_mpf(shifts: list, lead: mp.mpf, points: range) -> tuple[tuple, tuple]:
-    """(lead * prod, -512 * prod) with prod = prod_i (x + shift_i), per point x."""
-    values, norm = [], []
+def _placements(rad1: int, rad2: int, den: int) -> dict[tuple[int, int], tuple[int, bool]]:
+    """(floor(t), t is an integer) for t = (K1 m1 + K2 m2)/4 and K1, K2 in {-2, 0, 2},
+    where m_i = sqrt(rad_i) / den.
+
+    isqrt bounds 4 den t to [low, low + |K1| + |K2|], an interval no longer
+    than 4 den, so floor(t) is low // (4 den) or one more; one or two exact
+    signs settle which, and whether t equals it.  The placement of -t follows
+    from that of t.
+    """
+    step = 4 * den
+    root1, root2 = math.isqrt(rad1), math.isqrt(rad2)
+    placed = {(0, 0): (0, True)}
+    for k1, k2 in ((2, 0), (0, 2), (2, 2), (2, -2)):
+        low = k1 * root1 + k2 * root2 + min(k1, 0) + min(k2, 0)
+        floor = low // step + 1
+        sign = sqrt_sum_sign(-step * floor, k1, rad1, k2, rad2)
+        if sign < 0:
+            floor -= 1
+            sign = sqrt_sum_sign(-step * floor, k1, rad1, k2, rad2)
+        placed[k1, k2] = floor, sign == 0
+        placed[-k1, -k2] = -floor - (sign != 0), sign == 0
+    return placed
+
+
+def _verdict(roots: list[tuple[int, bool]], p: int) -> tuple[bool, int | None]:
+    """(admissible, failing x) of a branch with E > 0, from the roots of Phi
+    given as (ceiling, is an integer): Phi must vanish at x = 0 and x = p + 1
+    and Phi / eta, whose sign is that of (-1)^(roots above x + 1), be
+    positive on 1..p."""
+    zeros = {ceil for ceil, integral in roots if integral}
+    if 0 not in zeros:
+        return False, 0
+    if p + 1 not in zeros:
+        return False, p + 1
+    for x in range(1, p + 1):
+        if x in zeros or not sum(x < ceil for ceil, _ in roots) % 2:
+            return False, x
+    return True, None
+
+
+def _factor_values_mpf(shifts: list, lead: mp.mpf, points: range) -> tuple:
+    """lead * prod_i (x + shift_i) per point x."""
+    values = []
     for x in points:
         s1, s2, s3, s4, s5, s6 = (x + s for s in shifts)
-        prod = s1 * s2 * s3 * s4 * s5 * s6
-        values.append(lead * prod)
-        norm.append(-512 * prod)
-    return tuple(values), tuple(norm)
+        values.append(lead * (s1 * s2 * s3 * s4 * s5 * s6))
+    return tuple(values)
 
 
-def _factor_values_exact(shifts: list, lead: Fraction, points: range) -> tuple[tuple, tuple]:
+def _factor_values_exact(shifts: list, lead: Fraction, points: range) -> tuple:
     """The exact twin of ``_factor_values_mpf``, in integer arithmetic.
 
     Over one common denominator D the shifts are a_i / D, so
-    prod = P(x) / D^6 with the integer P(x) = prod_i (x D + a_i).  Each value
-    is one Fraction; the normalized values are the integers -512 P(x), which
-    differ from -512 * prod by the positive factor D^6 and so have the same
-    zeros and signs, all the exact admissibility test reads.
+    prod = P(x) / D^6 with the integer P(x) = prod_i (x D + a_i), and each
+    value is the one Fraction lead * P(x) / D^6.
     """
     den = math.lcm(*(s.denominator for s in shifts))
     a1, a2, a3, a4, a5, a6 = (s.numerator * (den // s.denominator) for s in shifts)
     lead_num, lead_den = lead.numerator, lead.denominator * den ** 6
-    values, norm = [], []
+    values = []
     for x in points:
         xd = x * den
         prod = (xd + a1) * (xd + a2) * (xd + a3) * (xd + a4) * (xd + a5) * (xd + a6)
         values.append(Fraction(lead_num * prod, lead_den))
-        norm.append(-512 * prod)
-    return tuple(values), tuple(norm)
-
-
-def _admissibility(norm_values: tuple, energy: Number, p: int,
-                   exact: bool) -> tuple[bool, int | None]:
-    if exact:
-        def is_zero(v):
-            return v == 0
-
-        def is_pos(v):
-            return v > 0
-    else:
-        scale = max((abs(v) for v in norm_values), default=mp.mpf(1)) + 1
-        tol = ZERO_TOL * scale
-
-        def is_zero(v):
-            return abs(v) <= tol
-
-        def is_pos(v):
-            return v > tol
-
-    e_pos = energy > 0
-    if not e_pos:
-        return False, None
-    if not is_zero(norm_values[0]):
-        return False, 0
-    if not is_zero(norm_values[p + 1]):
-        return False, p + 1
-    for x in range(1, p + 1):
-        if not is_pos(norm_values[x]):
-            return False, x
-    return True, None
+    return tuple(values)
 
 
 # -- harmonic (c1 = c2 = 0) limit -------------------------------------------------

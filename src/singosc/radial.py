@@ -233,7 +233,9 @@ class FdResult:
                 "energy": e,
                 "raw": [lev[idx] for lev in self.raw_levels],
                 "h": list(self.h_values),
-                "observed_order": self.observed_orders[idx],
+                # None (JSON null) for an order that could not be observed
+                "observed_order": (None if math.isnan(self.observed_orders[idx])
+                                   else self.observed_orders[idx]),
                 "r_max": self.r_max,
                 "scheme": self.scheme,
             })

@@ -63,6 +63,15 @@ def test_levels_below_the_ground_level_exits_2(capsys, cut):
     assert code == 0 and len(out.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--hbar", "-1"), ("--hbar", "0"),
+                                         ("--omega", "-1"), ("--omega", "0")])
+def test_levels_with_non_positive_hbar_or_omega_exits_2(capsys, flag, value):
+    code, out, err = _run(capsys, ["levels", "--N", "3", "--n", "1", flag, value])
+    assert code == 2
+    assert out == ""
+    assert "hbar and omega must be positive" in err
+
+
 def test_bad_rational_exits_2(capsys):
     code, _, err = _run(capsys, ["spectrum", "--N", "4", "--n", "2", "--c1", "0.25x"])
     assert code == 2
@@ -166,8 +175,15 @@ def test_radial_failure_names_only_the_reason_that_holds(capsys):
     code, out, err = _run(capsys, ["radial", "--m", "2", "--c", "1", "--count", "2",
                                    "--grid-levels", "2"])
     assert code == 1
-    assert all(json.loads(line)["fd_rel_error"] < 1e-6 for line in out.splitlines())
+    # strict JSON: the order that could not be observed is null, not NaN
+    records = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
+    assert all(rec["fd_rel_error"] < 1e-6 for rec in records)
+    assert all(rec["fd_observed_order"] is None for rec in records)
     assert err.strip() == "FAILED: Nr=0 (fd_converged false), Nr=1 (fd_converged false)"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def test_samples_default_depends_on_the_subcommand(tmp_path, capsys):

@@ -125,3 +125,9 @@ def test_records_schema():
         enumerate_levels(4, 0, 0, 0)
     with pytest.raises(ValueError):
         enumerate_levels(4, 2, Fraction(-1), 0)
+
+
+@pytest.mark.parametrize("scale", [{"hbar": -1}, {"hbar": 0}, {"omega": -1}, {"omega": 0}])
+def test_non_positive_hbar_or_omega_is_rejected(scale):
+    with pytest.raises(ValueError, match="hbar and omega must be positive"):
+        enumerate_levels(3, 1, e_cut=6.0, **scale)

@@ -8,7 +8,9 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from singosc.qalg import (CentralEigs, _admissibility, exact_sqrt, harmonic_limit_check,
+from singosc import qalg
+from singosc.exact import sqrt_sum_sign
+from singosc.qalg import (ZERO_TOL, CentralEigs, exact_sqrt, harmonic_limit_check,
                           m_values, recursion_consistency, set_solution, solve_unirreps,
                           structure_fn_factored, structure_fn_raw,
                           structure_poly_factored, structure_poly_raw)
@@ -120,6 +122,38 @@ def test_solve_unirreps_boundaries_and_positivity():
     assert abs(mp.mpf(float(s3.energy)) - mp.mpf(float(best.energy))) < 1e-12
 
 
+def _admissibility(norm_values, energy, p, exact):
+    """Reference verdict from the values of Phi / eta at x = 0..p+1: exact
+    comparisons on Fractions, and on mpf a zero threshold of ZERO_TOL relative
+    to the largest value."""
+    if exact:
+        def is_zero(v):
+            return v == 0
+
+        def is_pos(v):
+            return v > 0
+    else:
+        scale = max((abs(v) for v in norm_values), default=mp.mpf(1)) + 1
+        tol = ZERO_TOL * scale
+
+        def is_zero(v):
+            return abs(v) <= tol
+
+        def is_pos(v):
+            return v > tol
+
+    if not energy > 0:
+        return False, None
+    if not is_zero(norm_values[0]):
+        return False, 0
+    if not is_zero(norm_values[p + 1]):
+        return False, p + 1
+    for x in range(1, p + 1):
+        if not is_pos(norm_values[x]):
+            return False, x
+    return True, None
+
+
 def _expanded_unirreps(p, ce):
     """Oracle for solve_unirreps: expand the factored polynomial, evaluate it by
     Horner, divide by eta = 24576 hbar^18 omega^2 and test admissibility."""
@@ -161,6 +195,13 @@ def test_factor_evaluation_matches_expanded_polynomial():
         # harmonic limit c1 = c2 = 0
         CentralEigs(N=4, n=2, l_n=0, l_Nn=0),
         CentralEigs(N=6, n=3, l_n=1, l_Nn=2, hbar=Fraction(2, 3)),
+        # irrational m1 = m2: the roots (2 +- (m1 - m2))/4 are rational
+        CentralEigs(N=6, n=3, l_n=1, l_Nn=1, c1=Fraction(1, 3), c2=Fraction(1, 3)),
+        # a one-coordinate block with parity label 1
+        CentralEigs(N=4, n=1, l_n=1, l_Nn=2, c1=Fraction(2, 7), c2=Fraction(5)),
+        # large c: the (-,-) branch has E <= 0 at small p, rational and irrational m
+        CentralEigs(N=4, n=2, l_n=0, l_Nn=0, c1=Fraction(32), c2=Fraction(32)),
+        CentralEigs(N=4, n=2, l_n=0, l_Nn=0, c1=Fraction(31), c2=Fraction(29, 3)),
     ]
     seen_exact = set()
     for ce in cases:
@@ -182,6 +223,19 @@ def test_factor_evaluation_matches_expanded_polynomial():
                         scale = sum(abs(c) * x ** k for k, c in enumerate(phi.coeffs))
                         assert abs(got - want) <= mp.mpf("1e-40") * scale
     assert seen_exact == {True, False}
+
+
+def test_verdicts_need_neither_closed_form_nor_values(monkeypatch):
+    ce = CentralEigs(N=5, n=2, l_n=1, l_Nn=0, c1=Fraction(9, 8), c2=Fraction(1, 3))
+    want = [(s.admissible, s.failing_x, s.exact) for s in solve_unirreps(3, ce)]
+    assert (True, None, False) in want and (False, 4, False) in want
+
+    def unavailable(*args):
+        raise AssertionError("built while deciding the verdict")
+
+    monkeypatch.setattr(qalg, "set_solution", unavailable)
+    monkeypatch.setattr(qalg, "_factor_values_mpf", unavailable)
+    assert [(s.admissible, s.failing_x, s.exact) for s in solve_unirreps(3, ce)] == want
 
 
 def test_negative_branch_with_large_m_is_inadmissible():
@@ -244,3 +298,38 @@ def test_exact_sqrt():
     assert exact_sqrt(Fraction(2)) is None
     with pytest.raises(ValueError):
         exact_sqrt(Fraction(-1))
+
+
+def test_sqrt_sum_sign_matches_high_precision():
+    rng = random.Random(3)
+    with mp.workdps(100):
+        for _ in range(2000):
+            A, B = rng.randrange(0, 500), rng.randrange(0, 500)
+            a, b = rng.randrange(-9, 10), rng.randrange(-9, 10)
+            # c near -(a sqrt A + b sqrt B), so that the sign is a close call
+            c = int(mp.nint(-(a * mp.sqrt(A) + b * mp.sqrt(B)))) + rng.randrange(-2, 3)
+            value = c + a * mp.sqrt(A) + b * mp.sqrt(B)
+            want = 0 if abs(value) < mp.mpf("1e-80") else (1 if value > 0 else -1)
+            assert sqrt_sum_sign(c, a, A, b, B) == want, (c, a, A, b, B)
+
+
+def test_sqrt_sum_sign_exact_zeros_and_degenerate_radicands():
+    # A and B perfect squares with c = -(a sqrt A + b sqrt B)
+    assert sqrt_sum_sign(-(3 * 7 - 2 * 5), 3, 49, -2, 25) == 0
+    assert sqrt_sum_sign(-(3 * 7 - 2 * 5) + 1, 3, 49, -2, 25) == 1
+    # A = B with a = -b cancels whatever c is
+    for c in (-1, 0, 1):
+        assert sqrt_sum_sign(c, 5, 13, -5, 13) == c
+    # A = 0 or B = 0 leaves one root
+    assert sqrt_sum_sign(-3, 7, 0, 1, 10) == 1
+    assert sqrt_sum_sign(-4, 1, 10, 7, 0) == -1
+    assert sqrt_sum_sign(0, 4, 0, -2, 0) == 0
+    # the sum lands exactly on an integer: 2 sqrt 8 - sqrt 2 - 3 sqrt 2 = 0
+    assert sqrt_sum_sign(0, 2, 8, -4, 2) == 0
+    assert sqrt_sum_sign(-6, 3, 4, 0, 7) == 0
+    # large integers stay exact
+    big = 10 ** 40 + 1
+    assert sqrt_sum_sign(-big, 1, big * big, 0, 0) == 0
+    assert sqrt_sum_sign(-big, 1, big * big + 1, 0, 0) == 1
+    with pytest.raises(ValueError):
+        sqrt_sum_sign(0, 1, -1, 0, 0)
