@@ -26,6 +26,15 @@ class ConfigError(Exception):
     pass
 
 
+# The allowed values of the options that take one of a fixed set, for the
+# flags and for a config file alike.
+_CHOICES = {
+    "format": ("json-lines", "csv"),
+    "param_mode": ("symbolic", "sampled"),
+    "scheme": ("regularized", "chi"),
+}
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -44,14 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--hbar", default=None, help="exact rational (default 1)")
         p.add_argument("--omega", default=None, help="exact rational (default 1)")
-        p.add_argument("--format", default=None, choices=("json-lines", "csv"))
+        p.add_argument("--format", default=None, choices=_CHOICES["format"])
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--seed", default=None, type=int)
 
     p = sub.add_parser("verify-algebra", help="exact quantum Q(3) identity checks")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--param-mode", default=None, choices=("symbolic", "sampled"))
+    p.add_argument("--param-mode", default=None, choices=_CHOICES["param_mode"])
     p.add_argument("--samples", default=None, type=int)
     p.add_argument("--skip-casimir", action="store_true")
     common(p)
@@ -78,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-nodes", default=None, type=int)
     p.add_argument("--grid-levels", default=None, type=int)
     p.add_argument("--r-max", default=None, type=float)
-    p.add_argument("--scheme", default=None, choices=("regularized", "chi"))
+    p.add_argument("--scheme", default=None, choices=_CHOICES["scheme"])
     common(p)
 
     p = sub.add_parser("levels", help="degeneracy table up to an energy cutoff")
@@ -140,16 +149,28 @@ def _resolve(args: argparse.Namespace, config: dict) -> dict:
             if key in config:
                 raw = config[key]
                 default = defaults.get(key)
-                if isinstance(default, int) and not isinstance(default, bool):
+                if value is False:  # an on/off flag left off
+                    value = _config_boolean(key, raw)
+                elif isinstance(default, int) and not isinstance(default, bool):
                     value = int(raw)
                 elif isinstance(default, float) or key == "r_max":
                     value = float(raw)
                 else:
                     value = raw
+                if key in _CHOICES and value not in _CHOICES[key]:
+                    raise ConfigError(f"config {key} = {raw!r}: expected one of "
+                                      f"{', '.join(_CHOICES[key])}")
             elif value is None:
                 value = defaults.get(key)
         out[key] = value
     return out
+
+
+def _config_boolean(key: str, raw: str) -> bool:
+    text = raw.lower()
+    if text not in ("true", "false"):
+        raise ConfigError(f"config {key} = {raw!r}: expected true or false")
+    return text == "true"
 
 
 def _emit(records: list[dict], fmt: str, output: str | None) -> None:

@@ -6,16 +6,19 @@ as the operator coefficients (momenta carry no denominators).
 
 Sums of products are written as words (scale, f, g | None).  ``combine_phase``
 adds every word's product, unreduced, into the (j, k) buckets of one
-accumulator and reduces the total once; the Poisson bracket is the sum of the
-2N words df/dx_i dg/dp_i and -df/dp_i dg/dx_i, so a bracket costs one
-reduction, not one per product and per partial sum.
+accumulator and reduces the total once; words with the same two factors, in
+either order, are summed first, so words that cancel form no product.  The
+Poisson bracket is the sum of the 2N words df/dx_i dg/dp_i and
+-df/dp_i dg/dx_i, so a bracket costs one reduction, not one per product and
+per partial sum; a ``Derivatives`` table keeps each function's gradient for
+as long as its owner (one verify call) lives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import BlockLayout, BlockPoly, _merge, _open_bucket, _raw_mul_into
+from .poly import BlockLayout, BlockPoly, Derivatives, _merge, _open_bucket, _raw_mul_into
 from .scalars import ParamScalar
 
 
@@ -96,20 +99,28 @@ def combine_phase(words: list[tuple[ParamScalar | Fraction | int, PhaseFn, Phase
                   ) -> PhaseFn:
     """sum_i scale_i * f_i * g_i, accumulated in one pass and reduced once.
 
-    A word whose g is None stands for scale_i * f_i.  The scale is folded into
-    whichever factor has fewer terms before multiplying."""
+    A word whose g is None stands for scale_i * f_i.  Since f g = g f, words
+    with the same two factors in either order are one word with the summed
+    scale, and words whose scales cancel form no product.  The scale is folded
+    into whichever factor has fewer terms before multiplying."""
     if not words:
         raise ValueError("empty combination")
     layout = words[0][1].value.layout
-    one = BlockPoly.scalar(layout, 1)
-    buckets: dict = {}
+    one = PhaseFn.scalar(layout, 1)
+    like: dict[tuple[int, int], list] = {}
     for scale, f, g in words:
         if g is None:
-            f, g = one, f.value
+            f, g = one, f
+        f._check(g)
+        key = (id(f), id(g)) if id(f) <= id(g) else (id(g), id(f))
+        word = like.get(key)
+        if word is None:
+            like[key] = [scale, f.value, g.value]
         else:
-            f._check(g)
-            f, g = f.value, g.value
-        if f.num and g.num:
+            word[0] = word[0] + scale
+    buckets: dict = {}
+    for scale, f, g in like.values():
+        if scale and f.num and g.num:
             if len(f.num) > len(g.num):
                 f, g = g, f
             f = f.scaled(scale)
@@ -118,17 +129,37 @@ def combine_phase(words: list[tuple[ParamScalar | Fraction | int, PhaseFn, Phase
     return PhaseFn(_merge(layout, buckets))
 
 
-def bracket_words(f: PhaseFn, g: PhaseFn) -> list[tuple[int, PhaseFn, PhaseFn]]:
-    """{f, g} as the words df/dx_i dg/dp_i and -df/dp_i dg/dx_i, for combine_phase."""
+def _gradient(fn: PhaseFn, derivatives: Derivatives
+              ) -> tuple[list[PhaseFn], list[PhaseFn]]:
+    """(df/dx_i, df/dp_i for i < N), taken once per table."""
+    memo = derivatives.of(fn)
+    grad = memo.get("gradient")
+    if grad is None:
+        value = fn.value
+        coords = range(value.layout.N)
+        grad = memo["gradient"] = ([PhaseFn(value.diff_x(i)) for i in coords],
+                                   [PhaseFn(value.diff_p(i)) for i in coords])
+    return grad
+
+
+def bracket_words(f: PhaseFn, g: PhaseFn, derivatives: Derivatives | None = None
+                  ) -> list[tuple[int, PhaseFn, PhaseFn]]:
+    """{f, g} as the words df/dx_i dg/dp_i and -df/dp_i dg/dx_i, for combine_phase.
+
+    The partial derivatives come from ``derivatives`` (a fresh table if None)."""
     f._check(g)
-    fv, gv = f.value, g.value
+    if derivatives is None:
+        derivatives = Derivatives()
+    fx, fp = _gradient(f, derivatives)
+    gx, gp = _gradient(g, derivatives)
     words = []
-    for i in range(fv.layout.N):
-        words.append((1, PhaseFn(fv.diff_x(i)), PhaseFn(gv.diff_p(i))))
-        words.append((-1, PhaseFn(fv.diff_p(i)), PhaseFn(gv.diff_x(i))))
+    for i in range(len(fx)):
+        words.append((1, fx[i], gp[i]))
+        words.append((-1, fp[i], gx[i]))
     return words
 
 
-def poisson_bracket(f: PhaseFn, g: PhaseFn) -> PhaseFn:
+def poisson_bracket(f: PhaseFn, g: PhaseFn, derivatives: Derivatives | None = None
+                    ) -> PhaseFn:
     """{f, g} = sum_i df/dx_i dg/dp_i - df/dp_i dg/dx_i."""
-    return combine_phase(bracket_words(f, g))
+    return combine_phase(bracket_words(f, g, derivatives))

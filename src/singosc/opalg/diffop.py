@@ -9,10 +9,14 @@ Composition uses the Leibniz rule
 
 and accumulates everything in one pass so that commutators cancel in place.
 The accumulator holds one raw term dict per (derivative slot, j, k), with
-integer numerators over that dict's own common denominator.  ``combine``
-composes a whole list of words (scale, left, right | None) into one
-accumulator; ``poly._merge`` reduces each slot once, as it does for the
-Poisson side.
+integer numerators over that dict's own common denominator; a slot is the
+multi-index packed into one integer, so the output slot is an integer sum.
+``combine`` composes a whole list of words (scale, left, right | None) into
+one accumulator and ``poly._merge`` reduces each slot once, as it does for the
+Poisson side.  Each Leibniz term is formed once: like words are summed, and a
+word and its reverse share their d = 0 terms (the coefficient products), which
+a commutator then never forms.  A ``Derivatives`` table passed to ``combine``
+keeps every d^d g for as long as its owner (one verify call) lives.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from functools import lru_cache
 from itertools import product as _iproduct
 from math import comb
 
-from .poly import BlockLayout, BlockPoly, _merge, _open_bucket, _raw_mul_into
+from .poly import (BlockLayout, BlockPoly, Derivatives, _field, _merge, _open_bucket,
+                   _raw_mul_into)
 from .scalars import ParamScalar
 
 Beta = tuple[int, ...]
@@ -30,19 +35,6 @@ Beta = tuple[int, ...]
 
 class DimensionMismatchError(ValueError):
     """Raised when operands were built for different (N, n) splits."""
-
-
-@lru_cache(maxsize=None)
-def _subindices(beta: Beta) -> tuple[tuple[Beta, int, Beta], ...]:
-    """All (delta, binom(beta, delta), beta - delta) with delta <= beta componentwise."""
-    ranges = [range(b + 1) for b in beta]
-    out = []
-    for delta in _iproduct(*ranges):
-        coeff = 1
-        for b, d in zip(beta, delta):
-            coeff *= comb(b, d)
-        out.append((delta, coeff, tuple(b - d for b, d in zip(beta, delta))))
-    return tuple(out)
 
 
 class DiffOp:
@@ -172,93 +164,153 @@ class DiffOp:
 
 _MISSING = object()
 
+# Which Leibniz terms ``_compose_into`` adds, as slices of ``_leibniz(beta)``:
+# every term, the delta = 0 term alone (the product of the two coefficients),
+# or only the terms that differentiate the right factor.
+_ALL = slice(None)
+_PRODUCT = slice(0, 1)
+_DERIVATIVES = slice(1, None)
 
-def _compose_into(acc: dict, left: DiffOp, right: DiffOp, scale: int) -> None:
-    """Accumulate scale * (left o right) into acc[beta][(j, k)] raw term dicts."""
+
+@lru_cache(maxsize=None)
+def _pack(beta: Beta, shifts: tuple[int, ...]) -> int:
+    """Derivative slot key: beta packed like an x monomial, one field per coordinate."""
+    return sum(_field(b) << s for b, s in zip(beta, shifts))
+
+
+@lru_cache(maxsize=None)
+def _leibniz(beta: Beta, shifts: tuple[int, ...]) -> tuple[tuple[Beta, int, int], ...]:
+    """(delta, binom(beta, delta), packed beta - delta) for every delta <= beta
+    componentwise, delta = 0 first."""
+    out = []
+    for delta in _iproduct(*(range(b + 1) for b in beta)):
+        coeff = 1
+        for b, d in zip(beta, delta):
+            coeff *= comb(b, d)
+        out.append((delta, coeff, _pack(tuple(b - d for b, d in zip(beta, delta)), shifts)))
+    return tuple(out)
+
+
+def _compose_into(acc: dict, left: DiffOp, right: DiffOp, scale: int,
+                  derivatives: Derivatives | None = None, leibniz: slice = _ALL) -> None:
+    """Accumulate scale * (left o right) into acc[slot][(j, k)] raw term dicts.
+
+    ``leibniz`` selects which Leibniz terms (``_ALL``, ``_PRODUCT`` or
+    ``_DERIVATIVES``).  Slots are packed multi-indices, so the output slot is
+    one integer addition.  The derivatives of ``right``'s coefficients are
+    looked up in, or added to, ``derivatives`` (a fresh table if None)."""
     layout = left.layout
-    dcaches: dict[int, dict[Beta, BlockPoly | None]] = {}
-    zero_delta = (0,) * layout.N
+    shifts = layout.xshift
+    if derivatives is None:
+        derivatives = Derivatives()
+    zero = (0,) * layout.N
+    rights = []
+    for beta_r, g in right.terms.items():
+        memo = derivatives.of(g)
+        memo[zero] = g
+        rights.append((_pack(beta_r, shifts), g, memo))
     for beta_l, f in left.terms.items():
-        subs = _subindices(beta_l)
-        for beta_r, g in right.terms.items():
-            cache = dcaches.get(id(g))
-            if cache is None:
-                cache = {zero_delta: g}
-                dcaches[id(g)] = cache
-            for delta, binom, beta_rest in subs:
-                gd = _cached_derivative(cache, g, delta, layout)
+        fnum, fden, fj, fk = f.num, f.den, f.j, f.k
+        for delta, binom, rest in _leibniz(beta_l, shifts)[leibniz]:
+            for slot_r, g, memo in rights:
+                gd = memo.get(delta, _MISSING)
+                if gd is _MISSING:
+                    gd = _cached_derivative(memo, g, delta)
                 if gd is None:
                     continue
-                beta_out = tuple(a + b for a, b in zip(beta_rest, beta_r))
-                buckets = acc.get(beta_out)
+                slot = rest + slot_r
+                buckets = acc.get(slot)
                 if buckets is None:
-                    buckets = acc[beta_out] = {}
-                bucket, lift = _open_bucket(buckets, (f.j + gd.j, f.k + gd.k), f.den * gd.den)
-                _raw_mul_into(bucket, f.num, gd.num, scale * binom * lift)
+                    buckets = acc[slot] = {}
+                bucket, lift = _open_bucket(buckets, (fj + gd.j, fk + gd.k), fden * gd.den)
+                _raw_mul_into(bucket, fnum, gd.num, scale * binom * lift)
 
 
-def _cached_derivative(cache: dict, g: BlockPoly, delta: Beta,
-                       layout: BlockLayout) -> BlockPoly | None:
-    val = cache.get(delta, _MISSING)
+def _cached_derivative(memo: dict, g: BlockPoly, delta: Beta) -> BlockPoly | None:
+    """d^delta g, or None when it vanishes, memoized with every lower derivative."""
+    val = memo.get(delta, _MISSING)
     if val is not _MISSING:
         return val
     for i, d in enumerate(delta):
         if d:
-            prev_delta = delta[:i] + (d - 1,) + delta[i + 1:]
-            prev = _cached_derivative(cache, g, prev_delta, layout)
+            prev = _cached_derivative(memo, g, delta[:i] + (d - 1,) + delta[i + 1:])
             val = None
             if prev is not None:
                 dv = prev.diff_x(i)
                 val = dv if not dv.is_zero() else None
-            cache[delta] = val
+            memo[delta] = val
             return val
     return g
 
 
 def _finalize(layout: BlockLayout, acc: dict) -> DiffOp:
-    """Merge the (j, k) buckets of each derivative slot and reduce to canonical form."""
+    """Merge the (j, k) buckets of each slot, reduce to canonical form, and
+    unpack the slot keys into multi-indices."""
+    layout.check_keys(acc)
     terms: dict[Beta, BlockPoly] = {}
-    for beta, buckets in acc.items():
+    for slot, buckets in acc.items():
         value = _merge(layout, buckets)
         if not value.is_zero():
-            terms[beta] = value
+            terms[layout.unpack(slot)[0]] = value
     return DiffOp(layout, terms, prune=False)
 
 
-def commutator(left: DiffOp, right: DiffOp) -> DiffOp:
-    left._check(right)
-    acc: dict = {}
-    _compose_into(acc, left, right, 1)
-    _compose_into(acc, right, left, -1)
-    return _finalize(left.layout, acc)
+def commutator(left: DiffOp, right: DiffOp,
+               derivatives: Derivatives | None = None) -> DiffOp:
+    return combine([(1, left, right), (-1, right, left)], derivatives)
 
 
 def anticommutator(left: DiffOp, right: DiffOp) -> DiffOp:
-    left._check(right)
-    acc: dict = {}
-    _compose_into(acc, left, right, 1)
-    _compose_into(acc, right, left, 1)
-    return _finalize(left.layout, acc)
+    return combine([(1, left, right), (1, right, left)])
 
 
-def combine(words: list[tuple[ParamScalar | Fraction | int, DiffOp, DiffOp | None]]
-            ) -> DiffOp:
+def combine(words: list[tuple[ParamScalar | Fraction | int, DiffOp, DiffOp | None]],
+            derivatives: Derivatives | None = None) -> DiffOp:
     """sum_i scale_i * left_i o right_i, accumulated in one pass and reduced once.
 
-    A word whose right factor is None stands for scale_i * left_i.  The scale
-    is folded into whichever factor has fewer terms before composing."""
+    A word whose right factor is None stands for scale_i * left_i.  Words with
+    the same ordered factors are one word with the summed scale.  A word and
+    its reverse, (s, f, g) and (s', g, f), have the same coefficient products
+    (the delta = 0 Leibniz terms): those are composed once with scale s + s',
+    and not at all when it is zero, as in a commutator.  Scales go into the
+    left factor, which composition never differentiates, so the right factors
+    stay the objects whose derivatives ``derivatives`` holds."""
     if not words:
         raise ValueError("empty combination")
     layout = words[0][1].layout
     one = DiffOp.identity(layout)
-    acc: dict = {}
+    like: dict[tuple[int, int], list] = {}
     for scale, left, right in words:
         if right is None:
             left, right = one, left
         left._check(right)
-        if left.term_count() <= right.term_count():
-            left = left.scaled(scale)
+        word = like.get((id(left), id(right)))
+        if word is None:
+            like[(id(left), id(right))] = [scale, left, right]
         else:
-            right = right.scaled(scale)
-        _compose_into(acc, left, right, 1)
+            word[0] = word[0] + scale
+    if derivatives is None:
+        derivatives = Derivatives()
+    acc: dict = {}
+    for (a, b), (scale, left, right) in like.items():
+        mirror = like.get((b, a)) if a != b else None
+        if mirror is None:
+            _compose_scaled(acc, scale, left, right, derivatives, _ALL)
+        elif a < b:
+            small, large = ((left, right) if left.term_count() <= right.term_count()
+                            else (right, left))
+            _compose_scaled(acc, scale + mirror[0], small, large, derivatives, _PRODUCT)
+            _compose_scaled(acc, scale, left, right, derivatives, _DERIVATIVES)
+            _compose_scaled(acc, mirror[0], right, left, derivatives, _DERIVATIVES)
     return _finalize(layout, acc)
+
+
+def _compose_scaled(acc: dict, scale, left: DiffOp, right: DiffOp,
+                    derivatives: Derivatives, leibniz: slice) -> None:
+    """scale * left o right into acc: an int scale goes to the kernel, any
+    other is folded into the left factor."""
+    if not scale:
+        return
+    if not isinstance(scale, int):
+        left, scale = left.scaled(scale), 1
+    _compose_into(acc, left, right, scale, derivatives, leibniz)

@@ -240,6 +240,25 @@ def _merge(layout: BlockLayout, buckets: dict) -> BlockPoly:
     return BlockPoly._make(layout, merged, den, jmax, kmax)
 
 
+class Derivatives:
+    """Derivatives taken while one table lives, each computed once.
+
+    ``of(value)`` is the memo of one value's derivatives, keyed as its caller
+    differentiates (a multi-index, or the whole gradient).  Values are keyed by
+    identity and held by the table, so no id is reused while it lives."""
+
+    __slots__ = ("_memos",)
+
+    def __init__(self):
+        self._memos: dict[int, tuple[object, dict]] = {}
+
+    def of(self, value: object) -> dict:
+        entry = self._memos.get(id(value))
+        if entry is None:
+            entry = self._memos[id(value)] = (value, {})
+        return entry[1]
+
+
 def _raw_diff(terms: dict[int, int], shift: int) -> dict[int, int]:
     out: dict[int, int] = {}
     unit = 1 << shift
@@ -354,18 +373,19 @@ class BlockPoly:
             num = {key: coeff}
         return cls(layout, num, j, k)
 
-    def _reduce(self) -> None:
+    def _reduce(self, block1: bool = True, block2: bool = True) -> None:
+        """Divide out r1^2 (if block1) and r2^2 (if block2) while they divide."""
         if not self.num:
             self.j = self.k = 0
             return
         layout = self.layout
-        while self.j > 0:
+        while block1 and self.j > 0:
             quot = _try_divide(self.num, layout._rest[1], layout._lead[1])
             if quot is None:
                 break
             self.num = quot
             self.j -= 1
-        while self.k > 0:
+        while block2 and self.k > 0:
             quot = _try_divide(self.num, layout._rest[2], layout._lead[2])
             if quot is None:
                 break
@@ -434,13 +454,19 @@ class BlockPoly:
         rsq = layout.r1sq if block == 1 else layout.r2sq
         out = _raw_mul(dnum, rsq)
         _raw_mul_into(out, self.num, {layout.x_key(i): -2 * exp}, 1)
-        if block == 1:
-            return BlockPoly._make(layout, out, self.den, self.j + 1, self.k)
-        return BlockPoly._make(layout, out, self.den, self.j, self.k + 1)
+        j, k = (self.j + 1, self.k) if block == 1 else (self.j, self.k + 1)
+        value = BlockPoly._make(layout, out, self.den, j, k, reduce=False)
+        # The new numerator is dP * r^2 - 2 exp x_i P.  In a block of two or more
+        # coordinates r^2 is prime over Q(params) and divides neither the
+        # canonical P nor x_i, so it cannot divide that numerator; only a
+        # one-coordinate block's x_i^2 can divide out.
+        single = not layout._rest[block]
+        value._reduce(block1=block == 2 or single, block2=block == 1 or single)
+        return value
 
     def diff_p(self, i: int) -> BlockPoly:
         return BlockPoly._make(self.layout, _raw_diff(self.num, self.layout.pshift[i]),
-                               self.den, self.j, self.k, reduce=False)
+                               self.den, self.j, self.k)
 
     # -- queries ---------------------------------------------------------------
 

@@ -5,9 +5,10 @@ left-hand side and asserts that the difference is the exact zero operator
 (or phase-space function).  The quadratic relations and the Casimirs are word
 lists (scale, f, g | None) whose sum is the residual: ``combine`` and
 ``combine_phase`` add every word's product into one accumulator and reduce
-once.  The structure constants live in small dataclasses so that mutation
-tests can knock any single one off by a unit and watch the corresponding
-check fail.
+once.  Each verify call owns one derivative table, so every derivative is
+taken once per call.  The structure constants live in small dataclasses so
+that mutation tests can knock any single one off by a unit and watch the
+corresponding check fail.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .classical import PhaseFn, bracket_words, combine_phase, poisson_bracket
-from .diffop import DiffOp, anticommutator, combine, commutator
+from .diffop import DiffOp, combine, commutator
 from .generators import (ClassicalGenerators, QuantumGenerators, build_classical,
                          build_quantum)
+from .poly import Derivatives
 from .report import CheckResult, VerificationReport
 from .scalars import ParamScalar
 
@@ -83,22 +85,36 @@ MUTABLE_CONSTANTS = tuple(QuadraticConstants.__dataclass_fields__)
 
 
 class _ProductCache:
-    """Memoizes the products used across several identities, quantum or classical.
+    """Memoizes the products used across several identities, quantum or classical,
+    and holds the one derivative table of a verify call.
 
     ``bracket`` gives C = bracket(A, B): the commutator for operators, the
-    Poisson bracket for phase-space functions."""
+    Poisson bracket for phase-space functions.  Nothing outlives the cache, so
+    generators reused across verify calls gain nothing from an earlier call."""
 
     def __init__(self, gens: QuantumGenerators | ClassicalGenerators, bracket=commutator):
         self.g = gens
+        self.derivatives = Derivatives()
+        self._bracket = bracket
         self._cache: dict = {}
         self._builders = {
-            "C": lambda: bracket(gens.A, gens.B),
-            "AB_anti": lambda: anticommutator(gens.A, gens.B),
-            "B2": lambda: gens.B * gens.B,
-            "H2": lambda: gens.H * gens.H,
-            "J2H": lambda: gens.J2 * gens.H,
-            "K2H": lambda: gens.K2 * gens.H,
+            "C": lambda: self.bracket(gens.A, gens.B),
+            "B2": lambda: self.product(gens.B, gens.B),
+            "H2": lambda: self.product(gens.H, gens.H),
+            "J2H": lambda: self.product(gens.J2, gens.H),
+            "K2H": lambda: self.product(gens.K2, gens.H),
         }
+
+    def bracket(self, f, g):
+        return self._bracket(f, g, self.derivatives)
+
+    def combine(self, words: list) -> DiffOp:
+        return combine(words, self.derivatives)
+
+    def product(self, f, g):
+        if isinstance(f, PhaseFn):
+            return f * g
+        return self.combine([(1, f, g)])
 
     def get(self, name: str):
         value = self._cache.get(name)
@@ -108,24 +124,28 @@ class _ProductCache:
 
 
 def quadratic_ac_rhs(cache: _ProductCache, consts: QuadraticConstants,
-                     subs: dict | None = None) -> DiffOp:
+                     subs: dict | None = None) -> list:
+    """Words of the right side of [A, C]; {A, B} is the two words A B and B A."""
     g = cache.g
     s = _scalar_mapper(subs)
-    return combine([
-        (s(_H2 * consts.ac_anti), cache.get("AB_anti"), None),
+    anti = s(_H2 * consts.ac_anti)
+    return [
+        (anti, g.A, g.B),
+        (anti, g.B, g.A),
         (s(_H2 * consts.ac_j2h), cache.get("J2H"), None),
         (s(_H2 * consts.ac_k2h), cache.get("K2H"), None),
         (s(_H2 * (_C1 * consts.ac_c1h + _C2 * consts.ac_c2h) + _H4 * consts.ac_h4h), g.H, None),
         (s(_H4 * consts.ac_b), g.B, None),
-    ])
+    ]
 
 
 def quadratic_bc_rhs(cache: _ProductCache, consts: QuadraticConstants,
-                     subs: dict | None = None) -> DiffOp:
+                     subs: dict | None = None) -> list:
+    """Words of the right side of [B, C]."""
     g = cache.g
     s = _scalar_mapper(subs)
     h2w2 = _H2 * _W2
-    return combine([
+    return [
         (s(_H2 * consts.bc_b2), cache.get("B2"), None),
         (s(_H2 * consts.bc_h2), cache.get("H2"), None),
         (s(h2w2 * consts.bc_a), g.A, None),
@@ -133,7 +153,7 @@ def quadratic_bc_rhs(cache: _ProductCache, consts: QuadraticConstants,
         (s(h2w2 * consts.bc_k2), g.K2, None),
         (s(h2w2 * ((_C1 + _C2) * consts.bc_c) + _H4 * _W2 * consts.bc_h4),
          DiffOp.identity(g.layout), None),
-    ])
+    ]
 
 
 def casimir_generator_terms(cache: _ProductCache, subs: dict | None = None) -> list:
@@ -189,8 +209,14 @@ def casimir_central_terms(cache: _ProductCache, subs: dict | None = None) -> lis
 
 def casimir_residual(cache: _ProductCache, subs: dict | None = None) -> DiffOp:
     """Generator-built Casimir minus its central-element form, in one pass."""
-    return combine(casimir_generator_terms(cache, subs)
-                   + _negated(casimir_central_terms(cache, subs)))
+    return cache.combine(casimir_generator_terms(cache, subs)
+                         + _negated(casimir_central_terms(cache, subs)))
+
+
+def quadratic_residual(cache: _ProductCache, X: DiffOp, rhs_words: list) -> DiffOp:
+    """[X, C] minus its right side, in one pass."""
+    C = cache.get("C")
+    return cache.combine([(1, X, C), (-1, C, X)] + _negated(rhs_words))
 
 
 def _negated(words: list) -> list:
@@ -265,13 +291,11 @@ def verify_q3(N: int, n: int, *, constants: QuadraticConstants | None = None,
     cache = _ProductCache(gens)
     report = VerificationReport(context={"family": "quantum", "N": N, "n": n})
 
-    _vanishing_checks(report, gens, commutator, ("commute", "central"))
-    _timed(report, "quadratic[A,C]",
-           lambda: commutator(gens.A, cache.get("C"))
-           - quadratic_ac_rhs(cache, consts, substitutions))
-    _timed(report, "quadratic[B,C]",
-           lambda: commutator(gens.B, cache.get("C"))
-           - quadratic_bc_rhs(cache, consts, substitutions))
+    _vanishing_checks(report, gens, cache.bracket, ("commute", "central"))
+    _timed(report, "quadratic[A,C]", lambda: quadratic_residual(
+        cache, gens.A, quadratic_ac_rhs(cache, consts, substitutions)))
+    _timed(report, "quadratic[B,C]", lambda: quadratic_residual(
+        cache, gens.B, quadratic_bc_rhs(cache, consts, substitutions)))
     if casimir:
         _timed(report, "casimir[generators-vs-central]",
                lambda: casimir_residual(cache, substitutions))
@@ -279,10 +303,10 @@ def verify_q3(N: int, n: int, *, constants: QuadraticConstants | None = None,
     minus_hbar = _scalar_mapper(substitutions)(ParamScalar.hbar(1, -1))
     zero = DiffOp.zero(gens.layout)
     _timed(report, "so-rotations[block1]",
-           lambda: _so_residual(gens.J, commutator, zero, minus_hbar),
+           lambda: _so_residual(gens.J, cache.bracket, zero, minus_hbar),
            detail=f"{len(gens.J)} generators")
     _timed(report, "so-rotations[block2]",
-           lambda: _so_residual(gens.K, commutator, zero, minus_hbar),
+           lambda: _so_residual(gens.K, cache.bracket, zero, minus_hbar),
            detail=f"{len(gens.K)} generators")
     return report.finalize()
 
@@ -375,18 +399,20 @@ def verify_qp3(N: int, n: int, *, gens: ClassicalGenerators | None = None,
     report = VerificationReport(context={"family": "classical", "N": N, "n": n})
     cache = _ProductCache(gens, poisson_bracket)
 
-    _vanishing_checks(report, gens, poisson_bracket, ("poisson", "poisson-central"))
+    _vanishing_checks(report, gens, cache.bracket, ("poisson", "poisson-central"))
     _timed(report, "poisson-quadratic[A,C]", lambda: combine_phase(
-        bracket_words(gens.A, cache.get("C")) + _negated(poisson_ac_rhs(cache))))
+        bracket_words(gens.A, cache.get("C"), cache.derivatives)
+        + _negated(poisson_ac_rhs(cache))))
     _timed(report, "poisson-quadratic[B,C]", lambda: combine_phase(
-        bracket_words(gens.B, cache.get("C")) + _negated(poisson_bc_rhs(cache))))
+        bracket_words(gens.B, cache.get("C"), cache.derivatives)
+        + _negated(poisson_bc_rhs(cache))))
     _timed(report, "poisson-casimir[K-vs-K1]", lambda: combine_phase(
         poisson_casimir(cache) + _negated(poisson_casimir_central(cache))))
     zero = PhaseFn.zero(gens.layout)
     _timed(report, "poisson-so[block1]",
-           lambda: _so_residual(gens.J, poisson_bracket, zero, 1))
+           lambda: _so_residual(gens.J, cache.bracket, zero, 1))
     _timed(report, "poisson-so[block2]",
-           lambda: _so_residual(gens.K, poisson_bracket, zero, 1))
+           lambda: _so_residual(gens.K, cache.bracket, zero, 1))
 
     consts = quantum_constants or QuadraticConstants.for_dims(N, n)
     _timed(report, "classical-limit[A,C]",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class ComponentSpec:
         if self.hbar <= 0 or self.omega <= 0:
             raise ValueError("hbar and omega must be positive")
 
-    @property
+    @cached_property
     def c_reduced(self) -> Fraction:
         return self.c / self.hbar ** 2
 
@@ -62,10 +63,20 @@ class ComponentSpec:
     def omega_reduced(self) -> Fraction:
         return self.omega / self.hbar
 
-    @property
+    @cached_property
     def alpha_squared(self) -> Fraction:
         """(l + (m-2)/2)^2 + 2 c', exact."""
         return (Fraction(2 * self.l + self.m - 2, 2)) ** 2 + 2 * self.c_reduced
+
+    @cached_property
+    def alpha_exact(self) -> Fraction | None:
+        """sqrt(alpha_squared) when it is rational, else None."""
+        return exact_sqrt(self.alpha_squared)
+
+    @cached_property
+    def alpha(self) -> float:
+        exact = self.alpha_exact
+        return float(exact) if exact is not None else math.sqrt(float(self.alpha_squared))
 
     @property
     def flags(self) -> tuple[str, ...]:
@@ -112,14 +123,16 @@ def closed_form(spec: ComponentSpec, Nr: int) -> RadialMode:
     """delta, alpha and the discrete energy of radial level Nr."""
     if Nr < 0:
         raise ValueError("the radial quantum number must be a non-negative integer")
-    alpha_sq = spec.alpha_squared
-    alpha_exact = exact_sqrt(alpha_sq)
-    alpha = float(alpha_exact) if alpha_exact is not None else math.sqrt(float(alpha_sq))
     base = Fraction(2 * spec.l + spec.m - 2, 2)
-    delta = (alpha - float(base)) / 2.0
-    energy = 2.0 * float(spec.hbar * spec.omega) * (Nr + alpha / 2.0 + 0.5)
-    return RadialMode(spec=spec, Nr=Nr, delta=delta, alpha=alpha, energy=energy,
-                      alpha_exact=alpha_exact, flags=spec.flags)
+    delta = (spec.alpha - float(base)) / 2.0
+    return RadialMode(spec=spec, Nr=Nr, delta=delta, alpha=spec.alpha,
+                      energy=_energy(spec, Nr), alpha_exact=spec.alpha_exact,
+                      flags=spec.flags)
+
+
+def _energy(spec: ComponentSpec, Nr: int) -> float:
+    """2 hbar omega (Nr + alpha/2 + 1/2), in floats."""
+    return 2.0 * float(spec.hbar * spec.omega) * (Nr + spec.alpha / 2.0 + 0.5)
 
 
 def kummer(Nr: int, b, z):
@@ -292,11 +305,11 @@ def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
         raise ValueError("need at least one eigenvalue")
     grid = grid or GridSpec()
     w = float(spec.omega_reduced)
-    top_estimate = closed_form(spec, count + 3)
-    e_top = top_estimate.energy / float(spec.hbar ** 2)  # reduced units
+    h2 = float(spec.hbar ** 2)
+    e_top = _energy(spec, count + 3) / h2  # reduced units
     turning = math.sqrt(2.0 * e_top) / w
     r_max = grid.r_max if grid.r_max is not None else 2.0 * turning
-    highest_requested = closed_form(spec, count - 1).energy / float(spec.hbar ** 2)
+    highest_requested = _energy(spec, count - 1) / h2
     if r_max <= math.sqrt(2.0 * highest_requested) / w:
         raise GridError(f"r_max={r_max:.3g} is below the classical turning point")
     wavelength = math.pi / math.sqrt(2.0 * e_top)
@@ -315,7 +328,6 @@ def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
         hs.append(r_max / M)
 
     energies, orders = _richardson(raw)
-    h2 = float(spec.hbar ** 2)
     return FdResult(energies=tuple(e * h2 for e in energies),
                     raw_levels=tuple(raw), h_values=tuple(hs),
                     observed_orders=tuple(orders), r_max=r_max, scheme=grid.scheme)
@@ -353,7 +365,7 @@ def fd_eigenvector(spec: ComponentSpec, grid: GridSpec | None = None,
     from scipy.linalg import eigh_tridiagonal
     grid = grid or GridSpec()
     w = float(spec.omega_reduced)
-    e_top = closed_form(spec, index + 4).energy / float(spec.hbar ** 2)
+    e_top = _energy(spec, index + 4) / float(spec.hbar ** 2)
     r_max = grid.r_max if grid.r_max is not None else 2.0 * math.sqrt(2.0 * e_top) / w
     M = grid.nodes * (2 ** (grid.levels - 1))
     build = _regularized_tridiagonal if grid.scheme == "regularized" else _chi_tridiagonal

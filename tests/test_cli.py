@@ -255,3 +255,28 @@ def test_commands_load_only_the_libraries_they_use():
                                        "wavefunction": [0, "numpy"],
                                        "radial": [0, "numpy", "scipy"],
                                        "spectrum": [0, "mpmath", "numpy", "scipy"]}
+
+
+@pytest.mark.parametrize("text, casimir", [("false", True), ("False", True), ("true", False)])
+def test_config_boolean_is_parsed(tmp_path, capsys, text, casimir):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"skip_casimir = {text}\n")
+    code, out, _ = _run(capsys, ["--config", str(cfg), "verify-algebra", "--N", "2", "--n", "1"])
+    assert code == 0
+    checks = {json.loads(line)["check"] for line in out.splitlines()}
+    assert ("casimir[generators-vs-central]" in checks) is casimir
+
+
+@pytest.mark.parametrize("line, argv", [
+    ("skip_casimir = maybe", ["verify-algebra", "--N", "2", "--n", "1"]),
+    ("param_mode = symbolc", ["verify-algebra", "--N", "2", "--n", "1"]),
+    ("format = jsonl", ["spectrum", "--N", "4", "--n", "2"]),
+    ("scheme = smooth", ["radial", "--m", "2"]),
+])
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, line, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = _run(capsys, ["--config", str(cfg), *argv])
+    assert code == 2
+    assert out == ""
+    assert line.partition(" ")[0] in err

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from singosc.opalg import (BlockLayout, BlockPoly, DiffOp, DimensionMismatchError,
-                           ParamScalar, anticommutator, build_quantum, commutator)
+                           ParamScalar, anticommutator, build_quantum, combine, commutator)
 
 
 def _x(layout, i, power=1, coeff=1):
@@ -207,3 +207,28 @@ def test_explicit_two_dimensional_hamiltonian():
                 + BlockPoly(layout, BlockPoly.scalar(layout, ParamScalar.c1()).num, j=1)
                 + BlockPoly(layout, BlockPoly.scalar(layout, ParamScalar.c2()).num, k=1))
     assert zero_coeff == expected
+
+
+@pytest.mark.parametrize("split", [(3, 1), (4, 2)])
+def test_combine_of_repeated_and_reversed_words_matches_sequential_application(split):
+    # like words sum their scales, a reversed pair shares its coefficient
+    # products (and drops them when the scales cancel); apply() composes
+    # nothing, so it is an independent oracle
+    rng = random.Random(61)
+    layout = BlockLayout(*split)
+    for _ in range(4):
+        p, q, r = (_random_op(layout, rng) for _ in range(3))
+        s = [ParamScalar.hbar(rng.randrange(3), Fraction(rng.randrange(1, 7), 5))
+             for _ in range(4)]
+        words = [(s[0], p, q), (s[1], q, p), (2, p, q),        # repeated and reversed
+                 (1, q, r), (-1, r, q),                         # scales cancel
+                 (s[2], r, p), (Fraction(-3, 7), r, r),         # single, self
+                 (s[3], q, None), (Fraction(1, 2), q, None)]    # bare factor
+        got = combine(words)
+        for _ in range(3):
+            fn = _random_value(layout, rng)
+            expected = BlockPoly.zero(layout)
+            for scale, left, right in words:
+                value = left.apply(fn) if right is None else left.apply(right.apply(fn))
+                expected = expected + value.scaled(scale)
+            assert got.apply(fn) == expected

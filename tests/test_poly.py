@@ -124,3 +124,54 @@ def test_invalid_layout_rejected():
         BlockLayout(4, 4)
     with pytest.raises(ValueError):
         BlockLayout(1, 1)
+
+
+def _quotient_rule(value, i):
+    """d/dx_i of P / (r1^2)^j (r2^2)^k as (dP r_b^2 - 2 e x_i P) / r_b^(2e+2),
+    built from polynomials and fully reduced by the constructor."""
+    layout = value.layout
+    block = layout.block_of(i)
+    exp = value.j if block == 1 else value.k
+    P = BlockPoly(layout, {key: Fraction(c, value.den) for key, c in value.num.items()})
+    rsq = _r1sq(layout) if block == 1 else _r2sq(layout)
+    num = P.diff_x(i) * rsq - (_x(layout, i) * P).scaled(2 * exp)
+    return BlockPoly(layout, {key: Fraction(c, num.den) for key, c in num.num.items()},
+                     j=value.j + (block == 1), k=value.k + (block == 2))
+
+
+def _random_part(layout, rng):
+    num = {}
+    for _ in range(rng.randrange(1, 4)):
+        key = sum(layout.x_key(rng.randrange(layout.N), rng.randrange(1, 3))
+                  for _ in range(rng.randrange(3)))
+        num[key] = Fraction(rng.randrange(-4, 5) or 1, rng.randrange(1, 4))
+    return BlockPoly(layout, num, j=rng.randrange(3), k=rng.randrange(3))
+
+
+@pytest.mark.parametrize("split", [(4, 1), (4, 2), (5, 3)])
+def test_derivative_is_the_fully_reduced_quotient_rule(split):
+    # diff_x skips the same-block division for blocks of two or more
+    # coordinates; the result must still be canonical.  Sums of parts over
+    # different denominators make the other block's division succeed, and a
+    # factor x_1 or x_N lets a one-coordinate block's x^2 divide out.
+    layout = BlockLayout(*split)
+    rng = random.Random(17)
+    hits = 0
+    for _ in range(40):
+        value = _random_part(layout, rng) + _random_part(layout, rng)
+        if rng.randrange(2):
+            value = value * _x(layout, rng.choice((0, layout.N - 1)))
+        for i in range(layout.N):
+            expected = _quotient_rule(value, i)
+            assert value.diff_x(i) == expected, (value, i)
+            if (value.j if i < layout.n else value.k) > 0:
+                grown = (value.j + (i < layout.n), value.k + (i >= layout.n))
+                hits += (expected.j, expected.k) != grown
+    assert hits  # a division after the quotient rule did succeed
+
+
+def test_momentum_derivative_is_canonical():
+    from singosc.opalg import build_classical
+    gens = build_classical(4, 2)
+    layout = gens.layout
+    assert gens.H.value.diff_p(0) == BlockPoly.monomial(layout, layout.p_key(0))

@@ -229,3 +229,15 @@ def test_component_spec_validation():
     mode = closed_form(spec, 0)
     assert "half-line-regular-sector" in mode.flags
     assert "flags" in mode.record()
+
+
+def test_alpha_is_computed_once_per_spec(monkeypatch):
+    import singosc.radial as radial
+    calls = []
+    original = radial.exact_sqrt
+    monkeypatch.setattr(radial, "exact_sqrt", lambda value: calls.append(value) or original(value))
+    spec = ComponentSpec(m=3, c=Fraction(5, 7), l=1)
+    fd_eigenvalues(spec, GridSpec(nodes=128), count=3)
+    modes = [closed_form(spec, nr) for nr in range(3)]
+    assert len(calls) == 1
+    assert modes[2].alpha_exact is None and modes[0].alpha == math.sqrt(float(spec.alpha_squared))

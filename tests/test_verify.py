@@ -53,8 +53,8 @@ def test_mutating_any_structure_constant_fails(field_name):
     gens = build_quantum(N, n)
     cache = _ProductCache(gens)
     consts = QuadraticConstants.for_dims(N, n).bumped(field_name)
-    ac = commutator(gens.A, cache.get("C")) - quadratic_ac_rhs(cache, consts)
-    bc = commutator(gens.B, cache.get("C")) - quadratic_bc_rhs(cache, consts)
+    ac = commutator(gens.A, cache.get("C")) - combine(quadratic_ac_rhs(cache, consts))
+    bc = commutator(gens.B, cache.get("C")) - combine(quadratic_bc_rhs(cache, consts))
     assert not (ac.is_zero() and bc.is_zero()), field_name
 
 
@@ -66,8 +66,8 @@ def test_specific_mutation_from_4_to_3():
     good = QuadraticConstants.for_dims(N, n)
     import dataclasses
     bad = dataclasses.replace(good, ac_b=Fraction(N * (N - 3), 4))
-    assert (commutator(gens.A, cache.get("C")) - quadratic_ac_rhs(cache, good)).is_zero()
-    residual = commutator(gens.A, cache.get("C")) - quadratic_ac_rhs(cache, bad)
+    assert (commutator(gens.A, cache.get("C")) - combine(quadratic_ac_rhs(cache, good))).is_zero()
+    residual = commutator(gens.A, cache.get("C")) - combine(quadratic_ac_rhs(cache, bad))
     assert not residual.is_zero()
     assert residual.term_count() > 0
 
@@ -97,3 +97,34 @@ def test_report_is_name_ordered_and_serializable():
     timed = report.records(include_timing=True)
     assert all("wall_time_s" in r for r in timed)
     assert report.total_time() >= 0
+
+
+def _count_derivatives(monkeypatch):
+    from singosc.opalg import BlockPoly
+    calls = []
+    original = BlockPoly.diff_x
+
+    def counted(self, i):
+        calls.append((self, i))  # holding self keeps every id distinct
+        return original(self, i)
+
+    monkeypatch.setattr(BlockPoly, "diff_x", counted)
+    return calls
+
+
+def test_a_verify_call_takes_each_derivative_once(monkeypatch):
+    calls = _count_derivatives(monkeypatch)
+    assert verify_q3(4, 2).all_passed
+    assert calls
+    assert len({(id(value), i) for value, i in calls}) == len(calls)
+
+
+def test_derivatives_do_not_outlive_a_verify_call(monkeypatch):
+    gens = build_quantum(4, 2)
+    calls = _count_derivatives(monkeypatch)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert verify_q3(4, 2, gens=gens).all_passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
