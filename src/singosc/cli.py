@@ -31,7 +31,6 @@ class ConfigError(Exception):
 _CHOICES = {
     "format": ("json-lines", "csv"),
     "param_mode": ("symbolic", "sampled"),
-    "scheme": ("regularized", "chi"),
 }
 
 
@@ -87,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-nodes", default=None, type=int)
     p.add_argument("--grid-levels", default=None, type=int)
     p.add_argument("--r-max", default=None, type=float)
-    p.add_argument("--scheme", default=None, choices=_CHOICES["scheme"])
     common(p)
 
     p = sub.add_parser("levels", help="degeneracy table up to an energy cutoff")
@@ -113,12 +111,17 @@ _DEFAULTS = {
     "hbar": "1", "omega": "1", "format": "json-lines", "output": None,
     "seed": 0, "param_mode": "symbolic", "samples": 3, "c1": "0", "c2": "0",
     "c": "0", "l": 0, "p_max": 2, "l_max": 2, "count": 3, "grid_nodes": 512,
-    "grid_levels": 3, "r_max": None, "scheme": "regularized", "e_cut": "8",
+    "grid_levels": 3, "r_max": None, "e_cut": "8",
     "nr": 0,
 }
 
 # Per-subcommand defaults that differ from _DEFAULTS.
 _COMMAND_DEFAULTS = {"wavefunction": {"samples": 200}}
+
+# Every option a config file may name: those with a default above, the
+# required ones and the on/off flags.  A key of another subcommand is ignored,
+# so one file can serve several commands.
+_CONFIG_KEYS = {*_DEFAULTS, "N", "n", "m", "skip_casimir"}
 
 
 def _read_config(path: str) -> dict:
@@ -140,6 +143,9 @@ def _read_config(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace, config: dict) -> dict:
     """Flag > config-file > default, per option."""
+    unknown = sorted(set(config) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"config {', '.join(unknown)}: no such option")
     defaults = {**_DEFAULTS, **_COMMAND_DEFAULTS.get(args.command, {})}
     out = {}
     for key, value in vars(args).items():
@@ -152,9 +158,9 @@ def _resolve(args: argparse.Namespace, config: dict) -> dict:
                 if value is False:  # an on/off flag left off
                     value = _config_boolean(key, raw)
                 elif isinstance(default, int) and not isinstance(default, bool):
-                    value = int(raw)
+                    value = _config_number(key, raw, int)
                 elif isinstance(default, float) or key == "r_max":
-                    value = float(raw)
+                    value = _config_number(key, raw, float)
                 else:
                     value = raw
                 if key in _CHOICES and value not in _CHOICES[key]:
@@ -164,6 +170,14 @@ def _resolve(args: argparse.Namespace, config: dict) -> dict:
                 value = defaults.get(key)
         out[key] = value
     return out
+
+
+def _config_number(key: str, raw: str, kind: type) -> int | float:
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"config {key} = {raw!r}: expected "
+                          f"{'an integer' if kind is int else 'a number'}") from None
 
 
 def _config_boolean(key: str, raw: str) -> bool:
@@ -262,7 +276,7 @@ def _cmd_radial(opts: dict) -> tuple[list[dict], list[str]]:
                                 hbar=_fraction(opts["hbar"]),
                                 omega=_fraction(opts["omega"]))
     grid = radial.GridSpec(nodes=opts["grid_nodes"], r_max=opts["r_max"],
-                           levels=opts["grid_levels"], scheme=opts["scheme"])
+                           levels=opts["grid_levels"])
     count = opts["count"]
     fd = radial.fd_eigenvalues(spec, grid, count=count)
     records = []
@@ -281,7 +295,7 @@ def _cmd_radial(opts: dict) -> tuple[list[dict], list[str]]:
                     "fd_converged": fd.converged,
                     "fd_observed_order": fd_rec["observed_order"],
                     "fd_h": fd_rec["h"], "fd_raw": fd_rec["raw"],
-                    "scheme": fd.scheme, "r_max": fd.r_max})
+                    "scheme": fd_rec["scheme"], "r_max": fd.r_max})
         records.append(rec)
     return records, failures
 

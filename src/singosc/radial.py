@@ -11,10 +11,9 @@ The FD solver is a genuine oracle: it never uses the spectrum formula.  After
 the standard substitution R = r^{-(m-1)/2} chi the effective potential picks
 up ((m-1)(m-3)/4)/(2r^2); for fractional indicial exponents a plain Dirichlet
 grid cannot represent the regular branch at the origin (the operator is in
-the limit-circle regime for alpha < 1), so the default scheme factors out the
+the limit-circle regime for alpha < 1), so the solver factors out the
 indicial power r^{alpha+1/2} and discretizes the remaining smooth problem in
-conservative form with weight r^{2 alpha + 1}.  The literal chi-grid scheme
-is kept as an option for the smooth cases.
+conservative form with weight r^{2 alpha + 1}.
 """
 
 from __future__ import annotations
@@ -193,9 +192,8 @@ def wavefunction_sign_changes(mode: RadialMode, r_max: float | None = None,
 # -- finite-difference oracle -----------------------------------------------------
 
 
-# Both schemes are built to be second order in h; an observed order further
-# than this from 2 means the grids are not in the asymptotic regime or the
-# scheme cannot represent the solution (chi at m = 2, c = 0 shows about 0.27).
+# The scheme is built to be second order in h; an observed order further than
+# this from 2 means the grids are not in the asymptotic regime.
 ORDER_TOL = 0.5
 
 
@@ -210,15 +208,12 @@ class GridSpec:
     nodes: int = 512
     r_max: float | None = None
     levels: int = 3
-    scheme: str = "regularized"  # or "chi": literal second-order grid on chi
 
     def __post_init__(self):
         if self.nodes < 64:
             raise GridError("need at least 64 nodes")
         if self.levels < 1:
             raise GridError("need at least one grid level")
-        if self.scheme not in ("regularized", "chi"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -230,7 +225,6 @@ class FdResult:
     h_values: tuple[float, ...]
     observed_orders: tuple[float, ...]
     r_max: float
-    scheme: str
 
     @property
     def converged(self) -> bool:
@@ -250,23 +244,9 @@ class FdResult:
                 "observed_order": (None if math.isnan(self.observed_orders[idx])
                                    else self.observed_orders[idx]),
                 "r_max": self.r_max,
-                "scheme": self.scheme,
+                "scheme": "regularized",
             })
         return out
-
-
-def _chi_tridiagonal(spec: ComponentSpec, M: int, r_max: float):
-    """Literal scheme: chi(0) = chi(r_max) = 0 on a uniform grid, singular
-    potential (2c' + l(l+m-2) + (m-1)(m-3)/4)/(2 r^2) kept in place."""
-    h = r_max / M
-    r = np.arange(1, M) * h
-    s = (2.0 * float(spec.c_reduced) + spec.l * (spec.l + spec.m - 2)
-         + (spec.m - 1) * (spec.m - 3) / 4.0)
-    w = float(spec.omega_reduced)
-    v = 0.5 * w * w * r * r + 0.5 * s / (r * r)
-    diag = 1.0 / (h * h) + v
-    off = np.full(M - 2, -0.5 / (h * h))
-    return diag, off
 
 
 def _regularized_tridiagonal(spec: ComponentSpec, M: int, r_max: float):
@@ -316,12 +296,11 @@ def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
     if (r_max / grid.nodes) > wavelength / 4.0:
         raise GridError("grid too coarse to resolve the requested levels")
 
-    build = _regularized_tridiagonal if grid.scheme == "regularized" else _chi_tridiagonal
     raw = []
     hs = []
     for level in range(grid.levels):
         M = grid.nodes * (2 ** level)
-        diag, off = build(spec, M, r_max)
+        diag, off = _regularized_tridiagonal(spec, M, r_max)
         vals = eigh_tridiagonal(diag, off, select="i",
                                 select_range=(0, count - 1), eigvals_only=True)
         raw.append(tuple(float(v) for v in vals))
@@ -330,7 +309,7 @@ def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
     energies, orders = _richardson(raw)
     return FdResult(energies=tuple(e * h2 for e in energies),
                     raw_levels=tuple(raw), h_values=tuple(hs),
-                    observed_orders=tuple(orders), r_max=r_max, scheme=grid.scheme)
+                    observed_orders=tuple(orders), r_max=r_max)
 
 
 def _richardson(raw: list[tuple[float, ...]]) -> tuple[list[float], list[float]]:
@@ -368,15 +347,10 @@ def fd_eigenvector(spec: ComponentSpec, grid: GridSpec | None = None,
     e_top = _energy(spec, index + 4) / float(spec.hbar ** 2)
     r_max = grid.r_max if grid.r_max is not None else 2.0 * math.sqrt(2.0 * e_top) / w
     M = grid.nodes * (2 ** (grid.levels - 1))
-    build = _regularized_tridiagonal if grid.scheme == "regularized" else _chi_tridiagonal
-    diag, off = build(spec, M, r_max)
+    diag, off = _regularized_tridiagonal(spec, M, r_max)
     _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(index, index))
     h = r_max / M
-    if grid.scheme == "regularized":
-        nodes = (np.arange(1, M + 1) - 0.5) * h
-    else:
-        nodes = np.arange(1, M) * h
-    return nodes, vecs[:, 0]
+    return (np.arange(1, M + 1) - 0.5) * h, vecs[:, 0]
 
 
 def sign_changes(vector: np.ndarray, rel_floor: float = 1e-8) -> int:

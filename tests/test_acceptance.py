@@ -19,8 +19,9 @@ from singosc.levels import oscillator_count_check, enumerate_levels
 from singosc.opalg import (MUTABLE_CONSTANTS, QuadraticConstants, build_quantum,
                            combine, commutator, verify_q3, verify_qp3)
 from singosc.opalg.verify import _ProductCache, quadratic_ac_rhs, quadratic_bc_rhs
-from singosc.qalg import (CentralEigs, harmonic_limit_check, m_values, set_solution,
-                          solve_unirreps, structure_poly_factored, structure_poly_raw)
+from singosc.qalg import (CentralEigs, exact_sqrt, harmonic_limit_check, m_values,
+                          set_solution, solve_unirreps, structure_poly_factored,
+                          structure_poly_raw)
 from singosc.radial import (ComponentSpec, GridSpec, closed_form, fd_eigenvalues,
                             fd_eigenvector, sign_changes, total_energy,
                             wavefunction_norm)
@@ -93,6 +94,22 @@ def _random_rational_tuple(rng):
                        hbar=hbar, omega=omega), m1, m2
 
 
+def _random_irrational_tuple(rng):
+    """Couplings redrawn until neither m1^2 nor m2^2 is the square of a rational."""
+    while True:
+        N = rng.randrange(2, 9)
+        n = rng.randrange(1, N)
+        ce = CentralEigs(N=N, n=n, l_n=rng.randrange(0, 2 if n == 1 else 4),
+                         l_Nn=rng.randrange(0, 2 if N - n == 1 else 4),
+                         c1=Fraction(rng.randrange(1, 40), rng.randrange(1, 6)),
+                         c2=Fraction(rng.randrange(1, 40), rng.randrange(1, 6)),
+                         hbar=Fraction(rng.randrange(1, 4), rng.randrange(1, 3)),
+                         omega=Fraction(rng.randrange(1, 5), rng.randrange(1, 4)))
+        mq = m_values(ce)
+        if exact_sqrt(mq.m1_squared) is None and exact_sqrt(mq.m2_squared) is None:
+            return ce
+
+
 def test_criterion_4_structure_function_equivalence():
     rng = random.Random(2024)
     ok = True
@@ -105,7 +122,23 @@ def test_criterion_4_structure_function_equivalence():
         raw = structure_poly_raw(u, energy, ce)
         fac = structure_poly_factored(u, energy, ce, mq)
         ok = ok and raw.degree == 6 and raw.agrees_with(fac)
-    _announce(4, "raw structure polynomial equals factorized form (20 tuples)", ok)
+    # irrational m: exact equality at a rational (u, E) and at a closed-form
+    # solution, which no root moved by 1e-40 keeps
+    for _ in range(20):
+        ce = _random_irrational_tuple(rng)
+        mq = m_values(ce)
+        sol = rng.choice(solve_unirreps(rng.randrange(0, 6), ce))
+        for u, energy in ((Fraction(rng.randrange(-9, 9), rng.randrange(1, 8)),
+                           Fraction(rng.randrange(-9, 9), rng.randrange(1, 8))),
+                          (sol.u, sol.energy)):
+            raw = structure_poly_raw(u, energy, ce)
+            ok = ok and raw.agrees_with(structure_poly_factored(u, energy, ce, mq))
+            offsets = [0] * 6
+            offsets[rng.randrange(6)] = Fraction(1, 10 ** 40)
+            moved = structure_poly_factored(u, energy, ce, mq, root_offsets=offsets)
+            ok = ok and not raw.agrees_with(moved)
+    _announce(4, "raw structure polynomial equals factorized form "
+                 "(20 rational-m and 20 irrational-m tuples)", ok)
     assert ok
 
 
@@ -174,13 +207,14 @@ def test_criterion_6_harmonic_limit():
 def test_criterion_7_unirrep_positivity():
     rng = random.Random(777)
     ok = True
-    tuples = 0
-    checked = 0
-    while tuples < 100:
+    tuples = []
+    while len(tuples) < 100:
         ce, m1, m2 = _random_rational_tuple(rng)
-        if m1 == 0 or m2 == 0:
-            continue
-        tuples += 1
+        if m1 != 0 and m2 != 0:
+            tuples.append(ce)
+    tuples += [_random_irrational_tuple(rng) for _ in range(40)]
+    checked = 0
+    for ce in tuples:
         p = rng.randrange(0, 11)
         sols = solve_unirreps(p, ce)
         for sol in sols:
@@ -188,12 +222,11 @@ def test_criterion_7_unirrep_positivity():
                 continue
             checked += 1
             ok = ok and sol.admissible and sol.failing_x is None
-            if sol.exact:
-                ok = ok and sol.phi_values[0] == 0 and sol.phi_values[p + 1] == 0
-                ok = ok and all(v > 0 for v in sol.phi_values[1:p + 1])
+            ok = ok and sol.phi_values[0] == 0 and sol.phi_values[p + 1] == 0
+            ok = ok and all(v > 0 for v in sol.phi_values[1:p + 1])
     _announce(7, "positivity of the structure function on eps=(+1,+1) branches", ok,
-              f"{tuples} tuples, {checked} branch checks")
-    assert ok and checked >= 2 * tuples
+              f"{len(tuples)} tuples (40 with irrational m), {checked} branch checks")
+    assert ok and checked >= 2 * len(tuples)
 
 
 def test_criterion_8_mutation_sensitivity():

@@ -10,9 +10,9 @@ import pytest
 
 from singosc import qalg
 from singosc.exact import sqrt_sum_sign
-from singosc.qalg import (ZERO_TOL, CentralEigs, exact_sqrt, harmonic_limit_check,
-                          m_values, recursion_consistency, set_solution, solve_unirreps,
-                          structure_fn_factored, structure_fn_raw,
+from singosc.exact import Biquadratic
+from singosc.qalg import (CentralEigs, exact_sqrt, harmonic_limit_check, m_values,
+                          recursion_consistency, set_solution, solve_unirreps,
                           structure_poly_factored, structure_poly_raw)
 
 
@@ -86,9 +86,9 @@ def test_factored_root_locations():
     u, energy = Fraction(-2), Fraction(7, 2)
     # x + u = (2 + m1 + m2)/4 must be a root of the factored form
     x_root = Fraction(2 + 3 + 4, 4) - u
-    assert structure_fn_factored(x_root, u, energy, ce) == 0
+    assert structure_poly_factored(u, energy, ce)(x_root) == 0
     # and of the raw form, exactly
-    assert structure_fn_raw(x_root, u, energy, ce) == 0
+    assert structure_poly_raw(u, energy, ce)(x_root) == 0
 
 
 def test_degenerate_harmonic_p0_values():
@@ -110,7 +110,7 @@ def test_solve_unirreps_boundaries_and_positivity():
     by_key = {(s.set_id, s.eps1, s.eps2): s for s in sols}
     best = by_key[(1, 1, 1)]
     assert best.admissible and best.failing_x is None
-    assert best.phi_values[0] == 0 or abs(best.phi_values[0]) < mp.mpf("1e-25")
+    assert best.phi_values[0] == 0
     # set 2 never satisfies the upper boundary: leading -x factor
     for eps in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         sol = by_key[(2, *eps)]
@@ -119,37 +119,19 @@ def test_solve_unirreps_boundaries_and_positivity():
     # set 3 with both signs positive is admissible as well, same energy
     s3 = by_key[(3, 1, 1)]
     assert s3.admissible
-    assert abs(mp.mpf(float(s3.energy)) - mp.mpf(float(best.energy))) < 1e-12
+    assert s3.energy == best.energy
 
 
-def _admissibility(norm_values, energy, p, exact):
-    """Reference verdict from the values of Phi / eta at x = 0..p+1: exact
-    comparisons on Fractions, and on mpf a zero threshold of ZERO_TOL relative
-    to the largest value."""
-    if exact:
-        def is_zero(v):
-            return v == 0
-
-        def is_pos(v):
-            return v > 0
-    else:
-        scale = max((abs(v) for v in norm_values), default=mp.mpf(1)) + 1
-        tol = ZERO_TOL * scale
-
-        def is_zero(v):
-            return abs(v) <= tol
-
-        def is_pos(v):
-            return v > tol
-
+def _admissibility(norm_values, energy, p):
+    """Reference verdict from the exact values of Phi / eta at x = 0..p+1."""
     if not energy > 0:
         return False, None
-    if not is_zero(norm_values[0]):
+    if norm_values[0] != 0:
         return False, 0
-    if not is_zero(norm_values[p + 1]):
+    if norm_values[p + 1] != 0:
         return False, p + 1
     for x in range(1, p + 1):
-        if not is_pos(norm_values[x]):
+        if not norm_values[x] > 0:
             return False, x
     return True, None
 
@@ -164,12 +146,9 @@ def _expanded_unirreps(p, ce):
         for eps in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             u, energy = set_solution(set_id, *eps, p, ce, mq)
             phi = structure_poly_factored(u, energy, ce, mq)
-            exact = all(isinstance(c, Fraction) for c in phi.coeffs)
-            points = [Fraction(x) if exact else mp.mpf(x) for x in range(p + 2)]
-            values = [phi(x) for x in points]
-            scale = eta if exact else mp.mpf(eta.numerator) / eta.denominator
-            verdict = _admissibility(tuple(v / scale for v in values), energy, p, exact)
-            out.append(((set_id, *eps), phi, points, values, exact, verdict))
+            values = [phi(x) for x in range(p + 2)]
+            verdict = _admissibility(tuple(v / eta for v in values), energy, p)
+            out.append(((set_id, *eps), values, verdict))
     return out
 
 
@@ -209,19 +188,11 @@ def test_factor_evaluation_matches_expanded_polynomial():
             sols = solve_unirreps(p, ce)
             oracle = _expanded_unirreps(p, ce)
             assert len(sols) == len(oracle) == 12
-            for sol, (key, phi, points, values, exact, verdict) in zip(sols, oracle):
+            for sol, (key, values, verdict) in zip(sols, oracle):
                 assert (sol.set_id, sol.eps1, sol.eps2) == key
-                assert sol.exact == exact
                 assert (sol.admissible, sol.failing_x) == verdict
-                assert len(sol.phi_values) == p + 2
-                seen_exact.add(exact)
-                for x, got, want in zip(points, sol.phi_values, values):
-                    if exact:
-                        assert isinstance(got, Fraction) and got == want
-                    else:
-                        # relative to the size of the terms Horner adds up
-                        scale = sum(abs(c) * x ** k for k, c in enumerate(phi.coeffs))
-                        assert abs(got - want) <= mp.mpf("1e-40") * scale
+                assert sol.phi_values == tuple(values)
+                seen_exact.add(sol.exact)
     assert seen_exact == {True, False}
 
 
@@ -234,7 +205,8 @@ def test_verdicts_need_neither_closed_form_nor_values(monkeypatch):
         raise AssertionError("built while deciding the verdict")
 
     monkeypatch.setattr(qalg, "set_solution", unavailable)
-    monkeypatch.setattr(qalg, "_factor_values_mpf", unavailable)
+    monkeypatch.setattr(qalg, "factored_roots", unavailable)
+    monkeypatch.setattr(Biquadratic, "sqrt_pair", unavailable)
     assert [(s.admissible, s.failing_x, s.exact) for s in solve_unirreps(3, ce)] == want
 
 
@@ -280,6 +252,20 @@ def test_recursion_consistency_exact_and_inexact():
                       hbar=Fraction(2), omega=Fraction(3, 2))
     ok2, _ = recursion_consistency(3, ce2)
     assert ok2
+    # irrational m1 and m2 (and m1 = m2): every ratio equals the constant exactly
+    for ce, p, set_id, eps in [
+            (CentralEigs(N=5, n=2, l_n=0, l_Nn=0, c1=Fraction(1, 3), c2=Fraction(2, 7)),
+             3, 1, (1, 1)),
+            (CentralEigs(N=6, n=3, l_n=1, l_Nn=1, c1=Fraction(1, 3), c2=Fraction(1, 3)),
+             2, 3, (1, 1)),
+            (CentralEigs(N=4, n=2, l_n=1, l_Nn=0, c1=Fraction(6), c2=Fraction(7, 2),
+                         hbar=Fraction(3, 2), omega=Fraction(2, 5)),
+             4, 1, (1, -1))]:
+        mq = m_values(ce)
+        assert exact_sqrt(mq.m1_squared) is None and exact_sqrt(mq.m2_squared) is None
+        ok, ratios = recursion_consistency(p, ce, set_id, eps)
+        assert ok and len(ratios) >= 2
+        assert all(r == Fraction(1, 3 * 2 ** 20) / ce.hbar ** 16 for r in ratios)
 
 
 def test_central_eigs_validation():
