@@ -9,14 +9,14 @@ The heavy lifting lives in the submodules:
 - ``singosc.exact``  exact rational and biquadratic arithmetic for the three above
 - ``singosc.cli``    command-line front end
 
-Importing ``singosc`` loads only ``opalg``, which is pure Python.  ``radial``
-loads numpy (scipy on its first FD solve or quadrature) when it is first
-imported; ``qalg``, ``levels`` and ``exact`` use the standard library only.
+The API of the exact engine is ``singosc.opalg`` (``verify_q3``,
+``verify_qp3``, ``build_quantum``, ``build_classical``, ...).  Importing
+``singosc`` loads none of the submodules: each is loaded when first imported.
+``opalg``, ``qalg``, ``levels`` and ``exact`` are pure Python; ``radial``
+loads numpy when it is first imported, and scipy on its first FD solve or
+quadrature.
 """
-
-from .opalg import build_classical, build_quantum, verify_q3, verify_qp3
 
 __version__ = "0.1.0"
 
-__all__ = ["build_classical", "build_quantum", "verify_q3", "verify_qp3",
-           "__version__"]
+__all__ = ["__version__"]

@@ -16,8 +16,6 @@ import random
 import sys
 from fractions import Fraction
 
-from .opalg import verify_q3, verify_qp3
-
 SUBCOMMANDS = ("verify-algebra", "verify-poisson", "spectrum", "radial",
                "levels", "wavefunction")
 
@@ -214,6 +212,7 @@ def _random_rationals(rng: random.Random) -> dict:
 
 
 def _cmd_verify_algebra(opts: dict) -> tuple[list[dict], list[str]]:
+    from .opalg import verify_q3
     N, n = opts["N"], opts["n"]
     records: list[dict] = []
     failures: list[str] = []
@@ -243,6 +242,7 @@ def _cmd_verify_algebra(opts: dict) -> tuple[list[dict], list[str]]:
 
 
 def _cmd_verify_poisson(opts: dict) -> tuple[list[dict], list[str]]:
+    from .opalg import verify_qp3
     report = verify_qp3(opts["N"], opts["n"])
     _log(f"verify-poisson ({opts['N']},{opts['n']}): "
          f"{len(report.results)} checks in {report.total_time():.2f}s")

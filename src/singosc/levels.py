@@ -235,25 +235,30 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
                         N1=n1, N2=p - n1, l_n=l1, l_Nn=l2, multiplicity=mult)))
 
     entries.sort(key=lambda e: (e[0], e[2].N1 + e[2].N2, e[2].l_n, e[2].l_Nn, e[2].N1))
-    levels: list[Level] = []
-    for value, exact, contrib in entries:
-        if levels and abs(value - levels[-1].energy) <= MERGE_REL_TOL * abs(value):
-            last = levels[-1]
-            merged_flags = set(last.flags)
-            if (last.energy_exact is None) != (exact is None) or (
-                    last.energy_exact is not None and exact is not None
-                    and last.energy_exact != exact):
-                merged_flags.add("accidental-merge")
-            levels[-1] = Level(
-                energy=last.energy,
-                energy_exact=last.energy_exact if last.energy_exact == exact else None,
-                degeneracy=last.degeneracy + contrib.multiplicity,
-                contributors=last.contributors + (contrib,),
-                flags=tuple(sorted(merged_flags)))
+    # one group of entries per level; each entry joins the group whose first
+    # value lies within MERGE_REL_TOL of its own
+    groups: list[list[tuple[float, Fraction | None, Contributor]]] = []
+    for entry in entries:
+        if groups and abs(entry[0] - groups[-1][0][0]) <= MERGE_REL_TOL * abs(entry[0]):
+            groups[-1].append(entry)
         else:
-            levels.append(Level(energy=value, energy_exact=exact,
-                                degeneracy=contrib.multiplicity,
-                                contributors=(contrib,), flags=tuple(flags)))
+            groups.append([entry])
+    levels: list[Level] = []
+    for group in groups:
+        value, exact, _ = group[0]
+        level_flags = tuple(flags)
+        if len(group) > 1:
+            merged_flags = set(flags)
+            # an exact energy that differs from the first one's (or is missing
+            # on one side only) marks a merge by floating-point closeness alone
+            if any(other != exact for _, other, _ in group):
+                merged_flags.add("accidental-merge")
+                exact = None
+            level_flags = tuple(sorted(merged_flags))
+        levels.append(Level(energy=value, energy_exact=exact,
+                            degeneracy=sum(c.multiplicity for _, _, c in group),
+                            contributors=tuple(c for _, _, c in group),
+                            flags=level_flags))
     return LevelTable(N=N, n=n, c1=c1, c2=c2, hbar=hbar, omega=omega,
                       e_cut=e_cut, levels=tuple(levels))
 

@@ -131,14 +131,9 @@ def poly_shift(coeffs: Sequence, shift) -> list:
 
 @dataclass(frozen=True)
 class StructureFn:
-    """Degree-6 structure polynomial with its provenance and defining parameters."""
+    """Degree-6 structure polynomial, by its coefficients in x."""
 
     coeffs: tuple
-    provenance: str  # "raw" | "factored"
-    u: Biquadratic | Fraction
-    energy: Biquadratic | Fraction
-    ce: CentralEigs
-    mq: MQuantum | None = None
 
     def __call__(self, x):
         return poly_eval(self.coeffs, x)
@@ -198,7 +193,7 @@ def structure_poly_raw(u: Biquadratic | Fraction, energy: Biquadratic | Fraction
     pref = 12288 * h2 ** 6
     coeffs_y = [pref * c for c in coeffs_y]
     coeffs_x = poly_shift(coeffs_y, u)
-    return StructureFn(coeffs=tuple(coeffs_x), provenance="raw", u=u, energy=energy, ce=ce)
+    return StructureFn(coeffs=tuple(coeffs_x))
 
 
 def factored_roots(energy: Biquadratic | Fraction, ce: CentralEigs, mq: MQuantum) -> list:
@@ -234,8 +229,7 @@ def structure_poly_factored(u: Biquadratic | Fraction, energy: Biquadratic | Fra
     for idx, root in enumerate(roots):
         offset = u if (shift_last_factor or idx < 5) else 0
         coeffs = poly_mul(coeffs, [offset - root, 1])
-    return StructureFn(coeffs=tuple(coeffs), provenance="factored",
-                       u=u, energy=energy, ce=ce, mq=mq)
+    return StructureFn(coeffs=tuple(coeffs))
 
 
 # -- finite unirreps -------------------------------------------------------------
@@ -472,6 +466,12 @@ def rho_squared_shape(x_plus_u: Biquadratic) -> Biquadratic:
     return 1 / (x_plus_u * (1 + x_plus_u) * (1 + 2 * x_plus_u) ** 2)
 
 
+# The x + u at which a term of the recursion has a pole: realization_b_diag(y)
+# at y^2 = 1/4, rho_squared_shape(y) at y in {0, -1, -1/2} and
+# rho_squared_shape(y - 1) at y in {1, 0, 1/2}.
+_RECURSION_POLES = tuple(Fraction(k, 2) for k in range(-2, 3))
+
+
 def recursion_consistency(p: int, ce: CentralEigs, set_id: int = 1,
                           eps: tuple[int, int] = (1, 1)) -> tuple[bool, list]:
     """Fock-diagonal consistency of the second quadratic relation.
@@ -482,7 +482,8 @@ def recursion_consistency(p: int, ce: CentralEigs, set_id: int = 1,
     the printed diagonal of the ladder generator is restored (it is forced by
     the first quadratic relation's diagonal).  rho0^2 is solved point by
     point; success means it is constant in x, positive, and equal to the
-    bookkeeping constant 1/(3*2^20 hbar^16).
+    bookkeeping constant 1/(3*2^20 hbar^16).  Points where a term has a pole
+    or the denominator vanishes are skipped.
 
     Returns (ok, solved rho0^2 values).
     """
@@ -500,6 +501,8 @@ def recursion_consistency(p: int, ce: CentralEigs, set_id: int = 1,
     ratios = []
     for x in range(0, p + 1):
         y = u + x
+        if y in _RECURSION_POLES:
+            continue
         phi_x = phi(x)
         phi_x1 = phi(x + 1)
         denom = (rho_squared_shape(y) * phi_x1 * (delta_a(y) + h2)

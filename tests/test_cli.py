@@ -230,16 +230,18 @@ def test_python_dash_m_runs_the_cli():
 _IMPORT_WEIGHT = """
 import contextlib, io, json, sys
 def heavy():
-    return sorted(m for m in ("numpy", "scipy", "mpmath") if m in sys.modules)
+    return sorted(m for m in ("numpy", "scipy", "mpmath", "singosc.opalg")
+                  if m in sys.modules)
 seen = {}
 import singosc.cli
 seen["import"] = heavy()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    for argv in (["verify-algebra", "--N", "2", "--n", "1", "--skip-casimir"],
-                 ["levels", "--N", "4", "--n", "2", "--e-cut", "9/2"],
+    for argv in (["levels", "--N", "4", "--n", "2", "--e-cut", "9/2"],
                  ["wavefunction", "--m", "3", "--samples", "5"],
                  ["radial", "--m", "2", "--c", "1", "--count", "1"],
-                 ["spectrum", "--N", "4", "--n", "2"]):
+                 ["spectrum", "--N", "4", "--n", "2"],
+                 ["verify-algebra", "--N", "2", "--n", "1", "--skip-casimir"],
+                 ["verify-poisson", "--N", "2", "--n", "1"]):
         seen[argv[0]] = [singosc.cli.main(argv)] + heavy()
 print(json.dumps(seen))
 """
@@ -276,12 +278,14 @@ def test_commands_load_only_the_libraries_they_use():
     proc = subprocess.run([sys.executable, "-c", _IMPORT_WEIGHT], env=_source_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # each command's exit code, then the heavy libraries loaded after it
-    # (cumulative: the commands run in this order in one interpreter)
-    assert json.loads(proc.stdout) == {"import": [], "verify-algebra": [0], "levels": [0],
-                                       "wavefunction": [0, "numpy"],
-                                       "radial": [0, "numpy", "scipy"],
-                                       "spectrum": [0, "numpy", "scipy"]}
+    # each command's exit code, then the heavy libraries and the exact engine
+    # loaded after it (cumulative: the commands run in this order in one
+    # interpreter)
+    assert json.loads(proc.stdout) == {
+        "import": [], "levels": [0], "wavefunction": [0, "numpy"],
+        "radial": [0, "numpy", "scipy"], "spectrum": [0, "numpy", "scipy"],
+        "verify-algebra": [0, "numpy", "scipy", "singosc.opalg"],
+        "verify-poisson": [0, "numpy", "scipy", "singosc.opalg"]}
 
 
 @pytest.mark.parametrize("text, casimir", [("false", True), ("False", True), ("true", False)])

@@ -131,3 +131,41 @@ def test_records_schema():
 def test_non_positive_hbar_or_omega_is_rejected(scale):
     with pytest.raises(ValueError, match="hbar and omega must be positive"):
         enumerate_levels(3, 1, e_cut=6.0, **scale)
+
+
+def _table(table):
+    return [(level.energy, level.energy_exact, level.degeneracy, level.flags,
+             [(c.N1, c.N2, c.l_n, c.l_Nn, c.multiplicity) for c in level.contributors])
+            for level in table.levels]
+
+
+def test_level_tables_are_pinned():
+    # block 1's alpha at l = 0 is the rational 1e-10, so its levels sit 1e-10
+    # above those of irrational alpha at l = 1 and merge with them by float
+    # closeness alone: accidental-merge, with no exact energy
+    table = enumerate_levels(4, 2, Fraction(1, 2 * 10 ** 20), 0, e_cut=5.5)
+    assert _table(table) == [
+        (2.0000000001, Fraction(20000000001, 10000000000), 1, (), [(0, 0, 0, 0, 1)]),
+        (3.0, None, 4, ("accidental-merge",), [(0, 0, 1, 0, 2), (0, 0, 0, 1, 2)]),
+        (4.0, None, 10, ("accidental-merge",),
+         [(0, 0, 1, 1, 4), (0, 0, 2, 0, 2), (0, 0, 0, 2, 2), (0, 1, 0, 0, 1),
+          (1, 0, 0, 0, 1)]),
+        (5.0, None, 20, ("accidental-merge",),
+         [(0, 0, 1, 2, 4), (0, 0, 2, 1, 4), (0, 0, 3, 0, 2), (0, 1, 1, 0, 2),
+          (1, 0, 1, 0, 2), (0, 0, 0, 3, 2), (0, 1, 0, 1, 2), (1, 0, 0, 1, 2)])]
+    # both blocks one-coordinate at positive coupling: both flags, irrational levels
+    table = enumerate_levels(2, 1, Fraction(1), Fraction(3, 2), e_cut=9.0)
+    flags = ("block1-half-line-regular-sector", "block2-half-line-regular-sector")
+    assert _table(table) == [
+        (5.302775637731995, None, 1, flags, [(0, 0, 0, 0, 1)]),
+        (7.302775637731995, None, 2, flags, [(0, 1, 0, 0, 1), (1, 0, 0, 0, 1)])]
+    # harmonic limit: exact energies, every merge exact
+    table = enumerate_levels(3, 1, 0, 0, e_cut=4.5)
+    assert _table(table) == [
+        (1.5, Fraction(3, 2), 1, (), [(0, 0, 0, 0, 1)]),
+        (2.5, Fraction(5, 2), 3, (), [(0, 0, 0, 1, 2), (0, 0, 1, 0, 1)]),
+        (3.5, Fraction(7, 2), 6, (),
+         [(0, 0, 0, 2, 2), (0, 0, 1, 1, 2), (0, 1, 0, 0, 1), (1, 0, 0, 0, 1)]),
+        (4.5, Fraction(9, 2), 10, (),
+         [(0, 0, 0, 3, 2), (0, 0, 1, 2, 2), (0, 1, 0, 1, 2), (1, 0, 0, 1, 2),
+          (0, 1, 1, 0, 1), (1, 0, 1, 0, 1)])]

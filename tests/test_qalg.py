@@ -268,6 +268,18 @@ def test_recursion_consistency_exact_and_inexact():
         assert all(r == Fraction(1, 3 * 2 ** 20) / ce.hbar ** 16 for r in ratios)
 
 
+def test_recursion_consistency_skips_the_poles_of_its_terms():
+    # set 3 with m1 = m2 and eps = (1, -1): u = 1/2, a pole of realization_b_diag
+    ce = CentralEigs(N=6, n=3, l_n=1, l_Nn=1, c1=Fraction(1, 3), c2=Fraction(1, 3))
+    ok, ratios = recursion_consistency(2, ce, 3, (1, -1))
+    assert ok and len(ratios) == 2
+    assert all(r == Fraction(1, 3 * 2 ** 20) for r in ratios)
+    for p in range(5):
+        for set_id in (1, 2, 3):
+            for eps in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                recursion_consistency(p, ce, set_id, eps)
+
+
 def test_central_eigs_validation():
     with pytest.raises(ValueError):
         CentralEigs(N=4, n=0, l_n=0, l_Nn=0)
