@@ -42,19 +42,15 @@ class QuantumGenerators:
         return self.layout.n
 
 
-def _r_squared(layout: BlockLayout, indices) -> BlockPoly:
-    out = BlockPoly.zero(layout)
-    for i in indices:
-        out = out + BlockPoly.monomial(layout, layout.x_key(i, 2))
-    return out
+def _rho(layout: BlockLayout, block: int) -> BlockPoly:
+    """r_block^2, the single monomial rho_block."""
+    return BlockPoly.monomial(layout, layout.rho_key(block))
 
 
 def _singular_terms(layout: BlockLayout, sign2: int = 1) -> BlockPoly:
     """c1/r1^2 + sign2 * c2/r2^2 as a single canonical value."""
-    c1 = BlockPoly.scalar(layout, ParamScalar.c1())
-    c2 = BlockPoly.scalar(layout, ParamScalar.c2(1, sign2))
-    return (BlockPoly(layout, c1.num, 1, 0, reduce=False)
-            + BlockPoly(layout, c2.num, 0, 1, reduce=False))
+    return (BlockPoly.monomial(layout, 0, ParamScalar.c1(), j=1)
+            + BlockPoly.monomial(layout, 0, ParamScalar.c2(1, sign2), k=1))
 
 
 def angular_momentum(layout: BlockLayout, i: int, jdx: int) -> DiffOp:
@@ -79,7 +75,8 @@ def build_quantum(N: int, n: int) -> QuantumGenerators:
     for i in range(N):
         beta = tuple(2 if t == i else 0 for t in range(N))
         h_terms[beta] = BlockPoly.scalar(layout, hbar2 * Fraction(-1, 2))
-    r2_all = _r_squared(layout, range(N))
+    r1, r2 = _rho(layout, 1), _rho(layout, 2)
+    r2_all = r1 + r2
     h_terms[zero_beta] = r2_all.scaled(omega2 * Fraction(1, 2)) + _singular_terms(layout)
     H = DiffOp(layout, h_terms)
 
@@ -89,7 +86,7 @@ def build_quantum(N: int, n: int) -> QuantumGenerators:
     a_terms: dict[tuple[int, ...], BlockPoly] = {}
     for jdx in range(N):
         beta = tuple(2 if t == jdx else 0 for t in range(N))
-        coeff = _r_squared(layout, (i for i in range(N) if i != jdx))
+        coeff = r2_all - BlockPoly.monomial(layout, layout.x_key(jdx, 2))
         a_terms[beta] = coeff.scaled(quarter)
     for i in range(N):
         for jdx in range(i + 1, N):
@@ -111,8 +108,6 @@ def build_quantum(N: int, n: int) -> QuantumGenerators:
         beta = tuple(2 if t == i else 0 for t in range(N))
         sign = Fraction(-1, 2) if i < n else Fraction(1, 2)
         b_terms[beta] = BlockPoly.scalar(layout, hbar2 * sign)
-    r1 = _r_squared(layout, range(n))
-    r2 = _r_squared(layout, range(n, N))
     b_terms[zero_beta] = ((r1 - r2).scaled(omega2 * Fraction(1, 2))
                           + _singular_terms(layout, sign2=-1))
     B = DiffOp(layout, b_terms)
@@ -155,13 +150,6 @@ class ClassicalGenerators:
         return self.layout.n
 
 
-def _phase_r_squared(layout: BlockLayout, indices) -> PhaseFn:
-    out = PhaseFn.zero(layout)
-    for i in indices:
-        out = out + PhaseFn.coordinate(layout, i, 2)
-    return out
-
-
 def classical_angular_momentum(layout: BlockLayout, i: int, jdx: int) -> PhaseFn:
     return (PhaseFn.coordinate(layout, i) * PhaseFn.momentum(layout, jdx)
             - PhaseFn.coordinate(layout, jdx) * PhaseFn.momentum(layout, i))
@@ -175,7 +163,8 @@ def build_classical(N: int, n: int) -> ClassicalGenerators:
     p2_all = PhaseFn.zero(layout)
     for i in range(N):
         p2_all = p2_all + PhaseFn.momentum(layout, i, 2)
-    r2_all = _phase_r_squared(layout, range(N))
+    r1, r2 = PhaseFn(_rho(layout, 1)), PhaseFn(_rho(layout, 2))
+    r2_all = r1 + r2
     singular = PhaseFn(_singular_terms(layout))
 
     H = p2_all.scaled(Fraction(1, 2)) + r2_all.scaled(omega2 * Fraction(1, 2)) + singular
@@ -192,8 +181,6 @@ def build_classical(N: int, n: int) -> ClassicalGenerators:
     for i in range(n):
         p2_1 = p2_1 + PhaseFn.momentum(layout, i, 2)
     p2_2 = p2_all - p2_1
-    r1 = _phase_r_squared(layout, range(n))
-    r2 = _phase_r_squared(layout, range(n, N))
     # same antisymmetric singular sign as the quantum B (forced by {H, B} = 0)
     B = ((p2_1 - p2_2).scaled(Fraction(1, 2))
          + (r1 - r2).scaled(omega2 * Fraction(1, 2)) + PhaseFn(_singular_terms(layout, -1)))

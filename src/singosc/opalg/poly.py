@@ -1,14 +1,15 @@
-"""Sparse coordinate polynomials over the parameter ring, with r1^2/r2^2 denominators.
+"""Sparse Laurent polynomials in the coordinates and rho_b = r_b^2, over the parameter ring.
 
 Monomials are packed into single integers: one 8-bit field per coordinate
 exponent (x_1 is the most significant, so integer order on keys is lex order
-with x_1 first), followed by four fields for the parameter exponents.
-Monomial multiplication is then plain integer addition.  An exponent lives in
-the low 7 bits of its field and must stay below 128; the top bit is a guard.
-The sum of two exponents below 128 never carries out of its field, so an
-overflowing product sets a guard bit, and every normalization pass raises
-``ExponentOverflowError`` on a guard bit instead of letting a carry change the
-monomial.
+with x_1 first), then the momenta if the layout has them, then one field each
+for rho1 = r1^2 = x_1^2+..+x_n^2 and rho2 = r2^2 = x_{n+1}^2+..+x_N^2, then
+four fields for the parameter exponents.  Monomial multiplication is then
+plain integer addition.  An exponent lives in the low 7 bits of its field and
+must stay below 128; the top bit is a guard.  The sum of two exponents below
+128 never carries out of its field, so an overflowing product sets a guard
+bit, and every normalization pass raises ``ExponentOverflowError`` on a guard
+bit instead of letting a carry change the monomial.
 
 Coefficients are Python integers over one common positive denominator, the
 layout of FLINT's ``fmpq_poly``: a ``BlockPoly`` holds ``num`` (packed key ->
@@ -17,12 +18,28 @@ the zero polynomial.  ``Fraction`` and ``ParamScalar`` appear only at the API:
 the constructor accepts rational coefficients, and ``as_dict``, ``scaled``,
 ``substitute_params``, ``embed_scalar`` and ``repr`` convert.
 
-A ``BlockPoly`` is (num/den)/(r1^2)^j/(r2^2)^k where r1^2 = x_1^2+..+x_n^2
-and r2^2 = x_{n+1}^2+..+x_N^2.  The canonical form divides out every exact
-factor of r1^2 (resp. r2^2) from the numerator while j (resp. k) is positive;
-for a one-coordinate block the divisor degenerates to the square of that
-coordinate.  Both divisors are monic with unit coefficients, so exact
-division keeps integer numerators integral.
+A ``BlockPoly`` is (num/den) / (rho1^j rho2^k).  The numerator lives in the
+ring Q[params, x, rho] modulo the ideal (rho1 - r1^2, rho2 - r2^2), which is
+the coordinate ring itself.  It is kept in normal form: no monomial holds its
+block's lex-leading coordinate (x_1, resp. x_{n+1}) to a power of 2 or more,
+because x_lead^2 is rewritten to rho_b - (the other squares of the block);
+for a one-coordinate block that is x^2 -> rho_b.  The two rules have coprime
+leading monomials, so they form a Groebner basis (Buchberger's first
+criterion; Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
+ch. 2), and the normal form of a polynomial is unique.  A value is made
+canonical in three steps, in this order:
+
+1. the normal-form rewrite;
+2. exact division by rho1 (resp. rho2) while every term holds it and j
+   (resp. k) is positive.  A normal-form numerator is divisible by r_b^2 in
+   the coordinate ring exactly when every term holds rho_b, and r1^2 and
+   r2^2 share no variable, so this leaves the least j and k;
+3. division of den and the numerators by their gcd, after the rewrite,
+   which changes the content.
+
+Two equal values therefore have equal (num, den, j, k), and ``==`` and
+``hash`` compare those.  Lifting a value onto larger j and k is a shift of
+its rho fields, with no product.
 """
 
 from __future__ import annotations
@@ -48,8 +65,8 @@ class BlockLayout:
     """Variable layout for a concrete (N, n) split, optionally with momenta."""
 
     __slots__ = (
-        "N", "n", "momenta", "nfields", "xshift", "pshift", "param_shift", "guard",
-        "r1sq", "r2sq", "_lead", "_rest", "_rpow",
+        "N", "n", "momenta", "nfields", "xshift", "pshift", "rho_shift", "param_shift",
+        "guard", "_rules",
     )
 
     def __init__(self, N: int, n: int, momenta: bool = False):
@@ -59,20 +76,19 @@ class BlockLayout:
         self.n = n
         self.momenta = momenta
         ncoord = 2 * N if momenta else N
-        self.nfields = ncoord + 4
+        self.nfields = ncoord + 6
         top = self.nfields - 1
         self.xshift = tuple((top - i) * _BITS for i in range(N))
         self.pshift = tuple((top - N - i) * _BITS for i in range(N)) if momenta else ()
+        self.rho_shift = (5 * _BITS, 4 * _BITS)
         self.param_shift = tuple((3 - t) * _BITS for t in range(4))
         self.guard = sum(_LIMIT << (f * _BITS) for f in range(self.nfields))
-        self.r1sq = {2 << self.xshift[i]: 1 for i in range(n)}
-        self.r2sq = {2 << self.xshift[i]: 1 for i in range(n, N)}
-        # lex-leading variable of each block divisor, plus the divisor remainder
-        # (r_block^2 = x_lead^2 + rest; rest is empty for a one-coordinate block)
-        self._lead = {1: self.xshift[0], 2: self.xshift[n]}
-        self._rest = {1: {2 << self.xshift[i]: 1 for i in range(1, n)},
-                      2: {2 << self.xshift[i]: 1 for i in range(n + 1, N)}}
-        self._rpow: dict[tuple[int, int], dict[int, int]] = {}
+        # the rewrite x_lead^2 -> rho_b - rest_b of each block, as
+        # (lead shift, rho_b key, keys of the other squares of the block)
+        self._rules = tuple(
+            (self.xshift[lead], 1 << self.rho_shift[b],
+             tuple(2 << self.xshift[i] for i in range(lead + 1, end)))
+            for b, (lead, end) in enumerate(((0, n), (n, N))))
 
     def same_split(self, other: "BlockLayout") -> bool:
         return self.N == other.N and self.n == other.n and self.momenta == other.momenta
@@ -85,6 +101,10 @@ class BlockLayout:
     def p_key(self, i: int, power: int = 1) -> int:
         return _field(power) << self.pshift[i]
 
+    def rho_key(self, block: int, power: int = 1) -> int:
+        """rho_block^power, where rho_1 = r1^2 and rho_2 = r2^2."""
+        return _field(power) << self.rho_shift[block - 1]
+
     def param_key(self, exps: Exponents) -> int:
         s = self.param_shift
         return ((_field(exps[0]) << s[0]) | (_field(exps[1]) << s[1])
@@ -92,16 +112,21 @@ class BlockLayout:
 
     def check_keys(self, terms: dict[int, int]) -> None:
         """Raise if any packed key has a guard bit set (an exponent reached 128)."""
-        if _fold(or_, terms, 0) & self.guard:
+        self._check_bits(_fold(or_, terms, 0))
+
+    def _check_bits(self, bits: int) -> None:
+        if bits & self.guard:
             raise ExponentOverflowError(
                 f"an exponent reached {_LIMIT}, beyond the packed monomial field")
 
-    def unpack(self, key: int) -> tuple[tuple[int, ...], tuple[int, ...], Exponents]:
-        """Split a packed key into (x exponents, p exponents, parameter exponents)."""
+    def unpack(self, key: int) -> tuple[tuple[int, ...], tuple[int, ...],
+                                        tuple[int, int], Exponents]:
+        """Split a packed key into (x, p, (rho1, rho2), parameter) exponents."""
         xe = tuple((key >> s) & _MASK for s in self.xshift)
         pe = tuple((key >> s) & _MASK for s in self.pshift)
+        re = tuple((key >> s) & _MASK for s in self.rho_shift)
         pa = tuple((key >> s) & _MASK for s in self.param_shift)
-        return xe, pe, pa  # type: ignore[return-value]
+        return xe, pe, re, pa  # type: ignore[return-value]
 
     def embed_scalar(self, scalar: ParamScalar) -> tuple[dict[int, int], int]:
         """The scalar as integer numerators on parameter keys, over one denominator."""
@@ -109,20 +134,6 @@ class BlockLayout:
 
     def block_of(self, i: int) -> int:
         return 1 if i < self.n else 2
-
-    def rpow(self, block: int, power: int) -> dict[int, int]:
-        """(r_block^2)**power as a raw term dict, memoized."""
-        if power == 0:
-            return {0: 1}
-        cached = self._rpow.get((block, power))
-        if cached is None:
-            base = self.r1sq if block == 1 else self.r2sq
-            cached = base
-            for _ in range(power - 1):
-                cached = _raw_mul(cached, base)
-                self.check_keys(cached)
-            self._rpow[(block, power)] = cached
-        return cached
 
 
 def _field(power: int) -> int:
@@ -169,11 +180,14 @@ def _raw_mul_into(dst: dict[int, int], a: dict[int, int],
                     del dst[key]
 
 
-def _raw_add_into(dst: dict[int, int], src: dict[int, int], scale: int) -> None:
+def _raw_add_into(dst: dict[int, int], src: dict[int, int], scale: int,
+                  shift: int = 0) -> None:
+    """Add scale * src, every key shifted by ``shift`` (a monomial factor), into dst."""
     if not scale:
         return
     get = dst.get
     for key, coeff in src.items():
+        key += shift
         cur = get(key)
         if cur is None:
             dst[key] = coeff * scale
@@ -187,16 +201,47 @@ def _raw_add_into(dst: dict[int, int], src: dict[int, int], scale: int) -> None:
 
 def _lift_into(layout: BlockLayout, dst: dict[int, int], terms: dict[int, int],
                scale: int, dj: int, dk: int) -> None:
-    """Add scale * terms * (r1^2)^dj * (r2^2)^dk into dst."""
-    if dj and dk:
-        terms = _raw_mul(terms, layout.rpow(1, dj))
-        dj = 0
-    if dj:
-        _raw_mul_into(dst, terms, layout.rpow(1, dj), scale)
-    elif dk:
-        _raw_mul_into(dst, terms, layout.rpow(2, dk), scale)
-    else:
-        _raw_add_into(dst, terms, scale)
+    """Add scale * terms * rho1^dj * rho2^dk into dst: a shift of the rho fields."""
+    _raw_add_into(dst, terms, scale, layout.rho_key(1, dj) + layout.rho_key(2, dk))
+
+
+def _normal_form(layout: BlockLayout, terms: dict[int, int]) -> dict[int, int]:
+    """Rewrite x_lead^2 -> rho_b - rest_b until no key holds a lead power of 2 or more.
+
+    Raises ``ExponentOverflowError`` on a guard bit, before the rewrite (whose
+    additions could carry a set guard bit into the next field) and after it."""
+    bits = _fold(or_, terms, 0)
+    layout._check_bits(bits)
+    for lead, rho, rest in layout._rules:
+        if (bits >> lead) & _MASK < 2:
+            continue
+        step = 2 << lead
+        while True:
+            high = [(key, c) for key, c in terms.items() if (key >> lead) & _MASK >= 2]
+            if not high:
+                break
+            out = {key: c for key, c in terms.items() if (key >> lead) & _MASK < 2}
+            get = out.get
+            for key, coeff in high:
+                base = key - step
+                out[base + rho] = get(base + rho, 0) + coeff
+                for sq in rest:
+                    out[base + sq] = get(base + sq, 0) - coeff
+            terms = {key: c for key, c in out.items() if c}
+        bits = _fold(or_, terms, 0)
+        layout._check_bits(bits)
+    return terms
+
+
+def _try_divide(terms: dict[int, int], shift: int) -> dict[int, int] | None:
+    """Exact division by the variable whose field sits at ``shift`` (rho1 or rho2).
+
+    Returns the quotient, or None when some term lacks the variable."""
+    for key in terms:
+        if not (key >> shift) & _MASK:
+            return None
+    unit = 1 << shift
+    return {key - unit: coeff for key, coeff in terms.items()}
 
 
 class _Bucket(dict):
@@ -269,100 +314,64 @@ def _raw_diff(terms: dict[int, int], shift: int) -> dict[int, int]:
     return out
 
 
-def _try_divide(terms: dict[int, int], rest: dict[int, int],
-                lead_shift: int) -> dict[int, int] | None:
-    """Exact division by x_lead^2 + rest, where x_lead is lex-largest in the divisor.
-
-    Slicing the numerator by the lead exponent turns the division into the
-    recurrence Q_{d-2} = A_d - Q_d * rest (descending d), with the d = 1, 0
-    slices required to cancel exactly.  Returns the quotient or None.
-    """
-    slices: dict[int, dict[int, int]] = {}
-    for key, coeff in terms.items():
-        e = (key >> lead_shift) & _MASK
-        base = key - (e << lead_shift)
-        sl = slices.get(e)
-        if sl is None:
-            slices[e] = {base: coeff}
-        else:
-            sl[base] = coeff
-    if not slices:
-        return {}
-    dmax = max(slices)
-    if dmax < 2:
-        return None
-    quot_slices: dict[int, dict[int, int]] = {}
-    for d in range(dmax, 1, -1):
-        qd = dict(slices.get(d, ()))
-        upper = quot_slices.get(d)
-        if upper and rest:
-            _raw_mul_into(qd, upper, rest, -1)
-        if qd:
-            quot_slices[d - 2] = qd
-    for d in (1, 0):
-        remainder = dict(slices.get(d, ()))
-        upper = quot_slices.get(d)
-        if upper and rest:
-            _raw_mul_into(remainder, upper, rest, -1)
-        if remainder:
-            return None
-    out: dict[int, int] = {}
-    for d, sl in quot_slices.items():
-        base = d << lead_shift
-        for key, coeff in sl.items():
-            out[key + base] = coeff
-    return out
-
-
 class BlockPoly:
-    """(num/den) / (r1^2)^j / (r2^2)^k in canonical reduced form."""
+    """(num/den) / (rho1^j rho2^k) in canonical form."""
 
     __slots__ = ("layout", "num", "den", "j", "k")
 
     def __init__(self, layout: BlockLayout, num: Mapping[int, int | Fraction] | None = None,
-                 j: int = 0, k: int = 0, reduce: bool = True):
+                 j: int = 0, k: int = 0):
         ints, den = _integer_terms(num or {})
-        self._set(layout, ints, den, j, k, reduce)
+        self._set(layout, ints, den, j, k, True)
 
     @classmethod
     def _make(cls, layout: BlockLayout, num: dict[int, int], den: int,
-              j: int, k: int, reduce: bool = True) -> BlockPoly:
-        """Canonical value from integer numerators over a positive denominator."""
+              j: int, k: int, rewrite: bool = True) -> BlockPoly:
+        """Canonical value from integer numerators over a positive denominator.
+
+        ``rewrite=False`` skips the rewrite and the division, for a numerator
+        known to be in normal form and to share no rho power with the
+        denominator."""
         self = object.__new__(cls)
-        self._set(layout, num, den, j, k, reduce)
+        self._set(layout, num, den, j, k, rewrite)
         return self
 
     def _set(self, layout: BlockLayout, num: dict[int, int], den: int,
-             j: int, k: int, reduce: bool) -> None:
-        self.layout = layout
-        self.j = j
-        self.k = k
-        if num:
+             j: int, k: int, rewrite: bool) -> None:
+        if num and rewrite:
+            num = _normal_form(layout, num)
+            rho1, rho2 = layout.rho_shift
+            while j and (quot := _try_divide(num, rho1)) is not None:
+                num, j = quot, j - 1
+            while k and (quot := _try_divide(num, rho2)) is not None:
+                num, k = quot, k - 1
+        elif num:
             layout.check_keys(num)
+        if num:
             if den != 1:
                 g = gcd(den, *num.values())
                 if g != 1:
                     num = {key: c // g for key, c in num.items()}
                     den //= g
         else:
-            den = 1
+            den, j, k = 1, 0, 0
+        self.layout = layout
         self.num = num
         self.den = den
-        if reduce:
-            self._reduce()
+        self.j = j
+        self.k = k
 
     # -- construction helpers ----------------------------------------------
 
     @classmethod
     def zero(cls, layout: BlockLayout) -> BlockPoly:
-        return cls._make(layout, {}, 1, 0, 0, reduce=False)
+        return cls._make(layout, {}, 1, 0, 0, rewrite=False)
 
     @classmethod
     def scalar(cls, layout: BlockLayout, value: ParamScalar | Fraction | int) -> BlockPoly:
         if not isinstance(value, ParamScalar):
             value = ParamScalar.rational(value)
-        return cls(layout, {layout.param_key(e): c for e, c in value.terms.items()}, 0, 0,
-                   reduce=False)
+        return cls(layout, {layout.param_key(e): c for e, c in value.terms.items()})
 
     @classmethod
     def monomial(cls, layout: BlockLayout, key: int,
@@ -372,25 +381,6 @@ class BlockPoly:
         else:
             num = {key: coeff}
         return cls(layout, num, j, k)
-
-    def _reduce(self, block1: bool = True, block2: bool = True) -> None:
-        """Divide out r1^2 (if block1) and r2^2 (if block2) while they divide."""
-        if not self.num:
-            self.j = self.k = 0
-            return
-        layout = self.layout
-        while block1 and self.j > 0:
-            quot = _try_divide(self.num, layout._rest[1], layout._lead[1])
-            if quot is None:
-                break
-            self.num = quot
-            self.j -= 1
-        while block2 and self.k > 0:
-            quot = _try_divide(self.num, layout._rest[2], layout._lead[2])
-            if quot is None:
-                break
-            self.num = quot
-            self.k -= 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -418,51 +408,52 @@ class BlockPoly:
                                self.den * other.den, self.j + other.j, self.k + other.k)
 
     def scaled(self, value: ParamScalar | Fraction | int) -> BlockPoly:
-        # a nonzero factor free of x cannot make the numerator divisible by
-        # r1^2 or r2^2, so no reduction is attempted
+        # a nonzero factor free of x and rho keeps the normal form and the
+        # rho powers that divide the numerator, so only the content changes
         if isinstance(value, ParamScalar):
             frags, fden = self.layout.embed_scalar(value)
             out: dict[int, int] = {}
             for frag, coeff in frags.items():
-                for key, c in self.num.items():
-                    nk = key + frag
-                    cur = out.get(nk, 0) + c * coeff
-                    if cur:
-                        out[nk] = cur
-                    else:
-                        out.pop(nk, None)
+                _raw_add_into(out, self.num, coeff, frag)
             return BlockPoly._make(self.layout, out, self.den * fden, self.j, self.k,
-                                   reduce=False)
+                                   rewrite=False)
         value = Fraction(value)
         if not value:
             return BlockPoly.zero(self.layout)
         p = value.numerator
         return BlockPoly._make(self.layout, {key: c * p for key, c in self.num.items()},
-                               self.den * value.denominator, self.j, self.k, reduce=False)
+                               self.den * value.denominator, self.j, self.k, rewrite=False)
 
     # -- calculus ------------------------------------------------------------
 
     def diff_x(self, i: int) -> BlockPoly:
-        """Partial derivative in x_{i+1}, with the quotient rule for the r^2 powers."""
+        """Partial derivative in x_{i+1}, in one pass over the terms.
+
+        With rho the r^2 of x_{i+1}'s block and J its power in the denominator,
+        d/dx_i (c x^a rho^e / rho^J)
+            = [a_i c x^(a - e_i) rho^(e+1) + 2 (e - J) c x^(a + e_i) rho^e] / rho^(J+1),
+        since d rho / dx_i = 2 x_i."""
         layout = self.layout
         shift = layout.xshift[i]
-        dnum = _raw_diff(self.num, shift)
         block = layout.block_of(i)
+        rho_shift = layout.rho_shift[block - 1]
         exp = self.j if block == 1 else self.k
-        if exp == 0:
-            return BlockPoly._make(layout, dnum, self.den, self.j, self.k)
-        rsq = layout.r1sq if block == 1 else layout.r2sq
-        out = _raw_mul(dnum, rsq)
-        _raw_mul_into(out, self.num, {layout.x_key(i): -2 * exp}, 1)
+        unit = 1 << shift
+        down = (1 << rho_shift) - unit
+        out: dict[int, int] = {}
+        get = out.get
+        for key, coeff in self.num.items():
+            a = (key >> shift) & _MASK
+            if a:
+                nk = key + down
+                out[nk] = get(nk, 0) + a * coeff
+            e = (key >> rho_shift) & _MASK
+            if e != exp:
+                nk = key + unit
+                out[nk] = get(nk, 0) + 2 * (e - exp) * coeff
+        out = {key: c for key, c in out.items() if c}
         j, k = (self.j + 1, self.k) if block == 1 else (self.j, self.k + 1)
-        value = BlockPoly._make(layout, out, self.den, j, k, reduce=False)
-        # The new numerator is dP * r^2 - 2 exp x_i P.  In a block of two or more
-        # coordinates r^2 is prime over Q(params) and divides neither the
-        # canonical P nor x_i, so it cannot divide that numerator; only a
-        # one-coordinate block's x_i^2 can divide out.
-        single = not layout._rest[block]
-        value._reduce(block1=block == 2 or single, block2=block == 1 or single)
-        return value
+        return BlockPoly._make(layout, out, self.den, j, k)
 
     def diff_p(self, i: int) -> BlockPoly:
         return BlockPoly._make(self.layout, _raw_diff(self.num, self.layout.pshift[i]),
@@ -485,17 +476,6 @@ class BlockPoly:
     def __hash__(self):
         return hash((self.j, self.k, self.den, frozenset(self.num.items())))
 
-    def equivalent(self, other: BlockPoly) -> bool:
-        """Equality via cross-multiplied numerators, independent of reduction."""
-        layout = self.layout
-        left: dict[int, int] = {}
-        _lift_into(layout, left, self.num, other.den,
-                   max(other.j - self.j, 0), max(other.k - self.k, 0))
-        right: dict[int, int] = {}
-        _lift_into(layout, right, other.num, self.den,
-                   max(self.j - other.j, 0), max(self.k - other.k, 0))
-        return left == right
-
     def term_count(self) -> int:
         return len(self.num)
 
@@ -516,15 +496,6 @@ class BlockPoly:
             out[nk] = out.get(nk, 0) + coeff
         return BlockPoly(layout, out, self.j, self.k)
 
-    def x_degree(self) -> int:
-        layout = self.layout
-        best = 0
-        for key in self.num:
-            deg = sum((key >> s) & _MASK for s in layout.xshift)
-            if deg > best:
-                best = deg
-        return best
-
     def p_degree(self) -> int:
         layout = self.layout
         best = 0
@@ -535,11 +506,11 @@ class BlockPoly:
         return best
 
     def as_dict(self) -> dict[tuple[int, ...], ParamScalar]:
-        """Numerator over den, grouped as {coordinate exponents: ParamScalar}."""
+        """Numerator over den, as {x, p, rho1, rho2 exponents: ParamScalar}."""
         grouped: dict[tuple[int, ...], dict] = {}
         for key, coeff in self.num.items():
-            xe, pe, pa = self.layout.unpack(key)
-            grouped.setdefault(xe + pe, {})[pa] = Fraction(coeff, self.den)
+            xe, pe, re, pa = self.layout.unpack(key)
+            grouped.setdefault(xe + pe + re, {})[pa] = Fraction(coeff, self.den)
         return {mono: ParamScalar(terms) for mono, terms in grouped.items()}
 
     def __repr__(self) -> str:
@@ -547,19 +518,16 @@ class BlockPoly:
             return "0"
         parts = []
         for key in sorted(self.num, reverse=True):
-            xe, pe, pa = self.layout.unpack(key)
+            xe, pe, re, pa = self.layout.unpack(key)
             factors = [str(Fraction(self.num[key], self.den))]
-            for i, e in enumerate(xe):
-                if e:
-                    factors.append(f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}")
-            for i, e in enumerate(pe):
-                if e:
-                    factors.append(f"p{i + 1}^{e}" if e > 1 else f"p{i + 1}")
-            for name, e in zip(VAR_NAMES, pa):
+            names = ([f"x{i + 1}" for i in range(len(xe))]
+                     + [f"p{i + 1}" for i in range(len(pe))] + ["rho1", "rho2"]
+                     + list(VAR_NAMES))
+            for name, e in zip(names, xe + pe + re + pa):
                 if e:
                     factors.append(f"{name}^{e}" if e > 1 else name)
             parts.append("*".join(factors))
         body = " + ".join(parts)
         if self.j or self.k:
-            return f"({body}) / (r1^{2 * self.j} r2^{2 * self.k})"
+            return f"({body}) / (rho1^{self.j} rho2^{self.k})"
         return body

@@ -26,7 +26,7 @@ from singosc.radial import (ComponentSpec, GridSpec, closed_form, fd_eigenvalues
                             fd_eigenvector, sign_changes, total_energy,
                             wavefunction_norm)
 
-SPLITS = [(2, 1), (4, 1), (4, 2), (5, 2), (6, 3), (8, 4)]
+SPLITS = [(2, 1), (4, 1), (4, 2), (5, 2), (6, 3), (8, 4), (10, 5)]
 PER_SPLIT_BUDGET_S = 300.0
 
 
@@ -69,10 +69,10 @@ def test_criterion_2_casimir_equivalence(q3_reports):
 
 def test_criterion_3_classical_qp3():
     ok = True
-    for N, n in [(4, 2), (6, 3)]:
+    for N, n in [(4, 2), (6, 3), (8, 4), (10, 5)]:
         report = verify_qp3(N, n)
         ok = ok and report.all_passed
-    _announce(3, "classical Poisson algebra and Casimir, (4,2) and (6,3)", ok)
+    _announce(3, "classical Poisson algebra and Casimir, (4,2) to (10,5)", ok)
     assert ok
 
 

@@ -15,6 +15,8 @@ from math import gcd
 
 import pytest
 
+import laurent_oracle as oracle
+from laurent_oracle import expand
 from singosc.opalg import (BlockLayout, BlockPoly, DiffOp, ExponentOverflowError,
                            PhaseFn, combine, commutator, random_scalar)
 from singosc.opalg.classical import combine_phase
@@ -37,47 +39,6 @@ def _random_value(layout, rng):
                      j=rng.randrange(1, 3), k=rng.randrange(1, 3))
 
 
-# -- a Fraction reference: (packed key -> Fraction, j, k), never reduced --------
-
-def _ref_mul(a, b):
-    out = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            out[ka + kb] = out.get(ka + kb, 0) + ca * cb
-    return {key: c for key, c in out.items() if c}
-
-
-def _ref_lift(layout, terms, dj, dk):
-    for block, power in ((1, dj), (2, dk)):
-        if power:
-            terms = _ref_mul(terms, {key: Fraction(c)
-                                     for key, c in layout.rpow(block, power).items()})
-    return terms
-
-
-def _ref_add(layout, a, b):
-    (ta, ja, ka), (tb, jb, kb) = a, b
-    j, k = max(ja, jb), max(ka, kb)
-    out = dict(_ref_lift(layout, ta, j - ja, k - ka))
-    for key, c in _ref_lift(layout, tb, j - jb, k - kb).items():
-        out[key] = out.get(key, 0) + c
-    return {key: c for key, c in out.items() if c}, j, k
-
-
-def _ref_value(value):
-    return {key: Fraction(c, value.den) for key, c in value.num.items()}, value.j, value.k
-
-
-def _packed(layout, grouped):
-    """as_dict() output back on packed keys, with Fraction coefficients."""
-    out = {}
-    for mono, scalar in grouped.items():
-        base = sum(layout.x_key(i, e) for i, e in enumerate(mono) if e)
-        for exps, c in scalar.terms.items():
-            out[base + layout.param_key(exps)] = c
-    return out
-
-
 @pytest.mark.parametrize("split", [(4, 2), (3, 1)])
 def test_product_plus_sum_matches_fraction_reference(split):
     layout = BlockLayout(*split)
@@ -85,12 +46,10 @@ def test_product_plus_sum_matches_fraction_reference(split):
     for _ in range(30):
         a, b, c = (_random_value(layout, rng) for _ in range(3))
         got = a * b + c
-        ta, ja, ka = _ref_value(a)
-        tb, jb, kb = _ref_value(b)
-        expected, j, k = _ref_add(layout, (_ref_mul(ta, tb), ja + jb, ka + kb), _ref_value(c))
-        assert got.j <= j and got.k <= k
-        lifted = _ref_lift(layout, _packed(layout, got.as_dict()), j - got.j, k - got.k)
-        assert lifted == expected
+        (pa, ja, ka), (pb, jb, kb) = expand(a), expand(b)
+        expected = oracle.combine(layout, (oracle.mul(pa, pb), ja + jb, ka + kb), expand(c))
+        assert got.j <= expected[1] and got.k <= expected[2]
+        assert oracle.equal(layout, expand(got), expected)
 
 
 def test_canonical_form_is_unique():
@@ -111,6 +70,7 @@ def test_canonical_form_is_unique():
 
 
 def test_equivalent_agrees_with_equality():
+    # equality of canonical forms is equality of cross-multiplied numerators
     layout = BlockLayout(4, 2)
     rng = random.Random(13)
     pool = []
@@ -119,7 +79,7 @@ def test_equivalent_agrees_with_equality():
         pool += [a, b, a * b, b * a + a - a, (a + b) * a]
     for left in pool:
         for right in pool:
-            assert left.equivalent(right) == (left == right)
+            assert oracle.equal(layout, expand(left), expand(right)) == (left == right)
 
 
 def test_commutator_matches_expanded_products():
@@ -194,10 +154,36 @@ def test_operator_word_sum_matches_chained_arithmetic(split):
 
 
 def test_exponent_overflow_raises():
-    layout = BlockLayout(2, 1)
-    x64 = BlockPoly.monomial(layout, layout.x_key(0, 64))
-    assert (x64 * BlockPoly.monomial(layout, layout.x_key(0, 63))).x_degree() == 127
+    layout = BlockLayout(4, 2)
+    # x2 is not its block's lead, so its powers are not rewritten
+    x64 = BlockPoly.monomial(layout, layout.x_key(1, 64))
+    top = x64 * BlockPoly.monomial(layout, layout.x_key(1, 63))
+    assert list(top.as_dict()) == [(0, 127, 0, 0, 0, 0)]
     with pytest.raises(ExponentOverflowError):
         x64 * x64
     with pytest.raises(ExponentOverflowError):
-        layout.x_key(0, 128)
+        layout.x_key(1, 128)
+    # a product that takes a rho exponent to 128
+    rho64 = BlockPoly.monomial(layout, layout.rho_key(1, 64))
+    assert list((rho64 * BlockPoly.monomial(layout, layout.rho_key(1, 63))).as_dict()) == [
+        (0, 0, 0, 0, 127, 0)]
+    with pytest.raises(ExponentOverflowError):
+        rho64 * rho64
+    # a normal-form rewrite that takes one: rho1^127 x1 * x1 -> rho1^128 - ...
+    x1 = BlockPoly.monomial(layout, layout.x_key(0))
+    with pytest.raises(ExponentOverflowError):
+        BlockPoly.monomial(layout, layout.rho_key(1, 127) + layout.x_key(0)) * x1
+    with pytest.raises(ExponentOverflowError):
+        BlockPoly.monomial(layout, layout.rho_key(2, 127) + layout.x_key(2)).diff_x(2)
+    # a j/k lift of 128 or more (256 would carry past the guard bit into the
+    # next field), and a lift of 127 onto a term that already holds rho
+    one = BlockPoly.scalar(layout, 1)
+    for power in (128, 256):
+        with pytest.raises(ExponentOverflowError):
+            BlockPoly.monomial(layout, 0, j=power) + one
+    with pytest.raises(ExponentOverflowError):
+        BlockPoly.monomial(layout, 0, k=128) * x1 + one
+    with pytest.raises(ExponentOverflowError):
+        BlockPoly.monomial(layout, 0, j=127) + BlockPoly.monomial(layout, layout.rho_key(1))
+    with pytest.raises(ExponentOverflowError):
+        layout.rho_key(2, 128)

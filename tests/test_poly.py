@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import laurent_oracle as oracle
+from laurent_oracle import expand
 from singosc.opalg import BlockLayout, BlockPoly, ParamScalar
 
 
@@ -84,10 +86,43 @@ def test_derivative_product_rule_against_expansion():
 
 def test_equivalent_cross_multiplication():
     layout = BlockLayout(4, 2)
-    one_over_r1 = BlockPoly(layout, BlockPoly.scalar(layout, 1).num, j=1, k=0)
-    scaled = BlockPoly(layout, _r2sq(layout).num, j=1, k=1, reduce=False)
-    assert scaled.equivalent(one_over_r1)
-    assert not scaled.equivalent(one_over_r1 + one_over_r1)
+    one_over_r1 = BlockPoly.monomial(layout, 0, j=1)
+    # r2^2 / (r1^2 r2^2), built from x3^2 + x4^2 outside the engine
+    scaled = (oracle.block_square(layout, 2), 1, 1)
+    assert oracle.equal(layout, scaled, expand(one_over_r1))
+    assert not oracle.equal(layout, scaled, expand(one_over_r1 + one_over_r1))
+    assert oracle.value(layout, *scaled) == one_over_r1
+
+
+def _random_x_value(layout, rng, nterms=4):
+    """Random x and parameter terms, lead powers up to 3, over r1^2/r2^2 powers."""
+    num = {}
+    for _ in range(nterms):
+        key = layout.param_key((rng.randrange(2), 0, rng.randrange(2), 0))
+        for _ in range(rng.randrange(4)):
+            key += layout.x_key(rng.randrange(layout.N))
+        num[key] = num.get(key, 0) + Fraction(rng.randrange(-9, 10) or 1, rng.randrange(1, 6))
+    return BlockPoly(layout, num, j=rng.randrange(3), k=rng.randrange(3))
+
+
+@pytest.mark.parametrize("split", [(3, 1), (4, 2), (5, 3)])
+def test_canonical_whichever_way_a_value_is_built(split):
+    layout = BlockLayout(*split)
+    rng = random.Random(5)
+    r1sq, inv_rho1 = _r1sq(layout), BlockPoly.monomial(layout, 0, j=1)
+    for _ in range(25):
+        f, g, h = (_random_x_value(layout, rng) for _ in range(3))
+        routes = [
+            f * r1sq * inv_rho1,                  # (f r1^2) / rho1
+            oracle.value(layout, *expand(f)),     # rebuilt from x-only squares
+            (f + g) + h - g - h,                  # sums in different orders
+            h + (f - h),
+        ]
+        for built in routes:
+            assert built == f
+            assert hash(built) == hash(f)
+        assert (f + g) + h == h + (g + f) == f + (h + g)
+        assert hash((f + g) + h) == hash(h + (g + f))
 
 
 def test_scaled_by_param_scalar():
@@ -95,7 +130,7 @@ def test_scaled_by_param_scalar():
     val = _x(layout, 0) + _x(layout, 1)
     scaled = val.scaled(ParamScalar.hbar(2, Fraction(1, 2)))
     d = scaled.as_dict()
-    assert d[(1, 0)] == ParamScalar.hbar(2, Fraction(1, 2))
+    assert d[(1, 0, 0, 0)] == ParamScalar.hbar(2, Fraction(1, 2))
 
 
 def test_substitute_params_drops_coupled_terms():
@@ -111,7 +146,10 @@ def test_substitute_params_drops_coupled_terms():
 def test_degrees_and_momenta_layout():
     layout = BlockLayout(3, 1, momenta=True)
     val = BlockPoly.monomial(layout, layout.x_key(0, 2) + layout.p_key(2, 3))
-    assert val.x_degree() == 2
+    # x1 alone makes up block 1, so x1^2 is rho1: exponents (x, p, rho1, rho2)
+    assert list(val.as_dict()) == [(0, 0, 0, 0, 0, 3, 1, 0)]
+    mono = (2, 0, 0, 0, 0, 3, 0, 0, 0, 0)  # (x, p, parameters)
+    assert expand(val) == ({mono: 1}, 0, 0)
     assert val.p_degree() == 3
     assert val.diff_p(2).p_degree() == 2
     assert val.diff_p(1).is_zero()
@@ -127,16 +165,19 @@ def test_invalid_layout_rejected():
 
 
 def _quotient_rule(value, i):
-    """d/dx_i of P / (r1^2)^j (r2^2)^k as (dP r_b^2 - 2 e x_i P) / r_b^(2e+2),
-    built from polynomials and fully reduced by the constructor."""
+    """d/dx_i of P / r1^(2j) r2^(2k) as (dP r_b^2 - 2 e x_i P) / r_b^(2e+2), with
+    P the x-only oracle numerator, so no rho and no engine arithmetic."""
     layout = value.layout
     block = layout.block_of(i)
-    exp = value.j if block == 1 else value.k
-    P = BlockPoly(layout, {key: Fraction(c, value.den) for key, c in value.num.items()})
-    rsq = _r1sq(layout) if block == 1 else _r2sq(layout)
-    num = P.diff_x(i) * rsq - (_x(layout, i) * P).scaled(2 * exp)
-    return BlockPoly(layout, {key: Fraction(c, num.den) for key, c in num.num.items()},
-                     j=value.j + (block == 1), k=value.k + (block == 2))
+    P, j, k = expand(value)
+    exp = j if block == 1 else k
+    dP = {}
+    for mono, c in P.items():
+        if mono[i]:
+            dP[mono[:i] + (mono[i] - 1,) + mono[i + 1:]] = c * mono[i]
+    x_i = {tuple(1 if t == i else 0 for t in range(oracle.width(layout))): Fraction(-2 * exp)}
+    num = oracle.add(oracle.mul(dP, oracle.block_square(layout, block)), oracle.mul(x_i, P))
+    return num, j + (block == 1), k + (block == 2)
 
 
 def _random_part(layout, rng):
@@ -150,10 +191,10 @@ def _random_part(layout, rng):
 
 @pytest.mark.parametrize("split", [(4, 1), (4, 2), (5, 3)])
 def test_derivative_is_the_fully_reduced_quotient_rule(split):
-    # diff_x skips the same-block division for blocks of two or more
-    # coordinates; the result must still be canonical.  Sums of parts over
-    # different denominators make the other block's division succeed, and a
-    # factor x_1 or x_N lets a one-coordinate block's x^2 divide out.
+    # diff_x forms its numerator over rho_b^(J+1) in one pass; the result must
+    # be the canonical form of the quotient rule's value.  Sums of parts over
+    # different denominators make the rho divisions succeed, and a factor x_1
+    # or x_N lets a one-coordinate block's x^2 divide out.
     layout = BlockLayout(*split)
     rng = random.Random(17)
     hits = 0
@@ -163,11 +204,12 @@ def test_derivative_is_the_fully_reduced_quotient_rule(split):
             value = value * _x(layout, rng.choice((0, layout.N - 1)))
         for i in range(layout.N):
             expected = _quotient_rule(value, i)
-            assert value.diff_x(i) == expected, (value, i)
+            got = value.diff_x(i)
+            assert oracle.equal(layout, expand(got), expected), (value, i)
+            assert got == oracle.value(layout, *expected), (value, i)
             if (value.j if i < layout.n else value.k) > 0:
-                grown = (value.j + (i < layout.n), value.k + (i >= layout.n))
-                hits += (expected.j, expected.k) != grown
-    assert hits  # a division after the quotient rule did succeed
+                hits += (got.j, got.k) != expected[1:]
+    assert hits  # a division after the derivative did succeed
 
 
 def test_momentum_derivative_is_canonical():
@@ -175,3 +217,13 @@ def test_momentum_derivative_is_canonical():
     gens = build_classical(4, 2)
     layout = gens.layout
     assert gens.H.value.diff_p(0) == BlockPoly.monomial(layout, layout.p_key(0))
+
+
+def test_generator_term_counts_at_8_4():
+    # r1^2 and r2^2 are the monomials rho1 and rho2, so no generator carries
+    # a numerator multiplied out by the other terms' denominators (expanded,
+    # the classical A had 1,108 terms and the quantum H 96)
+    from singosc.opalg import build_classical, build_quantum
+    classical, quantum = build_classical(8, 4), build_quantum(8, 4)
+    assert (classical.H.term_count(), classical.A.term_count()) == (12, 58)
+    assert (quantum.H.term_count(), quantum.A.term_count()) == (12, 66)
