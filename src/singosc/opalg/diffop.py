@@ -260,10 +260,6 @@ def commutator(left: DiffOp, right: DiffOp,
     return combine([(1, left, right), (-1, right, left)], derivatives)
 
 
-def anticommutator(left: DiffOp, right: DiffOp) -> DiffOp:
-    return combine([(1, left, right), (1, right, left)])
-
-
 def combine(words: list[tuple[ParamScalar | Fraction | int, DiffOp, DiffOp | None]],
             derivatives: Derivatives | None = None) -> DiffOp:
     """sum_i scale_i * left_i o right_i, accumulated in one pass and reduced once.

@@ -169,14 +169,6 @@ class ParamScalar:
         out.terms = acc
         return out
 
-    def hbar_coefficient(self, power: int) -> ParamScalar:
-        """The coefficient of hbar**power, as a polynomial in the remaining parameters."""
-        out = ParamScalar.__new__(ParamScalar)
-        out.terms = {
-            (0, e[1], e[2], e[3]): c for e, c in self.terms.items() if e[0] == power
-        }
-        return out
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -201,13 +193,3 @@ def _coerce(value: ParamScalar | Rational) -> ParamScalar:
 ZERO = ParamScalar()
 ONE = ParamScalar.rational(1)
 
-
-def random_scalar(rng, max_degree: int = 2, max_coeff: int = 9) -> ParamScalar:
-    """Small random ring element, used by the randomized exact axiom checks."""
-    terms: dict[Exponents, Fraction] = {}
-    for _ in range(rng.randrange(1, 5)):
-        exps = tuple(rng.randrange(0, max_degree + 1) for _ in range(4))
-        num = rng.randrange(-max_coeff, max_coeff + 1)
-        den = rng.randrange(1, max_coeff + 1)
-        terms[exps] = terms.get(exps, Fraction(0)) + Fraction(num, den)
-    return ParamScalar(terms)

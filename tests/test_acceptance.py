@@ -237,12 +237,12 @@ def test_criterion_8_mutation_sensitivity():
     base = QuadraticConstants.for_dims(N, n)
     lhs_ac = commutator(gens.A, cache.get("C"))
     lhs_bc = commutator(gens.B, cache.get("C"))
-    assert (lhs_ac - combine(quadratic_ac_rhs(cache, base))).is_zero()
-    assert (lhs_bc - combine(quadratic_bc_rhs(cache, base))).is_zero()
+    assert (lhs_ac - combine(cache.graded(quadratic_ac_rhs(cache, base)))).is_zero()
+    assert (lhs_bc - combine(cache.graded(quadratic_bc_rhs(cache, base)))).is_zero()
     for field_name in MUTABLE_CONSTANTS:
         mutated = base.bumped(field_name)
-        ac = (lhs_ac - combine(quadratic_ac_rhs(cache, mutated))).is_zero()
-        bc = (lhs_bc - combine(quadratic_bc_rhs(cache, mutated))).is_zero()
+        ac = (lhs_ac - combine(cache.graded(quadratic_ac_rhs(cache, mutated)))).is_zero()
+        bc = (lhs_bc - combine(cache.graded(quadratic_bc_rhs(cache, mutated)))).is_zero()
         ok = ok and not (ac and bc)
     # each factorized-root perturbation must break raw/factored equality
     rng = random.Random(9)

@@ -9,8 +9,9 @@ import pytest
 
 from singosc.opalg import (MUTABLE_CONSTANTS, BlockPoly, PhaseFn, QuadraticConstants,
                            build_classical, poisson_bracket, verify_qp3)
-from singosc.opalg.classical import combine_phase
-from singosc.opalg.verify import (_ProductCache, poisson_casimir, poisson_casimir_central)
+from singosc.opalg import verify as verify_module
+from singosc.opalg.verify import _ProductCache
+from test_verify import perturbed_word
 
 
 def _layout():
@@ -88,8 +89,10 @@ def test_full_poisson_verification_4_2():
 
 
 def test_poisson_verification_small_asymmetric():
-    report = verify_qp3(3, 1)
-    assert report.all_passed, [r.name for r in report.failures()]
+    # one-coordinate blocks, where rho_b is the lone x_lead^2
+    for split in [(2, 1), (3, 1), (4, 1), (5, 2)]:
+        report = verify_qp3(*split)
+        assert report.all_passed, (split, [r.name for r in report.failures()])
 
 
 def _chained_bracket(f, g):
@@ -151,15 +154,27 @@ def test_mutating_a_structure_constant_fails_its_classical_limit(gens_4_2, field
 
 
 @pytest.mark.parametrize("side", ["K", "K1"])
-def test_perturbing_any_poisson_casimir_word_leaves_a_residual(gens_4_2, side):
-    cache = _ProductCache(gens_4_2, poisson_bracket)
-    casimir, central = poisson_casimir(cache), poisson_casimir_central(cache)
-    negated = [(-scale, f, g) for scale, f, g in central]
-    assert combine_phase(casimir + negated).is_zero()
-    words = casimir if side == "K" else negated
-    for idx, (scale, f, g) in enumerate(words):
-        perturbed = list(words)
-        perturbed[idx] = (scale + 1, f, g)
-        total = perturbed + negated if side == "K" else casimir + perturbed
-        residual = combine_phase(total)
-        assert not residual.is_zero() and residual.term_count() > 0, idx
+def test_perturbing_any_poisson_casimir_word_leaves_a_residual(gens_4_2, side, monkeypatch):
+    name = "casimir_generator_terms" if side == "K" else "casimir_central_terms"
+    table = getattr(verify_module, name)
+    check = "poisson-casimir[K-vs-K1]"
+    assert verify_qp3(4, 2, gens=gens_4_2)[check].passed
+    cache = _ProductCache(gens_4_2)
+    C = cache.get("C")
+    leading = [idx for idx, (power, _, f, g) in enumerate(table(cache))
+               if power + (f is C) + (g is C) == 2]
+    assert len(leading) == (11 if side == "K" else 9)
+    for idx in leading:
+        monkeypatch.setattr(verify_module, name, perturbed_word(table, idx))
+        result = verify_qp3(4, 2, gens=gens_4_2)[check]
+        assert not result.passed and result.residual_terms > 0, idx
+
+
+@pytest.mark.parametrize("word", [(0, 1, "A", None), (1, 1, "C", None), (0, 1, "C", "B"),
+                                  (3, 1, "C", "A")])
+def test_a_word_below_the_leading_order_or_with_one_c_raises(gens_4_2, word):
+    cache = _ProductCache(gens_4_2)
+    power, scale, f, g = word
+    factors = {"A": gens_4_2.A, "B": gens_4_2.B, "C": cache.get("C"), None: None}
+    with pytest.raises(ValueError):
+        cache.graded([(power, scale, factors[f], factors[g])])

@@ -17,8 +17,9 @@ import pytest
 
 import laurent_oracle as oracle
 from laurent_oracle import expand
+from random_scalars import random_scalar
 from singosc.opalg import (BlockLayout, BlockPoly, DiffOp, ExponentOverflowError,
-                           PhaseFn, combine, commutator, random_scalar)
+                           PhaseFn, combine, commutator)
 from singosc.opalg.classical import combine_phase
 
 DENOMINATORS = (3, 5, 7, 11)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from singosc.opalg import (BlockLayout, BlockPoly, DiffOp, DimensionMismatchError,
-                           ParamScalar, anticommutator, build_quantum, combine, commutator)
+                           ParamScalar, build_quantum, combine, commutator)
 
 
 def _x(layout, i, power=1, coeff=1):
@@ -144,8 +144,6 @@ def test_jacobi_identity_on_generators():
 def test_commutator_antisymmetry():
     gens = build_quantum(3, 2)
     assert (commutator(gens.A, gens.B) + commutator(gens.B, gens.A)).is_zero()
-    anti = anticommutator(gens.A, gens.B)
-    assert anti == gens.A * gens.B + gens.B * gens.A
 
 
 def test_dimension_mismatch_rejected():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singosc.opalg import ParamScalar, random_scalar
+from random_scalars import random_scalar
+from singosc.opalg import ParamScalar
 
 
 def _scalars():
@@ -60,15 +61,6 @@ def test_substitute_and_constant_value():
     assert out.constant_value() == Fraction(3, 4)
     with pytest.raises(ValueError):
         s.constant_value()
-
-
-def test_hbar_coefficient_extraction():
-    s = (ParamScalar.hbar(2) * (ParamScalar.c1() * 8 - ParamScalar.c2() * 8)
-         + ParamScalar.hbar(4) * Fraction(5))
-    lead = s.hbar_coefficient(2)
-    assert lead == ParamScalar.c1() * 8 - ParamScalar.c2() * 8
-    assert s.hbar_coefficient(4) == ParamScalar.rational(5)
-    assert s.hbar_coefficient(3).is_zero()
 
 
 def test_zero_pruning_and_repr():

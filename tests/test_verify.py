@@ -10,8 +10,8 @@ import pytest
 
 from singosc.opalg import (MUTABLE_CONSTANTS, QuadraticConstants, build_quantum, combine,
                            commutator, verify_q3)
-from singosc.opalg.verify import (_ProductCache, casimir_central_terms,
-                                  casimir_generator_terms, quadratic_ac_rhs, quadratic_bc_rhs)
+from singosc.opalg import verify as verify_module
+from singosc.opalg.verify import _ProductCache, quadratic_ac_rhs, quadratic_bc_rhs
 
 
 def test_small_split_passes_symbolically():
@@ -53,8 +53,8 @@ def test_mutating_any_structure_constant_fails(field_name):
     gens = build_quantum(N, n)
     cache = _ProductCache(gens)
     consts = QuadraticConstants.for_dims(N, n).bumped(field_name)
-    ac = commutator(gens.A, cache.get("C")) - combine(quadratic_ac_rhs(cache, consts))
-    bc = commutator(gens.B, cache.get("C")) - combine(quadratic_bc_rhs(cache, consts))
+    ac = commutator(gens.A, cache.get("C")) - combine(cache.graded(quadratic_ac_rhs(cache, consts)))
+    bc = commutator(gens.B, cache.get("C")) - combine(cache.graded(quadratic_bc_rhs(cache, consts)))
     assert not (ac.is_zero() and bc.is_zero()), field_name
 
 
@@ -66,26 +66,35 @@ def test_specific_mutation_from_4_to_3():
     good = QuadraticConstants.for_dims(N, n)
     import dataclasses
     bad = dataclasses.replace(good, ac_b=Fraction(N * (N - 3), 4))
-    assert (commutator(gens.A, cache.get("C")) - combine(quadratic_ac_rhs(cache, good))).is_zero()
-    residual = commutator(gens.A, cache.get("C")) - combine(quadratic_ac_rhs(cache, bad))
+    lhs = commutator(gens.A, cache.get("C"))
+    assert (lhs - combine(cache.graded(quadratic_ac_rhs(cache, good)))).is_zero()
+    residual = lhs - combine(cache.graded(quadratic_ac_rhs(cache, bad)))
     assert not residual.is_zero()
     assert residual.term_count() > 0
 
 
+def perturbed_word(table, idx):
+    """``table`` with the scale of its graded word ``idx`` raised by one."""
+    def build(cache):
+        words = table(cache)
+        power, scale, f, g = words[idx]
+        words[idx] = (power, scale + 1, f, g)
+        return words
+    return build
+
+
 @pytest.mark.parametrize("side", ["generators", "central"])
-def test_perturbing_any_casimir_word_leaves_a_residual(side):
+def test_perturbing_any_casimir_word_leaves_a_residual(side, monkeypatch):
     # (4,2): both so(2) Casimirs are nonzero, so every word contributes
-    cache = _ProductCache(build_quantum(4, 2))
-    generators = casimir_generator_terms(cache)
-    negated = [(-scale, left, right) for scale, left, right in casimir_central_terms(cache)]
-    assert combine(generators + negated).is_zero()
-    words = generators if side == "generators" else negated
-    for idx, (scale, left, right) in enumerate(words):
-        perturbed = list(words)
-        perturbed[idx] = (scale + 1, left, right)
-        total = perturbed + negated if side == "generators" else generators + perturbed
-        residual = combine(total)
-        assert not residual.is_zero() and residual.term_count() > 0, idx
+    gens = build_quantum(4, 2)
+    name = "casimir_generator_terms" if side == "generators" else "casimir_central_terms"
+    table = getattr(verify_module, name)
+    check = "casimir[generators-vs-central]"
+    assert verify_q3(4, 2, gens=gens)[check].passed
+    for idx in range(len(table(_ProductCache(gens)))):
+        monkeypatch.setattr(verify_module, name, perturbed_word(table, idx))
+        result = verify_q3(4, 2, gens=gens)[check]
+        assert not result.passed and result.residual_terms > 0, idx
 
 
 def test_report_is_name_ordered_and_serializable():
