@@ -47,12 +47,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key = value file; flags win over it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--hbar", default=None, help="exact rational (default 1)")
-        p.add_argument("--omega", default=None, help="exact rational (default 1)")
+    # each subcommand takes only the options its handler reads
+    def common(p, units: bool = True):
+        if units:
+            p.add_argument("--hbar", default=None, help="exact rational (default 1)")
+            p.add_argument("--omega", default=None, help="exact rational (default 1)")
         p.add_argument("--format", default=None, choices=_CHOICES["format"])
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", default=None, type=int)
 
     p = sub.add_parser("verify-algebra", help="exact quantum Q(3) identity checks")
     p.add_argument("--N", type=int, required=True)
@@ -60,12 +61,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param-mode", default=None, choices=_CHOICES["param_mode"])
     p.add_argument("--samples", default=None, type=int)
     p.add_argument("--skip-casimir", action="store_true")
-    common(p)
+    common(p, units=False)
+    p.add_argument("--seed", default=None, type=int)
 
     p = sub.add_parser("verify-poisson", help="exact classical Poisson checks")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    common(p, units=False)
 
     p = sub.add_parser("spectrum", help="algebraic spectrum from the unirreps")
     p.add_argument("--N", type=int, required=True)

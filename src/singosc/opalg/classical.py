@@ -12,13 +12,25 @@ Poisson bracket is the sum of the 2N words df/dx_i dg/dp_i and
 -df/dp_i dg/dx_i, so a bracket costs one reduction, not one per product and
 per partial sum; a ``Derivatives`` table keeps each function's gradient for
 as long as its owner (one verify call) lives.
+
+``classical_limit`` maps an operator to its leading hbar order, which is how
+the classical integrals of motion are built.  Order rule: a derivative d^beta
+of order m = |beta| keeps only the hbar^m part of its coefficient; higher
+powers are subleading and drop, and a lower one raises.  Sign rule: with
+d = (i/hbar) p, hbar^m d^beta is i^m p^beta, and an odd-order operator is the
+real form L = hbar (x_i d_j - x_j d_i) of the physical generator -i L, so the
+kept part, hbar^m stripped, takes p^beta and (-1)^floor(m/2).  The x fields of
+each key move up past the momenta (``BlockLayout.from_plain``), and all terms
+are merged in one reduction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import BlockLayout, BlockPoly, Derivatives, _merge, _open_bucket, _raw_mul_into
+from .diffop import DiffOp
+from .poly import (_MASK, BlockLayout, BlockPoly, Derivatives, _merge, _open_bucket,
+                   _raw_add_into, _raw_mul_into)
 from .scalars import ParamScalar
 
 
@@ -126,6 +138,33 @@ def combine_phase(words: list[tuple[ParamScalar | Fraction | int, PhaseFn, Phase
             f = f.scaled(scale)
             bucket, lift = _open_bucket(buckets, (f.j + g.j, f.k + g.k), f.den * g.den)
             _raw_mul_into(bucket, f.num, g.num, lift)
+    return PhaseFn(_merge(layout, buckets))
+
+
+def classical_limit(op: DiffOp) -> PhaseFn:
+    """The leading hbar order of an operator, as a phase-space function.
+
+    A term c d^beta of order m = |beta| becomes (-1)^floor(m/2) p^beta times
+    the hbar^m part of c divided by hbar^m (the rules of the module
+    docstring).  A part of c below hbar^m has no classical limit and raises
+    ``ValueError``."""
+    plain = op.layout
+    layout = PhaseFn.layout(plain.N, plain.n)
+    hbar_shift = plain.param_shift[0]
+    buckets: dict = {}
+    for beta, coeff in op.terms.items():
+        order = sum(beta)
+        momenta = sum(layout.p_key(i, b) for i, b in enumerate(beta))
+        terms = {}
+        for key, c in coeff.num.items():
+            power = (key >> hbar_shift) & _MASK
+            if power < order:
+                raise ValueError(f"hbar^{power} coefficient of a derivative of order "
+                                 f"{order}: no classical limit")
+            if power == order:
+                terms[layout.from_plain(key - (order << hbar_shift)) + momenta] = c
+        bucket, lift = _open_bucket(buckets, (coeff.j, coeff.k), coeff.den)
+        _raw_add_into(bucket, terms, (-1) ** (order // 2) * lift)
     return PhaseFn(_merge(layout, buckets))
 
 

@@ -7,6 +7,14 @@ L_ij = hbar (x_i d_j - x_j d_i); the physical (anti-Hermitian-free) generator
 is -i L_ij, hence the angular Casimirs are J2 = -sum L_ij^2 over the first
 block and K2 = -sum L_ij^2 over the second, with non-negative spectrum
 hbar^2 l (l + m - 2).
+
+The classical integrals are not written a second time: each is the leading
+hbar order of its operator (``classical.classical_limit``), and both kinds are
+one ``Generators`` type.  Order rule: a derivative d^beta of order m = |beta|
+keeps the hbar^m part of its coefficient; a higher power is subleading and
+drops, like the (N-1) hbar^2/4 sum x_i d_i term of A.  Sign rule: since
+d = (i/hbar) p, hbar^m d^beta becomes i^m p^beta, and an odd-order L is the
+real form of the physical generator -i L, so every order takes (-1)^floor(m/2).
 """
 
 from __future__ import annotations
@@ -14,24 +22,31 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .classical import PhaseFn
+from .classical import PhaseFn, classical_limit
 from .diffop import DiffOp
 from .poly import BlockLayout, BlockPoly
 from .scalars import ParamScalar
 
 
-@dataclass(frozen=True)
-class QuantumGenerators:
-    """All integrals of motion of the double singular oscillator, as operators."""
+Generator = DiffOp | PhaseFn
 
-    layout: BlockLayout
-    H: DiffOp
-    A: DiffOp
-    B: DiffOp
-    J: dict[tuple[int, int], DiffOp] = field(repr=False)
-    K: dict[tuple[int, int], DiffOp] = field(repr=False)
-    J2: DiffOp = field(repr=False)
-    K2: DiffOp = field(repr=False)
+
+@dataclass(frozen=True)
+class Generators:
+    """All integrals of motion of the double singular oscillator, as operators
+    or as their classical phase-space functions."""
+
+    H: Generator
+    A: Generator
+    B: Generator
+    J: dict[tuple[int, int], Generator] = field(repr=False)
+    K: dict[tuple[int, int], Generator] = field(repr=False)
+    J2: Generator = field(repr=False)
+    K2: Generator = field(repr=False)
+
+    @property
+    def layout(self) -> BlockLayout:
+        return self.H.value.layout if isinstance(self.H, PhaseFn) else self.H.layout
 
     @property
     def N(self) -> int:
@@ -40,6 +55,13 @@ class QuantumGenerators:
     @property
     def n(self) -> int:
         return self.layout.n
+
+    def mapped(self, fn) -> Generators:
+        """fn applied to every generator."""
+        return Generators(H=fn(self.H), A=fn(self.A), B=fn(self.B),
+                          J={key: fn(op) for key, op in self.J.items()},
+                          K={key: fn(op) for key, op in self.K.items()},
+                          J2=fn(self.J2), K2=fn(self.K2))
 
 
 def _rho(layout: BlockLayout, block: int) -> BlockPoly:
@@ -63,7 +85,7 @@ def angular_momentum(layout: BlockLayout, i: int, jdx: int) -> DiffOp:
     return DiffOp(layout, {ei: xi, ej: -xj})
 
 
-def build_quantum(N: int, n: int) -> QuantumGenerators:
+def build_quantum(N: int, n: int) -> Generators:
     """Build H, A, B, the angular generators and their Casimirs for (N, n)."""
     layout = BlockLayout(N, n)
     hbar2 = ParamScalar.hbar(2)
@@ -124,77 +146,10 @@ def build_quantum(N: int, n: int) -> QuantumGenerators:
     for op in K.values():
         K2 = K2 - op * op
 
-    return QuantumGenerators(layout=layout, H=H, A=A, B=B, J=J, K=K, J2=J2, K2=K2)
+    return Generators(H=H, A=A, B=B, J=J, K=K, J2=J2, K2=K2)
 
 
-# -- classical counterparts ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClassicalGenerators:
-    layout: BlockLayout
-    H: PhaseFn
-    A: PhaseFn
-    B: PhaseFn
-    J: dict[tuple[int, int], PhaseFn] = field(repr=False)
-    K: dict[tuple[int, int], PhaseFn] = field(repr=False)
-    J2: PhaseFn = field(repr=False)
-    K2: PhaseFn = field(repr=False)
-
-    @property
-    def N(self) -> int:
-        return self.layout.N
-
-    @property
-    def n(self) -> int:
-        return self.layout.n
-
-
-def classical_angular_momentum(layout: BlockLayout, i: int, jdx: int) -> PhaseFn:
-    return (PhaseFn.coordinate(layout, i) * PhaseFn.momentum(layout, jdx)
-            - PhaseFn.coordinate(layout, jdx) * PhaseFn.momentum(layout, i))
-
-
-def build_classical(N: int, n: int) -> ClassicalGenerators:
-    """Classical H, A, B, angular generators and Casimirs for (N, n)."""
-    layout = PhaseFn.layout(N, n)
-    omega2 = ParamScalar.omega(2)
-
-    p2_all = PhaseFn.zero(layout)
-    for i in range(N):
-        p2_all = p2_all + PhaseFn.momentum(layout, i, 2)
-    r1, r2 = PhaseFn(_rho(layout, 1)), PhaseFn(_rho(layout, 2))
-    r2_all = r1 + r2
-    singular = PhaseFn(_singular_terms(layout))
-
-    H = p2_all.scaled(Fraction(1, 2)) + r2_all.scaled(omega2 * Fraction(1, 2)) + singular
-
-    # A = (1/4) sum_{i<j} (x_i p_j - x_j p_i)^2 + (r^2/2)(c1/r1^2 + c2/r2^2)
-    total_l2 = PhaseFn.zero(layout)
-    for i in range(N):
-        for jdx in range(i + 1, N):
-            lij = classical_angular_momentum(layout, i, jdx)
-            total_l2 = total_l2 + lij * lij
-    A = total_l2.scaled(Fraction(1, 4)) + (r2_all * singular).scaled(Fraction(1, 2))
-
-    p2_1 = PhaseFn.zero(layout)
-    for i in range(n):
-        p2_1 = p2_1 + PhaseFn.momentum(layout, i, 2)
-    p2_2 = p2_all - p2_1
-    # same antisymmetric singular sign as the quantum B (forced by {H, B} = 0)
-    B = ((p2_1 - p2_2).scaled(Fraction(1, 2))
-         + (r1 - r2).scaled(omega2 * Fraction(1, 2)) + PhaseFn(_singular_terms(layout, -1)))
-
-    J = {(i + 1, jdx + 1): classical_angular_momentum(layout, i, jdx)
-         for i in range(n) for jdx in range(i + 1, n)}
-    K = {(i + 1, jdx + 1): classical_angular_momentum(layout, i, jdx)
-         for i in range(n, N) for jdx in range(i + 1, N)}
-
-    J2 = PhaseFn.zero(layout)
-    for fn in J.values():
-        J2 = J2 + fn * fn
-    K2 = PhaseFn.zero(layout)
-    for fn in K.values():
-        K2 = K2 + fn * fn
-
-    return ClassicalGenerators(layout=layout, H=H, A=A, B=B, J=J, K=K, J2=J2, K2=K2)
+def build_classical(N: int, n: int) -> Generators:
+    """Classical H, A, B, angular generators and Casimirs for (N, n): the
+    leading hbar order of the quantum ones."""
+    return build_quantum(N, n).mapped(classical_limit)

@@ -105,6 +105,13 @@ class BlockLayout:
         """rho_block^power, where rho_1 = r1^2 and rho_2 = r2^2."""
         return _field(power) << self.rho_shift[block - 1]
 
+    def from_plain(self, key: int) -> int:
+        """A key of this split's momentum-free layout, repacked for this one:
+        the x fields move up past the N momentum fields, and the rho and
+        parameter fields, the low six in both layouts, stay."""
+        low = 6 * _BITS
+        return ((key >> low) << (low + self.N * _BITS)) | (key & ((1 << low) - 1))
+
     def param_key(self, exps: Exponents) -> int:
         s = self.param_shift
         return ((_field(exps[0]) << s[0]) | (_field(exps[1]) << s[1])

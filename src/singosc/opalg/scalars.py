@@ -188,8 +188,3 @@ def _coerce(value: ParamScalar | Rational) -> ParamScalar:
     if isinstance(value, ParamScalar):
         return value
     return ParamScalar.rational(value)
-
-
-ZERO = ParamScalar()
-ONE = ParamScalar.rational(1)
-

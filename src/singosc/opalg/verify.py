@@ -27,8 +27,7 @@ from fractions import Fraction
 
 from .classical import PhaseFn, bracket_words, combine_phase, poisson_bracket
 from .diffop import DiffOp, combine, commutator
-from .generators import (ClassicalGenerators, QuantumGenerators, build_classical,
-                         build_quantum)
+from .generators import Generators, build_classical, build_quantum
 from .poly import Derivatives
 from .report import CheckResult, VerificationReport
 from .scalars import ParamScalar
@@ -101,10 +100,9 @@ class _ProductCache:
     Nothing outlives the cache, so generators reused across verify calls gain
     nothing from an earlier call."""
 
-    def __init__(self, gens: QuantumGenerators | ClassicalGenerators,
-                 substitutions: dict | None = None):
+    def __init__(self, gens: Generators, substitutions: dict | None = None):
         self.g = gens
-        self.classical = isinstance(gens, ClassicalGenerators)
+        self.classical = isinstance(gens.H, PhaseFn)
         self.derivatives = Derivatives()
         self.scalar = _scalar_mapper(substitutions)
         self._cache: dict = {}
@@ -309,7 +307,7 @@ def _so_residual(gens: dict, bracket, zero, scale):
 
 def verify_q3(N: int, n: int, *, constants: QuadraticConstants | None = None,
               casimir: bool = True, substitutions: dict | None = None,
-              gens: QuantumGenerators | None = None) -> VerificationReport:
+              gens: Generators | None = None) -> VerificationReport:
     """Exact check of the full quantum symmetry algebra for one (N, n) split.
 
     By default everything stays symbolic and each identity is proved for all
@@ -320,7 +318,7 @@ def verify_q3(N: int, n: int, *, constants: QuadraticConstants | None = None,
     if gens is None:
         gens = build_quantum(N, n)
     if substitutions:
-        gens = _substituted(gens, substitutions)
+        gens = gens.mapped(lambda op: op.substitute_params(substitutions))
     consts = constants or QuadraticConstants.for_dims(N, n)
     cache = _ProductCache(gens, substitutions)
     report = VerificationReport(context={"family": "quantum", "N": N, "n": n})
@@ -344,20 +342,7 @@ def verify_q3(N: int, n: int, *, constants: QuadraticConstants | None = None,
     return report.finalize()
 
 
-def _substituted(gens: QuantumGenerators, values: dict) -> QuantumGenerators:
-    return QuantumGenerators(
-        layout=gens.layout,
-        H=gens.H.substitute_params(values),
-        A=gens.A.substitute_params(values),
-        B=gens.B.substitute_params(values),
-        J={k: v.substitute_params(values) for k, v in gens.J.items()},
-        K={k: v.substitute_params(values) for k, v in gens.K.items()},
-        J2=gens.J2.substitute_params(values),
-        K2=gens.K2.substitute_params(values),
-    )
-
-
-def verify_qp3(N: int, n: int, *, gens: ClassicalGenerators | None = None,
+def verify_qp3(N: int, n: int, *, gens: Generators | None = None,
                quantum_constants: QuadraticConstants | None = None) -> VerificationReport:
     """Exact check of the quadratic Poisson algebra and its Casimir for (N, n).
 

@@ -212,12 +212,10 @@ def _lead(ce: CentralEigs) -> Fraction:
 
 def structure_poly_factored(u: Biquadratic | Fraction, energy: Biquadratic | Fraction,
                             ce: CentralEigs, mq: MQuantum | None = None,
-                            root_offsets: Sequence | None = None,
-                            shift_last_factor: bool = True) -> StructureFn:
+                            root_offsets: Sequence | None = None) -> StructureFn:
     """Factorized structure polynomial.
 
-    The last factor is read as (x + u - (E + hbar omega)/(2 hbar omega)); set
-    ``shift_last_factor=False`` for the variant without the + u shift.
+    The last factor is read as (x + u - (E + hbar omega)/(2 hbar omega)).
     ``root_offsets`` perturbs individual roots (mutation testing).
     """
     if mq is None:
@@ -226,9 +224,8 @@ def structure_poly_factored(u: Biquadratic | Fraction, energy: Biquadratic | Fra
     if root_offsets is not None:
         roots = [r + d for r, d in zip(roots, root_offsets)]
     coeffs = [_lead(ce)]
-    for idx, root in enumerate(roots):
-        offset = u if (shift_last_factor or idx < 5) else 0
-        coeffs = poly_mul(coeffs, [offset - root, 1])
+    for root in roots:
+        coeffs = poly_mul(coeffs, [u - root, 1])
     return StructureFn(coeffs=tuple(coeffs))
 
 

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from singosc.opalg import (MUTABLE_CONSTANTS, BlockPoly, PhaseFn, QuadraticConstants,
-                           build_classical, poisson_bracket, verify_qp3)
+from singosc.opalg import (MUTABLE_CONSTANTS, BlockLayout, BlockPoly, DiffOp, ParamScalar,
+                           PhaseFn, QuadraticConstants, angular_momentum, build_classical,
+                           build_quantum, classical_limit, combine, poisson_bracket,
+                           verify_qp3)
 from singosc.opalg import verify as verify_module
 from singosc.opalg.verify import _ProductCache
 from test_verify import perturbed_word
@@ -43,6 +45,76 @@ def test_new_integral_is_cubic_in_momenta():
     C = poisson_bracket(gens.A, gens.B)
     assert not C.is_zero()
     assert C.momentum_degree() == 3
+
+
+def _textbook(N, n):
+    """H, A, B and L_12 = x1 p2 - x2 p1, written out from PhaseFn constructors."""
+    layout = PhaseFn.layout(N, n)
+    x = [PhaseFn.coordinate(layout, i) for i in range(N)]
+    p = [PhaseFn.momentum(layout, i) for i in range(N)]
+
+    def total(fns):
+        out = PhaseFn.zero(layout)
+        for fn in fns:
+            out = out + fn
+        return out
+
+    def L(i, jdx):
+        return x[i] * p[jdx] - x[jdx] * p[i]
+
+    p2_1, p2_2 = total(q * q for q in p[:n]), total(q * q for q in p[n:])
+    r2_1, r2_2 = total(c * c for c in x[:n]), total(c * c for c in x[n:])
+    half_w2 = ParamScalar.omega(2) * Fraction(1, 2)
+    c1 = PhaseFn(BlockPoly.monomial(layout, 0, ParamScalar.c1(), j=1))  # c1 / r1^2
+    c2 = PhaseFn(BlockPoly.monomial(layout, 0, ParamScalar.c2(), k=1))  # c2 / r2^2
+    H = (p2_1 + p2_2).scaled(Fraction(1, 2)) + (r2_1 + r2_2).scaled(half_w2) + c1 + c2
+    A = (total(L(i, jdx) * L(i, jdx) for i in range(N) for jdx in range(i + 1, N))
+         .scaled(Fraction(1, 4)) + ((r2_1 + r2_2) * (c1 + c2)).scaled(Fraction(1, 2)))
+    B = (p2_1 - p2_2).scaled(Fraction(1, 2)) + (r2_1 - r2_2).scaled(half_w2) + c1 - c2
+    return {"H": H, "A": A, "B": B, "L12": L(0, 1)}
+
+
+@pytest.mark.parametrize("split", [(3, 1), (4, 2)])
+def test_classical_limit_gives_the_textbook_integrals(split):
+    quantum, expected = build_quantum(*split), _textbook(*split)
+    got = {"H": classical_limit(quantum.H), "A": classical_limit(quantum.A),
+           "B": classical_limit(quantum.B),
+           "L12": classical_limit(angular_momentum(quantum.layout, 0, 1))}
+    assert got == expected
+    classical = build_classical(*split)
+    assert (classical.H, classical.A, classical.B) == (got["H"], got["A"], got["B"])
+    assert classical.layout.momenta and not quantum.layout.momenta
+    if split[1] >= 2:
+        assert classical.J[(1, 2)] == expected["L12"]
+
+
+@pytest.mark.parametrize("split", [(3, 1), (4, 2)])
+@pytest.mark.parametrize("names", [("B", "B"), ("J2", "H"), ("A", "B"), ("H", "A")])
+def test_classical_limit_is_multiplicative(split, names):
+    gens = build_quantum(*split)
+    P, Q = (getattr(gens, name) for name in names)
+    assert classical_limit(combine([(1, P, Q)])) == classical_limit(P) * classical_limit(Q)
+
+
+def test_classical_limit_rejects_a_derivative_without_its_hbar_power():
+    layout = BlockLayout(3, 1)
+    with pytest.raises(ValueError, match="no classical limit"):
+        classical_limit(DiffOp.derivative(layout, 0, 2))
+    # hbar d_1^2 is still short of hbar^2; hbar^2 d_1^2 + hbar^3 d_1^2 keeps -p1^2
+    with pytest.raises(ValueError, match="no classical limit"):
+        classical_limit(DiffOp.derivative(layout, 0, 2).scaled(ParamScalar.hbar()))
+    op = DiffOp.derivative(layout, 0, 2).scaled(ParamScalar.hbar(2) + ParamScalar.hbar(3))
+    assert classical_limit(op) == -PhaseFn.momentum(PhaseFn.layout(3, 1), 0, 2)
+
+
+def test_plain_keys_repack_past_the_momenta():
+    plain, phase = BlockLayout(4, 2), PhaseFn.layout(4, 2)
+    params = plain.param_key((1, 2, 3, 4))
+    assert params == phase.param_key((1, 2, 3, 4))
+    for i in range(4):
+        key = plain.x_key(i, 3) + plain.rho_key(1, 2) + plain.rho_key(2) + params
+        assert phase.from_plain(key) == (phase.x_key(i, 3) + phase.rho_key(1, 2)
+                                         + phase.rho_key(2) + params)
 
 
 def _random_phase(layout, rng):

@@ -80,7 +80,7 @@ def test_bad_rational_exits_2(capsys):
 
 def test_byte_identical_output_for_same_config(capsys):
     argv = ["spectrum", "--N", "4", "--n", "2", "--c1", "1", "--c2", "1",
-            "--p-max", "2", "--l-max", "1", "--seed", "7"]
+            "--p-max", "2", "--l-max", "1"]
     _, out1, _ = _run(capsys, argv)
     _, out2, _ = _run(capsys, argv)
     assert out1 == out2 and out1
@@ -262,6 +262,27 @@ def test_spectrum_runs_with_mpmath_blocked():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "spectrum-N5-n2-c1-3_7-c2-5.jsonl").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-poisson", "--N", "2", "--n", "1", "--hbar", "2"],
+    ["verify-poisson", "--N", "2", "--n", "1", "--seed", "7"],
+    ["verify-algebra", "--N", "2", "--n", "1", "--omega", "2"],
+    ["spectrum", "--N", "4", "--n", "2", "--seed", "7"],
+])
+def test_option_the_command_never_reads_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_keys_a_command_never_reads_are_accepted(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 7\nhbar = 2\nomega = 3\n")
+    code, out, _ = _run(capsys, ["--config", str(cfg), "verify-poisson", "--N", "2", "--n", "1"])
+    assert code == 0
+    assert all(json.loads(line)["passed"] for line in out.splitlines())
 
 
 def test_config_key_of_another_subcommand_is_ignored(tmp_path, capsys):

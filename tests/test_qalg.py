@@ -73,9 +73,10 @@ def test_raw_equals_factored_on_random_rational_tuples():
 
 def test_unshifted_last_factor_reading_fails():
     ce = CentralEigs(N=4, n=2, l_n=0, l_Nn=1, c1=Fraction(9, 8), c2=Fraction(1, 2))
-    raw = structure_poly_raw(Fraction(1, 3), Fraction(5, 2), ce)
-    fac = structure_poly_factored(Fraction(1, 3), Fraction(5, 2), ce,
-                                  shift_last_factor=False)
+    # offsetting the last root by u drops the + u from the last factor
+    u = Fraction(1, 3)
+    raw = structure_poly_raw(u, Fraction(5, 2), ce)
+    fac = structure_poly_factored(u, Fraction(5, 2), ce, root_offsets=(0,) * 5 + (u,))
     assert not raw.agrees_with(fac)
 
 
