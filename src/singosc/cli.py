@@ -2,7 +2,7 @@
 
 All numeric inputs are exact rational strings ("3/4", "2"); every record is
 emitted as one json line (or one CSV row) in a fixed order, so identical
-(config, seed) pairs produce byte-identical output.  Timings and progress go
+configurations produce byte-identical output.  Timings and progress go
 to stderr only.
 """
 
@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
 from fractions import Fraction
 
@@ -24,12 +23,8 @@ class ConfigError(Exception):
     pass
 
 
-# The allowed values of the options that take one of a fixed set, for the
-# flags and for a config file alike.
-_CHOICES = {
-    "format": ("json-lines", "csv"),
-    "param_mode": ("symbolic", "sampled"),
-}
+# The allowed values of --format, for the flag and for a config file alike.
+_FORMATS = ("json-lines", "csv")
 
 
 def _fraction(text: str) -> Fraction:
@@ -52,17 +47,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if units:
             p.add_argument("--hbar", default=None, help="exact rational (default 1)")
             p.add_argument("--omega", default=None, help="exact rational (default 1)")
-        p.add_argument("--format", default=None, choices=_CHOICES["format"])
+        p.add_argument("--format", default=None, choices=_FORMATS)
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("verify-algebra", help="exact quantum Q(3) identity checks")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--param-mode", default=None, choices=_CHOICES["param_mode"])
-    p.add_argument("--samples", default=None, type=int)
-    p.add_argument("--skip-casimir", action="store_true")
     common(p, units=False)
-    p.add_argument("--seed", default=None, type=int)
 
     p = sub.add_parser("verify-poisson", help="exact classical Poisson checks")
     p.add_argument("--N", type=int, required=True)
@@ -109,19 +100,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _DEFAULTS = {
     "hbar": "1", "omega": "1", "format": "json-lines", "output": None,
-    "seed": 0, "param_mode": "symbolic", "samples": 3, "c1": "0", "c2": "0",
-    "c": "0", "l": 0, "p_max": 2, "l_max": 2, "count": 3, "grid_nodes": 512,
-    "grid_levels": 3, "r_max": None, "e_cut": "8",
-    "nr": 0,
+    "samples": 200, "c1": "0", "c2": "0", "c": "0", "l": 0, "p_max": 2,
+    "l_max": 2, "count": 3, "grid_nodes": 512, "grid_levels": 3, "r_max": None,
+    "e_cut": "8", "nr": 0,
 }
 
-# Per-subcommand defaults that differ from _DEFAULTS.
-_COMMAND_DEFAULTS = {"wavefunction": {"samples": 200}}
-
-# Every option a config file may name: those with a default above, the
-# required ones and the on/off flags.  A key of another subcommand is ignored,
-# so one file can serve several commands.
-_CONFIG_KEYS = {*_DEFAULTS, "N", "n", "m", "skip_casimir"}
+# Every option a config file may name: those with a default above and the
+# required ones.  A key of another subcommand is ignored, so one file can
+# serve several commands.
+_CONFIG_KEYS = {*_DEFAULTS, "N", "n", "m"}
 
 
 def _read_config(path: str) -> dict:
@@ -146,28 +133,25 @@ def _resolve(args: argparse.Namespace, config: dict) -> dict:
     unknown = sorted(set(config) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"config {', '.join(unknown)}: no such option")
-    defaults = {**_DEFAULTS, **_COMMAND_DEFAULTS.get(args.command, {})}
     out = {}
     for key, value in vars(args).items():
         if key in ("config", "command"):
             continue
-        if value is None or value is False:
+        if value is None:
             if key in config:
                 raw = config[key]
-                default = defaults.get(key)
-                if value is False:  # an on/off flag left off
-                    value = _config_boolean(key, raw)
-                elif isinstance(default, int) and not isinstance(default, bool):
+                default = _DEFAULTS.get(key)
+                if isinstance(default, int):
                     value = _config_number(key, raw, int)
                 elif isinstance(default, float) or key == "r_max":
                     value = _config_number(key, raw, float)
                 else:
                     value = raw
-                if key in _CHOICES and value not in _CHOICES[key]:
+                if key == "format" and value not in _FORMATS:
                     raise ConfigError(f"config {key} = {raw!r}: expected one of "
-                                      f"{', '.join(_CHOICES[key])}")
-            elif value is None:
-                value = defaults.get(key)
+                                      f"{', '.join(_FORMATS)}")
+            else:
+                value = _DEFAULTS.get(key)
         out[key] = value
     return out
 
@@ -178,13 +162,6 @@ def _config_number(key: str, raw: str, kind: type) -> int | float:
     except ValueError:
         raise ConfigError(f"config {key} = {raw!r}: expected "
                           f"{'an integer' if kind is int else 'a number'}") from None
-
-
-def _config_boolean(key: str, raw: str) -> bool:
-    text = raw.lower()
-    if text not in ("true", "false"):
-        raise ConfigError(f"config {key} = {raw!r}: expected true or false")
-    return text == "true"
 
 
 def _emit(records: list[dict], fmt: str, output: str | None) -> None:
@@ -207,40 +184,12 @@ def _emit(records: list[dict], fmt: str, output: str | None) -> None:
         sys.stdout.write(body)
 
 
-def _random_rationals(rng: random.Random) -> dict:
-    def draw():
-        return Fraction(rng.randrange(1, 40), rng.randrange(1, 12))
-    return {"hbar": draw(), "omega": draw(), "c1": draw(), "c2": draw()}
-
-
 def _cmd_verify_algebra(opts: dict) -> tuple[list[dict], list[str]]:
     from .opalg import verify_q3
-    N, n = opts["N"], opts["n"]
-    records: list[dict] = []
-    failures: list[str] = []
-    if opts["param_mode"] == "symbolic":
-        report = verify_q3(N, n, casimir=not opts["skip_casimir"])
-        records.extend(report.records())
-        failures.extend(r.name for r in report.failures())
-        _log(f"verify-algebra ({N},{n}) symbolic: "
-             f"{len(report.results)} checks in {report.total_time():.2f}s")
-    else:
-        if opts["samples"] < 1:
-            raise ConfigError(f"--samples must be at least 1 in sampled mode, "
-                              f"got {opts['samples']}")
-        rng = random.Random(opts["seed"])
-        for sample_idx in range(opts["samples"]):
-            values = _random_rationals(rng)
-            report = verify_q3(N, n, casimir=not opts["skip_casimir"],
-                               substitutions=values)
-            for rec in report.records():
-                rec["sample"] = sample_idx
-                rec["sample_values"] = {k: str(v) for k, v in values.items()}
-                records.append(rec)
-            failures.extend(r.name for r in report.failures())
-            _log(f"verify-algebra ({N},{n}) sample {sample_idx}: "
-                 f"{report.total_time():.2f}s")
-    return records, failures
+    report = verify_q3(opts["N"], opts["n"])
+    _log(f"verify-algebra ({opts['N']},{opts['n']}): "
+         f"{len(report.results)} checks in {report.total_time():.2f}s")
+    return report.records(), [r.name for r in report.failures()]
 
 
 def _cmd_verify_poisson(opts: dict) -> tuple[list[dict], list[str]]:

@@ -388,11 +388,6 @@ def _verdict(roots: list[tuple[int, bool]], p: int) -> tuple[bool, int | None]:
 # -- harmonic (c1 = c2 = 0) limit -------------------------------------------------
 
 
-def signed_m(block_dim: int, l: int) -> int:
-    """Signed branch value 2l + m - 2 whose magnitude is the c = 0 quantum m."""
-    return 2 * l + block_dim - 2
-
-
 @dataclass(frozen=True)
 class HarmonicCheck:
     n: int
@@ -410,8 +405,10 @@ def harmonic_limit_check(N: int, l_max: int, hbar: Fraction = Fraction(1),
     """At c1 = c2 = 0 every (p, l_n, l_Nn) with 2p + l_n + l_Nn = l must give
     E = hbar omega (l + N/2), across every partition n.
 
-    For one-coordinate blocks the parity label l in {0, 1} selects the sign
-    branch eps = sign(2l + m - 2) of the corresponding set-1 solution.
+    Each energy is that of the set-1 solution from ``set_solution``.  At
+    c = 0 the m of a block of dimension d and label l is |2l + d - 2|, and
+    its sign eps (+ at 0) picks the branch: a one-coordinate block with
+    parity label 0 takes eps = -1.
     """
     hbar, omega = Fraction(hbar), Fraction(omega)
     checks: list[HarmonicCheck] = []
@@ -426,8 +423,10 @@ def harmonic_limit_check(N: int, l_max: int, hbar: Fraction = Fraction(1),
                     if rem % 2:
                         continue
                     p = rem // 2
-                    s = signed_m(dims[0], l_n) + signed_m(dims[1], l_nn)
-                    energy = 2 * hbar * omega * (p + 1 + Fraction(s, 4))
+                    ce = CentralEigs(N=N, n=n, l_n=l_n, l_Nn=l_nn, hbar=hbar, omega=omega)
+                    eps1, eps2 = (1 if 2 * label + dim - 2 >= 0 else -1
+                                  for label, dim in ((l_n, dims[0]), (l_nn, dims[1])))
+                    energy = set_solution(1, eps1, eps2, p, ce, m_values(ce))[1].rational()
                     expected = hbar * omega * (l + Fraction(N, 2))
                     checks.append(HarmonicCheck(
                         n=n, l=l, p=p, l_n=l_n, l_Nn=l_nn,

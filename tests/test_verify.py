@@ -1,5 +1,5 @@
-"""Quantum verification suite: exact passes, fast sampled mode, and mutation
-sensitivity of every structure constant."""
+"""Quantum verification suite: exact passes, the read-out of a residual at a
+parameter point, and mutation sensitivity of every structure constant."""
 
 from __future__ import annotations
 
@@ -38,13 +38,31 @@ def test_sampled_mode_passes():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_sampled_mode_checks_rotations_of_a_three_dimensional_block(seed):
     # (5,2): so(3) on the second block is the smallest non-abelian rotation algebra,
-    # and its right-hand side must use the same substituted hbar as the generators
+    # and each of its pairs is read at the point
     rng = random.Random(seed)
     values = {name: Fraction(rng.randrange(1, 40), rng.randrange(1, 12))
               for name in ("hbar", "omega", "c1", "c2")}
     report = verify_q3(5, 2, casimir=False, substitutions=values)
     assert report.all_passed, [r.name for r in report.failures()]
     assert report["so-rotations[block2]"].detail == "3 generators"
+
+
+def test_a_sampled_check_reads_the_symbolic_residual_at_the_point():
+    # a unit bump of the c1 H coefficient leaves c1 H in the residual of [A, C]
+    gens = build_quantum(4, 2)
+    consts = QuadraticConstants.for_dims(4, 2).bumped("ac_c1h")
+    check = "quadratic[A,C]"
+    symbolic = verify_q3(4, 2, constants=consts, gens=gens)[check]
+    assert not symbolic.passed and symbolic.residual_terms > 0
+    assert verify_q3(4, 2, constants=consts, gens=gens, substitutions={"c1": 0})[check].passed
+    rng = random.Random(5)
+    point = {name: Fraction(rng.randrange(1, 40), rng.randrange(1, 12))
+             for name in ("hbar", "omega", "c1", "c2")}
+    cache = _ProductCache(gens)
+    residual = verify_module.quadratic_residual(cache, gens.A, quadratic_ac_rhs(cache, consts))
+    sampled = verify_q3(4, 2, constants=consts, gens=gens, substitutions=point)[check]
+    assert not sampled.passed
+    assert sampled.residual_terms == residual.substitute_params(point).term_count() > 0
 
 
 @pytest.mark.parametrize("field_name", MUTABLE_CONSTANTS)
