@@ -269,7 +269,11 @@ def _cmd_wavefunction(opts: dict) -> tuple[list[dict], list[str]]:
                                 omega=_fraction(opts["omega"]))
     mode = radial.closed_form(spec, opts["nr"])
     import math
-    r_max = opts["r_max"] or 8.0 / math.sqrt(float(spec.omega_reduced))
+    r_max = opts["r_max"]
+    if r_max is None:
+        r_max = 8.0 / math.sqrt(float(spec.omega_reduced))
+    elif not r_max > 0:
+        raise ConfigError(f"--r-max must be positive, got {r_max}")
     samples = opts["samples"]
     if samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {samples}")

@@ -195,14 +195,7 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
     c1r, c2r = c1 / h2, c2 / h2
     hw = float(hbar * omega)
     m1_dim, m2_dim = n, N - n
-    ground = closed_ground = None
-
-    def energy_of(p: int, a1: tuple, a2: tuple) -> tuple[float, Fraction | None]:
-        value = 2.0 * hw * (p + 1 + (a1[0] + a2[0]) / 2.0)
-        exact = None
-        if a1[1] is not None and a2[1] is not None:
-            exact = 2 * hbar * omega * (p + 1 + (a1[1] + a2[1]) / 2)
-        return value, exact
+    step = 2 * hbar * omega
 
     # angular label ranges large enough to pass e_cut
     l_limit = max(4, int(e_cut / hw) + 2)
@@ -220,19 +213,25 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
 
     for l1 in labels1:
         for l2 in labels2:
-            base, _ = energy_of(0, alpha1[l1], alpha2[l2])
-            if base > e_cut + 1e-12:
+            (float1, exact1), (float2, exact2) = alpha1[l1], alpha2[l2]
+            if 2.0 * hw * (1 + (float1 + float2) / 2.0) > e_cut + 1e-12:
                 continue
             mult = dim_harm(m1_dim, l1) * dim_harm(m2_dim, l2)
             if mult == 0:
                 continue
+            # E = 2 hbar omega (p + 1 + (alpha1 + alpha2)/2) grows by 2 hbar omega per p
+            exact = None
+            if exact1 is not None and exact2 is not None:
+                exact = step * (1 + (exact1 + exact2) / 2)
             for p in _count(0):
-                value, exact = energy_of(p, alpha1[l1], alpha2[l2])
+                value = 2.0 * hw * (p + 1 + (float1 + float2) / 2.0)
                 if value > e_cut + 1e-12:
                     break
                 for n1 in range(p + 1):
                     entries.append((value, exact, Contributor(
                         N1=n1, N2=p - n1, l_n=l1, l_Nn=l2, multiplicity=mult)))
+                if exact is not None:
+                    exact += step
 
     entries.sort(key=lambda e: (e[0], e[2].N1 + e[2].N2, e[2].l_n, e[2].l_Nn, e[2].N1))
     # one group of entries per level; each entry joins the group whose first

@@ -10,10 +10,15 @@ agreement checks (``StructureFn.agrees_with`` and ``recursion_consistency``)
 test exact equality, for rational and irrational m alike.
 
 The unirrep solver decides every verdict exactly, in integers, for rational
-and irrational m alike: it places the roots of Phi's six linear factors among
-the integers by exact floors and signs of c + a sqrt(A) + b sqrt(B)
-(``exact.sqrt_sum_floor`` and ``exact.sqrt_sum_sign``), without building the
-field.  u, E and the values of Phi are computed only when a solution is read.
+and irrational m alike, without building the field.  Everything that depends
+only on the central elements is derived once per ``CentralEigs`` and cached
+on it: its ``MQuantum`` (m1^2, m2^2 and, on first read, m1 and m2 in the
+field) and its branch table, which places each root of Phi's six linear
+factors, and s/2 = (eps1 m1 + eps2 m2)/2, among the integers by exact floors
+and signs of c + a sqrt(A) + b sqrt(B) (``exact.sqrt_sum_floor`` and
+``exact.sqrt_sum_sign``).  Per p the solver only shifts those placements by
+multiples of p + 1.  u, E and the values of Phi are computed only when a
+solution is read, and all solutions of one ``CentralEigs`` share its m1, m2.
 """
 
 from __future__ import annotations
@@ -68,6 +73,22 @@ class CentralEigs:
         m = self.N - self.n
         return self.hbar ** 2 * self.l_Nn * (self.l_Nn + m - 2)
 
+    @cached_property
+    def mq(self) -> MQuantum:
+        """m_i >= 0 with hbar^2 m1^2 = 8 c1 + 4 J2 + hbar^2 (n-2)^2 (and the
+        block-2 twin)."""
+        h2 = self.hbar ** 2
+        m1_sq = (8 * self.c1 + 4 * self.j2) / h2 + (self.n - 2) ** 2
+        m2_sq = (8 * self.c2 + 4 * self.k2) / h2 + (self.N - self.n - 2) ** 2
+        if m1_sq < 0 or m2_sq < 0:
+            raise ValueError("negative radicand for m1/m2")
+        return MQuantum(m1_squared=m1_sq, m2_squared=m2_sq)
+
+    @cached_property
+    def branches(self) -> tuple:
+        """The placement table of ``solve_unirreps``, built by ``_branch_table``."""
+        return _branch_table(self.mq)
+
 
 @dataclass(frozen=True)
 class MQuantum:
@@ -85,20 +106,16 @@ class MQuantum:
     def m2(self) -> Biquadratic:
         return Biquadratic.sqrt_pair(self.m1_squared, self.m2_squared)[1]
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return (exact_sqrt(self.m1_squared) is not None
                 and exact_sqrt(self.m2_squared) is not None)
 
 
 def m_values(ce: CentralEigs) -> MQuantum:
-    """m_i >= 0 with hbar^2 m1^2 = 8 c1 + 4 J2 + hbar^2 (n-2)^2 (and the block-2 twin)."""
-    h2 = ce.hbar ** 2
-    m1_sq = (8 * ce.c1 + 4 * ce.j2) / h2 + (ce.n - 2) ** 2
-    m2_sq = (8 * ce.c2 + 4 * ce.k2) / h2 + (ce.N - ce.n - 2) ** 2
-    if m1_sq < 0 or m2_sq < 0:
-        raise ValueError("negative radicand for m1/m2")
-    return MQuantum(m1_squared=m1_sq, m2_squared=m2_sq)
+    """The m1, m2 of ``ce``: one ``MQuantum`` per ``CentralEigs``, so every
+    solution of it shares one pair of field roots."""
+    return ce.mq
 
 
 # -- dense degree-6 polynomials ---------------------------------------------------
@@ -196,11 +213,12 @@ def structure_poly_raw(u: Biquadratic | Fraction, energy: Biquadratic | Fraction
     return StructureFn(coeffs=tuple(coeffs_x))
 
 
-def factored_roots(energy: Biquadratic | Fraction, ce: CentralEigs, mq: MQuantum) -> list:
+def factored_roots(energy: Biquadratic | Fraction, ce: CentralEigs) -> list:
     """The six root locations of x + u in the factorized structure function: the
-    four (2 +- m1 +- m2)/4, which depend on the central elements only, and the
-    two roots (hbar omega -+ E)/(2 hbar omega) of the energy factor."""
-    m1, m2, hw = mq.m1, mq.m2, ce.hbar * ce.omega
+    four (2 +- m1 +- m2)/4, which depend on the central elements only (the m
+    of ``ce``), and the two roots (hbar omega -+ E)/(2 hbar omega) of the
+    energy factor."""
+    m1, m2, hw = ce.mq.m1, ce.mq.m2, ce.hbar * ce.omega
     return [(2 + m1 + m2) / 4, (2 - m1 + m2) / 4, (2 + m1 - m2) / 4, (2 - m1 - m2) / 4,
             (-energy + hw) / (2 * hw), (energy + hw) / (2 * hw)]
 
@@ -211,16 +229,14 @@ def _lead(ce: CentralEigs) -> Fraction:
 
 
 def structure_poly_factored(u: Biquadratic | Fraction, energy: Biquadratic | Fraction,
-                            ce: CentralEigs, mq: MQuantum | None = None,
+                            ce: CentralEigs,
                             root_offsets: Sequence | None = None) -> StructureFn:
-    """Factorized structure polynomial.
+    """Factorized structure polynomial, with the roots of ``factored_roots``.
 
     The last factor is read as (x + u - (E + hbar omega)/(2 hbar omega)).
     ``root_offsets`` perturbs individual roots (mutation testing).
     """
-    if mq is None:
-        mq = m_values(ce)
-    roots = factored_roots(energy, ce, mq)
+    roots = factored_roots(energy, ce)
     if root_offsets is not None:
         roots = [r + d for r, d in zip(roots, root_offsets)]
     coeffs = [_lead(ce)]
@@ -235,12 +251,13 @@ def structure_poly_factored(u: Biquadratic | Fraction, energy: Biquadratic | Fra
 _SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UnirrepSolution:
     """One (set, sign) branch of the finite-representation constraints.
 
     The verdict is decided when the branch is solved; u, the energy and the
-    values of Phi at x = 0..p+1 are computed on first read.
+    values of Phi at x = 0..p+1 are computed on first read, from the m1, m2
+    of ``ce``.
     """
 
     set_id: int
@@ -251,11 +268,20 @@ class UnirrepSolution:
     failing_x: int | None
     exact: bool
     ce: CentralEigs = field(repr=False, compare=False)
-    mq: MQuantum = field(repr=False, compare=False)
+
+    def __init__(self, set_id: int, eps1: int, eps2: int, p: int, admissible: bool,
+                 failing_x: int | None, exact: bool, ce: CentralEigs):
+        # The generated frozen __init__ sets each field by object.__setattr__;
+        # filling the instance dict gives the same instance at a third of the
+        # cost, and solve_unirreps builds twelve per call.
+        attrs = self.__dict__
+        attrs["set_id"], attrs["eps1"], attrs["eps2"], attrs["p"] = set_id, eps1, eps2, p
+        attrs["admissible"], attrs["failing_x"] = admissible, failing_x
+        attrs["exact"], attrs["ce"] = exact, ce
 
     @cached_property
     def _closed_form(self) -> tuple[Biquadratic, Biquadratic]:
-        return set_solution(self.set_id, self.eps1, self.eps2, self.p, self.ce, self.mq)
+        return set_solution(self.set_id, self.eps1, self.eps2, self.p, self.ce)
 
     @property
     def u(self) -> Biquadratic:
@@ -268,7 +294,7 @@ class UnirrepSolution:
     @cached_property
     def phi_values(self) -> tuple:
         """Phi(x) = lead * prod_i (x + u - r_i) at x = 0..p+1."""
-        shifts = [self.u - r for r in factored_roots(self.energy, self.ce, self.mq)]
+        shifts = [self.u - r for r in factored_roots(self.energy, self.ce)]
         return tuple(_lead(self.ce) * math.prod(x + s for s in shifts)
                      for x in range(self.p + 2))
 
@@ -290,11 +316,12 @@ def _num_str(value: Biquadratic, exact: bool) -> str:
 
 
 def set_solution(set_id: int, eps1: int, eps2: int, p: int,
-                 ce: CentralEigs, mq: MQuantum) -> tuple[Biquadratic, Biquadratic]:
-    """Closed-form (u, E) for one of the three solution sets: with
-    s = eps1 m1 + eps2 m2, E = 2 hbar omega (p + 1 + s/4) and u = (hbar omega -+ E)
-    / (2 hbar omega) for sets 1 and 2, and (2 + s)/4 for set 3."""
-    quarter = (eps1 * mq.m1 + eps2 * mq.m2) / 4
+                 ce: CentralEigs) -> tuple[Biquadratic, Biquadratic]:
+    """Closed-form (u, E) for one of the three solution sets, from the m1, m2
+    of ``ce``: with s = eps1 m1 + eps2 m2, E = 2 hbar omega (p + 1 + s/4) and
+    u = (hbar omega -+ E) / (2 hbar omega) for sets 1 and 2, and (2 + s)/4
+    for set 3."""
+    quarter = (eps1 * ce.mq.m1 + eps2 * ce.mq.m2) / 4
     energy = (p + 1 + quarter) * (2 * ce.hbar * ce.omega)
     if set_id == 1:
         u = -(quarter + Fraction(2 * p + 1, 2))
@@ -311,50 +338,61 @@ def solve_unirreps(p: int, ce: CentralEigs) -> list[UnirrepSolution]:
     """All 12 (set, sign) branches with their structure-function positivity status.
 
     Every verdict is exact and computed in integers, for rational and
-    irrational m1, m2 alike.  With s = eps1 m1 + eps2 m2, E / (2 hbar omega)
-    = p + 1 + s/4, so E > 0 exactly when 4 (p + 1) + s > 0.  u, the four
-    m-roots (2 +- m1 +- m2)/4 and the two energy roots each read 1/2 + an
-    integer + (k1 m1 + k2 m2)/4, so each factor x + u - r_i of
-    Phi(x) = lead * prod_i (x + u - r_i) is x + n_i + (K1 m1 + K2 m2)/4 with
-    an integer n_i and K1, K2 in {-2, 0, 2}.  ``_placements`` puts its root
-    among the integers once per distinct (K1, K2).  Since eta = 24576 hbar^18
-    omega^2 = -lead / 512 > 0, Phi / eta = -512 prod_i (x + u - r_i) vanishes
-    at an integer x that is a root and is otherwise positive exactly when an
-    odd number of roots lie above x.  u, E and Phi are not built here.
+    irrational m1, m2 alike, from the branch table ``ce.branches`` that each
+    ``CentralEigs`` builds once (``_branch_table``); per p the solver only
+    evaluates its placements at q = p + 1.  With s = eps1 m1 + eps2 m2,
+    E / (2 hbar omega) = q + s/4, so E > 0 exactly when s/2 > -2q: when
+    floor(s/2) > -2q, or floor(s/2) = -2q and s/2 is not an integer.  Since
+    eta = 24576 hbar^18 omega^2 = -lead / 512 > 0, Phi / eta = -512 prod_i
+    (x + u - r_i) vanishes at an integer x that is a root and is otherwise
+    positive exactly when an odd number of roots lie above x.  u, E and Phi
+    are not built here.
     """
     if p < 0:
         raise ValueError("p must be non-negative")
-    mq = m_values(ce)
-    exact = mq.exact
+    q = p + 1
+    exact = ce.mq.exact
+    out: list[UnirrepSolution] = []
+    for set_id, eps1, eps2, (half_s_floor, half_s_integral), roots in ce.branches:
+        if half_s_floor > -2 * q or (half_s_floor == -2 * q and not half_s_integral):
+            admissible, failing = _verdict(
+                [(slope * q + offset, integral) for slope, offset, integral in roots], p)
+        else:
+            admissible, failing = False, None
+        out.append(UnirrepSolution(set_id, eps1, eps2, p, admissible, failing, exact, ce))
+    return out
+
+
+def _branch_table(mq: MQuantum) -> tuple:
+    """For each (set, eps1, eps2), in the order of ``solve_unirreps``: the tuple
+    (set, eps1, eps2, placement of s/2, roots of Phi).
+
+    The placement of s/2 = (eps1 m1 + eps2 m2)/2 is (floor, is an integer).
+    u, the four m-roots (2 +- m1 +- m2)/4 and the two energy roots each read
+    1/2 + j q + (k1 m1 + k2 m2)/4 with q = p + 1 and j in {-1, 0, 1}, so each
+    factor x + u - r_i of Phi(x) = lead * prod_i (x + u - r_i) vanishes at
+    x = (j_i - j_u) q - t with t = (K1 m1 + K2 m2)/4 and K1, K2 in {-2, 0, 2}.
+    A root is held as (slope, offset, is an integer), its ceiling being
+    slope q + offset; ``_placements`` places each t among the integers.
+    """
     m1_sq, m2_sq = mq.m1_squared, mq.m2_squared
     den = math.lcm(m1_sq.denominator, m2_sq.denominator)
     # m_i = sqrt(rad_i) / den with integer radicands
     rad1 = m1_sq.numerator * (den // m1_sq.denominator) * den
     rad2 = m2_sq.numerator * (den // m2_sq.denominator) * den
     placed = _placements(rad1, rad2, den)
-    q = p + 1
-    energy_positive = {eps: sqrt_sum_sign(4 * q * den, eps[0], rad1, eps[1], rad2) > 0
-                       for eps in _SIGNS}
-    out: list[UnirrepSolution] = []
-    for set_id in (1, 2, 3):
+    table = []
+    for set_id, u_slope in ((1, -1), (2, 1), (3, 0)):
         for eps1, eps2 in _SIGNS:
-            if not energy_positive[eps1, eps2]:
-                admissible, failing = False, None
-            else:
-                # u and the six roots r_i as (n, k1, k2) in 1/2 + n + (k1 m1 + k2 m2)/4
-                un, uk1, uk2 = ((-q, -eps1, -eps2) if set_id == 1
-                                else (q if set_id == 2 else 0, eps1, eps2))
-                factors = [(0, a, b) for a, b in _SIGNS] + [(-q, -eps1, -eps2), (q, eps1, eps2)]
-                roots = []
-                for n, k1, k2 in factors:
-                    floor, integral = placed[uk1 - k1, uk2 - k2]
-                    # x + u - r_i vanishes at x = n - un - (K1 m1 + K2 m2)/4
-                    roots.append((n - un - floor, integral))
-                admissible, failing = _verdict(roots, p)
-            out.append(UnirrepSolution(
-                set_id=set_id, eps1=eps1, eps2=eps2, p=p, admissible=admissible,
-                failing_x=failing, exact=exact, ce=ce, mq=mq))
-    return out
+            # u and the six roots r_i as (j, k1, k2)
+            uk1, uk2 = (-eps1, -eps2) if set_id == 1 else (eps1, eps2)
+            factors = [(0, a, b) for a, b in _SIGNS] + [(-1, -eps1, -eps2), (1, eps1, eps2)]
+            roots = []
+            for slope, k1, k2 in factors:
+                floor, integral = placed[uk1 - k1, uk2 - k2]
+                roots.append((slope - u_slope, -floor, integral))
+            table.append((set_id, eps1, eps2, placed[2 * eps1, 2 * eps2], tuple(roots)))
+    return tuple(table)
 
 
 def _placements(rad1: int, rad2: int, den: int) -> dict[tuple[int, int], tuple[int, bool]]:
@@ -426,7 +464,7 @@ def harmonic_limit_check(N: int, l_max: int, hbar: Fraction = Fraction(1),
                     ce = CentralEigs(N=N, n=n, l_n=l_n, l_Nn=l_nn, hbar=hbar, omega=omega)
                     eps1, eps2 = (1 if 2 * label + dim - 2 >= 0 else -1
                                   for label, dim in ((l_n, dims[0]), (l_nn, dims[1])))
-                    energy = set_solution(1, eps1, eps2, p, ce, m_values(ce))[1].rational()
+                    energy = set_solution(1, eps1, eps2, p, ce)[1].rational()
                     expected = hbar * omega * (l + Fraction(N, 2))
                     checks.append(HarmonicCheck(
                         n=n, l=l, p=p, l_n=l_n, l_Nn=l_nn,
@@ -483,9 +521,8 @@ def recursion_consistency(p: int, ce: CentralEigs, set_id: int = 1,
 
     Returns (ok, solved rho0^2 values).
     """
-    mq = m_values(ce)
-    u, energy = set_solution(set_id, eps[0], eps[1], p, ce, mq)
-    phi = structure_poly_factored(u, energy, ce, mq)
+    u, energy = set_solution(set_id, eps[0], eps[1], p, ce)
+    phi = structure_poly_factored(u, energy, ce)
     h2 = ce.hbar ** 2
     w2 = ce.omega ** 2
     j2k2 = ce.j2 + ce.k2

@@ -120,22 +120,21 @@ def test_criterion_4_structure_function_equivalence():
         u = Fraction(rng.randrange(-9, 9), rng.randrange(1, 8))
         energy = Fraction(rng.randrange(-9, 9), rng.randrange(1, 8))
         raw = structure_poly_raw(u, energy, ce)
-        fac = structure_poly_factored(u, energy, ce, mq)
+        fac = structure_poly_factored(u, energy, ce)
         ok = ok and raw.degree == 6 and raw.agrees_with(fac)
     # irrational m: exact equality at a rational (u, E) and at a closed-form
     # solution, which no root moved by 1e-40 keeps
     for _ in range(20):
         ce = _random_irrational_tuple(rng)
-        mq = m_values(ce)
         sol = rng.choice(solve_unirreps(rng.randrange(0, 6), ce))
         for u, energy in ((Fraction(rng.randrange(-9, 9), rng.randrange(1, 8)),
                            Fraction(rng.randrange(-9, 9), rng.randrange(1, 8))),
                           (sol.u, sol.energy)):
             raw = structure_poly_raw(u, energy, ce)
-            ok = ok and raw.agrees_with(structure_poly_factored(u, energy, ce, mq))
+            ok = ok and raw.agrees_with(structure_poly_factored(u, energy, ce))
             offsets = [0] * 6
             offsets[rng.randrange(6)] = Fraction(1, 10 ** 40)
-            moved = structure_poly_factored(u, energy, ce, mq, root_offsets=offsets)
+            moved = structure_poly_factored(u, energy, ce, root_offsets=offsets)
             ok = ok and not raw.agrees_with(moved)
     _announce(4, "raw structure polynomial equals factorized form "
                  "(20 rational-m and 20 irrational-m tuples)", ok)
@@ -165,7 +164,7 @@ def test_criterion_5_triple_spectrum_agreement():
         # exact agreement via m = 2 alpha on the squares
         ok = ok and mq.m1_squared == 4 * spec1.alpha_squared
         ok = ok and mq.m2_squared == 4 * spec2.alpha_squared
-        _, e_alg = set_solution(1, 1, 1, p, ce, mq)
+        _, e_alg = set_solution(1, 1, 1, p, ce)
         tot = total_energy(closed_form(spec1, n1), closed_form(spec2, n2))
         ok = ok and abs(tot.energy - float(e_alg)) <= 1e-12 * abs(tot.energy)
         # FD cross-check, one component at a time
@@ -247,14 +246,13 @@ def test_criterion_8_mutation_sensitivity():
     # each factorized-root perturbation must break raw/factored equality
     rng = random.Random(9)
     ce, _, _ = _random_rational_tuple(rng)
-    mq = m_values(ce)
     u, energy = Fraction(1, 3), Fraction(7, 2)
     raw = structure_poly_raw(u, energy, ce)
-    assert raw.agrees_with(structure_poly_factored(u, energy, ce, mq))
+    assert raw.agrees_with(structure_poly_factored(u, energy, ce))
     for idx in range(6):
         offsets = [Fraction(0)] * 6
         offsets[idx] = Fraction(1)
-        mutated_fn = structure_poly_factored(u, energy, ce, mq, root_offsets=offsets)
+        mutated_fn = structure_poly_factored(u, energy, ce, root_offsets=offsets)
         ok = ok and not raw.agrees_with(mutated_fn)
     _announce(8, "every structure-constant and root mutation is detected", ok,
               f"{len(MUTABLE_CONSTANTS)} constants + 6 roots")

@@ -129,13 +129,19 @@ def test_verify_poisson_subcommand(capsys):
     assert any(rec["check"].startswith("classical-limit") for rec in records)
 
 
-@pytest.mark.parametrize("samples", ["0", "-5"])
-def test_wavefunction_without_samples_exits_2(capsys, samples):
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param("--samples", "0", "--samples must be at least 1", id="0"),
+    pytest.param("--samples", "-5", "--samples must be at least 1", id="-5"),
+    # a zero radius is not the default radius
+    pytest.param("--r-max", "0", "--r-max must be positive", id="r-max-0"),
+    pytest.param("--r-max", "-1", "--r-max must be positive", id="r-max--1"),
+])
+def test_wavefunction_without_samples_exits_2(capsys, flag, value, message):
     code, out, err = _run(capsys, ["wavefunction", "--m", "3", "--l", "1", "--nr", "2",
-                                   "--samples", samples])
+                                   flag, value])
     assert code == 2
     assert out == ""
-    assert "--samples must be at least 1" in err
+    assert message in err
 
 
 def test_radial_without_fd_convergence_exits_1(capsys):

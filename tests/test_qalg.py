@@ -66,7 +66,7 @@ def test_raw_equals_factored_on_random_rational_tuples():
         u = Fraction(rng.randrange(-9, 9), rng.randrange(1, 8))
         energy = Fraction(rng.randrange(-9, 9), rng.randrange(1, 8))
         raw = structure_poly_raw(u, energy, ce)
-        fac = structure_poly_factored(u, energy, ce, mq)
+        fac = structure_poly_factored(u, energy, ce)
         assert raw.degree == 6 and fac.degree == 6
         assert raw.agrees_with(fac)
 
@@ -96,10 +96,9 @@ def test_degenerate_harmonic_p0_values():
     # m1 = m2 = 0: the upper boundary root collides with the bracket roots,
     # so the value at x = 1 is an exact zero, while the interior stays positive
     ce = CentralEigs(N=4, n=2, l_n=0, l_Nn=0)
-    mq = m_values(ce)
-    u, energy = set_solution(1, 1, 1, 0, ce, mq)
+    u, energy = set_solution(1, 1, 1, 0, ce)
     assert energy == 2  # hbar omega N / 2 with N = 4
-    phi = structure_poly_factored(u, energy, ce, mq)
+    phi = structure_poly_factored(u, energy, ce)
     assert phi(Fraction(1)) == 0
     assert phi(Fraction(1, 2)) > 0
 
@@ -140,13 +139,12 @@ def _admissibility(norm_values, energy, p):
 def _expanded_unirreps(p, ce):
     """Oracle for solve_unirreps: expand the factored polynomial, evaluate it by
     Horner, divide by eta = 24576 hbar^18 omega^2 and test admissibility."""
-    mq = m_values(ce)
     eta = 24576 * ce.hbar ** 18 * ce.omega ** 2
     out = []
     for set_id in (1, 2, 3):
         for eps in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            u, energy = set_solution(set_id, *eps, p, ce, mq)
-            phi = structure_poly_factored(u, energy, ce, mq)
+            u, energy = set_solution(set_id, *eps, p, ce)
+            phi = structure_poly_factored(u, energy, ce)
             values = [phi(x) for x in range(p + 2)]
             verdict = _admissibility(tuple(v / eta for v in values), energy, p)
             out.append(((set_id, *eps), values, verdict))
@@ -182,6 +180,11 @@ def test_factor_evaluation_matches_expanded_polynomial():
         # large c: the (-,-) branch has E <= 0 at small p, rational and irrational m
         CentralEigs(N=4, n=2, l_n=0, l_Nn=0, c1=Fraction(32), c2=Fraction(32)),
         CentralEigs(N=4, n=2, l_n=0, l_Nn=0, c1=Fraction(31), c2=Fraction(29, 3)),
+        # m1 = m2 = 2: the (-,-) branches have E = 0 exactly at p = 0, and their
+        # irrational neighbours E = +0.031 and E = -0.031
+        CentralEigs(N=4, n=2, l_n=0, l_Nn=0, c1=Fraction(1, 2), c2=Fraction(1, 2)),
+        CentralEigs(N=4, n=2, l_n=0, l_Nn=0, c1=Fraction(31, 64), c2=Fraction(31, 64)),
+        CentralEigs(N=4, n=2, l_n=0, l_Nn=0, c1=Fraction(33, 64), c2=Fraction(33, 64)),
     ]
     seen_exact = set()
     for ce in cases:
@@ -222,8 +225,7 @@ def test_negative_branch_with_large_m_is_inadmissible():
 
 def test_energy_monotonic_in_p_with_constant_gap():
     ce = CentralEigs(N=5, n=2, l_n=1, l_Nn=0, c1=Fraction(9, 8), c2=Fraction(2))
-    mq = m_values(ce)
-    energies = [set_solution(1, 1, 1, p, ce, mq)[1] for p in range(5)]
+    energies = [set_solution(1, 1, 1, p, ce)[1] for p in range(5)]
     gaps = [b - a for a, b in zip(energies, energies[1:])]
     assert all(g == 2 * ce.hbar * ce.omega for g in gaps)
 
