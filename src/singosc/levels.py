@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count as _count
+from itertools import count as _count, takewhile
 
 from .exact import exact_sqrt
 
@@ -199,10 +199,18 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
 
     # angular label ranges large enough to pass e_cut
     l_limit = max(4, int(e_cut / hw) + 2)
-    labels1 = block_labels(m1_dim, c1r, l_limit)
-    labels2 = block_labels(m2_dim, c2r, l_limit)
-    alpha1 = {l: block_alpha(m1_dim, l, c1r) for l in labels1}
-    alpha2 = {l: block_alpha(m2_dim, l, c2r) for l in labels2}
+
+    def past_cut(alpha_sum: float) -> bool:
+        return 2.0 * hw * (1 + alpha_sum / 2.0) > e_cut + 1e-12
+
+    def alphas(m: int, c_reduced: Fraction, other_low: float) -> dict:
+        # alpha grows with l and float addition is monotone, so a block's labels
+        # end at the first whose pair with the other block's label 0 is past the cut
+        pairs = ((l, block_alpha(m, l, c_reduced)) for l in block_labels(m, c_reduced, l_limit))
+        return dict(takewhile(lambda pair: not past_cut(pair[1][0] + other_low), pairs))
+
+    alpha1 = alphas(m1_dim, c1r, block_alpha(m2_dim, 0, c2r)[0])
+    alpha2 = alphas(m2_dim, c2r, block_alpha(m1_dim, 0, c1r)[0])
 
     entries: list[tuple[float, Fraction | None, Contributor]] = []
     flags = []
@@ -211,10 +219,9 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
     if m2_dim == 1 and c2r > 0:
         flags.append("block2-half-line-regular-sector")
 
-    for l1 in labels1:
-        for l2 in labels2:
-            (float1, exact1), (float2, exact2) = alpha1[l1], alpha2[l2]
-            if 2.0 * hw * (1 + (float1 + float2) / 2.0) > e_cut + 1e-12:
+    for l1, (float1, exact1) in alpha1.items():
+        for l2, (float2, exact2) in alpha2.items():
+            if past_cut(float1 + float2):
                 continue
             mult = dim_harm(m1_dim, l1) * dim_harm(m2_dim, l2)
             if mult == 0:

@@ -1,12 +1,13 @@
 """Exact symbolic engine: operators, phase-space functions, and identity checks."""
 
+from ..relations import MUTABLE_CONSTANTS, QuadraticConstants
 from .classical import PhaseFn, classical_limit, poisson_bracket
 from .diffop import DiffOp, DimensionMismatchError, combine, commutator
 from .generators import Generators, angular_momentum, build_classical, build_quantum
 from .poly import BlockLayout, BlockPoly, ExponentOverflowError
 from .report import CheckResult, VerificationReport
 from .scalars import ParamScalar
-from .verify import (MUTABLE_CONSTANTS, QuadraticConstants, verify_q3, verify_qp3)
+from .verify import verify_q3, verify_qp3
 
 __all__ = [
     "BlockLayout", "BlockPoly", "CheckResult", "DiffOp",

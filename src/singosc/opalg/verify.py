@@ -2,11 +2,12 @@
 
 Every check subtracts a closed-form right-hand side from an engine-computed
 left-hand side and asserts that the difference is the exact zero operator
-(or phase-space function).  Each quadratic relation and each side of the
-Casimir is written once, as graded words (hbar_power, scale, f, g | None) for
-hbar^power * scale * f g; ``combine`` and ``combine_phase`` add every word's
-product into one accumulator and reduce once.  Each verify call owns one
-derivative table, so every derivative is taken once per call.
+(or phase-space function).  The right sides are the graded words
+(hbar_power, scale, f, g | None) of ``singosc.relations``, built over the
+parameter symbols, with each name mapped to its generator or cached product;
+``combine`` and ``combine_phase`` add every word's product into one
+accumulator and reduce once.  Each verify call owns one derivative table, so
+every derivative is taken once per call.
 
 The Poisson relations are the leading order of the quantum ones under
 [.,.] -> i hbar {.,.}.  The quantum C = [A, B] is i hbar times the classical
@@ -14,17 +15,17 @@ C = {A, B}, so a word with k factors C is of order hbar^(power + k), and each
 relation starts at order hbar^2.  Its classical form keeps the words of that
 order with scale i^k/(-1) times theirs (-scale for k = 0, +scale for k = 2),
 drops the higher orders, and rejects a lower one.  Classically AB = BA, so
-{A, B} becomes 2AB.  The structure constants live in small dataclasses so
-that mutation tests can knock any single one off by a unit and watch the
-corresponding check fail.
+{A, B} becomes 2AB.  The ``constants`` and ``quantum_constants`` keywords
+replace the ``QuadraticConstants`` of both quadratic relations, so that
+mutation tests can knock any single one off by a unit.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from fractions import Fraction
 
+from .. import relations
+from ..relations import QuadraticConstants
 from .classical import PhaseFn, bracket_words, combine_phase, poisson_bracket
 from .diffop import DiffOp, combine, commutator
 from .generators import Generators, build_classical, build_quantum
@@ -35,58 +36,8 @@ from .scalars import ParamScalar
 _W2 = ParamScalar.omega(2)
 _C1 = ParamScalar.c1()
 _C2 = ParamScalar.c2()
-
-
-@dataclass(frozen=True)
-class QuadraticConstants:
-    """Structure constants of the two quadratic commutation relations.
-
-    [A, C] = hbar^2 ( ac_anti {A,B} + ac_j2h J2 H + ac_k2h K2 H
-                      + (ac_c1h c1 + ac_c2h c2) H ) + hbar^4 ( ac_h4h H + ac_b B )
-    [B, C] = hbar^2 ( bc_b2 B^2 + bc_h2 H^2 ) + hbar^2 omega^2 ( bc_a A
-                      + bc_j2 J2 + bc_k2 K2 + bc_c (c1 + c2) ) + hbar^4 omega^2 bc_h4
-    """
-
-    ac_anti: Fraction
-    ac_j2h: Fraction
-    ac_k2h: Fraction
-    ac_c1h: Fraction
-    ac_c2h: Fraction
-    ac_h4h: Fraction
-    ac_b: Fraction
-    bc_b2: Fraction
-    bc_h2: Fraction
-    bc_a: Fraction
-    bc_j2: Fraction
-    bc_k2: Fraction
-    bc_c: Fraction
-    bc_h4: Fraction
-
-    @classmethod
-    def for_dims(cls, N: int, n: int) -> "QuadraticConstants":
-        return cls(
-            ac_anti=Fraction(2),
-            ac_j2h=Fraction(-1),
-            ac_k2h=Fraction(1),
-            ac_c1h=Fraction(-2),
-            ac_c2h=Fraction(2),
-            ac_h4h=Fraction((N - 4) * (N - 2 * n), 4),
-            ac_b=Fraction(N * (N - 4), 4),
-            bc_b2=Fraction(-2),
-            bc_h2=Fraction(2),
-            bc_a=Fraction(-16),
-            bc_j2=Fraction(4),
-            bc_k2=Fraction(4),
-            bc_c=Fraction(8),
-            bc_h4=Fraction(-2 * n * (N - n)),
-        )
-
-    def bumped(self, field_name: str, amount: int = 1) -> "QuadraticConstants":
-        """Copy with one structure constant perturbed by a unit."""
-        return replace(self, **{field_name: getattr(self, field_name) + amount})
-
-
-MUTABLE_CONSTANTS = tuple(QuadraticConstants.__dataclass_fields__)
+# +-hbar^power for the graded words, built once
+_HBAR = {sign: tuple(ParamScalar.hbar(power, sign) for power in range(7)) for sign in (1, -1)}
 
 
 class _ProductCache:
@@ -104,7 +55,7 @@ class _ProductCache:
         self.g = gens
         self.classical = isinstance(gens.H, PhaseFn)
         self.derivatives = Derivatives()
-        self._cache: dict = {}
+        self._cache = {name: getattr(gens, name) for name in ("A", "B", "H", "J2", "K2")}
         self._builders = {
             "1": lambda: (PhaseFn.scalar(gens.layout, 1) if self.classical
                           else DiffOp.identity(gens.layout)),
@@ -141,12 +92,15 @@ class _ProductCache:
             value = self._cache[name] = self._builders[name]()
         return value
 
-    def graded(self, words: list) -> list:
-        """Words (scale, f, g) of the family from graded words: hbar^power folded
-        into each quantum scale, or the classical leading order."""
+    def resolved(self, words: list) -> list:
+        """``words`` over names, each name replaced by its generator or product."""
+        return [(power, scale, self.get(f), g and self.get(g)) for power, scale, f, g in words]
+
+    def graded(self, words: list, sign: int = 1) -> list:
+        """Words (scale, f, g) of the family from graded words times ``sign``:
+        hbar^power folded into each quantum scale, or the classical leading order."""
         if not self.classical:
-            return [(ParamScalar.hbar(power) * scale, f, g)
-                    for power, scale, f, g in words]
+            return [(_HBAR[sign][power] * scale, f, g) for power, scale, f, g in words]
         C = self.get("C")
         leading = []
         for power, scale, f, g in words:
@@ -155,101 +109,41 @@ class _ProductCache:
                 raise ValueError(f"hbar^{power} word with {k} factors C: below the "
                                  "leading order hbar^2, or imaginary there")
             if power + k == 2:
-                leading.append((scale if k else -scale, f, g))
+                leading.append((scale if (k == 0) == (sign < 0) else -scale, f, g))
         return leading
 
 
 def quadratic_ac_rhs(cache: _ProductCache, consts: QuadraticConstants) -> list:
-    """Graded words of the right side of [A, C]; {A, B} is the two words A B and B A."""
-    g = cache.g
-    return [
-        (2, consts.ac_anti, g.A, g.B),
-        (2, consts.ac_anti, g.B, g.A),
-        (2, consts.ac_j2h, cache.get("J2H"), None),
-        (2, consts.ac_k2h, cache.get("K2H"), None),
-        (2, _C1 * consts.ac_c1h + _C2 * consts.ac_c2h, g.H, None),
-        (4, consts.ac_h4h, g.H, None),
-        (4, consts.ac_b, g.B, None),
-    ]
+    """Graded words of the right side of [A, C]."""
+    return cache.resolved(relations.quadratic_ac_words(consts, _C1, _C2, _W2))
 
 
 def quadratic_bc_rhs(cache: _ProductCache, consts: QuadraticConstants) -> list:
     """Graded words of the right side of [B, C]."""
-    g = cache.g
-    return [
-        (2, consts.bc_b2, cache.get("B2"), None),
-        (2, consts.bc_h2, cache.get("H2"), None),
-        (2, _W2 * consts.bc_a, g.A, None),
-        (2, _W2 * consts.bc_j2, g.J2, None),
-        (2, _W2 * consts.bc_k2, g.K2, None),
-        (2, _W2 * (_C1 + _C2) * consts.bc_c, cache.get("1"), None),
-        (4, _W2 * consts.bc_h4, cache.get("1"), None),
-    ]
+    return cache.resolved(relations.quadratic_bc_words(consts, _C1, _C2, _W2))
 
 
 def casimir_generator_terms(cache: _ProductCache) -> list:
-    """Graded words of the cubic Casimir built from A, B, C and the central
-    elements; right None stands for the identity."""
-    g = cache.g
-    N, n = g.N, g.n
-    B2 = cache.get("B2")
-    return [
-        (0, 1, cache.get("C"), cache.get("C")),
-        (2, -2, g.A, B2),
-        (2, -2, B2, g.A),
-        (4, Fraction(16 - N * (N - 4), 4), B2, None),
-        (2, 2, cache.get("J2H"), g.B),
-        (2, -2, cache.get("K2H"), g.B),
-        (2, _C1 * 4 - _C2 * 4, g.H, g.B),
-        (4, Fraction(-(N - 4) * (N - 2 * n), 2), g.H, g.B),
-        (2, _W2 * -16, g.A, g.A),
-        (2, _W2 * (_C1 + _C2) * 16, g.A, None),
-        (4, _W2 * Fraction(-4 * n * (N - n)), g.A, None),
-        (2, _W2 * 8, g.J2, g.A),
-        (2, _W2 * 8, g.K2, g.A),
-        (2, 4, cache.get("H2"), g.A),
-    ]
+    """Graded words of the Casimir in A, B and C, from ``QuadraticConstants.for_dims``."""
+    return cache.resolved(relations.casimir_generator_words(cache.g.N, cache.g.n, _C1, _C2, _W2))
 
 
 def casimir_central_terms(cache: _ProductCache) -> list:
-    """Graded words of the same Casimir expressed through H, J2, K2 alone."""
-    g = cache.g
-    N, n = g.N, g.n
-    one = cache.get("1")
-    return [
-        (2, 2, cache.get("J2H"), g.H),
-        (2, 2, cache.get("K2H"), g.H),
-        (2, (_C1 + _C2) * 4, cache.get("H2"), None),
-        (4, Fraction(-(4 * (N - 4) - (N - 2 * n) ** 2), 4), cache.get("H2"), None),
-        (2, _W2, g.J2, g.J2),
-        (2, _W2, g.K2, g.K2),
-        (2, _W2 * -2, g.J2, g.K2),
-        (2, _W2 * (_C1 - _C2) * 4, g.J2, None),
-        (4, _W2 * Fraction(-(N - 4) * (N - n)), g.J2, None),
-        (2, _W2 * (_C1 - _C2) * -4, g.K2, None),
-        (4, _W2 * Fraction(-n * (N - 4)), g.K2, None),
-        (2, _W2 * (_C1 - _C2) * (_C1 - _C2) * 4, one, None),
-        (4, _W2 * (_C1 * Fraction(-2 * (N - n) * (N - 4))
-                   + _C2 * Fraction(-2 * n * (N - 4))), one, None),
-        (6, _W2 * Fraction(n * (N - n) * (N - 4)), one, None),
-    ]
+    """Graded words of the same Casimir in H, J2 and K2."""
+    return cache.resolved(relations.casimir_central_words(cache.g.N, cache.g.n, _C1, _C2, _W2))
 
 
 def casimir_residual(cache: _ProductCache):
     """Generator-built Casimir minus its central-element form, in one pass."""
-    return cache.combine(cache.graded(casimir_generator_terms(cache)
-                                      + _negated(casimir_central_terms(cache))))
+    return cache.combine(cache.graded(casimir_generator_terms(cache))
+                         + cache.graded(casimir_central_terms(cache), -1))
 
 
 def quadratic_residual(cache: _ProductCache, X, rhs_words: list):
     """[X, C] minus its right side, or {X, C} minus the leading order of it, in
     one pass."""
     return cache.combine(cache.bracket_words(X, cache.get("C"))
-                         + cache.graded(_negated(rhs_words)))
-
-
-def _negated(words: list) -> list:
-    return [(power, -scale, f, g) for power, scale, f, g in words]
+                         + cache.graded(rhs_words, -1))
 
 
 def _at(residual, point: dict | None):

@@ -1,34 +1,32 @@
 """Deformed-oscillator realization: structure functions, unirreps, algebraic spectrum.
 
-The structure function is handled in two independent forms: the raw degree-6
-polynomial assembled from the quadratic algebra and both Casimir expressions,
-and the factorized form whose roots encode the finite-representation
-constraints.  m1 and m2 are square roots of rationals, so u, E, the
-coefficients and the values of Phi all lie in the field Q(sqrt(m1^2),
-sqrt(m2^2)) and are computed there exactly (``exact.Biquadratic``); the two
-agreement checks (``StructureFn.agrees_with`` and ``recursion_consistency``)
-test exact equality, for rational and irrational m alike.
+The structure function has two independent forms: ``structure_poly_raw``
+derives it, like A(x), b(x) and the ladder recursion, from the relation table
+of ``singosc.relations`` that ``opalg.verify`` proves (``Realization``), and
+``structure_poly_factored`` is the paper's factorization, whose six roots and
+leading coefficient encode the finite-representation constraints.  Both, and
+the recursion, are exact in Q(sqrt(m1^2), sqrt(m2^2)) (``exact.Biquadratic``),
+so the agreement checks test equality, for irrational m too.
 
-The unirrep solver decides every verdict exactly, in integers, for rational
-and irrational m alike, without building the field.  Everything that depends
-only on the central elements is derived once per ``CentralEigs`` and cached
-on it: its ``MQuantum`` (m1^2, m2^2 and, on first read, m1 and m2 in the
-field) and its branch table, which places each root of Phi's six linear
+The unirrep solver decides every verdict in integers, without the field, from
+what each ``CentralEigs`` caches: its ``MQuantum`` (m1^2, m2^2, and m1, m2 on
+first read) and its branch table, which places each root of Phi's six linear
 factors, and s/2 = (eps1 m1 + eps2 m2)/2, among the integers by exact floors
-and signs of c + a sqrt(A) + b sqrt(B) (``exact.sqrt_sum_floor`` and
-``exact.sqrt_sum_sign``).  Per p the solver only shifts those placements by
-multiples of p + 1.  u, E and the values of Phi are computed only when a
-solution is read, and all solutions of one ``CentralEigs`` share its m1, m2.
+and signs (``exact.sqrt_sum_floor``, ``exact.sqrt_sum_sign``).  Per p the
+solver only shifts those by multiples of p + 1; u, E and Phi are computed when
+a solution is read.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
+from . import relations
 from .exact import Biquadratic, exact_sqrt, sqrt_sum_floor, sqrt_sum_sign
 
 
@@ -129,23 +127,6 @@ def poly_mul(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def poly_eval(coeffs: Sequence, x):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
-def poly_shift(coeffs: Sequence, shift) -> list:
-    """Coefficients of p(x + shift) given those of p(y)."""
-    out = [coeffs[0] * 0] * len(coeffs)
-    for d, c in enumerate(coeffs):
-        # c * (x + shift)^d
-        for kdx in range(d + 1):
-            out[kdx] = out[kdx] + c * math.comb(d, kdx) * shift ** (d - kdx)
-    return out
-
-
 @dataclass(frozen=True)
 class StructureFn:
     """Degree-6 structure polynomial, by its coefficients in x."""
@@ -153,7 +134,10 @@ class StructureFn:
     coeffs: tuple
 
     def __call__(self, x):
-        return poly_eval(self.coeffs, x)
+        acc = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
+            acc = acc * x + c
+        return acc
 
     @property
     def degree(self) -> int:
@@ -166,51 +150,8 @@ class StructureFn:
 
 def structure_poly_raw(u: Biquadratic | Fraction, energy: Biquadratic | Fraction,
                        ce: CentralEigs) -> StructureFn:
-    """The raw structure polynomial, assembled term by term in y = x + u."""
-    h2 = ce.hbar ** 2
-    h4 = h2 ** 2
-    w2 = ce.omega ** 2
-    j2, k2 = ce.j2, ce.k2
-    c1, c2 = ce.c1, ce.c2
-    N, n = ce.N, ce.n
-
-    const_block = (
-        64 * c1 ** 2 + 64 * c2 ** 2 - 48 * h4 - 32 * h2 * j2 + 16 * j2 ** 2
-        - 32 * h2 * k2 - 32 * j2 * k2 + 16 * k2 ** 2 - 64 * h2 * j2 * n
-        + 64 * h2 * k2 * n + 48 * h4 * n ** 2 + 32 * h4 * N + 32 * h2 * j2 * N
-        - 32 * h2 * k2 * N - 48 * h4 * n * N + 16 * h2 * j2 * n * N
-        - 16 * h2 * k2 * n * N - 32 * h4 * n ** 2 * N + 8 * h4 * N ** 2
-        - 8 * h2 * j2 * N ** 2 + 8 * h2 * k2 * N ** 2 + 32 * h4 * n * N ** 2
-        + 4 * h4 * n ** 2 * N ** 2 - 8 * h4 * N ** 3 - 4 * h4 * n * N ** 3
-        + h4 * N ** 4
-    )
-
-    q = [Fraction(0)] * 5
-    q[0] = const_block
-    # -16 c2 [4 (J2 - K2) + hbar^2 {(N-4)(2n-N) + 4 (1 - 2y)^2}]
-    q[0] += -16 * c2 * (4 * (j2 - k2) + h2 * ((N - 4) * (2 * n - N) + 4))
-    q[1] += -16 * c2 * h2 * (-16)
-    q[2] += -16 * c2 * h2 * 16
-    # -16 c1 [8 c2 - 4 J2 + 4 K2 + hbar^2 {(N-4)(N-2n) + 4 (1 - 2y)^2}]
-    q[0] += -16 * c1 * (8 * c2 - 4 * j2 + 4 * k2 + h2 * ((N - 4) * (N - 2 * n) + 4))
-    q[1] += -16 * c1 * h2 * (-16)
-    q[2] += -16 * c1 * h2 * 16
-    # + 32 hbar^2 [4 (J2 + K2) + hbar^2 {2 n^2 + (N-2)^2 - 2 n N}] y
-    q[1] += 32 * h2 * (4 * (j2 + k2) + h2 * (2 * n ** 2 + (N - 2) ** 2 - 2 * n * N))
-    # - 32 hbar^2 [4 (J2 + K2) + hbar^2 {2 (n^2 - 2) - 2 (n+2) N + N^2}] y^2
-    q[2] += -32 * h2 * (4 * (j2 + k2) + h2 * (2 * (n ** 2 - 2) - 2 * (n + 2) * N + N ** 2))
-    q[3] += -512 * h4
-    q[4] += 256 * h4
-
-    # trailing factor E^2 - hbar^2 omega^2 (1 - 2y)^2
-    e2 = energy * energy
-    t = [e2 - h2 * w2, 4 * h2 * w2, -4 * h2 * w2]
-
-    coeffs_y = poly_mul(q, t)
-    pref = 12288 * h2 ** 6
-    coeffs_y = [pref * c for c in coeffs_y]
-    coeffs_x = poly_shift(coeffs_y, u)
-    return StructureFn(coeffs=tuple(coeffs_x))
+    """The structure polynomial of the proved relations (``Realization.phi``)."""
+    return StructureFn(coeffs=tuple(Realization(energy, ce).phi(u)))
 
 
 def factored_roots(energy: Biquadratic | Fraction, ce: CentralEigs) -> list:
@@ -417,8 +358,11 @@ def _verdict(roots: list[tuple[int, bool]], p: int) -> tuple[bool, int | None]:
         return False, 0
     if p + 1 not in zeros:
         return False, p + 1
-    for x in range(1, p + 1):
-        if x in zeros or not sum(x < ceil for ceil, _ in roots) % 2:
+    # the number of roots above x changes only where x reaches a ceiling, so
+    # the first x of 1..p to fail is 1 or a ceiling: one pass over them, sorted
+    ceilings = sorted(ceil for ceil, _ in roots)
+    for x in (1, *ceilings):
+        if 1 <= x <= p and (x in zeros or not (len(ceilings) - bisect_right(ceilings, x)) % 2):
             return False, x
     return True, None
 
@@ -473,79 +417,105 @@ def harmonic_limit_check(N: int, l_max: int, hbar: Fraction = Fraction(1),
     return checks
 
 
-# -- deformed-oscillator realization (diagonal data) -------------------------------
+# -- deformed-oscillator realization ----------------------------------------------
 
 
-def realization_a(x_plus_u: Biquadratic, ce: CentralEigs) -> Biquadratic:
-    """Diagonal value of the first generator in the number-operator realization."""
-    return ce.hbar ** 2 * (x_plus_u ** 2 - Fraction((ce.N - 2) ** 2, 16))
+class Realization:
+    """Daskaloyannis's deformed-oscillator realization of Q(3) where H = E.
 
+    With H, J2 and K2 at their values, the relations of ``singosc.relations``
+    read [A, C] = gamma {A, B} + eps B + zeta and [B, C] = -gamma' B^2 + z A
+    + eta, and the Casimir is the number K.  On the number states, y = N + u,
+    A = A(y) and B = b(y) + b^+ rho(y) + rho(y) b realize them for
+    A(y) = (gamma/2)(y^2 - 1/4 - eps/gamma^2), b(y) = -zeta/(2 gamma A(y) + eps)
+    and rho(y)^2 = rho0^2 ``rho_squared_shape(y)``, rho0^2 = 1/(3 2^12 gamma^8).
+    The diagonals of the Casimir and of [B, C] then fix rho(y - 1)^2 Phi(y),
+    consistently under y -> y + 1, with w = 2y - 1 and
 
-def realization_b_diag(x_plus_u: Biquadratic, ce: CentralEigs) -> Biquadratic:
-    """Diagonal part of the second generator in the same realization."""
-    N, n = ce.N, ce.n
-    h2 = ce.hbar ** 2
-    numer = (8 * ce.c1 - 8 * ce.c2 + 4 * ce.j2 - 4 * ce.k2
-             + (4 * N - 8 * n + 2 * n * N - N * N) * h2)
-    return numer / (16 * h2 * (x_plus_u ** 2 - Fraction(1, 4)))
-
-
-def rho_squared_shape(x_plus_u: Biquadratic) -> Biquadratic:
-    """x-dependence of the squared ladder normalization rho(x)^2.
-
-    The printed closed form 1/(3*2^20 hbar^16 (x+u)(1+x+u)(1+2(x+u))^2) only
-    closes the algebra when read as rho^2; the constant prefactor is recovered
-    independently by recursion_consistency below.
+        Phi(y) = [256 zeta^2 - 64 gamma^2 K w^2 + 16 gamma eta w^2 (gamma^2 w^2 - 4 eps)
+                  + z w^2 ((gamma^2 w^2 - 4 eps)^2 - 4 gamma^4 w^2)] / (256 gamma^4 rho0^2).
     """
-    return 1 / (x_plus_u * (1 + x_plus_u) * (1 + 2 * x_plus_u) ** 2)
+
+    def __init__(self, energy: Biquadratic | Fraction, ce: CentralEigs):
+        args = (ce.c1, ce.c2, ce.omega ** 2)
+        consts = relations.QuadraticConstants.for_dims(ce.N, ce.n)
+        values = {None: 1, "1": 1, "H": energy, "J2": ce.j2, "K2": ce.k2,
+                  "H2": energy * energy, "J2H": ce.j2 * energy, "K2H": ce.k2 * energy}
+        ac, bc, k = (_at_center(words, values, ce.hbar) for words in (
+            relations.quadratic_ac_words(consts, *args),
+            relations.quadratic_bc_words(consts, *args),
+            relations.casimir_central_words(ce.N, ce.n, *args)))
+        self.gamma, self.eps, self.zeta = ac["A", "B"], ac["B",], ac[()]
+        self.gamma_b, self.z, self.eta, self.casimir = -bc["B2",], bc["A",], bc[()], k[()]
+        self.rho0_squared = 1 / (3 * 2 ** 12 * self.gamma ** 8)
+
+    def a(self, y):
+        return self.gamma / 2 * (y * y - Fraction(1, 4)) - self.eps / (2 * self.gamma)
+
+    def b(self, y):
+        return -self.zeta / (2 * self.gamma * self.a(y) + self.eps)
+
+    def phi(self, u) -> list:
+        """Coefficients in x of Phi(y), y = x + u, summed as a cubic in w^2."""
+        g, e, z, g2 = self.gamma, self.eps, self.z, self.gamma ** 2
+        scale = 1 / (256 * g2 * g2 * self.rho0_squared)
+        w2 = poly_mul([2 * u - 1, 2], [2 * u - 1, 2])
+        *lower, top = (256 * self.zeta ** 2,
+                       -64 * g2 * self.casimir - 64 * g * e * self.eta + 16 * z * e * e,
+                       16 * g * g2 * self.eta - z * (8 * g2 * e + 4 * g2 * g2),
+                       z * g2 * g2)
+        coeffs = [top * scale]
+        for c in reversed(lower):
+            coeffs = poly_mul(coeffs, w2)
+            coeffs[0] = coeffs[0] + c * scale
+        return coeffs
 
 
-# The x + u at which a term of the recursion has a pole: realization_b_diag(y)
-# at y^2 = 1/4, rho_squared_shape(y) at y in {0, -1, -1/2} and
-# rho_squared_shape(y - 1) at y in {1, 0, 1/2}.
-_RECURSION_POLES = tuple(Fraction(k, 2) for k in range(-2, 3))
+def _at_center(words: list, values: dict, hbar: Fraction) -> dict:
+    """The sum of graded ``words`` with the central elements at ``values``, by the
+    factors left over: ("A", "B"), ("B",), ... and () for the central part."""
+    out: dict = {}
+    for power, scale, *names in words:
+        left = tuple(name for name in names if name not in values)
+        out[left] = out.get(left, 0) + math.prod(
+            (values[name] for name in names if name in values), start=hbar ** power * scale)
+    return out
+
+
+def rho_squared_shape(y: Biquadratic) -> Biquadratic:
+    """rho(y)^2 / rho0^2 = 1/(y (1 + y) (1 + 2y)^2) of ``Realization``."""
+    return 1 / (y * (1 + y) * (1 + 2 * y) ** 2)
 
 
 def recursion_consistency(p: int, ce: CentralEigs, set_id: int = 1,
                           eps: tuple[int, int] = (1, 1)) -> tuple[bool, list]:
     """Fock-diagonal consistency of the second quadratic relation.
 
-    Realizing the algebra with the diagonal A(x), the diagonal of the second
-    quadratic relation becomes a two-term recursion tying Phi(x+1) to Phi(x)
-    through rho(x)^2 = rho0^2 * rho_squared_shape(x+u).  The energy factor on
-    the printed diagonal of the ladder generator is restored (it is forced by
-    the first quadratic relation's diagonal).  rho0^2 is solved point by
-    point; success means it is constant in x, positive, and equal to the
-    bookkeeping constant 1/(3*2^20 hbar^16).  Points where a term has a pole
-    or the denominator vanishes are skipped.
+    In the ``Realization`` the diagonal of [B, C] on the state x, y = x + u, is
+    the two-term recursion
 
-    Returns (ok, solved rho0^2 values).
+        rho(y)^2 Phi(x+1) (A(y+1) - A(y) + gamma'/2)
+            - rho(y-1)^2 Phi(x) (A(y) - A(y-1) - gamma'/2) = (eta + z A(y) - gamma' b(y)^2)/2.
+
+    Phi is the paper's factorized form, so the recursion ties its roots to the
+    proved relations independently of ``structure_poly_raw``.  rho0^2 is solved
+    point by point, skipping the points where a term has a pole (y in {0, +-1/2,
+    +-1}) or the left factor vanishes; returns (ok, the solved values), ok when
+    there are at least two and each equals 1/(3 2^12 gamma^8).
     """
     u, energy = set_solution(set_id, eps[0], eps[1], p, ce)
     phi = structure_poly_factored(u, energy, ce)
-    h2 = ce.hbar ** 2
-    w2 = ce.omega ** 2
-    j2k2 = ce.j2 + ce.k2
-    coup = ce.c1 + ce.c2 - Fraction(ce.n * (ce.N - ce.n), 4) * h2
-
-    def delta_a(y):
-        return realization_a(y + 1, ce) - realization_a(y, ce)
-
+    alg = Realization(energy, ce)
+    half = alg.gamma_b / 2
     ratios = []
     for x in range(0, p + 1):
         y = u + x
-        if y in _RECURSION_POLES:
+        try:
+            denom = (rho_squared_shape(y) * phi(x + 1) * (alg.a(y + 1) - alg.a(y) + half)
+                     - rho_squared_shape(y - 1) * phi(x) * (alg.a(y) - alg.a(y - 1) - half))
+            ratios.append((alg.eta + alg.z * alg.a(y) - alg.gamma_b * alg.b(y) ** 2) / 2 / denom)
+        except ZeroDivisionError:
             continue
-        phi_x = phi(x)
-        phi_x1 = phi(x + 1)
-        denom = (rho_squared_shape(y) * phi_x1 * (delta_a(y) + h2)
-                 - rho_squared_shape(y - 1) * phi_x * (delta_a(y - 1) - h2))
-        g = energy * realization_b_diag(y, ce)
-        rhs = (h2 * energy ** 2 - h2 * g ** 2 - 8 * h2 * w2 * realization_a(y, ce)
-               + 2 * h2 * w2 * j2k2 + 4 * h2 * w2 * coup)
-        if denom != 0:
-            ratios.append(rhs / denom)
     if len(ratios) < 2:
         return False, ratios
-    expected = Fraction(1, 3 * 2 ** 20) / ce.hbar ** 16
-    return all(r == expected for r in ratios), ratios
+    return all(r == alg.rho0_squared for r in ratios), ratios

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from singosc import qalg
+from singosc import qalg, relations
 from singosc.exact import sqrt_sum_sign
 from singosc.exact import Biquadratic
 from singosc.qalg import (CentralEigs, exact_sqrt, harmonic_limit_check, m_values,
@@ -281,6 +281,45 @@ def test_recursion_consistency_skips_the_poles_of_its_terms():
         for set_id in (1, 2, 3):
             for eps in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                 recursion_consistency(p, ce, set_id, eps)
+
+
+# (ce, p, m1 and m2 rational): m1 = 5 and m2 = 7 at the first point; J2 and K2
+# are nonzero at both, so every word of the tables contributes
+_TABLE_POINTS = [
+    (CentralEigs(N=6, n=3, l_n=1, l_Nn=2, c1=Fraction(2), c2=Fraction(3),
+                 omega=Fraction(3, 2)), 3, True),
+    (CentralEigs(N=5, n=2, l_n=1, l_Nn=1, c1=Fraction(1, 3), c2=Fraction(2, 7),
+                 hbar=Fraction(3, 2), omega=Fraction(2, 5)), 3, False),
+]
+
+
+def _spectrum_side_checks(ce, p):
+    """(raw == factored, the recursion holds) on the set-1 (+, +) branch."""
+    u, energy = set_solution(1, 1, 1, p, ce)
+    raw = structure_poly_raw(u, energy, ce)
+    return raw.agrees_with(structure_poly_factored(u, energy, ce)), recursion_consistency(p, ce)[0]
+
+
+@pytest.mark.parametrize("ce, p, rational", _TABLE_POINTS, ids=["m-rational", "m-irrational"])
+def test_every_relation_constant_reaches_the_spectrum_side(ce, p, rational, monkeypatch):
+    assert m_values(ce).exact is rational
+    assert _spectrum_side_checks(ce, p) == (True, True)
+    base = relations.QuadraticConstants.for_dims(ce.N, ce.n)
+    for field_name in relations.MUTABLE_CONSTANTS:
+        bumped = base.bumped(field_name)
+        monkeypatch.setattr(relations.QuadraticConstants, "for_dims",
+                            classmethod(lambda cls, N, n, bumped=bumped: bumped))
+        assert _spectrum_side_checks(ce, p) != (True, True), field_name
+    monkeypatch.undo()
+    central = relations.casimir_central_words
+    for idx in range(len(central(ce.N, ce.n, ce.c1, ce.c2, ce.omega ** 2))):
+        def perturbed(*args, idx=idx):
+            words = central(*args)
+            power, scale, f, g = words[idx]
+            words[idx] = (power, scale + 1, f, g)
+            return words
+        monkeypatch.setattr(relations, "casimir_central_words", perturbed)
+        assert not _spectrum_side_checks(ce, p)[0], idx
 
 
 def test_central_eigs_validation():
