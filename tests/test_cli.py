@@ -195,6 +195,16 @@ def test_spectrum_output_is_pinned(capsys):
     assert out == golden.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("command", ["verify-algebra", "verify-poisson"])
+@pytest.mark.parametrize("N, n", [(4, 2), (5, 2)])
+def test_verify_output_is_pinned(capsys, command, N, n):
+    # (5,2) carries so(3), the smallest block with non-commuting rotations
+    code, out, _ = _run(capsys, [command, "--N", str(N), "--n", str(n)])
+    assert code == 0
+    golden = GOLDEN / f"{command}-N{N}-n{n}.jsonl"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def _source_env() -> dict:
     src = str(Path(singosc.__file__).resolve().parent.parent)
     env = dict(os.environ)
