@@ -3,7 +3,9 @@
 All numeric inputs are exact rational strings ("3/4", "2"); every record is
 emitted as one json line (or one CSV row) in a fixed order, so identical
 configurations produce byte-identical output.  Timings and progress go
-to stderr only.
+to stderr only.  ``verify-algebra`` and ``verify-poisson`` share one handler,
+since both run the one check table of ``opalg.verify``; bad input, such as
+a non-finite ``--r-max``, exits 2 with a message.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
+from functools import partial
 
 SUBCOMMANDS = ("verify-algebra", "verify-poisson", "spectrum", "radial",
                "levels", "wavefunction")
@@ -184,18 +188,11 @@ def _emit(records: list[dict], fmt: str, output: str | None) -> None:
         sys.stdout.write(body)
 
 
-def _cmd_verify_algebra(opts: dict) -> tuple[list[dict], list[str]]:
-    from .opalg import verify_q3
-    report = verify_q3(opts["N"], opts["n"])
-    _log(f"verify-algebra ({opts['N']},{opts['n']}): "
-         f"{len(report.results)} checks in {report.total_time():.2f}s")
-    return report.records(), [r.name for r in report.failures()]
-
-
-def _cmd_verify_poisson(opts: dict) -> tuple[list[dict], list[str]]:
-    from .opalg import verify_qp3
-    report = verify_qp3(opts["N"], opts["n"])
-    _log(f"verify-poisson ({opts['N']},{opts['n']}): "
+def _cmd_verify(command: str, opts: dict) -> tuple[list[dict], list[str]]:
+    from . import opalg
+    verify = opalg.verify_q3 if command == "verify-algebra" else opalg.verify_qp3
+    report = verify(opts["N"], opts["n"])
+    _log(f"{command} ({opts['N']},{opts['n']}): "
          f"{len(report.results)} checks in {report.total_time():.2f}s")
     return report.records(), [r.name for r in report.failures()]
 
@@ -226,15 +223,14 @@ def _cmd_radial(opts: dict) -> tuple[list[dict], list[str]]:
     spec = radial.ComponentSpec(m=opts["m"], c=_fraction(opts["c"]), l=opts["l"],
                                 hbar=_fraction(opts["hbar"]),
                                 omega=_fraction(opts["omega"]))
-    grid = radial.GridSpec(nodes=opts["grid_nodes"], r_max=opts["r_max"],
+    grid = radial.GridSpec(nodes=opts["grid_nodes"], r_max=_r_max(opts),
                            levels=opts["grid_levels"])
     count = opts["count"]
     fd = radial.fd_eigenvalues(spec, grid, count=count)
     records = []
     failures = []
-    for idx in range(count):
+    for idx, fd_rec in enumerate(fd.record()):
         mode = radial.closed_form(spec, idx)
-        fd_rec = fd.record()[idx]
         rel = abs(fd.energies[idx] - mode.energy) / abs(mode.energy)
         reasons = [] if fd.converged else ["fd_converged false"]
         if not rel < 1e-6:
@@ -253,10 +249,13 @@ def _cmd_radial(opts: dict) -> tuple[list[dict], list[str]]:
 
 def _cmd_levels(opts: dict) -> tuple[list[dict], list[str]]:
     from . import levels
+    try:
+        e_cut = float(_fraction(opts["e_cut"]))
+    except OverflowError:
+        raise ConfigError(f"--e-cut {opts['e_cut']} is too large for a float") from None
     table = levels.enumerate_levels(
         opts["N"], opts["n"], _fraction(opts["c1"]), _fraction(opts["c2"]),
-        e_cut=float(_fraction(opts["e_cut"])), hbar=_fraction(opts["hbar"]),
-        omega=_fraction(opts["omega"]))
+        e_cut=e_cut, hbar=_fraction(opts["hbar"]), omega=_fraction(opts["omega"]))
     if not table.levels:
         raise ConfigError(f"no level lies at or below --e-cut {opts['e_cut']}")
     return table.records(), []
@@ -268,12 +267,9 @@ def _cmd_wavefunction(opts: dict) -> tuple[list[dict], list[str]]:
                                 hbar=_fraction(opts["hbar"]),
                                 omega=_fraction(opts["omega"]))
     mode = radial.closed_form(spec, opts["nr"])
-    import math
-    r_max = opts["r_max"]
+    r_max = _r_max(opts)
     if r_max is None:
         r_max = 8.0 / math.sqrt(float(spec.omega_reduced))
-    elif not r_max > 0:
-        raise ConfigError(f"--r-max must be positive, got {r_max}")
     samples = opts["samples"]
     if samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {samples}")
@@ -285,13 +281,21 @@ def _cmd_wavefunction(opts: dict) -> tuple[list[dict], list[str]]:
     return records, []
 
 
+def _r_max(opts: dict) -> float | None:
+    """--r-max of radial and wavefunction; None asks for the default."""
+    r_max = opts["r_max"]
+    if r_max is not None and not 0 < r_max < math.inf:
+        raise ConfigError(f"--r-max must be a positive finite number, got {r_max}")
+    return r_max
+
+
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
 _HANDLERS = {
-    "verify-algebra": _cmd_verify_algebra,
-    "verify-poisson": _cmd_verify_poisson,
+    "verify-algebra": partial(_cmd_verify, "verify-algebra"),
+    "verify-poisson": partial(_cmd_verify, "verify-poisson"),
     "spectrum": _cmd_spectrum,
     "radial": _cmd_radial,
     "levels": _cmd_levels,

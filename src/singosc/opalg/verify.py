@@ -1,13 +1,16 @@
 """Exact verification of the quadratic symmetry algebra and its Poisson analogue.
 
-Every check subtracts a closed-form right-hand side from an engine-computed
-left-hand side and asserts that the difference is the exact zero operator
-(or phase-space function).  The right sides are the graded words
+Both families run one check table, ``_CHECKS``, which names each check for each
+family: commute/poisson, central/poisson-central, quadratic/classical-limit,
+casimir[generators-vs-central]/poisson-casimir[K-vs-K1] and
+so-rotations/poisson-so.  Every residual is one combination of words
+(scale, f, g | None), added into one accumulator and reduced once by the
+family's combiner, and a check passes when it is the exact zero operator (or
+phase-space function).  The right sides are the graded words
 (hbar_power, scale, f, g | None) of ``singosc.relations``, built over the
-parameter symbols, with each name mapped to its generator or cached product;
-``combine`` and ``combine_phase`` add every word's product into one
-accumulator and reduce once.  Each verify call owns one derivative table, so
-every derivative is taken once per call.
+parameter symbols, with each name mapped to its generator or cached product.
+Each verify call owns one derivative table, so every derivative is taken once
+per call.
 
 The Poisson relations are the leading order of the quantum ones under
 [.,.] -> i hbar {.,.}.  The quantum C = [A, B] is i hbar times the classical
@@ -44,47 +47,40 @@ class _ProductCache:
     """Memoizes the products used across several identities, quantum or classical,
     and holds the one derivative table of a verify call.
 
-    The family follows the generators: ``bracket``, ``bracket_words`` and
-    ``combine`` are the commutator and ``diffop.combine`` for operators, the
-    Poisson bracket and ``combine_phase`` for phase-space functions, and C is
-    bracket(A, B).  ``graded`` turns graded words into the family's words.
-    Nothing outlives the cache, so generators reused across verify calls gain
-    nothing from an earlier call."""
+    The family follows the generators and is chosen here, once: ``bracket``,
+    ``bracket_words`` and ``combine`` are the commutator, its two words and
+    ``diffop.combine`` for operators, the Poisson bracket, its 2N words and
+    ``combine_phase`` for phase-space functions.  C is bracket(A, B), and
+    ``rotation`` is the scale s of bracket(L_ab, L_cd) = s (d_ac L_bd + ...):
+    -hbar for the real-form operators, 1 for their classical limits.
+    ``graded`` turns graded words into the family's words.  Nothing outlives
+    the cache, so generators reused across verify calls gain nothing from an
+    earlier call."""
 
     def __init__(self, gens: Generators):
         self.g = gens
         self.classical = isinstance(gens.H, PhaseFn)
-        self.derivatives = Derivatives()
+        self.derivatives = derivatives = Derivatives()
+        if self.classical:
+            # poisson_bracket is looked up at each call, so a wrapped one sees them all
+            self.bracket = lambda f, g: poisson_bracket(f, g, derivatives)
+            self.bracket_words = lambda f, g: bracket_words(f, g, derivatives)
+            self.combine = combine_phase
+            one, self.rotation = PhaseFn.scalar(gens.layout, 1), 1
+        else:
+            self.bracket = lambda f, g: commutator(f, g, derivatives)
+            self.bracket_words = lambda f, g: [(1, f, g), (-1, g, f)]
+            self.combine = lambda words: combine(words, derivatives)
+            one, self.rotation = DiffOp.identity(gens.layout), _HBAR[-1][1]
         self._cache = {name: getattr(gens, name) for name in ("A", "B", "H", "J2", "K2")}
+        self._cache["1"] = one
         self._builders = {
-            "1": lambda: (PhaseFn.scalar(gens.layout, 1) if self.classical
-                          else DiffOp.identity(gens.layout)),
             "C": lambda: self.bracket(gens.A, gens.B),
-            "B2": lambda: self.product(gens.B, gens.B),
-            "H2": lambda: self.product(gens.H, gens.H),
-            "J2H": lambda: self.product(gens.J2, gens.H),
-            "K2H": lambda: self.product(gens.K2, gens.H),
+            "B2": lambda: self.combine([(1, gens.B, gens.B)]),
+            "H2": lambda: self.combine([(1, gens.H, gens.H)]),
+            "J2H": lambda: self.combine([(1, gens.J2, gens.H)]),
+            "K2H": lambda: self.combine([(1, gens.K2, gens.H)]),
         }
-
-    def bracket(self, f, g):
-        if self.classical:
-            return poisson_bracket(f, g, self.derivatives)
-        return commutator(f, g, self.derivatives)
-
-    def bracket_words(self, f, g) -> list:
-        if self.classical:
-            return bracket_words(f, g, self.derivatives)
-        return [(1, f, g), (-1, g, f)]
-
-    def combine(self, words: list):
-        if self.classical:
-            return combine_phase(words)
-        return combine(words, self.derivatives)
-
-    def product(self, f, g):
-        if self.classical:
-            return f * g
-        return self.combine([(1, f, g)])
 
     def get(self, name: str):
         value = self._cache.get(name)
@@ -152,54 +148,81 @@ def _at(residual, point: dict | None):
     return residual.substitute_params(point) if point else residual
 
 
-def _timed(report: VerificationReport, name: str, residual_fn, detail: str = "",
-           point: dict | None = None) -> None:
-    start = time.perf_counter()
-    residual = _at(residual_fn(), point)
-    elapsed = time.perf_counter() - start
-    report.add(CheckResult(name=name, passed=residual.is_zero(),
-                           residual_terms=residual.term_count(),
-                           wall_time=elapsed, detail=detail))
+# Each check below returns the residual of its check on ``key``, read at ``point``.
+
+def _bracket_check(cache, consts, key, point):
+    f, g = (cache.get(name) for name in key.split(","))
+    return _at(cache.bracket(f, g), point)
 
 
-def _vanishing_checks(report: VerificationReport, gens, bracket, families,
-                      point: dict | None = None) -> None:
-    """H commutes with everything, and J2, K2 are central: each bracket is zero."""
-    for pair in ("H,A", "H,B", "H,J2", "H,K2", "A,J2", "A,K2", "B,J2", "B,K2", "J2,K2"):
-        f, g = (getattr(gens, name) for name in pair.split(","))
-        family = families[0] if pair.startswith("H,") else families[1]
-        _timed(report, f"{family}[{pair}]", lambda: bracket(f, g), point=point)
+def _quadratic_check(cache, consts, key, point):
+    rhs = quadratic_ac_rhs if key == "A,C" else quadratic_bc_rhs
+    return _at(quadratic_residual(cache, cache.get(key[0]), rhs(cache, consts)), point)
 
 
-def _so_residual(gens: dict, bracket, zero, scale, point: dict | None = None):
-    """First residual of bracket(L_ab, L_cd) = scale (d_ac L_bd + d_bd L_ac
-    - d_ad L_bc - d_bc L_ad) that is nonzero at ``point``, or ``zero`` when
-    every pair holds there.
+def _casimir_check(cache, consts, key, point):
+    return _at(casimir_residual(cache), point)
 
-    The quantum real form has scale -hbar, the Poisson form scale 1.
-    """
-    def gen(i, jdx):
-        if i == jdx:
-            return zero
-        return gens[(i, jdx)] if i < jdx else -gens[(jdx, i)]
 
-    pairs = sorted(gens)
-    for a, b in pairs:
-        for c, d in pairs:
-            rhs = zero
-            if a == c:
-                rhs = rhs + gen(b, d)
-            if b == d:
-                rhs = rhs + gen(a, c)
-            if a == d:
-                rhs = rhs - gen(b, c)
-            if b == c:
-                rhs = rhs - gen(a, d)
-            residual = _at(bracket(gens[(a, b)], gens[(c, d)]) - rhs.scaled(scale),
-                           point)
+def _so_residual(cache, consts, key, point):
+    """First residual of bracket(L_ab, L_cd) = s (d_ac L_bd + d_bd L_ac
+    - d_ad L_bc - d_bc L_ad), s = ``cache.rotation``, that is nonzero at
+    ``point``, or a zero one when every pair holds there.  Each pair is its
+    bracket words and the L words scaled by -s, combined once; L_ba = -L_ab."""
+    gens = getattr(cache.g, _BLOCKS[key])
+    minus_s = {1: -cache.rotation, -1: cache.rotation}
+    # a block of one coordinate has no generators: its residual is the empty sum
+    residual = cache.combine([(0, cache.get("1"), None)])
+    for a, b in gens:
+        for c, d in gens:
+            words = cache.bracket_words(gens[(a, b)], gens[(c, d)])
+            for sign, delta, (x, y) in ((1, a == c, (b, d)), (1, b == d, (a, c)),
+                                        (-1, a == d, (b, c)), (-1, b == c, (a, d))):
+                if delta and x != y:
+                    words.append((minus_s[sign if x < y else -sign],
+                                  gens[min(x, y), max(x, y)], None))
+            residual = _at(cache.combine(words), point)
             if not residual.is_zero():
                 return residual
-    return zero
+    return residual
+
+
+_BLOCKS = {"block1": "J", "block2": "K"}
+
+# Every check of both families, in run order: its (quantum, Poisson) name, the
+# keys it runs on (each shown in brackets; None: the bare name) and its residual.
+_CHECKS = (
+    (("commute", "poisson"), ("H,A", "H,B", "H,J2", "H,K2"), _bracket_check),
+    (("central", "poisson-central"), ("A,J2", "A,K2", "B,J2", "B,K2", "J2,K2"), _bracket_check),
+    (("quadratic", "classical-limit"), ("A,C", "B,C"), _quadratic_check),
+    (("casimir[generators-vs-central]", "poisson-casimir[K-vs-K1]"), (None,), _casimir_check),
+    (("so-rotations", "poisson-so"), tuple(_BLOCKS), _so_residual),
+)
+# The checks whose records carry a ``detail``, by name (the Poisson ones have none).
+_DETAILS = {"so-rotations": lambda gens, key: f"{len(getattr(gens, _BLOCKS[key]))} generators"}
+
+
+def _verify(N: int, n: int, gens: Generators, consts: QuadraticConstants | None,
+            casimir: bool = True, point: dict | None = None) -> VerificationReport:
+    """Every check of ``_CHECKS`` in the family of ``gens``, each one timed."""
+    cache = _ProductCache(gens)
+    consts = consts or QuadraticConstants.for_dims(N, n)
+    family = cache.classical
+    report = VerificationReport(context={"family": ("quantum", "classical")[family],
+                                         "N": N, "n": n})
+    for names, keys, residual_fn in _CHECKS:
+        if residual_fn is _casimir_check and not casimir:
+            continue
+        name, describe = names[family], _DETAILS.get(names[family])
+        for key in keys:
+            start = time.perf_counter()
+            residual = residual_fn(cache, consts, key, point)
+            elapsed = time.perf_counter() - start
+            report.add(CheckResult(
+                name=name if key is None else f"{name}[{key}]",
+                passed=residual.is_zero(), residual_terms=residual.term_count(),
+                wall_time=elapsed, detail=describe(gens, key) if describe else ""))
+    return report.finalize()
 
 
 def verify_q3(N: int, n: int, *, constants: QuadraticConstants | None = None,
@@ -212,30 +235,7 @@ def verify_q3(N: int, n: int, *, constants: QuadraticConstants | None = None,
     then reads its residual at that point: a check passes when the identity
     holds there, and ``residual_terms`` counts the terms left there.
     """
-    if gens is None:
-        gens = build_quantum(N, n)
-    consts = constants or QuadraticConstants.for_dims(N, n)
-    cache = _ProductCache(gens)
-    report = VerificationReport(context={"family": "quantum", "N": N, "n": n})
-
-    _vanishing_checks(report, gens, cache.bracket, ("commute", "central"),
-                      substitutions)
-    _timed(report, "quadratic[A,C]", lambda: quadratic_residual(
-        cache, gens.A, quadratic_ac_rhs(cache, consts)), point=substitutions)
-    _timed(report, "quadratic[B,C]", lambda: quadratic_residual(
-        cache, gens.B, quadratic_bc_rhs(cache, consts)), point=substitutions)
-    if casimir:
-        _timed(report, "casimir[generators-vs-central]", lambda: casimir_residual(cache),
-               point=substitutions)
-    minus_hbar = ParamScalar.hbar(1, -1)
-    zero = DiffOp.zero(gens.layout)
-    _timed(report, "so-rotations[block1]",
-           lambda: _so_residual(gens.J, cache.bracket, zero, minus_hbar, substitutions),
-           detail=f"{len(gens.J)} generators")
-    _timed(report, "so-rotations[block2]",
-           lambda: _so_residual(gens.K, cache.bracket, zero, minus_hbar, substitutions),
-           detail=f"{len(gens.K)} generators")
-    return report.finalize()
+    return _verify(N, n, gens or build_quantum(N, n), constants, casimir, substitutions)
 
 
 def verify_qp3(N: int, n: int, *, gens: Generators | None = None,
@@ -246,21 +246,4 @@ def verify_qp3(N: int, n: int, *, gens: Generators | None = None,
     table, built from ``quantum_constants``, so each ``classical-limit`` check
     is both the Poisson relation and its agreement with the quantum one.
     """
-    if gens is None:
-        gens = build_classical(N, n)
-    consts = quantum_constants or QuadraticConstants.for_dims(N, n)
-    report = VerificationReport(context={"family": "classical", "N": N, "n": n})
-    cache = _ProductCache(gens)
-
-    _vanishing_checks(report, gens, cache.bracket, ("poisson", "poisson-central"))
-    _timed(report, "poisson-casimir[K-vs-K1]", lambda: casimir_residual(cache))
-    zero = PhaseFn.zero(gens.layout)
-    _timed(report, "poisson-so[block1]",
-           lambda: _so_residual(gens.J, cache.bracket, zero, 1))
-    _timed(report, "poisson-so[block2]",
-           lambda: _so_residual(gens.K, cache.bracket, zero, 1))
-    _timed(report, "classical-limit[A,C]", lambda: quadratic_residual(
-        cache, gens.A, quadratic_ac_rhs(cache, consts)))
-    _timed(report, "classical-limit[B,C]", lambda: quadratic_residual(
-        cache, gens.B, quadratic_bc_rhs(cache, consts)))
-    return report.finalize()
+    return _verify(N, n, gens or build_classical(N, n), quantum_constants)

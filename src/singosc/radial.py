@@ -27,8 +27,6 @@ import numpy as np
 
 from .exact import exact_sqrt
 
-Rational = Fraction | int
-
 
 @dataclass(frozen=True)
 class ComponentSpec:
@@ -272,18 +270,12 @@ def _regularized_tridiagonal(spec: ComponentSpec, M: int, r_max: float):
     return diag, off
 
 
-def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
-                   count: int = 1) -> FdResult:
-    """Lowest eigenvalues of the radial operator, Richardson-extrapolated.
+def _fd_grid(spec: ComponentSpec, grid: GridSpec, count: int) -> tuple[float, list[int]]:
+    """(r_max, cells per grid level, finest last) for the lowest ``count`` levels.
 
-    The discretized operator acts on the reduced radial function with
-    regularity at 0 and a Dirichlet cutoff at r_max; eigenvalues are returned
-    in energy units (multiplied back by hbar^2).
-    """
-    from scipy.linalg import eigh_tridiagonal
-    if count < 1:
-        raise ValueError("need at least one eigenvalue")
-    grid = grid or GridSpec()
+    The default r_max is twice the classical turning point of level count + 3.
+    Raises ``GridError`` when r_max lies below the turning point of the highest
+    requested level, or when the coarsest grid cannot resolve level count + 3."""
     w = float(spec.omega_reduced)
     h2 = float(spec.hbar ** 2)
     e_top = _energy(spec, count + 3) / h2  # reduced units
@@ -295,20 +287,32 @@ def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
     wavelength = math.pi / math.sqrt(2.0 * e_top)
     if (r_max / grid.nodes) > wavelength / 4.0:
         raise GridError("grid too coarse to resolve the requested levels")
+    return r_max, [grid.nodes * 2 ** level for level in range(grid.levels)]
 
+
+def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
+                   count: int = 1) -> FdResult:
+    """Lowest eigenvalues of the radial operator, Richardson-extrapolated.
+
+    The discretized operator acts on the reduced radial function with
+    regularity at 0 and a Dirichlet cutoff at r_max; eigenvalues are returned
+    in energy units (multiplied back by hbar^2).
+    """
+    from scipy.linalg import eigh_tridiagonal
+    if count < 1:
+        raise ValueError("need at least one eigenvalue")
+    r_max, cells = _fd_grid(spec, grid or GridSpec(), count)
     raw = []
-    hs = []
-    for level in range(grid.levels):
-        M = grid.nodes * (2 ** level)
+    for M in cells:
         diag, off = _regularized_tridiagonal(spec, M, r_max)
         vals = eigh_tridiagonal(diag, off, select="i",
                                 select_range=(0, count - 1), eigvals_only=True)
         raw.append(tuple(float(v) for v in vals))
-        hs.append(r_max / M)
 
     energies, orders = _richardson(raw)
+    h2 = float(spec.hbar ** 2)
     return FdResult(energies=tuple(e * h2 for e in energies),
-                    raw_levels=tuple(raw), h_values=tuple(hs),
+                    raw_levels=tuple(raw), h_values=tuple(r_max / M for M in cells),
                     observed_orders=tuple(orders), r_max=r_max)
 
 
@@ -340,13 +344,13 @@ def _richardson(raw: list[tuple[float, ...]]) -> tuple[list[float], list[float]]
 
 def fd_eigenvector(spec: ComponentSpec, grid: GridSpec | None = None,
                    index: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(radial nodes, eigenvector samples) on the finest grid, for node counting."""
+    """(radial nodes, eigenvector samples) on the finest grid, for node counting.
+
+    The grid is that of ``fd_eigenvalues(spec, grid, count=index + 1)``, and so
+    are its ``GridError`` checks."""
     from scipy.linalg import eigh_tridiagonal
-    grid = grid or GridSpec()
-    w = float(spec.omega_reduced)
-    e_top = _energy(spec, index + 4) / float(spec.hbar ** 2)
-    r_max = grid.r_max if grid.r_max is not None else 2.0 * math.sqrt(2.0 * e_top) / w
-    M = grid.nodes * (2 ** (grid.levels - 1))
+    r_max, cells = _fd_grid(spec, grid or GridSpec(), index + 1)
+    M = cells[-1]
     diag, off = _regularized_tridiagonal(spec, M, r_max)
     _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(index, index))
     h = r_max / M

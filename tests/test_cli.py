@@ -133,8 +133,8 @@ def test_verify_poisson_subcommand(capsys):
     pytest.param("--samples", "0", "--samples must be at least 1", id="0"),
     pytest.param("--samples", "-5", "--samples must be at least 1", id="-5"),
     # a zero radius is not the default radius
-    pytest.param("--r-max", "0", "--r-max must be positive", id="r-max-0"),
-    pytest.param("--r-max", "-1", "--r-max must be positive", id="r-max--1"),
+    pytest.param("--r-max", "0", "--r-max must be a positive finite number", id="r-max-0"),
+    pytest.param("--r-max", "-1", "--r-max must be a positive finite number", id="r-max--1"),
 ])
 def test_wavefunction_without_samples_exits_2(capsys, flag, value, message):
     code, out, err = _run(capsys, ["wavefunction", "--m", "3", "--l", "1", "--nr", "2",
@@ -142,6 +142,26 @@ def test_wavefunction_without_samples_exits_2(capsys, flag, value, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["wavefunction", "radial"])
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
+def test_non_finite_r_max_exits_2(tmp_path, capsys, command, value):
+    # 1e400 overflows to inf when parsed; nan fails every comparison
+    code, out, err = _run(capsys, [command, "--m", "2", "--r-max", value])
+    assert (code, out) == (2, "")
+    assert "--r-max must be a positive finite number" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"r_max = {value}\n")
+    code, out, err = _run(capsys, ["--config", str(cfg), command, "--m", "2"])
+    assert (code, out) == (2, "")
+    assert "--r-max must be a positive finite number" in err
+
+
+def test_levels_with_an_e_cut_past_the_float_range_exits_2(capsys):
+    code, out, err = _run(capsys, ["levels", "--N", "4", "--n", "2", "--e-cut", "1e400"])
+    assert (code, out) == (2, "")
+    assert "--e-cut 1e400" in err
 
 
 def test_radial_without_fd_convergence_exits_1(capsys):

@@ -144,6 +144,16 @@ def test_fd_grid_errors():
         fd_eigenvalues(spec, GridSpec(nodes=64, r_max=40.0), count=8)
 
 
+def test_fd_eigenvector_checks_the_grid_of_fd_eigenvalues():
+    # r_max = 1 lies inside the classical region of level 2, so neither solver
+    # can return that level
+    spec, grid = ComponentSpec(m=3, c=Fraction(1)), GridSpec(r_max=1.0)
+    for solve in (lambda: fd_eigenvalues(spec, grid, count=3),
+                  lambda: fd_eigenvector(spec, grid, index=2)):
+        with pytest.raises(GridError, match="below the classical turning point"):
+            solve()
+
+
 def test_wavefunction_gaussian_ground_state():
     mode = closed_form(ComponentSpec(m=2), 0)
     rs = [0.3, 0.7, 1.1, 1.9]

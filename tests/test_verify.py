@@ -3,13 +3,14 @@ parameter point, and mutation sensitivity of every structure constant."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from singosc.opalg import (MUTABLE_CONSTANTS, QuadraticConstants, build_quantum, combine,
-                           commutator, verify_q3)
+from singosc.opalg import (MUTABLE_CONSTANTS, QuadraticConstants, build_classical,
+                           build_quantum, combine, commutator, verify_q3, verify_qp3)
 from singosc.opalg import verify as verify_module
 from singosc.opalg.verify import _ProductCache, quadratic_ac_rhs, quadratic_bc_rhs
 
@@ -45,6 +46,22 @@ def test_sampled_mode_checks_rotations_of_a_three_dimensional_block(seed):
     report = verify_q3(5, 2, casimir=False, substitutions=values)
     assert report.all_passed, [r.name for r in report.failures()]
     assert report["so-rotations[block2]"].detail == "3 generators"
+
+
+@pytest.mark.parametrize("factor", [2, -1])
+@pytest.mark.parametrize("verify, build, check", [
+    (verify_q3, build_quantum, "so-rotations[block2]"),
+    (verify_qp3, build_classical, "poisson-so[block2]"),
+])
+def test_a_rescaled_rotation_generator_fails_only_its_block(verify, build, check, factor):
+    # (5,2): the second block is so(3), where each pair of generators brackets
+    # to the third, so one rescaled generator breaks the relations it enters
+    gens = build(5, 2)
+    key = min(gens.K)
+    bent = dataclasses.replace(gens, K={**gens.K, key: gens.K[key].scaled(factor)})
+    report = verify(5, 2, gens=bent)
+    assert [r.name for r in report.failures()] == [check]
+    assert report[check].residual_terms > 0
 
 
 def test_a_sampled_check_reads_the_symbolic_residual_at_the_point():
