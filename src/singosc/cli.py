@@ -3,9 +3,11 @@
 All numeric inputs are exact rational strings ("3/4", "2"); every record is
 emitted as one json line (or one CSV row) in a fixed order, so identical
 configurations produce byte-identical output.  Timings and progress go
-to stderr only.  ``verify-algebra`` and ``verify-poisson`` share one handler,
-since both run the one check table of ``opalg.verify``; bad input, such as
-a non-finite ``--r-max``, exits 2 with a message.
+to stderr only, as do the per-check times of ``verify-algebra --timings`` and
+``verify-poisson --timings``.  Those two share one handler, since both run
+the one check table of ``opalg.verify``; bad input, such as a non-finite
+``--r-max`` or an ``--e-cut`` past ``levels.E_CUT_LIMIT``, exits 2 with a
+message.
 """
 
 from __future__ import annotations
@@ -54,15 +56,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default=None, choices=_FORMATS)
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("verify-algebra", help="exact quantum Q(3) identity checks")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p, units=False)
-
-    p = sub.add_parser("verify-poisson", help="exact classical Poisson checks")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p, units=False)
+    for name, text in (("verify-algebra", "exact quantum Q(3) identity checks"),
+                       ("verify-poisson", "exact classical Poisson checks")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--timings", action="store_true",
+                       help="one line per check on stderr: name, wall seconds, residual terms")
+        common(p, units=False)
 
     p = sub.add_parser("spectrum", help="algebraic spectrum from the unirreps")
     p.add_argument("--N", type=int, required=True)
@@ -192,6 +193,11 @@ def _cmd_verify(command: str, opts: dict) -> tuple[list[dict], list[str]]:
     from . import opalg
     verify = opalg.verify_q3 if command == "verify-algebra" else opalg.verify_qp3
     report = verify(opts["N"], opts["n"])
+    if opts["timings"]:
+        for result in report.results:
+            rec = result.record(include_timing=True)
+            _log(f"{rec['check']}  {rec['wall_time_s']:.6f} s  "
+                 f"{rec['residual_terms']} residual terms")
     _log(f"{command} ({opts['N']},{opts['n']}): "
          f"{len(report.results)} checks in {report.total_time():.2f}s")
     return report.records(), [r.name for r in report.failures()]

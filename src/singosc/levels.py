@@ -180,10 +180,20 @@ class LevelTable:
         return out
 
 
+# The largest e_cut, in units of hbar omega, that enumerate_levels accepts.
+# The table grows as (e_cut / hbar omega)^4: at (4,2) with c1 = c2 = 0 it holds
+# 191,488 contributors at this limit (about a second and 70 MB on a 2-CPU
+# x86-64 VM), and would hold about 10^10 at 1000 hbar omega.
+E_CUT_LIMIT = 64
+
+
 def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int = 0,
                      e_cut: float = 10.0, hbar: Fraction = Fraction(1),
                      omega: Fraction = Fraction(1)) -> LevelTable:
-    """All levels with E <= e_cut, grouped by energy with their degeneracies."""
+    """All levels with E <= e_cut, grouped by energy with their degeneracies.
+
+    An e_cut above ``E_CUT_LIMIT`` hbar omega raises ``ValueError`` before
+    anything is enumerated."""
     if not 1 <= n <= N - 1:
         raise ValueError(f"invalid split ({N}, {n})")
     c1, c2, hbar, omega = Fraction(c1), Fraction(c2), Fraction(hbar), Fraction(omega)
@@ -194,6 +204,10 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
     h2 = hbar ** 2
     c1r, c2r = c1 / h2, c2 / h2
     hw = float(hbar * omega)
+    if e_cut > E_CUT_LIMIT * hw:
+        raise ValueError(f"e_cut {e_cut:g} is above {E_CUT_LIMIT} hbar omega = "
+                         f"{E_CUT_LIMIT * hw:g}; the level table grows as "
+                         "(e_cut / hbar omega)^4")
     m1_dim, m2_dim = n, N - n
     step = 2 * hbar * omega
 

@@ -2,7 +2,12 @@
 
 A PhaseFn is a polynomial in x_1..x_N, p_1..p_N over the parameter ring,
 divided by powers of r1^2 and r2^2, backed by the same packed representation
-as the operator coefficients (momenta carry no denominators).
+as the operator coefficients (momenta carry no denominators).  Operators live
+on this layout too, as standard-ordered symbols, p^beta for d^beta (``diffop``).
+In the symbol product sum_delta (1/delta!) d_p^delta sigma_L d_x^delta sigma_R
+(Folland, *Harmonic Analysis in Phase Space*, 1989, ch. 2), each delta > 0
+term is hbar^|delta| below sigma_L sigma_R once d = (i/hbar) p, so the leading
+order of a product is the product of the leading orders.
 
 Sums of products are written as words (scale, f, g | None).  ``combine_phase``
 adds every word's product, unreduced, into the (j, k) buckets of one
@@ -19,9 +24,9 @@ of order m = |beta| keeps only the hbar^m part of its coefficient; higher
 powers are subleading and drop, and a lower one raises.  Sign rule: with
 d = (i/hbar) p, hbar^m d^beta is i^m p^beta, and an odd-order operator is the
 real form L = hbar (x_i d_j - x_j d_i) of the physical generator -i L, so the
-kept part, hbar^m stripped, takes p^beta and (-1)^floor(m/2).  The x fields of
-each key move up past the momenta (``BlockLayout.from_plain``), and all terms
-are merged in one reduction.
+kept part, hbar^m stripped, takes p^beta and (-1)^floor(m/2).  Since the
+symbol already holds p^beta, the limit maps each of its terms in place and
+reduces the kept ones once.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from fractions import Fraction
 
 from .diffop import DiffOp
 from .poly import (_MASK, BlockLayout, BlockPoly, Derivatives, _merge, _open_bucket,
-                   _raw_add_into, _raw_mul_into)
+                   _raw_mul_into)
 from .scalars import ParamScalar
 
 
@@ -144,28 +149,22 @@ def combine_phase(words: list[tuple[ParamScalar | Fraction | int, PhaseFn, Phase
 def classical_limit(op: DiffOp) -> PhaseFn:
     """The leading hbar order of an operator, as a phase-space function.
 
-    A term c d^beta of order m = |beta| becomes (-1)^floor(m/2) p^beta times
-    the hbar^m part of c divided by hbar^m (the rules of the module
-    docstring).  A part of c below hbar^m has no classical limit and raises
-    ``ValueError``."""
-    plain = op.layout
-    layout = PhaseFn.layout(plain.N, plain.n)
-    hbar_shift = plain.param_shift[0]
-    buckets: dict = {}
-    for beta, coeff in op.terms.items():
-        order = sum(beta)
-        momenta = sum(layout.p_key(i, b) for i, b in enumerate(beta))
-        terms = {}
-        for key, c in coeff.num.items():
-            power = (key >> hbar_shift) & _MASK
-            if power < order:
-                raise ValueError(f"hbar^{power} coefficient of a derivative of order "
-                                 f"{order}: no classical limit")
-            if power == order:
-                terms[layout.from_plain(key - (order << hbar_shift)) + momenta] = c
-        bucket, lift = _open_bucket(buckets, (coeff.j, coeff.k), coeff.den)
-        _raw_add_into(bucket, terms, (-1) ** (order // 2) * lift)
-    return PhaseFn(_merge(layout, buckets))
+    Each symbol term with p^beta, |beta| = m, keeps its hbar^m part, divided by
+    hbar^m and times (-1)^floor(m/2) (the rules of the module docstring).  A
+    part below hbar^m has no classical limit and raises ``ValueError``."""
+    symbol = op.symbol
+    layout = symbol.layout
+    hbar_shift = layout.param_shift[0]
+    terms = {}
+    for key, c in symbol.num.items():
+        order = sum((key >> s) & _MASK for s in layout.pshift)
+        power = (key >> hbar_shift) & _MASK
+        if power < order:
+            raise ValueError(f"hbar^{power} coefficient of a derivative of order "
+                             f"{order}: no classical limit")
+        if power == order:
+            terms[key - (order << hbar_shift)] = (-1) ** (order // 2) * c
+    return PhaseFn(BlockPoly._make(layout, terms, symbol.den, symbol.j, symbol.k))
 
 
 def _gradient(fn: PhaseFn, derivatives: Derivatives

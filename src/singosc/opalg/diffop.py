@@ -1,22 +1,29 @@
-"""Normal-ordered differential operators with BlockPoly coefficients.
+"""Normal-ordered differential operators, stored as their symbols.
 
-An operator is a sparse map from derivative multi-indices (tuples of length N)
-to coefficient functions; all derivatives stand to the right of all
-coefficients, which makes the representation of a given operator unique.
-Composition uses the Leibniz rule
+An operator sum_beta c_beta d^beta, every derivative to the right of its
+coefficient (standard order), is stored as its symbol sum_beta c_beta p^beta:
+one ``BlockPoly`` on the split's phase-space layout (``PhaseFn.layout``),
+whose p fields hold the derivative orders.  Standard order makes the symbol
+unique and the BlockPoly normal form makes its value unique, so ``==``
+compares symbols.  ``terms`` splits the symbol into one coefficient per
+multi-index on the operator's own momentum-free layout, and ``apply``
+differentiates its argument term by term from that view.
 
-    (f d^a) (g d^b) = sum_{d <= a} binom(a, d) f (d^d g) d^{a-d+b}
+Composition is the product of standard-ordered symbols (Folland, *Harmonic
+Analysis in Phase Space*, 1989, ch. 2), with p standing for d:
 
-and accumulates everything in one pass so that commutators cancel in place.
-The accumulator holds one raw term dict per (derivative slot, j, k), with
-integer numerators over that dict's own common denominator; a slot is the
-multi-index packed into one integer, so the output slot is an integer sum.
-``combine`` composes a whole list of words (scale, left, right | None) into
-one accumulator and ``poly._merge`` reduces each slot once, as it does for the
-Poisson side.  Each Leibniz term is formed once: like words are summed, and a
-word and its reverse share their d = 0 terms (the coefficient products), which
-a commutator then never forms.  A ``Derivatives`` table passed to ``combine``
-keeps every d^d g for as long as its owner (one verify call) lives.
+    sigma(L o R) = sum_delta (1/delta!) d_p^delta sigma_L * d_x^delta sigma_R,
+
+the Leibniz rule (f d^a)(g d^b) = sum_{delta <= a} binom(a, delta)
+f (d^delta g) d^(a - delta + b) summed over all pairs of terms.  So a word
+costs one kernel call per delta on whole symbols: {delta: (1/delta!)
+d_p^delta sigma_L} comes from one pass over L's terms, and d_x^delta sigma_R
+is a ``diff_x`` chain kept in a ``Derivatives`` table for as long as its
+owner (one verify call) lives.  ``combine`` adds a list of words (scale, left,
+right | None) into one accumulator of (j, k) buckets that ``poly._merge``
+reduces once, as on the Poisson side.  Like words are summed, and a word and
+its reverse share their delta = 0 product sigma_L sigma_R, which a
+commutator then never forms.
 """
 
 from __future__ import annotations
@@ -24,10 +31,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iproduct
-from math import comb
+from math import comb, prod
 
-from .poly import (BlockLayout, BlockPoly, Derivatives, _field, _merge, _open_bucket,
-                   _raw_mul_into)
+from .poly import (_MASK, BlockLayout, BlockPoly, Derivatives, _merge, _open_bucket,
+                   _raw_add_into, _raw_mul_into)
 from .scalars import ParamScalar
 
 Beta = tuple[int, ...]
@@ -37,17 +44,26 @@ class DimensionMismatchError(ValueError):
     """Raised when operands were built for different (N, n) splits."""
 
 
+@lru_cache(maxsize=None)
+def _symbol_layout(N: int, n: int) -> BlockLayout:
+    """The phase-space layout that holds the symbols of the (N, n) operators."""
+    return BlockLayout(N, n, momenta=True)
+
+
 class DiffOp:
     """A normal-ordered differential operator for a concrete (N, n) split."""
 
-    __slots__ = ("layout", "terms")
+    __slots__ = ("layout", "symbol")
 
-    def __init__(self, layout: BlockLayout, terms: dict[Beta, BlockPoly] | None = None,
-                 prune: bool = True):
+    def __init__(self, layout: BlockLayout, terms: dict[Beta, BlockPoly] | None = None):
         self.layout = layout
-        if terms and prune:
-            terms = {b: c for b, c in terms.items() if not c.is_zero()}
-        self.terms = terms or {}
+        self.symbol = _symbol_of(layout, terms or {})
+
+    @classmethod
+    def _of(cls, layout: BlockLayout, symbol: BlockPoly) -> DiffOp:
+        op = object.__new__(cls)
+        op.layout, op.symbol = layout, symbol
+        return op
 
     # -- constructors ----------------------------------------------------------
 
@@ -79,24 +95,16 @@ class DiffOp:
 
     def __add__(self, other: DiffOp) -> DiffOp:
         self._check(other)
-        terms = dict(self.terms)
-        for beta, coeff in other.terms.items():
-            cur = terms.get(beta)
-            new = coeff if cur is None else cur + coeff
-            if new.is_zero():
-                terms.pop(beta, None)
-            else:
-                terms[beta] = new
-        return DiffOp(self.layout, terms, prune=False)
+        return DiffOp._of(self.layout, self.symbol + other.symbol)
 
     def __sub__(self, other: DiffOp) -> DiffOp:
         return self + (-other)
 
     def __neg__(self) -> DiffOp:
-        return DiffOp(self.layout, {b: -c for b, c in self.terms.items()}, prune=False)
+        return DiffOp._of(self.layout, -self.symbol)
 
     def scaled(self, value: ParamScalar | Fraction | int) -> DiffOp:
-        return DiffOp(self.layout, {b: c.scaled(value) for b, c in self.terms.items()})
+        return DiffOp._of(self.layout, self.symbol.scaled(value))
 
     # -- composition -------------------------------------------------------------
 
@@ -116,143 +124,148 @@ class DiffOp:
             for i, order in enumerate(beta):
                 for _ in range(order):
                     val = val.diff_x(i)
-                    if val.is_zero():
-                        break
-                if val.is_zero():
-                    break
-            if val.is_zero():
-                continue
             out = out + coeff * val
         return out
 
     # -- queries ---------------------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Beta, BlockPoly]:
+        """The coefficient of each d^beta, on ``layout``, split anew from the symbol."""
+        sym, phase = self.symbol, self.symbol.layout
+        pmask = sum(_MASK << s for s in phase.pshift)
+        slots: dict[int, dict[int, int]] = {}
+        for key, coeff in sym.num.items():
+            slots.setdefault(key & pmask, {})[phase.to_plain(key)] = coeff
+        return {phase.unpack(p)[1]: BlockPoly._make(self.layout, num, sym.den, sym.j, sym.k)
+                for p, num in slots.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.symbol.num
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self.layout.same_split(other.layout) and self.terms == other.terms
+        return self.layout.same_split(other.layout) and self.symbol == other.symbol
 
     def __hash__(self):
-        return hash(frozenset((b, hash(c)) for b, c in self.terms.items()))
+        return hash(self.symbol)
 
     def order(self) -> int:
-        return max((sum(b) for b in self.terms), default=0)
+        return self.symbol.p_degree()
 
     def term_count(self) -> int:
-        return sum(c.term_count() for c in self.terms.values())
+        """Terms of the symbol, which are the terms of every coefficient: lifting
+        a coefficient onto the symbol's rho powers is a shift of its keys."""
+        return self.symbol.term_count()
 
     def coefficient(self, beta: Beta) -> BlockPoly:
         return self.terms.get(tuple(beta), BlockPoly.zero(self.layout))
 
     def substitute_params(self, values) -> DiffOp:
-        return DiffOp(self.layout,
-                      {b: c.substitute_params(values) for b, c in self.terms.items()})
+        return DiffOp._of(self.layout, self.symbol.substitute_params(values))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "DiffOp<0>"
         parts = []
-        for beta in sorted(self.terms, key=lambda b: (sum(b), b), reverse=True):
+        for beta in sorted(terms, key=lambda b: (sum(b), b), reverse=True):
             dd = "".join(f"d{i + 1}^{o}" if o > 1 else f"d{i + 1}"
                          for i, o in enumerate(beta) if o)
-            parts.append(f"[{self.terms[beta]!r}] {dd}".strip())
+            parts.append(f"[{terms[beta]!r}] {dd}".strip())
         return "DiffOp<" + " + ".join(parts) + ">"
+
+
+def _symbol_of(layout: BlockLayout, terms: dict[Beta, BlockPoly]) -> BlockPoly:
+    """sum_beta c_beta p^beta, reduced once: each coefficient's keys move up
+    past the momenta and gain the p fields of beta."""
+    phase = _symbol_layout(layout.N, layout.n)
+    buckets: dict = {}
+    for beta, coeff in terms.items():
+        if coeff.num:
+            bucket, lift = _open_bucket(buckets, (coeff.j, coeff.k), coeff.den)
+            momenta = sum(phase.p_key(i, b) for i, b in enumerate(beta))
+            _raw_add_into(bucket, {phase.from_plain(key): c for key, c in coeff.num.items()},
+                          lift, momenta)
+    return _merge(phase, buckets)
 
 
 _MISSING = object()
 
-# Which Leibniz terms ``_compose_into`` adds, as slices of ``_leibniz(beta)``:
-# every term, the delta = 0 term alone (the product of the two coefficients),
-# or only the terms that differentiate the right factor.
-_ALL = slice(None)
-_PRODUCT = slice(0, 1)
-_DERIVATIVES = slice(1, None)
+# Which parts of the symbol product ``_compose_into`` adds: the delta = 0 term
+# (the product of the two symbols), the delta > 0 terms, or both.
+_PRODUCT = 1
+_DERIVATIVES = 2
+_ALL = _PRODUCT | _DERIVATIVES
+
+# The one key of a composition accumulator, under which it holds the (j, k)
+# buckets of the symbol; the benchmark's ``peak_terms`` hook reads this shape.
+_SYMBOL = "symbol"
 
 
 @lru_cache(maxsize=None)
-def _pack(beta: Beta, shifts: tuple[int, ...]) -> int:
-    """Derivative slot key: beta packed like an x monomial, one field per coordinate."""
-    return sum(_field(b) << s for b, s in zip(beta, shifts))
+def _leibniz(momenta: int, pshift: tuple[int, ...]) -> tuple[tuple[Beta, int, int], ...]:
+    """(delta, binom(a, delta), delta packed in the p fields) for every nonzero
+    delta <= a componentwise, where ``momenta`` holds the p fields of a."""
+    a = [(momenta >> s) & _MASK for s in pshift]
+    return tuple((delta, prod(map(comb, a, delta)), sum(d << s for d, s in zip(delta, pshift)))
+                 for delta in _iproduct(*(range(b + 1) for b in a)) if any(delta))
 
 
-@lru_cache(maxsize=None)
-def _leibniz(beta: Beta, shifts: tuple[int, ...]) -> tuple[tuple[Beta, int, int], ...]:
-    """(delta, binom(beta, delta), packed beta - delta) for every delta <= beta
-    componentwise, delta = 0 first."""
-    out = []
-    for delta in _iproduct(*(range(b + 1) for b in beta)):
-        coeff = 1
-        for b, d in zip(beta, delta):
-            coeff *= comb(b, d)
-        out.append((delta, coeff, _pack(tuple(b - d for b, d in zip(beta, delta)), shifts)))
-    return tuple(out)
+def _p_derivatives(f: BlockPoly) -> dict[Beta, dict[int, int]]:
+    """{delta: numerators of (1/delta!) d_p^delta f over f's denominator} for
+    every nonzero delta, in one pass over f's terms (one shift keeps distinct
+    terms distinct, so none meet)."""
+    pshift = f.layout.pshift
+    pmask = sum(_MASK << s for s in pshift)
+    table: dict[Beta, dict[int, int]] = {}
+    for key, coeff in f.num.items():
+        if key & pmask:
+            for delta, binom, shift in _leibniz(key & pmask, pshift):
+                table.setdefault(delta, {})[key - shift] = binom * coeff
+    return table
 
 
-def _compose_into(acc: dict, left: DiffOp, right: DiffOp, scale: int,
-                  derivatives: Derivatives | None = None, leibniz: slice = _ALL) -> None:
-    """Accumulate scale * (left o right) into acc[slot][(j, k)] raw term dicts.
+def _compose_into(acc: dict, left: DiffOp, right: DiffOp, scale,
+                  derivatives: Derivatives | None = None, parts: int = _ALL) -> None:
+    """Accumulate scale * sigma(left o right), or the ``parts`` of it, into the
+    (j, k) buckets of ``acc[_SYMBOL]``: one kernel call per delta.
 
-    ``leibniz`` selects which Leibniz terms (``_ALL``, ``_PRODUCT`` or
-    ``_DERIVATIVES``).  Slots are packed multi-indices, so the output slot is
-    one integer addition.  The derivatives of ``right``'s coefficients are
-    looked up in, or added to, ``derivatives`` (a fresh table if None)."""
-    layout = left.layout
-    shifts = layout.xshift
-    if derivatives is None:
-        derivatives = Derivatives()
-    zero = (0,) * layout.N
-    rights = []
-    for beta_r, g in right.terms.items():
-        memo = derivatives.of(g)
-        memo[zero] = g
-        rights.append((_pack(beta_r, shifts), g, memo))
-    for beta_l, f in left.terms.items():
-        fnum, fden, fj, fk = f.num, f.den, f.j, f.k
-        for delta, binom, rest in _leibniz(beta_l, shifts)[leibniz]:
-            for slot_r, g, memo in rights:
-                gd = memo.get(delta, _MISSING)
-                if gd is _MISSING:
-                    gd = _cached_derivative(memo, g, delta)
-                if gd is None:
-                    continue
-                slot = rest + slot_r
-                buckets = acc.get(slot)
-                if buckets is None:
-                    buckets = acc[slot] = {}
-                bucket, lift = _open_bucket(buckets, (fj + gd.j, fk + gd.k), fden * gd.den)
-                _raw_mul_into(bucket, fnum, gd.num, scale * binom * lift)
+    An int scale goes to the kernel and any other is folded into the left
+    factor, so the right factors stay the objects whose x derivatives
+    ``derivatives`` (a fresh table if None) holds."""
+    if not isinstance(scale, int):
+        left, scale = left.scaled(scale), 1
+    f, g = left.symbol, right.symbol
+    table = _p_derivatives(f) if parts & _DERIVATIVES else {}
+    if parts & _PRODUCT:
+        table[(0,) * left.layout.N] = f.num
+    memo = (derivatives or Derivatives()).of(right)
+    buckets = acc.setdefault(_SYMBOL, {})
+    for delta, terms in table.items():
+        gd = _cached_derivative(memo, g, delta)
+        if gd is not None:
+            bucket, lift = _open_bucket(buckets, (f.j + gd.j, f.k + gd.k), f.den * gd.den)
+            _raw_mul_into(bucket, terms, gd.num, scale * lift)
 
 
 def _cached_derivative(memo: dict, g: BlockPoly, delta: Beta) -> BlockPoly | None:
-    """d^delta g, or None when it vanishes, memoized with every lower derivative."""
+    """d_x^delta g, or None when it vanishes, memoized with every lower derivative."""
     val = memo.get(delta, _MISSING)
-    if val is not _MISSING:
-        return val
-    for i, d in enumerate(delta):
-        if d:
-            prev = _cached_derivative(memo, g, delta[:i] + (d - 1,) + delta[i + 1:])
-            val = None
-            if prev is not None:
-                dv = prev.diff_x(i)
-                val = dv if not dv.is_zero() else None
-            memo[delta] = val
-            return val
-    return g
+    if val is _MISSING:
+        i = next((i for i, d in enumerate(delta) if d), None)
+        if i is None:
+            return g
+        prev = _cached_derivative(memo, g, delta[:i] + (delta[i] - 1,) + delta[i + 1:])
+        val = memo[delta] = prev and (prev.diff_x(i) or None)
+    return val
 
 
 def _finalize(layout: BlockLayout, acc: dict) -> DiffOp:
-    """Merge the (j, k) buckets of each slot, reduce to canonical form, and
-    unpack the slot keys into multi-indices."""
-    layout.check_keys(acc)
-    terms: dict[Beta, BlockPoly] = {}
-    for slot, buckets in acc.items():
-        value = _merge(layout, buckets)
-        if not value.is_zero():
-            terms[layout.unpack(slot)[0]] = value
-    return DiffOp(layout, terms, prune=False)
+    """The accumulated symbol, its (j, k) buckets merged and reduced once."""
+    phase = _symbol_layout(layout.N, layout.n)
+    return DiffOp._of(layout, _merge(phase, acc.get(_SYMBOL, {})))
 
 
 def commutator(left: DiffOp, right: DiffOp,
@@ -265,12 +278,10 @@ def combine(words: list[tuple[ParamScalar | Fraction | int, DiffOp, DiffOp | Non
     """sum_i scale_i * left_i o right_i, accumulated in one pass and reduced once.
 
     A word whose right factor is None stands for scale_i * left_i.  Words with
-    the same ordered factors are one word with the summed scale.  A word and
-    its reverse, (s, f, g) and (s', g, f), have the same coefficient products
-    (the delta = 0 Leibniz terms): those are composed once with scale s + s',
-    and not at all when it is zero, as in a commutator.  Scales go into the
-    left factor, which composition never differentiates, so the right factors
-    stay the objects whose derivatives ``derivatives`` holds."""
+    the same ordered factors are one word with the summed scale, dropped when
+    that is zero.  A word and its reverse, (s, f, g) and (s', g, f), have the
+    same delta = 0 product sigma_f sigma_g: it is formed once with scale
+    s + s', and not at all when that is zero, as in a commutator."""
     if not words:
         raise ValueError("empty combination")
     layout = words[0][1].layout
@@ -287,26 +298,18 @@ def combine(words: list[tuple[ParamScalar | Fraction | int, DiffOp, DiffOp | Non
             word[0] = word[0] + scale
     if derivatives is None:
         derivatives = Derivatives()
+    like = {ids: word for ids, word in like.items() if word[0]}
     acc: dict = {}
     for (a, b), (scale, left, right) in like.items():
         mirror = like.get((b, a)) if a != b else None
         if mirror is None:
-            _compose_scaled(acc, scale, left, right, derivatives, _ALL)
+            _compose_into(acc, left, right, scale, derivatives, _ALL)
         elif a < b:
-            small, large = ((left, right) if left.term_count() <= right.term_count()
-                            else (right, left))
-            _compose_scaled(acc, scale + mirror[0], small, large, derivatives, _PRODUCT)
-            _compose_scaled(acc, scale, left, right, derivatives, _DERIVATIVES)
-            _compose_scaled(acc, mirror[0], right, left, derivatives, _DERIVATIVES)
+            if scale + mirror[0]:
+                small, large = ((left, right) if left.term_count() <= right.term_count()
+                                else (right, left))
+                _compose_into(acc, small, large, scale + mirror[0], derivatives, _PRODUCT)
+            _compose_into(acc, left, right, scale, derivatives, _DERIVATIVES)
+            _compose_into(acc, right, left, mirror[0], derivatives, _DERIVATIVES)
     return _finalize(layout, acc)
 
-
-def _compose_scaled(acc: dict, scale, left: DiffOp, right: DiffOp,
-                    derivatives: Derivatives, leibniz: slice) -> None:
-    """scale * left o right into acc: an int scale goes to the kernel, any
-    other is folded into the left factor."""
-    if not scale:
-        return
-    if not isinstance(scale, int):
-        left, scale = left.scaled(scale), 1
-    _compose_into(acc, left, right, scale, derivatives, leibniz)

@@ -112,6 +112,11 @@ class BlockLayout:
         low = 6 * _BITS
         return ((key >> low) << (low + self.N * _BITS)) | (key & ((1 << low) - 1))
 
+    def to_plain(self, key: int) -> int:
+        """The inverse of ``from_plain``, for a key whose momentum fields are zero."""
+        low = 6 * _BITS
+        return ((key >> (low + self.N * _BITS)) << low) | (key & ((1 << low) - 1))
+
     def param_key(self, exps: Exponents) -> int:
         s = self.param_shift
         return ((_field(exps[0]) << s[0]) | (_field(exps[1]) << s[1])

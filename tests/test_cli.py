@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,42 @@ def test_verify_output_is_pinned(capsys, command, N, n):
     assert code == 0
     golden = GOLDEN / f"{command}-N{N}-n{n}.jsonl"
     assert out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["verify-algebra", "verify-poisson"])
+@pytest.mark.parametrize("N, n", [(4, 2), (5, 2)])
+def test_timings_go_to_stderr_and_leave_stdout_pinned(capsys, command, N, n):
+    code, out, err = _run(capsys, [command, "--N", str(N), "--n", str(n), "--timings"])
+    assert code == 0
+    golden = (GOLDEN / f"{command}-N{N}-n{n}.jsonl").read_text(encoding="utf-8")
+    assert out == golden
+    # one line per check, in record order, then the summary line
+    lines = err.splitlines()
+    assert lines[-1].startswith(f"{command} ({N},{n}): ")
+    assert [line.split()[0] for line in lines[:-1]] == [
+        json.loads(rec)["check"] for rec in golden.splitlines()]
+    for line in lines[:-1]:
+        _, seconds, unit, terms, *rest = line.split()
+        assert float(seconds) >= 0 and unit == "s"
+        assert (terms, rest) == ("0", ["residual", "terms"])
+
+
+def test_levels_past_the_e_cut_limit_exits_2_at_once(capsys):
+    # at the parent's unbounded enumeration, --e-cut 1000 would need about
+    # 10^10 table entries
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["levels", "--N", "4", "--n", "2", "--e-cut", "1000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "e_cut 1000 is above 64 hbar omega" in err
+    # the limit is in units of hbar omega, and a cut at it is accepted
+    code, out, _ = _run(capsys, ["levels", "--N", "2", "--n", "1", "--e-cut", "64"])
+    assert code == 0 and out
+    code, out, err = _run(capsys, ["levels", "--N", "2", "--n", "1", "--e-cut", "65"])
+    assert code == 2 and out == "" and "above 64 hbar omega" in err
+    code, out, _ = _run(capsys, ["levels", "--N", "2", "--n", "1", "--e-cut", "65",
+                                 "--omega", "2"])
+    assert code == 0 and out
 
 
 def _source_env() -> dict:

@@ -232,3 +232,26 @@ def test_combine_of_repeated_and_reversed_words_matches_sequential_application(s
                 value = left.apply(fn) if right is None else left.apply(right.apply(fn))
                 expected = expected + value.scaled(scale)
             assert got.apply(fn) == expected
+
+
+@pytest.mark.parametrize("split", [(3, 1), (4, 2)])
+def test_symbol_product_matches_sequential_application(split):
+    # apply() differentiates term by term and composes nothing, so it is an
+    # independent oracle for the symbol product: third-order factors (so
+    # binomials up to 3), r^2 denominators on every side, and a word next to
+    # its mirror under another scale
+    rng = random.Random(83)
+    layout = BlockLayout(*split)
+    for _ in range(6):
+        left, right = (_random_op(layout, rng, max_order=3) for _ in range(2))
+        fns = [_random_value(layout, rng, max_jk=2) for _ in range(2)]
+        for fn in fns:
+            assert (left * right).apply(fn) == left.apply(right.apply(fn))
+        scale = ParamScalar.hbar(1, Fraction(rng.randrange(1, 7), 3))
+        words = [(scale, left, right), (Fraction(-2, 5), right, left), (3, left, None)]
+        got = combine(words)
+        for fn in fns:
+            expected = (left.apply(right.apply(fn)).scaled(scale)
+                        + right.apply(left.apply(fn)).scaled(Fraction(-2, 5))
+                        + left.apply(fn).scaled(3))
+            assert got.apply(fn) == expected
