@@ -113,7 +113,8 @@ class BlockLayout:
         return ((key >> low) << (low + self.N * _BITS)) | (key & ((1 << low) - 1))
 
     def to_plain(self, key: int) -> int:
-        """The inverse of ``from_plain``, for a key whose momentum fields are zero."""
+        """The key with its momentum fields dropped, repacked for the
+        momentum-free layout: the inverse of ``from_plain``."""
         low = 6 * _BITS
         return ((key >> (low + self.N * _BITS)) << low) | (key & ((1 << low) - 1))
 
