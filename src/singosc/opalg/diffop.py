@@ -69,12 +69,13 @@ class DiffOp:
 
     @classmethod
     def zero(cls, layout: BlockLayout) -> DiffOp:
-        return cls(layout, {})
+        return cls._of(layout, BlockPoly.zero(_symbol_layout(layout.N, layout.n)))
 
     @classmethod
     def identity(cls, layout: BlockLayout) -> DiffOp:
-        zero_beta = (0,) * layout.N
-        return cls(layout, {zero_beta: BlockPoly.scalar(layout, 1)})
+        # the symbol 1: key 0, the monomial with every exponent zero
+        phase = _symbol_layout(layout.N, layout.n)
+        return cls._of(layout, BlockPoly._make(phase, {0: 1}, 1, 0, 0, rewrite=False))
 
     @classmethod
     def multiplication(cls, layout: BlockLayout, value: BlockPoly) -> DiffOp:
