@@ -10,13 +10,13 @@ term is hbar^|delta| below sigma_L sigma_R once d = (i/hbar) p, so the leading
 order of a product is the product of the leading orders.
 
 Sums of products are written as words (scale, f, g | None).  ``combine_phase``
-adds every word's product, unreduced, into the (j, k) buckets of one
-accumulator and reduces the total once; words with the same two factors, in
-either order, are summed first, so words that cancel form no product.  The
-Poisson bracket is the sum of the 2N words df/dx_i dg/dp_i and
--df/dp_i dg/dx_i, so a bracket costs one reduction, not one per product and
-per partial sum; a ``Derivatives`` table keeps each function's gradient for
-as long as its owner (one verify call) lives.
+adds every word's product, lifted onto the common rho powers and denominator
+of all the products, into one ``poly._Sum`` and reduces the total once;
+words with the same two factors, in either order, are summed first, so words
+that cancel form no product.  The Poisson bracket is the sum of the 2N words
+df/dx_i dg/dp_i and -df/dp_i dg/dx_i, so a bracket costs one reduction, not
+one per product and per partial sum; a ``Derivatives`` table keeps each
+function's gradient for as long as its owner (one verify call) lives.
 
 ``classical_limit`` maps an operator to its leading hbar order, which is how
 the classical integrals of motion are built.  Order rule: a derivative d^beta
@@ -34,8 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diffop import DiffOp
-from .poly import (_MASK, BlockLayout, BlockPoly, Derivatives, _merge, _open_bucket,
-                   _raw_mul_into)
+from .poly import _MASK, BlockLayout, BlockPoly, Derivatives, _sum
 from .scalars import ParamScalar
 
 
@@ -118,12 +117,12 @@ def combine_phase(words: list[tuple[ParamScalar | Fraction | int, PhaseFn, Phase
 
     A word whose g is None stands for scale_i * f_i.  Since f g = g f, words
     with the same two factors in either order are one word with the summed
-    scale, and words whose scales cancel form no product.  The scale is folded
-    into whichever factor has fewer terms before multiplying."""
+    scale, and words whose scales cancel form no product.  An int scale goes
+    to the kernel; any other is folded into whichever factor has fewer terms."""
     if not words:
         raise ValueError("empty combination")
     layout = words[0][1].value.layout
-    one = PhaseFn.scalar(layout, 1)
+    one = PhaseFn(BlockPoly._make(layout, {0: 1}, 1, 0, 0, rewrite=False))
     like: dict[tuple[int, int], list] = {}
     for scale, f, g in words:
         if g is None:
@@ -135,15 +134,15 @@ def combine_phase(words: list[tuple[ParamScalar | Fraction | int, PhaseFn, Phase
             like[key] = [scale, f.value, g.value]
         else:
             word[0] = word[0] + scale
-    buckets: dict = {}
+    products = []
     for scale, f, g in like.values():
         if scale and f.num and g.num:
             if len(f.num) > len(g.num):
                 f, g = g, f
-            f = f.scaled(scale)
-            bucket, lift = _open_bucket(buckets, (f.j + g.j, f.k + g.k), f.den * g.den)
-            _raw_mul_into(bucket, f.num, g.num, lift)
-    return PhaseFn(_merge(layout, buckets))
+            if not isinstance(scale, int):
+                f, scale = f.scaled(scale), 1
+            products.append((f.den * g.den, f.j + g.j, f.k + g.k, scale, f.num, g.num))
+    return PhaseFn(_sum(layout, products))
 
 
 def classical_limit(op: DiffOp) -> PhaseFn:

@@ -19,11 +19,11 @@ f (d^delta g) d^(a - delta + b) summed over all pairs of terms.  So a word
 costs one kernel call per delta on whole symbols: {delta: (1/delta!)
 d_p^delta sigma_L} comes from one pass over L's terms, and d_x^delta sigma_R
 is a ``diff_x`` chain kept in a ``Derivatives`` table for as long as its
-owner (one verify call) lives.  ``combine`` adds a list of words (scale, left,
-right | None) into one accumulator of (j, k) buckets that ``poly._merge``
-reduces once, as on the Poisson side.  Like words are summed, and a word and
-its reverse share their delta = 0 product sigma_L sigma_R, which a
-commutator then never forms.
+owner (one verify call) lives.  ``combine`` sums words (scale, left, right |
+None) in one ``poly._Sum``, as on the Poisson side: every word's products are
+listed first, which fixes the sum's denominator, and each is formed lifted
+onto it.  Like words are summed, and a word and its reverse share their
+delta = 0 product sigma_L sigma_R, which a commutator then never forms.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from functools import lru_cache
 from itertools import product as _iproduct
 from math import comb, prod
 
-from .poly import (_MASK, BlockLayout, BlockPoly, Derivatives, _merge, _open_bucket,
-                   _raw_add_into, _raw_mul_into)
+from .poly import _MASK, BlockLayout, BlockPoly, Derivatives, _raw_mul_into, _Sum, _sum
 from .scalars import ParamScalar
 
 Beta = tuple[int, ...]
@@ -110,10 +109,7 @@ class DiffOp:
     # -- composition -------------------------------------------------------------
 
     def __mul__(self, other: DiffOp) -> DiffOp:
-        self._check(other)
-        acc: dict = {}
-        _compose_into(acc, self, other, 1)
-        return _finalize(self.layout, acc)
+        return combine([(1, self, other)])
 
     # -- action on functions -------------------------------------------------------
 
@@ -179,29 +175,27 @@ class DiffOp:
 
 
 def _symbol_of(layout: BlockLayout, terms: dict[Beta, BlockPoly]) -> BlockPoly:
-    """sum_beta c_beta p^beta, reduced once: each coefficient's keys move up
-    past the momenta and gain the p fields of beta."""
+    """sum_beta c_beta p^beta in one accumulator: each coefficient's keys move
+    up past the momenta and gain the p fields of beta."""
     phase = _symbol_layout(layout.N, layout.n)
-    buckets: dict = {}
+    parts = []
     for beta, coeff in terms.items():
-        if coeff.num:
-            bucket, lift = _open_bucket(buckets, (coeff.j, coeff.k), coeff.den)
-            momenta = sum(phase.p_key(i, b) for i, b in enumerate(beta))
-            _raw_add_into(bucket, {phase.from_plain(key): c for key, c in coeff.num.items()},
-                          lift, momenta)
-    return _merge(phase, buckets)
+        momenta = sum(phase.p_key(i, b) for i, b in enumerate(beta))
+        parts.append((coeff.den, coeff.j, coeff.k, 1,
+                      {phase.from_plain(key) + momenta: c for key, c in coeff.num.items()}))
+    return _sum(phase, parts)
 
 
 _MISSING = object()
 
-# Which parts of the symbol product ``_compose_into`` adds: the delta = 0 term
+# Which parts of the symbol product ``_word_products`` lists: the delta = 0 term
 # (the product of the two symbols), the delta > 0 terms, or both.
 _PRODUCT = 1
 _DERIVATIVES = 2
 _ALL = _PRODUCT | _DERIVATIVES
 
-# The one key of a composition accumulator, under which it holds the (j, k)
-# buckets of the symbol; the benchmark's ``peak_terms`` hook reads this shape.
+# The one key of a composition accumulator, which maps the symbol's denominator
+# (j, k, den) to its numerators; the benchmark's ``peak_terms`` hook reads this.
 _SYMBOL = "symbol"
 
 
@@ -228,27 +222,31 @@ def _p_derivatives(f: BlockPoly) -> dict[Beta, dict[int, int]]:
     return table
 
 
-def _compose_into(acc: dict, left: DiffOp, right: DiffOp, scale,
-                  derivatives: Derivatives | None = None, parts: int = _ALL) -> None:
-    """Accumulate scale * sigma(left o right), or the ``parts`` of it, into the
-    (j, k) buckets of ``acc[_SYMBOL]``: one kernel call per delta.
-
-    An int scale goes to the kernel and any other is folded into the left
-    factor, so the right factors stay the objects whose x derivatives
-    ``derivatives`` (a fresh table if None) holds."""
+def _word_products(left: DiffOp, right: DiffOp, scale, derivatives: Derivatives,
+                   parts: int = _ALL) -> list[tuple]:
+    """The products of scale * sigma(left o right), or of its ``parts``, as
+    ``_Sum.lifted`` arguments, one per delta.  An int scale goes to the kernel
+    and any other is folded into the left factor, so the right factors stay
+    the objects whose x derivatives ``derivatives`` holds."""
     if not isinstance(scale, int):
         left, scale = left.scaled(scale), 1
     f, g = left.symbol, right.symbol
     table = _p_derivatives(f) if parts & _DERIVATIVES else {}
     if parts & _PRODUCT:
         table[(0,) * left.layout.N] = f.num
-    memo = (derivatives or Derivatives()).of(right)
-    buckets = acc.setdefault(_SYMBOL, {})
+    memo = derivatives.of(right)
+    products = []
     for delta, terms in table.items():
         gd = _cached_derivative(memo, g, delta)
         if gd is not None:
-            bucket, lift = _open_bucket(buckets, (f.j + gd.j, f.k + gd.k), f.den * gd.den)
-            _raw_mul_into(bucket, terms, gd.num, scale * lift)
+            products.append((f.den * gd.den, f.j + gd.j, f.k + gd.k, scale, terms, gd.num))
+    return products
+
+
+def _compose_into(total: _Sum, products: list[tuple]) -> None:
+    """Form one word's products in the accumulator: one kernel call per delta."""
+    for product in products:
+        _raw_mul_into(total.terms, *total.lifted(*product))
 
 
 def _cached_derivative(memo: dict, g: BlockPoly, delta: Beta) -> BlockPoly | None:
@@ -264,9 +262,10 @@ def _cached_derivative(memo: dict, g: BlockPoly, delta: Beta) -> BlockPoly | Non
 
 
 def _finalize(layout: BlockLayout, acc: dict) -> DiffOp:
-    """The accumulated symbol, its (j, k) buckets merged and reduced once."""
-    phase = _symbol_layout(layout.N, layout.n)
-    return DiffOp._of(layout, _merge(phase, acc.get(_SYMBOL, {})))
+    """The accumulated symbol, reduced once."""
+    ((j, k, den), terms), = acc[_SYMBOL].items()
+    return DiffOp._of(layout, BlockPoly._make(_symbol_layout(layout.N, layout.n),
+                                              terms, den, j, k))
 
 
 def commutator(left: DiffOp, right: DiffOp,
@@ -300,17 +299,20 @@ def combine(words: list[tuple[ParamScalar | Fraction | int, DiffOp, DiffOp | Non
     if derivatives is None:
         derivatives = Derivatives()
     like = {ids: word for ids, word in like.items() if word[0]}
-    acc: dict = {}
+    words = []
     for (a, b), (scale, left, right) in like.items():
         mirror = like.get((b, a)) if a != b else None
         if mirror is None:
-            _compose_into(acc, left, right, scale, derivatives, _ALL)
+            words.append(_word_products(left, right, scale, derivatives))
         elif a < b:
             if scale + mirror[0]:
                 small, large = ((left, right) if left.term_count() <= right.term_count()
                                 else (right, left))
-                _compose_into(acc, small, large, scale + mirror[0], derivatives, _PRODUCT)
-            _compose_into(acc, left, right, scale, derivatives, _DERIVATIVES)
-            _compose_into(acc, right, left, mirror[0], derivatives, _DERIVATIVES)
-    return _finalize(layout, acc)
-
+                words.append(_word_products(small, large, scale + mirror[0], derivatives,
+                                            _PRODUCT))
+            words.append(_word_products(left, right, scale, derivatives, _DERIVATIVES))
+            words.append(_word_products(right, left, mirror[0], derivatives, _DERIVATIVES))
+    total = _Sum(_symbol_layout(layout.N, layout.n), [p for products in words for p in products])
+    for products in words:
+        _compose_into(total, products)
+    return _finalize(layout, {_SYMBOL: {(total.j, total.k, total.den): total.terms}})

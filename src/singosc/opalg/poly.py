@@ -40,6 +40,12 @@ canonical in three steps, in this order:
 Two equal values therefore have equal (num, den, j, k), and ``==`` and
 ``hash`` compare those.  Lifting a value onto larger j and k is a shift of
 its rho fields, with no product.
+
+A sum of values and products (``_Sum``) fixes its j, k and den, the largest
+rho powers and the lcm of the denominators of all its parts, before the
+first part.  Each part is lifted onto them as it is added (a product shifts
+its smaller operand) with the factor den / (its den) on the kernel's scale,
+so parts of any (j, k) cancel in one term dict, which is reduced once.
 """
 
 from __future__ import annotations
@@ -91,7 +97,8 @@ class BlockLayout:
             for b, (lead, end) in enumerate(((0, n), (n, N))))
 
     def same_split(self, other: "BlockLayout") -> bool:
-        return self.N == other.N and self.n == other.n and self.momenta == other.momenta
+        return self is other or (self.N == other.N and self.n == other.n
+                                 and self.momenta == other.momenta)
 
     # -- key packing -------------------------------------------------------
 
@@ -212,12 +219,6 @@ def _raw_add_into(dst: dict[int, int], src: dict[int, int], scale: int,
                 del dst[key]
 
 
-def _lift_into(layout: BlockLayout, dst: dict[int, int], terms: dict[int, int],
-               scale: int, dj: int, dk: int) -> None:
-    """Add scale * terms * rho1^dj * rho2^dk into dst: a shift of the rho fields."""
-    _raw_add_into(dst, terms, scale, layout.rho_key(1, dj) + layout.rho_key(2, dk))
-
-
 def _normal_form(layout: BlockLayout, terms: dict[int, int]) -> dict[int, int]:
     """Rewrite x_lead^2 -> rho_b - rest_b until no key holds a lead power of 2 or more.
 
@@ -257,45 +258,47 @@ def _try_divide(terms: dict[int, int], shift: int) -> dict[int, int] | None:
     return {key - unit: coeff for key, coeff in terms.items()}
 
 
-class _Bucket(dict):
-    """Raw terms accumulated as integer numerators over the common denominator ``den``."""
+class _Sum:
+    """Integer numerators over den / (rho1^j rho2^k), with j, k and den fixed
+    by every part to come (the module docstring)."""
 
-    __slots__ = ("den",)
+    __slots__ = ("layout", "terms", "den", "j", "k")
+
+    def __init__(self, layout: BlockLayout, parts: list[tuple]):
+        """``parts``: every part to come, as (den, j, k, ...)."""
+        self.layout = layout
+        self.terms: dict[int, int] = {}
+        self.den = lcm(*(part[0] for part in parts))
+        self.j = max((part[1] for part in parts), default=0)
+        self.k = max((part[2] for part in parts), default=0)
+
+    def lifted(self, den: int, j: int, k: int, scale: int, a: dict[int, int],
+               b: dict[int, int] | None = None) -> tuple[dict, dict | None, int]:
+        """(a', b', scale'): a part over den / (rho1^j rho2^k) lifted onto the
+        sum, for ``_raw_mul_into(self.terms, a', b', scale')``, or for
+        ``_raw_add_into(self.terms, a', scale')`` when b is None.  The shifted
+        operand, the one with fewer terms, is checked: the kernel's key
+        additions would carry a field past 127 into the next one."""
+        if b is not None and len(a) > len(b):
+            a, b = b, a
+        if j != self.j or k != self.k:
+            lift = self.layout.rho_key(1, self.j - j) + self.layout.rho_key(2, self.k - k)
+            a = {key + lift: c for key, c in a.items()}
+            self.layout.check_keys(a)
+        return a, b, scale * (self.den // den)
 
 
-def _open_bucket(buckets: dict, jk: tuple[int, int], den: int) -> tuple[_Bucket, int]:
-    """The accumulator for jk, and the factor that lifts terms over ``den`` onto it.
-
-    The bucket's denominator only grows (to an lcm) when ``den`` does not divide
-    it, so every (j, k) keeps a single dict and sums cancel in place."""
-    bucket = buckets.get(jk)
-    if bucket is None:
-        bucket = buckets[jk] = _Bucket()
-        bucket.den = den
-        return bucket, 1
-    common = bucket.den
-    if common % den:
-        wider = lcm(common, den)
-        factor = wider // common
-        for key in bucket:
-            bucket[key] *= factor
-        bucket.den = common = wider
-    return bucket, common // den
-
-
-def _merge(layout: BlockLayout, buckets: dict) -> BlockPoly:
-    """Lift every (j, k) bucket onto the largest j and k and reduce the sum once."""
-    live = {jk: raw for jk, raw in buckets.items() if raw}
-    if not live:
-        return BlockPoly.zero(layout)
-    jmax = max(j for j, _ in live)
-    kmax = max(k for _, k in live)
-    den = lcm(*(raw.den for raw in live.values()))
-    merged: dict[int, int] = {}
-    for (j, k), raw in live.items():
-        layout.check_keys(raw)
-        _lift_into(layout, merged, raw, den // raw.den, jmax - j, kmax - k)
-    return BlockPoly._make(layout, merged, den, jmax, kmax)
+def _sum(layout: BlockLayout, parts: list[tuple]) -> BlockPoly:
+    """The sum of ``parts`` (den, j, k, scale, a[, b]), each scale * a or the
+    product scale * a * b, reduced once."""
+    total = _Sum(layout, parts)
+    for part in parts:
+        a, b, scale = total.lifted(*part)
+        if b is None:
+            _raw_add_into(total.terms, a, scale)
+        else:
+            _raw_mul_into(total.terms, a, b, scale)
+    return BlockPoly._make(layout, total.terms, total.den, total.j, total.k)
 
 
 class Derivatives:
@@ -398,14 +401,7 @@ class BlockPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: BlockPoly) -> BlockPoly:
-        layout = self.layout
-        j = max(self.j, other.j)
-        k = max(self.k, other.k)
-        den = lcm(self.den, other.den)
-        out: dict[int, int] = {}
-        for val in (self, other):
-            _lift_into(layout, out, val.num, den // val.den, j - val.j, k - val.k)
-        return BlockPoly._make(layout, out, den, j, k)
+        return _sum(self.layout, [(val.den, val.j, val.k, 1, val.num) for val in (self, other)])
 
     def __sub__(self, other: BlockPoly) -> BlockPoly:
         return self + (-other)

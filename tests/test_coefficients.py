@@ -104,23 +104,45 @@ def test_commutator_matches_expanded_products():
         assert comm.apply(f) == p.apply(q.apply(f)) - q.apply(p.apply(f))
 
 
-def _random_words(rng, make, count=6):
-    """(scale, f, g | None) words, the last cancelling the first exactly."""
-    words = []
-    for idx in range(count):
-        scale = random_scalar(rng, max_degree=1) if idx % 2 else Fraction(
-            rng.randrange(-9, 10) or 1, rng.choice(DENOMINATORS))
-        words.append((scale, make(), make() if idx % 3 else None))
-    scale, f, g = words[0]
-    return words + [(-scale, f, g)]
+def _random_words(rng, make):
+    """(scale, f, g | None) words over four factors: int, Fraction and
+    ParamScalar scales, a mirror pair, a repeated word, a bare word and a self
+    product, the last word cancelling the first exactly."""
+    f, g, h, u = (make() for _ in range(4))
+    scales = [rng.choice((1, -1, 2, -3)),
+              Fraction(rng.randrange(-9, 10) or 1, rng.choice(DENOMINATORS)),
+              random_scalar(rng, max_degree=1)]
+    words = [(scales[2], f, h), (scales[0], f, g), (scales[1], g, f),  # mirror pair
+             (rng.choice((1, -1)), f, h),                               # repeated
+             (scales[1], h, None), (scales[0], u, u)]                   # bare, self
+    return words + [(-scales[2], f, h)]
 
 
-@pytest.mark.parametrize("split", [(3, 1), (4, 2)])
+def _laurent_value(layout, rng):
+    """A few terms over 3, 5, 7 or 11, with momenta on a phase-space layout,
+    and a denominator rho1^j rho2^k with j, k in 0..2."""
+    terms = _random_terms(layout, rng)
+    if layout.momenta:
+        terms = {key + layout.p_key(rng.randrange(layout.N), rng.randrange(2)): c
+                 for key, c in terms.items()}
+    return BlockPoly(layout, terms, j=rng.randrange(3), k=rng.randrange(3))
+
+
+def _assert_cancelled_to_zero(value):
+    assert value.is_zero() and value.den == 1 and (value.j, value.k) == (0, 0)
+
+
+# The word sums lift every product onto the common rho powers and denominator
+# of the whole sum as it is formed; the oracle reduces each product on its own.
+WORD_SUM_SPLITS = [(3, 1), (4, 2), (4, 1), (5, 2)]
+
+
+@pytest.mark.parametrize("split", WORD_SUM_SPLITS)
 def test_phase_word_sum_matches_chained_arithmetic(split):
     layout = BlockLayout(*split, momenta=True)
     rng = random.Random(41)
     for _ in range(10):
-        words = _random_words(rng, lambda: PhaseFn(_random_value(layout, rng)))
+        words = _random_words(rng, lambda: PhaseFn(_laurent_value(layout, rng)))
         got = combine_phase(words).value
         expected = BlockPoly.zero(layout)
         for scale, f, g in words:
@@ -128,23 +150,32 @@ def test_phase_word_sum_matches_chained_arithmetic(split):
         assert got == expected
         assert hash(got) == hash(expected)
         assert got.den > 0 and gcd(got.den, *got.num.values()) == 1
+        # and against the oracle, whose sums owe nothing to the engine's lifts
+        total = ({}, 0, 0)
+        for scale, f, g in words:
+            p, j, k = expand(f.value if g is None else f.value * g.value)
+            total = oracle.combine(layout, total, (
+                oracle.mul(expand(BlockPoly.scalar(layout, scale))[0], p), j, k))
+        assert oracle.equal(layout, expand(got), total)
+        _assert_cancelled_to_zero(
+            combine_phase(words + [(-scale, f, g) for scale, f, g in words]).value)
 
 
-@pytest.mark.parametrize("split", [(3, 1), (4, 2)])
+@pytest.mark.parametrize("split", WORD_SUM_SPLITS)
 def test_operator_word_sum_matches_chained_arithmetic(split):
     layout = BlockLayout(*split)
     rng = random.Random(43)
 
     def make():
         terms = {}
-        for _ in range(2):
+        for order in range(2):
             beta = [0] * layout.N
-            for _ in range(rng.randrange(0, 3)):
+            for _ in range(order + rng.randrange(2)):
                 beta[rng.randrange(layout.N)] += 1
-            terms[tuple(beta)] = _random_value(layout, rng)
+            terms[tuple(beta)] = _laurent_value(layout, rng)
         return DiffOp(layout, terms)
 
-    for _ in range(6):
+    for _ in range(4):
         words = _random_words(rng, make)
         got = combine(words)
         expected = DiffOp.zero(layout)
@@ -152,6 +183,14 @@ def test_operator_word_sum_matches_chained_arithmetic(split):
             expected = expected + (left if right is None else left * right).scaled(scale)
         assert got == expected
         assert hash(got) == hash(expected)
+        # apply() composes nothing, so it checks the products themselves
+        fn = _laurent_value(layout, rng)
+        applied = BlockPoly.zero(layout)
+        for scale, left, right in words:
+            applied = applied + left.apply(fn if right is None else right.apply(fn)).scaled(scale)
+        assert got.apply(fn) == applied
+        _assert_cancelled_to_zero(
+            combine(words + [(-scale, left, right) for scale, left, right in words]).symbol)
 
 
 def test_exponent_overflow_raises():
@@ -188,3 +227,28 @@ def test_exponent_overflow_raises():
         BlockPoly.monomial(layout, 0, j=127) + BlockPoly.monomial(layout, layout.rho_key(1))
     with pytest.raises(ExponentOverflowError):
         layout.rho_key(2, 128)
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_lifted_product_past_127_raises(block):
+    # 1/rho^120 next to rho^10 * rho^126: lifting the product onto rho^120
+    # takes its shifted factor to rho^130, and the kernel's addition of 126
+    # to that field would carry into the next field, leaving a value that
+    # looks valid; the shifted factor's guard bit must raise first
+    def rho(layout, power, denominator=0):
+        jk = {"j": denominator} if block == 1 else {"k": denominator}
+        return BlockPoly.monomial(layout, layout.rho_key(block, power), **jk)
+
+    phase = BlockLayout(4, 2, momenta=True)
+    low, high, far = (PhaseFn(rho(phase, 10)), PhaseFn(rho(phase, 126)),
+                      PhaseFn(rho(phase, 0, 120)))
+    with pytest.raises(ExponentOverflowError):
+        combine_phase([(1, far, None), (1, low, high)])
+
+    layout = BlockLayout(4, 2)
+    low, high, far = (DiffOp.multiplication(layout, rho(layout, power, j))
+                      for power, j in ((10, 0), (126, 0), (0, 120)))
+    with pytest.raises(ExponentOverflowError):
+        combine([(1, far, None), (1, low, high)])
+    with pytest.raises(ExponentOverflowError):
+        combine([(1, far, None), (-1, high, low)])
