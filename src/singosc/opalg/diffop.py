@@ -299,20 +299,20 @@ def combine(words: list[tuple[ParamScalar | Fraction | int, DiffOp, DiffOp | Non
     if derivatives is None:
         derivatives = Derivatives()
     like = {ids: word for ids, word in like.items() if word[0]}
-    words = []
+    planned = []
     for (a, b), (scale, left, right) in like.items():
         mirror = like.get((b, a)) if a != b else None
         if mirror is None:
-            words.append(_word_products(left, right, scale, derivatives))
+            planned.append(_word_products(left, right, scale, derivatives))
         elif a < b:
             if scale + mirror[0]:
                 small, large = ((left, right) if left.term_count() <= right.term_count()
                                 else (right, left))
-                words.append(_word_products(small, large, scale + mirror[0], derivatives,
-                                            _PRODUCT))
-            words.append(_word_products(left, right, scale, derivatives, _DERIVATIVES))
-            words.append(_word_products(right, left, mirror[0], derivatives, _DERIVATIVES))
-    total = _Sum(_symbol_layout(layout.N, layout.n), [p for products in words for p in products])
-    for products in words:
+                planned.append(_word_products(small, large, scale + mirror[0], derivatives,
+                                              _PRODUCT))
+            planned.append(_word_products(left, right, scale, derivatives, _DERIVATIVES))
+            planned.append(_word_products(right, left, mirror[0], derivatives, _DERIVATIVES))
+    total = _Sum(_symbol_layout(layout.N, layout.n), [p for products in planned for p in products])
+    for products in planned:
         _compose_into(total, products)
     return _finalize(layout, {_SYMBOL: {(total.j, total.k, total.den): total.terms}})
