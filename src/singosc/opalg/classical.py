@@ -14,9 +14,8 @@ adds every word's product, lifted onto the common rho powers and denominator
 of all the products, into one ``poly._Sum`` and reduces the total once;
 words with the same two factors, in either order, are summed first, so words
 that cancel form no product.  The Poisson bracket is the sum of the 2N words
-df/dx_i dg/dp_i and -df/dp_i dg/dx_i, so a bracket costs one reduction, not
-one per product and per partial sum; a ``Derivatives`` table keeps each
-function's gradient for as long as its owner (one verify call) lives.
+df/dx_i dg/dp_i and -df/dp_i dg/dx_i, reduced once; a ``Derivatives`` table
+keeps each function's gradient for as long as its owner (one verify call) lives.
 
 ``classical_limit`` maps an operator to its leading hbar order, which is how
 the classical integrals of motion are built.  Order rule: a derivative d^beta

@@ -272,14 +272,18 @@ class _Sum:
         self.j = max((part[1] for part in parts), default=0)
         self.k = max((part[2] for part in parts), default=0)
 
+    def add(self, den: int, j: int, k: int, scale: int, a: dict[int, int]) -> None:
+        """Add scale * a / (den rho1^j rho2^k), its keys shifted: each field and
+        its shift are below 128, so no sum carries, and ``_make`` checks the guards."""
+        _raw_add_into(self.terms, a, scale * (self.den // den),
+                      self.layout.rho_key(1, self.j - j) + self.layout.rho_key(2, self.k - k))
+
     def lifted(self, den: int, j: int, k: int, scale: int, a: dict[int, int],
-               b: dict[int, int] | None = None) -> tuple[dict, dict | None, int]:
-        """(a', b', scale'): a part over den / (rho1^j rho2^k) lifted onto the
-        sum, for ``_raw_mul_into(self.terms, a', b', scale')``, or for
-        ``_raw_add_into(self.terms, a', scale')`` when b is None.  The shifted
-        operand, the one with fewer terms, is checked: the kernel's key
-        additions would carry a field past 127 into the next one."""
-        if b is not None and len(a) > len(b):
+               b: dict[int, int]) -> tuple[dict, dict, int]:
+        """(a', b', scale') for ``_raw_mul_into(self.terms, a', b', scale')``: scale * a
+        * b / (den rho1^j rho2^k) lifted onto the sum.  The shifted operand (fewer terms)
+        is checked, since the kernel's key additions would carry a field past 127."""
+        if len(a) > len(b):
             a, b = b, a
         if j != self.j or k != self.k:
             lift = self.layout.rho_key(1, self.j - j) + self.layout.rho_key(2, self.k - k)
@@ -293,11 +297,10 @@ def _sum(layout: BlockLayout, parts: list[tuple]) -> BlockPoly:
     product scale * a * b, reduced once."""
     total = _Sum(layout, parts)
     for part in parts:
-        a, b, scale = total.lifted(*part)
-        if b is None:
-            _raw_add_into(total.terms, a, scale)
+        if len(part) == 5:
+            total.add(*part)
         else:
-            _raw_mul_into(total.terms, a, b, scale)
+            _raw_mul_into(total.terms, *total.lifted(*part))
     return BlockPoly._make(layout, total.terms, total.den, total.j, total.k)
 
 

@@ -107,15 +107,16 @@ def test_commutator_matches_expanded_products():
 def _random_words(rng, make):
     """(scale, f, g | None) words over four factors: int, Fraction and
     ParamScalar scales, a mirror pair, a repeated word, a bare word and a self
-    product, the last word cancelling the first exactly."""
+    product, the last word cancelling the self product exactly.  The
+    ParamScalar scales sit on live words: the repeated word and the bare one."""
     f, g, h, u = (make() for _ in range(4))
     scales = [rng.choice((1, -1, 2, -3)),
               Fraction(rng.randrange(-9, 10) or 1, rng.choice(DENOMINATORS)),
-              random_scalar(rng, max_degree=1)]
+              random_scalar(rng, max_degree=1), random_scalar(rng, max_degree=1)]
     words = [(scales[2], f, h), (scales[0], f, g), (scales[1], g, f),  # mirror pair
              (rng.choice((1, -1)), f, h),                               # repeated
-             (scales[1], h, None), (scales[0], u, u)]                   # bare, self
-    return words + [(-scales[2], f, h)]
+             (scales[3], h, None), (scales[0], u, u)]                   # bare, self
+    return words + [(-scales[0], u, u)]
 
 
 def _laurent_value(layout, rng):
@@ -175,7 +176,7 @@ def test_operator_word_sum_matches_chained_arithmetic(split):
             terms[tuple(beta)] = _laurent_value(layout, rng)
         return DiffOp(layout, terms)
 
-    for _ in range(4):
+    for _ in range(6):
         words = _random_words(rng, make)
         got = combine(words)
         expected = DiffOp.zero(layout)
