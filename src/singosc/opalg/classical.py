@@ -10,12 +10,11 @@ term is hbar^|delta| below sigma_L sigma_R once d = (i/hbar) p, so the leading
 order of a product is the product of the leading orders.
 
 Sums of products are written as words (scale, f, g | None).  ``combine_phase``
-adds every word's product, lifted onto the common rho powers and denominator
-of all the products, into one ``poly._Sum`` and reduces the total once;
-words with the same two factors, in either order, are summed first, so words
-that cancel form no product.  The Poisson bracket is the sum of the 2N words
-df/dx_i dg/dp_i and -df/dp_i dg/dx_i, reduced once; a ``Derivatives`` table
-keeps each function's gradient for as long as its owner (one verify call) lives.
+sums them as the delta = 0 terms of their symbol products, with the operators'
+planner ``diffop.symbol_sum``, and reduces once.  The Poisson bracket {f, g} is
+the |delta| = 1 part of sigma(g o f) - sigma(f o g): two words, whose
+derivatives a ``Derivatives`` table keeps for as long as its owner (one verify
+call) lives.
 
 ``classical_limit`` maps an operator to its leading hbar order, which is how
 the classical integrals of motion are built.  Order rule: a derivative d^beta
@@ -32,8 +31,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diffop import DiffOp
-from .poly import _MASK, BlockLayout, BlockPoly, Derivatives, _sum
+from .diffop import _FIRST, _PRODUCT, DiffOp, _check_split, symbol_sum
+from .poly import _MASK, BlockLayout, BlockPoly, Derivatives
 from .scalars import ParamScalar
 
 
@@ -67,23 +66,19 @@ class PhaseFn:
     def momentum(cls, layout: BlockLayout, i: int, power: int = 1) -> PhaseFn:
         return cls(BlockPoly.monomial(layout, layout.p_key(i, power)))
 
-    def _check(self, other: PhaseFn) -> None:
-        if not self.value.layout.same_split(other.value.layout):
-            raise ValueError("phase functions built for different splits")
-
     def __add__(self, other: PhaseFn) -> PhaseFn:
-        self._check(other)
+        _check_split(self.value.layout, other.value.layout)
         return PhaseFn(self.value + other.value)
 
     def __sub__(self, other: PhaseFn) -> PhaseFn:
-        self._check(other)
+        _check_split(self.value.layout, other.value.layout)
         return PhaseFn(self.value - other.value)
 
     def __neg__(self) -> PhaseFn:
         return PhaseFn(-self.value)
 
     def __mul__(self, other: PhaseFn) -> PhaseFn:
-        self._check(other)
+        _check_split(self.value.layout, other.value.layout)
         return PhaseFn(self.value * other.value)
 
     def scaled(self, value: ParamScalar | Fraction | int) -> PhaseFn:
@@ -110,38 +105,17 @@ class PhaseFn:
         return f"PhaseFn<{self.value!r}>"
 
 
-def combine_phase(words: list[tuple[ParamScalar | Fraction | int, PhaseFn, PhaseFn | None]]
-                  ) -> PhaseFn:
+def combine_phase(words: list[tuple], derivatives: Derivatives | None = None) -> PhaseFn:
     """sum_i scale_i * f_i * g_i, accumulated in one pass and reduced once.
 
-    A word whose g is None stands for scale_i * f_i.  Since f g = g f, words
-    with the same two factors in either order are one word with the summed
-    scale, and words whose scales cancel form no product.  An int scale goes
-    to the kernel; any other is folded into whichever factor has fewer terms."""
-    if not words:
-        raise ValueError("empty combination")
-    layout = words[0][1].value.layout
-    one = PhaseFn(BlockPoly._make(layout, {0: 1}, 1, 0, 0, rewrite=False))
-    like: dict[tuple[int, int], list] = {}
-    for scale, f, g in words:
-        if g is None:
-            f, g = one, f
-        f._check(g)
-        key = (id(f), id(g)) if id(f) <= id(g) else (id(g), id(f))
-        word = like.get(key)
-        if word is None:
-            like[key] = [scale, f.value, g.value]
-        else:
-            word[0] = word[0] + scale
-    products = []
-    for scale, f, g in like.values():
-        if scale and f.num and g.num:
-            if len(f.num) > len(g.num):
-                f, g = g, f
-            if not isinstance(scale, int):
-                f, scale = f.scaled(scale), 1
-            products.append((f.den * g.den, f.j + g.j, f.k + g.k, scale, f.num, g.num))
-    return PhaseFn(_sum(layout, products))
+    A word (scale, f, g | None) is the delta = 0 part of the symbol product,
+    g = None standing for 1, and a word (scale, f, g, part) of
+    ``bracket_words`` takes that part; ``diffop.symbol_sum`` sums them, with
+    the derivatives of ``derivatives`` (a fresh table if None)."""
+    total = symbol_sum([(word[0], word[1].value, None if word[2] is None else word[2].value,
+                         word[3] if len(word) == 4 else _PRODUCT) for word in words],
+                       derivatives)
+    return PhaseFn(BlockPoly._make(total.layout, total.terms, total.den, total.j, total.k))
 
 
 def classical_limit(op: DiffOp) -> PhaseFn:
@@ -165,37 +139,14 @@ def classical_limit(op: DiffOp) -> PhaseFn:
     return PhaseFn(BlockPoly._make(layout, terms, symbol.den, symbol.j, symbol.k))
 
 
-def _gradient(fn: PhaseFn, derivatives: Derivatives
-              ) -> tuple[list[PhaseFn], list[PhaseFn]]:
-    """(df/dx_i, df/dp_i for i < N), taken once per table."""
-    memo = derivatives.of(fn)
-    grad = memo.get("gradient")
-    if grad is None:
-        value = fn.value
-        coords = range(value.layout.N)
-        grad = memo["gradient"] = ([PhaseFn(value.diff_x(i)) for i in coords],
-                                   [PhaseFn(value.diff_p(i)) for i in coords])
-    return grad
-
-
-def bracket_words(f: PhaseFn, g: PhaseFn, derivatives: Derivatives | None = None
-                  ) -> list[tuple[int, PhaseFn, PhaseFn]]:
-    """{f, g} as the words df/dx_i dg/dp_i and -df/dp_i dg/dx_i, for combine_phase.
-
-    The partial derivatives come from ``derivatives`` (a fresh table if None)."""
-    f._check(g)
-    if derivatives is None:
-        derivatives = Derivatives()
-    fx, fp = _gradient(f, derivatives)
-    gx, gp = _gradient(g, derivatives)
-    words = []
-    for i in range(len(fx)):
-        words.append((1, fx[i], gp[i]))
-        words.append((-1, fp[i], gx[i]))
-    return words
+def bracket_words(f: PhaseFn, g: PhaseFn) -> list[tuple]:
+    """{f, g} as two words for combine_phase: the |delta| = 1 parts of
+    sigma(g o f) - sigma(f o g), sum_i dg/dp_i df/dx_i - df/dp_i dg/dx_i."""
+    return [(1, g, f, _FIRST), (-1, f, g, _FIRST)]
 
 
 def poisson_bracket(f: PhaseFn, g: PhaseFn, derivatives: Derivatives | None = None
                     ) -> PhaseFn:
-    """{f, g} = sum_i df/dx_i dg/dp_i - df/dp_i dg/dx_i."""
-    return combine_phase(bracket_words(f, g, derivatives))
+    """{f, g} = sum_i df/dx_i dg/dp_i - df/dp_i dg/dx_i, with the derivatives
+    of ``derivatives`` (a fresh table if None)."""
+    return combine_phase(bracket_words(f, g), derivatives)

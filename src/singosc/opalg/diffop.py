@@ -18,12 +18,16 @@ the Leibniz rule (f d^a)(g d^b) = sum_{delta <= a} binom(a, delta)
 f (d^delta g) d^(a - delta + b) summed over all pairs of terms.  So a word
 costs one kernel call per delta on whole symbols: {delta: (1/delta!)
 d_p^delta sigma_L} comes from one pass over L's terms, and d_x^delta sigma_R
-is a ``diff_x`` chain kept in a ``Derivatives`` table for as long as its
-owner (one verify call) lives.  ``combine`` sums words (scale, left, right |
-None) in one ``poly._Sum``, as on the Poisson side: every word's products are
-listed first, which fixes the sum's denominator, and each is formed lifted
-onto it.  Like words are summed, and a word and its reverse share their
-delta = 0 product sigma_L sigma_R, which a commutator then never forms.
+is a ``diff_x`` chain; both are kept in a ``Derivatives`` table for as long
+as its owner (one verify call) lives.
+
+The classical functions share the layout and the sum: their product f g is
+the delta = 0 term, and the Poisson bracket {f, g} = sum_i df/dx_i dg/dp_i -
+df/dp_i dg/dx_i is the |delta| = 1 part of sigma(g o f) - sigma(f o g).
+``symbol_sum`` sums words (scale, f, g | None, part) on symbols for both
+``combine`` and ``classical.combine_phase`` in one ``poly._Sum``: every
+product is listed first, which fixes the sum's denominator, and each is
+formed lifted onto it.
 """
 
 from __future__ import annotations
@@ -41,6 +45,12 @@ Beta = tuple[int, ...]
 
 class DimensionMismatchError(ValueError):
     """Raised when operands were built for different (N, n) splits."""
+
+
+def _check_split(a: BlockLayout, b: BlockLayout) -> None:
+    if not a.same_split(b):
+        raise DimensionMismatchError(
+            f"operands built for different splits: ({a.N},{a.n}) vs ({b.N},{b.n})")
 
 
 @lru_cache(maxsize=None)
@@ -85,16 +95,10 @@ class DiffOp:
         beta = tuple(order if t == i else 0 for t in range(layout.N))
         return cls(layout, {beta: BlockPoly.scalar(layout, 1)})
 
-    def _check(self, other: DiffOp) -> None:
-        if not self.layout.same_split(other.layout):
-            raise DimensionMismatchError(
-                f"operands built for different splits: "
-                f"({self.layout.N},{self.layout.n}) vs ({other.layout.N},{other.layout.n})")
-
     # -- linear structure -------------------------------------------------------
 
     def __add__(self, other: DiffOp) -> DiffOp:
-        self._check(other)
+        _check_split(self.layout, other.layout)
         return DiffOp._of(self.layout, self.symbol + other.symbol)
 
     def __sub__(self, other: DiffOp) -> DiffOp:
@@ -143,7 +147,7 @@ class DiffOp:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self.layout.same_split(other.layout) and self.symbol == other.symbol
+        return self.symbol == other.symbol
 
     def __hash__(self):
         return hash(self.symbol)
@@ -188,10 +192,11 @@ def _symbol_of(layout: BlockLayout, terms: dict[Beta, BlockPoly]) -> BlockPoly:
 
 _MISSING = object()
 
-# Which parts of the symbol product ``_word_products`` lists: the delta = 0 term
-# (the product of the two symbols), the delta > 0 terms, or both.
+# The Leibniz part of sigma(f o g) that a word takes: delta = 0 (a phase-space
+# product), |delta| = 1 (a Poisson bracket's words), delta > 0, or every delta.
 _PRODUCT = 1
-_DERIVATIVES = 2
+_FIRST = 2
+_DERIVATIVES = 4
 _ALL = _PRODUCT | _DERIVATIVES
 
 # The one key of a composition accumulator, which maps the symbol's denominator
@@ -200,51 +205,67 @@ _SYMBOL = "symbol"
 
 
 @lru_cache(maxsize=None)
-def _leibniz(momenta: int, pshift: tuple[int, ...]) -> tuple[tuple[Beta, int, int], ...]:
+def _leibniz(momenta: int, pshift: tuple[int, ...], part: int
+             ) -> tuple[tuple[Beta, int, int], ...]:
     """(delta, binom(a, delta), delta packed in the p fields) for every nonzero
-    delta <= a componentwise, where ``momenta`` holds the p fields of a."""
+    delta <= a componentwise, or every |delta| = 1 one for ``_FIRST``, where
+    ``momenta`` holds the p fields of a."""
     a = [(momenta >> s) & _MASK for s in pshift]
     return tuple((delta, prod(map(comb, a, delta)), sum(d << s for d, s in zip(delta, pshift)))
-                 for delta in _iproduct(*(range(b + 1) for b in a)) if any(delta))
+                 for delta in _iproduct(*(range(b + 1) for b in a))
+                 if any(delta) and (part == _DERIVATIVES or sum(delta) == 1))
 
 
-def _p_derivatives(f: BlockPoly) -> dict[Beta, dict[int, int]]:
+def _p_derivatives(f: BlockPoly, part: int) -> dict[Beta, dict[int, int]]:
     """{delta: numerators of (1/delta!) d_p^delta f over f's denominator} for
-    every nonzero delta, in one pass over f's terms (one shift keeps distinct
-    terms distinct, so none meet)."""
+    the deltas of ``part``, in one pass over f's terms (one shift keeps
+    distinct terms distinct, so none meet)."""
     pshift = f.layout.pshift
     pmask = sum(_MASK << s for s in pshift)
     table: dict[Beta, dict[int, int]] = {}
     for key, coeff in f.num.items():
         if key & pmask:
-            for delta, binom, shift in _leibniz(key & pmask, pshift):
+            for delta, binom, shift in _leibniz(key & pmask, pshift, part):
                 table.setdefault(delta, {})[key - shift] = binom * coeff
     return table
 
 
-def _word_products(left: DiffOp, right: DiffOp, scale, derivatives: Derivatives,
-                   parts: int = _ALL) -> list[tuple]:
-    """The products of scale * sigma(left o right), or of its ``parts``, as
-    ``_Sum.lifted`` arguments, one per delta.  An int scale goes to the kernel
-    and any other is folded into the left factor, so the right factors stay
-    the objects whose x derivatives ``derivatives`` holds."""
-    if not isinstance(scale, int):
-        left, scale = left.scaled(scale), 1
-    f, g = left.symbol, right.symbol
-    table = _p_derivatives(f) if parts & _DERIVATIVES else {}
-    if parts & _PRODUCT:
-        table[(0,) * left.layout.N] = f.num
-    memo = derivatives.of(right)
-    products = []
+def _word_products(products: list, scale, f: BlockPoly, g: BlockPoly, part: int,
+                   derivatives: Derivatives) -> None:
+    """Append the products of scale * (``part`` of sigma(f o g)), one per delta, as
+    ``_Sum.lifted`` arguments.  An int scale goes to the kernel and any other is
+    folded into the left factor (for delta = 0 alone, the one with fewer terms),
+    so ``derivatives`` holds the right factors' x derivatives and the unscaled
+    left factors' p-derivative tables."""
+    if not (f.num and g.num):
+        return
+    if part == _PRODUCT:
+        if len(f.num) > len(g.num):
+            f, g = g, f
+        if not isinstance(scale, int):
+            f, scale = f.scaled(scale), 1
+        products.append((f.den * g.den, f.j + g.j, f.k + g.k, scale, f.num, g.num))
+        return
+    kind = part & ~_PRODUCT
+    if isinstance(scale, int):
+        memo = derivatives.of(f)
+        table = memo.get(kind)
+        if table is None:
+            table = memo[kind] = _p_derivatives(f, kind)
+    else:
+        f, scale = f.scaled(scale), 1
+        table = _p_derivatives(f, kind)
+    if part & _PRODUCT:
+        products.append((f.den * g.den, f.j + g.j, f.k + g.k, scale, f.num, g.num))
+    memo = derivatives.of(g)
     for delta, terms in table.items():
         gd = _cached_derivative(memo, g, delta)
         if gd is not None:
             products.append((f.den * gd.den, f.j + gd.j, f.k + gd.k, scale, terms, gd.num))
-    return products
 
 
 def _compose_into(total: _Sum, products: list[tuple]) -> None:
-    """Form one word's products in the accumulator: one kernel call per delta."""
+    """Form every planned product in the accumulator: one kernel call each."""
     for product in products:
         _raw_mul_into(total.terms, *total.lifted(*product))
 
@@ -259,6 +280,53 @@ def _cached_derivative(memo: dict, g: BlockPoly, delta: Beta) -> BlockPoly | Non
         prev = _cached_derivative(memo, g, delta[:i] + (delta[i] - 1,) + delta[i + 1:])
         val = memo[delta] = prev and (prev.diff_x(i) or None)
     return val
+
+
+def symbol_sum(words: list[tuple], derivatives: Derivatives | None = None) -> _Sum:
+    """sum_i scale_i * (part_i of sigma(f_i o g_i)) in one ``poly._Sum``.
+
+    ``words`` are (scale, f, g | None, part) over symbols of one split, g = None
+    standing for 1.  Like words are one word with the summed scale, dropped
+    when that is zero.  A word and its reverse, (s, f, g) and (s', g, f), share
+    their delta = 0 product: it is formed once with scale s + s', and not at all
+    when that is zero, as in a commutator.  ``derivatives`` is a fresh table if
+    None."""
+    if not words:
+        raise ValueError("empty combination")
+    layout = words[0][1].layout
+    one = None
+    like: dict[tuple[int, int, int], list] = {}
+    for scale, f, g, part in words:
+        if g is None:
+            if one is None:
+                one = BlockPoly._make(layout, {0: 1}, 1, 0, 0, rewrite=False)
+            f, g = one, f
+        else:
+            _check_split(f.layout, g.layout)
+        key = (id(f), id(g), part)
+        word = like.get(key)
+        if word is None:
+            like[key] = [scale, f, g]
+        else:
+            word[0] = word[0] + scale
+    if derivatives is None:
+        derivatives = Derivatives()
+    products: list[tuple] = []
+    for (a, b, part), (scale, f, g) in like.items():
+        if not scale:
+            continue
+        if part & _PRODUCT and a != b:
+            mirror = like.get((b, a, part))
+            if mirror is not None and mirror[0]:
+                if a < b and scale + mirror[0]:
+                    _word_products(products, scale + mirror[0], f, g, _PRODUCT, derivatives)
+                part &= ~_PRODUCT
+                if not part:
+                    continue
+        _word_products(products, scale, f, g, part, derivatives)
+    total = _Sum(layout, products)
+    _compose_into(total, products)
+    return total
 
 
 def _finalize(layout: BlockLayout, acc: dict) -> DiffOp:
@@ -277,42 +345,7 @@ def combine(words: list[tuple[ParamScalar | Fraction | int, DiffOp, DiffOp | Non
             derivatives: Derivatives | None = None) -> DiffOp:
     """sum_i scale_i * left_i o right_i, accumulated in one pass and reduced once.
 
-    A word whose right factor is None stands for scale_i * left_i.  Words with
-    the same ordered factors are one word with the summed scale, dropped when
-    that is zero.  A word and its reverse, (s, f, g) and (s', g, f), have the
-    same delta = 0 product sigma_f sigma_g: it is formed once with scale
-    s + s', and not at all when that is zero, as in a commutator."""
-    if not words:
-        raise ValueError("empty combination")
-    layout = words[0][1].layout
-    one = DiffOp.identity(layout)
-    like: dict[tuple[int, int], list] = {}
-    for scale, left, right in words:
-        if right is None:
-            left, right = one, left
-        left._check(right)
-        word = like.get((id(left), id(right)))
-        if word is None:
-            like[(id(left), id(right))] = [scale, left, right]
-        else:
-            word[0] = word[0] + scale
-    if derivatives is None:
-        derivatives = Derivatives()
-    like = {ids: word for ids, word in like.items() if word[0]}
-    planned = []
-    for (a, b), (scale, left, right) in like.items():
-        mirror = like.get((b, a)) if a != b else None
-        if mirror is None:
-            planned.append(_word_products(left, right, scale, derivatives))
-        elif a < b:
-            if scale + mirror[0]:
-                small, large = ((left, right) if left.term_count() <= right.term_count()
-                                else (right, left))
-                planned.append(_word_products(small, large, scale + mirror[0], derivatives,
-                                              _PRODUCT))
-            planned.append(_word_products(left, right, scale, derivatives, _DERIVATIVES))
-            planned.append(_word_products(right, left, mirror[0], derivatives, _DERIVATIVES))
-    total = _Sum(_symbol_layout(layout.N, layout.n), [p for products in planned for p in products])
-    for products in planned:
-        _compose_into(total, products)
-    return _finalize(layout, {_SYMBOL: {(total.j, total.k, total.den): total.terms}})
+    A word whose right factor is None stands for scale_i * left_i."""
+    total = symbol_sum([(scale, left.symbol, None if right is None else right.symbol, _ALL)
+                        for scale, left, right in words], derivatives)
+    return _finalize(words[0][1].layout, {_SYMBOL: {(total.j, total.k, total.den): total.terms}})

@@ -308,8 +308,9 @@ class Derivatives:
     """Derivatives taken while one table lives, each computed once.
 
     ``of(value)`` is the memo of one value's derivatives, keyed as its caller
-    differentiates (a multi-index, or the whole gradient).  Values are keyed by
-    identity and held by the table, so no id is reused while it lives."""
+    differentiates (``diffop`` keys an x derivative by its multi-index and a
+    table of p derivatives by its Leibniz part).  Values are keyed by identity
+    and held by the table, so no id is reused while it lives."""
 
     __slots__ = ("_memos",)
 
@@ -483,7 +484,7 @@ class BlockPoly:
         if not isinstance(other, BlockPoly):
             return NotImplemented
         return ((self.j, self.k, self.den) == (other.j, other.k, other.den)
-                and self.num == other.num)
+                and self.layout.same_split(other.layout) and self.num == other.num)
 
     def __hash__(self):
         return hash((self.j, self.k, self.den, frozenset(self.num.items())))

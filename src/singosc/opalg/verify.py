@@ -49,7 +49,7 @@ class _ProductCache:
 
     The family follows the generators and is chosen here, once: ``bracket``,
     ``bracket_words`` and ``combine`` are the commutator, its two words and
-    ``diffop.combine`` for operators, the Poisson bracket, its 2N words and
+    ``diffop.combine`` for operators, the Poisson bracket, its two words and
     ``combine_phase`` for phase-space functions.  C is bracket(A, B), and
     ``rotation`` is the scale s of bracket(L_ab, L_cd) = s (d_ac L_bd + ...):
     -hbar for the real-form operators, 1 for their classical limits.
@@ -64,8 +64,8 @@ class _ProductCache:
         if self.classical:
             # poisson_bracket is looked up at each call, so a wrapped one sees them all
             self.bracket = lambda f, g: poisson_bracket(f, g, derivatives)
-            self.bracket_words = lambda f, g: bracket_words(f, g, derivatives)
-            self.combine = combine_phase
+            self.bracket_words = bracket_words
+            self.combine = lambda words: combine_phase(words, derivatives)
             one, self.rotation = PhaseFn.scalar(gens.layout, 1), 1
         else:
             self.bracket = lambda f, g: commutator(f, g, derivatives)

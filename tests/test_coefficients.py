@@ -3,8 +3,9 @@
 Coefficients use the non-dyadic denominators 3, 5, 7 and 11 and every value
 carries r1^2/r2^2 denominators, so common-denominator lifting, gcd
 normalization and block reduction all take part.  The one-pass word sums
-(``combine``, ``combine_phase``) are checked against chained arithmetic, in
-which every product and every partial sum is reduced.
+(``combine``, ``combine_phase``, and Poisson brackets among products) are
+checked against chained arithmetic, in which every product and every partial
+sum is reduced.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import laurent_oracle as oracle
 from laurent_oracle import expand
 from random_scalars import random_scalar
 from singosc.opalg import (BlockLayout, BlockPoly, DiffOp, ExponentOverflowError,
-                           PhaseFn, combine, commutator)
-from singosc.opalg.classical import combine_phase
+                           PhaseFn, ParamScalar, combine, commutator, poisson_bracket)
+from singosc.opalg.classical import bracket_words, combine_phase
+from singosc.opalg.poly import Derivatives
+from test_classical import _chained_bracket
 
 DENOMINATORS = (3, 5, 7, 11)
 
@@ -160,6 +163,78 @@ def test_phase_word_sum_matches_chained_arithmetic(split):
         assert oracle.equal(layout, expand(got), total)
         _assert_cancelled_to_zero(
             combine_phase(words + [(-scale, f, g) for scale, f, g in words]).value)
+
+
+@pytest.mark.parametrize("split", WORD_SUM_SPLITS)
+def test_phase_word_sum_with_brackets_matches_chained_arithmetic(split):
+    # the shape of a Poisson quadratic residual: brackets next to product,
+    # mirror, bare and cancelling words, with factors shared between them
+    layout = BlockLayout(*split, momenta=True)
+    rng = random.Random(53)
+
+    def make():
+        return PhaseFn(_laurent_value(layout, rng))
+
+    for _ in range(8):
+        words = _random_words(rng, make)
+        f, g, h = words[1][1], words[1][2], words[0][2]
+        pairs = [(f, g), (h, make()), (g, f), (h, make()), (g, g)]
+        expected = BlockPoly.zero(layout)
+        for scale, left, right in words:
+            expected = expected + (left.value if right is None
+                                   else left.value * right.value).scaled(scale)
+        brackets = []
+        for left, right in pairs:
+            brackets += bracket_words(left, right)
+            expected = expected + _chained_bracket(left, right).value
+        for mixed in (brackets + words, words[:3] + brackets + words[3:]):
+            got = combine_phase(mixed).value
+            assert got == expected
+            assert hash(got) == hash(expected)
+            assert got.den > 0 and gcd(got.den, *got.num.values()) == 1
+        _assert_cancelled_to_zero(combine_phase(
+            brackets + [word for left, right in pairs for word in bracket_words(right, left)]).value)
+
+
+@pytest.mark.parametrize("split", WORD_SUM_SPLITS)
+def test_a_bracket_whose_every_product_vanishes_is_the_canonical_zero(split):
+    layout = BlockLayout(*split, momenta=True)
+    x1, x2 = PhaseFn.coordinate(layout, 0), PhaseFn.coordinate(layout, 1)
+    c1_r1 = PhaseFn(BlockPoly.monomial(layout, 0, ParamScalar.c1(), j=1))
+    c2_r2 = PhaseFn(BlockPoly.monomial(layout, 0, ParamScalar.c2(), k=1))
+    for f, g in ((x1, x2), (c1_r1, c2_r2), (x1, c2_r2), (x1, PhaseFn.zero(layout))):
+        _assert_cancelled_to_zero(poisson_bracket(f, g).value)
+        _assert_cancelled_to_zero(combine_phase(bracket_words(f, g) + bracket_words(g, f)).value)
+
+
+@pytest.mark.parametrize("split", WORD_SUM_SPLITS)
+def test_one_derivative_table_serves_operators_and_brackets(split):
+    # a phase function may hold an operator's symbol itself, so one table then
+    # holds that value's p derivatives for both the composition (every delta)
+    # and the bracket (|delta| = 1): the two must be kept apart
+    rng = random.Random(59)
+    layout = BlockLayout(*split)
+
+    def make_op():
+        terms = {}
+        for order in (1, 2, 3):
+            beta = [0] * layout.N
+            for _ in range(order):
+                beta[rng.randrange(layout.N)] += 1
+            terms[tuple(beta)] = _laurent_value(layout, rng)
+        return DiffOp(layout, terms)
+
+    for _ in range(3):
+        ops = [make_op() for _ in range(2)]
+        fns = [PhaseFn(op.symbol) for op in ops]
+        product, bracket = ops[0] * ops[1], poisson_bracket(*fns)
+        assert not bracket.is_zero()
+        for first_bracket in (True, False):
+            table = Derivatives()
+            if first_bracket:
+                assert poisson_bracket(*fns, table) == bracket
+            assert combine([(1, *ops), (1, ops[1], ops[0])], table) == product + ops[1] * ops[0]
+            assert poisson_bracket(*fns, table) == bracket
 
 
 @pytest.mark.parametrize("split", WORD_SUM_SPLITS)

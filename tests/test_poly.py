@@ -212,6 +212,28 @@ def test_derivative_is_the_fully_reduced_quotient_rule(split):
     assert hits  # a division after the derivative did succeed
 
 
+def test_equality_tells_splits_apart():
+    # rho1 is x1^2 at (4,1) and x1^2 + x2^2 at (4,2), with the same packed key;
+    # the constant 1 is key 0 at every split, on a plain or a phase layout
+    from singosc.opalg import DiffOp, PhaseFn
+    a, b = PhaseFn.layout(4, 1), PhaseFn.layout(4, 2)
+    builds = [
+        (lambda: BlockPoly.monomial(a, a.rho_key(1)), lambda: BlockPoly.monomial(b, b.rho_key(1))),
+        (lambda: BlockPoly.scalar(BlockLayout(3, 1), 1),
+         lambda: BlockPoly.scalar(BlockLayout(4, 2), 1)),
+        (lambda: BlockPoly.scalar(BlockLayout(4, 2), 1), lambda: BlockPoly.scalar(b, 1)),
+    ]
+    for left, right in builds:
+        assert left() != right()
+        assert left() == left() and right() == right()
+        assert hash(left()) == hash(left())
+    rho_a, rho_b = builds[0]
+    assert PhaseFn(rho_a()) != PhaseFn(rho_b())
+    assert PhaseFn(rho_a()) == PhaseFn(rho_a())
+    ops = [DiffOp.identity(BlockLayout(*split)) for split in ((3, 1), (4, 2), (4, 2))]
+    assert ops[0] != ops[1] and ops[1] == ops[2]
+
+
 def test_momentum_derivative_is_canonical():
     from singosc.opalg import build_classical
     gens = build_classical(4, 2)

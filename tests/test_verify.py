@@ -4,8 +4,10 @@ parameter point, and mutation sensitivity of every structure constant."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +93,27 @@ def test_mutating_any_structure_constant_fails(field_name):
     ac = commutator(gens.A, cache.get("C")) - combine(cache.graded(quadratic_ac_rhs(cache, consts)))
     bc = commutator(gens.B, cache.get("C")) - combine(cache.graded(quadratic_bc_rhs(cache, consts)))
     assert not (ac.is_zero() and bc.is_zero()), field_name
+
+
+MUTATION_GOLDEN = Path(__file__).resolve().parent / "golden" / "mutation-residuals-N4-n2.json"
+
+
+@pytest.mark.parametrize("family, build, verify, keyword", [
+    ("verify_q3", build_quantum, verify_q3, "constants"),
+    ("verify_qp3", build_classical, verify_qp3, "quantum_constants"),
+])
+def test_every_bumped_constant_leaves_its_golden_residuals(family, build, verify, keyword):
+    # each structure constant raised by one at (4,2): the failing checks and
+    # their residual_terms; the reduced form is unique, so a rewrite of the
+    # word sums that changes any residual shows here
+    golden = json.loads(MUTATION_GOLDEN.read_text(encoding="utf-8"))[family]
+    assert set(golden) == set(MUTABLE_CONSTANTS)
+    gens = build(4, 2)
+    consts = QuadraticConstants.for_dims(4, 2)
+    for field_name, expected in golden.items():
+        report = verify(4, 2, gens=gens, **{keyword: consts.bumped(field_name)})
+        got = {r.name: r.residual_terms for r in report.failures()}
+        assert got == expected, field_name
 
 
 def test_specific_mutation_from_4_to_3():
