@@ -18,8 +18,9 @@ the Leibniz rule (f d^a)(g d^b) = sum_{delta <= a} binom(a, delta)
 f (d^delta g) d^(a - delta + b) summed over all pairs of terms.  So a word
 costs one kernel call per delta on whole symbols: {delta: (1/delta!)
 d_p^delta sigma_L} comes from one pass over L's terms, and d_x^delta sigma_R
-is a ``diff_x`` chain; both are kept in a ``Derivatives`` table for as long
-as its owner (one verify call) lives.
+is a chain of unreduced x derivatives (``poly._raw_diff_x``); both are kept
+in a ``Derivatives`` table for as long as its owner (one verify call) lives,
+and only the finished sum is reduced.
 
 The classical functions share the layout and the sum: their product f g is
 the delta = 0 term, and the Poisson bracket {f, g} = sum_i df/dx_i dg/dp_i -
@@ -37,7 +38,8 @@ from functools import lru_cache
 from itertools import product as _iproduct
 from math import comb, prod
 
-from .poly import _MASK, BlockLayout, BlockPoly, Derivatives, _raw_mul_into, _Sum, _sum
+from .poly import (_MASK, BlockLayout, BlockPoly, Derivatives, _raw_diff_x, _raw_mul_into,
+                   _Sum, _sum)
 from .scalars import ParamScalar
 
 Beta = tuple[int, ...]
@@ -230,55 +232,72 @@ def _p_derivatives(f: BlockPoly, part: int) -> dict[Beta, dict[int, int]]:
     return table
 
 
+def _scale_parts(layout: BlockLayout, scale) -> tuple[tuple[int, int, int], ...]:
+    """A word's scale as (den, int numerator, parameter key) parts: an int as it
+    is, a Fraction as its numerator over its denominator, a ``ParamScalar`` as
+    one part per parameter monomial, over one denominator."""
+    if isinstance(scale, int):
+        return ((1, scale, 0),)
+    if isinstance(scale, ParamScalar):
+        frags, den = layout.embed_scalar(scale)
+        return tuple((den, coeff, key) for key, coeff in frags.items())
+    scale = Fraction(scale)
+    return ((scale.denominator, scale.numerator, 0),)
+
+
 def _word_products(products: list, scale, f: BlockPoly, g: BlockPoly, part: int,
                    derivatives: Derivatives) -> None:
-    """Append the products of scale * (``part`` of sigma(f o g)), one per delta, as
-    ``_Sum.lifted`` arguments.  An int scale goes to the kernel and any other is
-    folded into the left factor (for delta = 0 alone, the one with fewer terms),
-    so ``derivatives`` holds the right factors' x derivatives and the unscaled
-    left factors' p-derivative tables."""
+    """Append the products of scale * (``part`` of sigma(f o g)), one per delta
+    and parameter monomial of the scale (``_scale_parts``), as ``_Sum.lifted``
+    arguments: the monomial rides on the kernel as a key shift, so
+    ``derivatives`` holds the right factors' raw x derivatives and the left
+    factors' p-derivative tables, each built once, whatever scales them."""
     if not (f.num and g.num):
         return
-    if part == _PRODUCT:
-        if len(f.num) > len(g.num):
-            f, g = g, f
-        if not isinstance(scale, int):
-            f, scale = f.scaled(scale), 1
-        products.append((f.den * g.den, f.j + g.j, f.k + g.k, scale, f.num, g.num))
-        return
-    kind = part & ~_PRODUCT
-    if isinstance(scale, int):
-        memo = derivatives.of(f)
-        table = memo.get(kind)
-        if table is None:
-            table = memo[kind] = _p_derivatives(f, kind)
-    else:
-        f, scale = f.scaled(scale), 1
-        table = _p_derivatives(f, kind)
+    scales = _scale_parts(f.layout, scale)
+
+    def add(den: int, j: int, k: int, a: dict[int, int], b: dict[int, int]) -> None:
+        for sden, coeff, shift in scales:
+            products.append((den * sden, j, k, coeff, a, b, shift))
+
     if part & _PRODUCT:
-        products.append((f.den * g.den, f.j + g.j, f.k + g.k, scale, f.num, g.num))
+        add(f.den * g.den, f.j + g.j, f.k + g.k, f.num, g.num)
+        if part == _PRODUCT:
+            return
+    kind = part & ~_PRODUCT
+    memo = derivatives.of(f)
+    table = memo.get(kind)
+    if table is None:
+        table = memo[kind] = _p_derivatives(f, kind)
     memo = derivatives.of(g)
     for delta, terms in table.items():
         gd = _cached_derivative(memo, g, delta)
         if gd is not None:
-            products.append((f.den * gd.den, f.j + gd.j, f.k + gd.k, scale, terms, gd.num))
+            num, den, j, k = gd
+            add(f.den * den, f.j + j, f.k + k, terms, num)
 
 
 def _compose_into(total: _Sum, products: list[tuple]) -> None:
     """Form every planned product in the accumulator: one kernel call each."""
     for product in products:
-        _raw_mul_into(total.terms, *total.lifted(*product))
+        a, b, scale, shift = total.lifted(*product)
+        _raw_mul_into(total.terms, a, b, scale, shift=shift)
 
 
-def _cached_derivative(memo: dict, g: BlockPoly, delta: Beta) -> BlockPoly | None:
-    """d_x^delta g, or None when it vanishes, memoized with every lower derivative."""
+def _cached_derivative(memo: dict, g: BlockPoly, delta: Beta) -> tuple | None:
+    """d_x^delta g as a raw (num, den, j, k) (``poly._raw_diff_x``), or None when
+    its numerator vanishes, memoized with every lower derivative."""
     val = memo.get(delta, _MISSING)
     if val is _MISSING:
         i = next((i for i, d in enumerate(delta) if d), None)
         if i is None:
-            return g
-        prev = _cached_derivative(memo, g, delta[:i] + (delta[i] - 1,) + delta[i + 1:])
-        val = memo[delta] = prev and (prev.diff_x(i) or None)
+            val = memo[delta] = (g.num, g.den, g.j, g.k)
+        else:
+            prev = _cached_derivative(memo, g, delta[:i] + (delta[i] - 1,) + delta[i + 1:])
+            val = prev and _raw_diff_x(g.layout, prev, i)
+            if val and not val[0]:
+                val = None
+            memo[delta] = val
     return val
 
 
@@ -326,6 +345,7 @@ def symbol_sum(words: list[tuple], derivatives: Derivatives | None = None) -> _S
         _word_products(products, scale, f, g, part, derivatives)
     total = _Sum(layout, products)
     _compose_into(total, products)
+    total.settle()
     return total
 
 

@@ -43,9 +43,12 @@ its rho fields, with no product.
 
 A sum of values and products (``_Sum``) fixes its j, k and den, the largest
 rho powers and the lcm of the denominators of all its parts, before the
-first part.  Each part is lifted onto them as it is added (a product shifts
-its smaller operand) with the factor den / (its den) on the kernel's scale,
-so parts of any (j, k) cancel in one term dict, which is reduced once.
+first part.  Each part is lifted onto them as it is added: the lift is a key
+shift that the kernel adds once per term of a product's smaller operand, and
+the factor den / (its den) rides on the kernel's scale.  A parameter
+monomial of a product's scale is one more key shift, so no operand is
+copied.  Parts of any (j, k) cancel in one term dict, whose zero terms are
+dropped once and which is reduced once.
 """
 
 from __future__ import annotations
@@ -134,6 +137,18 @@ class BlockLayout:
         """Raise if any packed key has a guard bit set (an exponent reached 128)."""
         self._check_bits(_fold(or_, terms, 0))
 
+    def check_shift(self, terms: dict[int, int], shift: int) -> None:
+        """Raise unless every field of every key plus that field of ``shift``
+        stays below 128.  The OR of the keys bounds each field from above, so
+        the exact maximum of a field is read only when that bound reaches 128."""
+        if not (_fold(or_, terms, 0) + shift) & self.guard:
+            return
+        for field in range(self.nfields):
+            s = (shift >> (field * _BITS)) & _MASK
+            if s and max((key >> (field * _BITS)) & _MASK for key in terms) + s >= _LIMIT:
+                raise ExponentOverflowError(
+                    f"an exponent reached {_LIMIT}, beyond the packed monomial field")
+
     def _check_bits(self, bits: int) -> None:
         if bits & self.guard:
             raise ExponentOverflowError(
@@ -171,14 +186,21 @@ def _integer_terms(terms: Mapping[int, int | Fraction]) -> tuple[dict[int, int],
 
 # -- raw term-dict helpers (hot paths) --------------------------------------
 
+def _live(terms: dict[int, int]) -> dict[int, int]:
+    """The terms whose coefficient did not cancel to zero."""
+    return {key: c for key, c in terms.items() if c}
+
+
 def _raw_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
     _raw_mul_into(out, a, b, 1)
-    return out
+    return _live(out)
 
 
 def _raw_mul_into(dst: dict[int, int], a: dict[int, int],
-                  b: dict[int, int], scale: int) -> None:
+                  b: dict[int, int], scale: int, *, shift: int = 0) -> None:
+    """Add scale * a * b, every key shifted by ``shift`` (a monomial factor), into
+    dst.  A cancelled term stays as a zero, for its sum to drop (``_live``)."""
     if not a or not b or not scale:
         return
     if len(a) > len(b):
@@ -187,36 +209,26 @@ def _raw_mul_into(dst: dict[int, int], a: dict[int, int],
     get = dst.get
     for ka, ca in a.items():
         cas = ca if one else ca * scale
+        ka += shift
         for kb, cb in b.items():
             key = ka + kb
             cur = get(key)
             if cur is None:
                 dst[key] = cas * cb
             else:
-                cur = cur + cas * cb
-                if cur:
-                    dst[key] = cur
-                else:
-                    del dst[key]
+                dst[key] = cur + cas * cb
 
 
 def _raw_add_into(dst: dict[int, int], src: dict[int, int], scale: int,
                   shift: int = 0) -> None:
-    """Add scale * src, every key shifted by ``shift`` (a monomial factor), into dst."""
+    """Add scale * src, every key shifted by ``shift``, into dst, cancelled terms
+    kept as zeros like ``_raw_mul_into``."""
     if not scale:
         return
     get = dst.get
     for key, coeff in src.items():
         key += shift
-        cur = get(key)
-        if cur is None:
-            dst[key] = coeff * scale
-        else:
-            cur = cur + coeff * scale
-            if cur:
-                dst[key] = cur
-            else:
-                del dst[key]
+        dst[key] = get(key, 0) + coeff * scale
 
 
 def _normal_form(layout: BlockLayout, terms: dict[int, int]) -> dict[int, int]:
@@ -279,28 +291,31 @@ class _Sum:
                       self.layout.rho_key(1, self.j - j) + self.layout.rho_key(2, self.k - k))
 
     def lifted(self, den: int, j: int, k: int, scale: int, a: dict[int, int],
-               b: dict[int, int]) -> tuple[dict, dict, int]:
-        """(a', b', scale') for ``_raw_mul_into(self.terms, a', b', scale')``: scale * a
-        * b / (den rho1^j rho2^k) lifted onto the sum.  The shifted operand (fewer terms)
-        is checked, since the kernel's key additions would carry a field past 127."""
+               b: dict[int, int], shift: int) -> tuple[dict, dict, int, int]:
+        """(a', b', scale', shift') for ``_raw_mul_into(self.terms, a', b', scale',
+        shift=shift')``: scale * a * b * (the monomial ``shift``) / (den rho1^j
+        rho2^k) lifted onto the sum, a' the operand with fewer terms.  The kernel
+        adds shift' to a''s keys, so each field of a' plus its shift must stay
+        below 128 (``check_shift``): then no key addition carries."""
         if len(a) > len(b):
             a, b = b, a
         if j != self.j or k != self.k:
-            lift = self.layout.rho_key(1, self.j - j) + self.layout.rho_key(2, self.k - k)
-            a = {key + lift: c for key, c in a.items()}
-            self.layout.check_keys(a)
-        return a, b, scale * (self.den // den)
+            shift += self.layout.rho_key(1, self.j - j) + self.layout.rho_key(2, self.k - k)
+        if shift:
+            self.layout.check_shift(a, shift)
+        return a, b, scale * (self.den // den), shift
+
+    def settle(self) -> None:
+        """Drop the terms that cancelled, once every part is in."""
+        self.terms = _live(self.terms)
 
 
 def _sum(layout: BlockLayout, parts: list[tuple]) -> BlockPoly:
-    """The sum of ``parts`` (den, j, k, scale, a[, b]), each scale * a or the
-    product scale * a * b, reduced once."""
+    """The sum of ``parts`` (den, j, k, scale, a), each scale * a, reduced once."""
     total = _Sum(layout, parts)
     for part in parts:
-        if len(part) == 5:
-            total.add(*part)
-        else:
-            _raw_mul_into(total.terms, *total.lifted(*part))
+        total.add(*part)
+    total.settle()
     return BlockPoly._make(layout, total.terms, total.den, total.j, total.k)
 
 
@@ -309,8 +324,11 @@ class Derivatives:
 
     ``of(value)`` is the memo of one value's derivatives, keyed as its caller
     differentiates (``diffop`` keys an x derivative by its multi-index and a
-    table of p derivatives by its Leibniz part).  Values are keyed by identity
-    and held by the table, so no id is reused while it lives."""
+    table of p derivatives by its Leibniz part).  The table holds raw
+    derivatives, numerators that were never reduced (an x derivative is a
+    ``_raw_diff_x`` tuple), which only a word sum reads and reduces as part
+    of its total.  Values are keyed by identity and held by the table, so no
+    id is reused while it lives."""
 
     __slots__ = ("_memos",)
 
@@ -322,6 +340,38 @@ class Derivatives:
         if entry is None:
             entry = self._memos[id(value)] = (value, {})
         return entry[1]
+
+
+def _raw_diff_x(layout: BlockLayout, raw: tuple, i: int) -> tuple[dict[int, int], int, int, int]:
+    """Partial derivative in x_{i+1} of raw = (num, den, j, k), the value (num/den) /
+    (rho1^j rho2^k) in any form, in one pass over the terms and unreduced.
+
+    With rho the r^2 of x_{i+1}'s block and J its power in the denominator,
+    d/dx_i (c x^a rho^e / rho^J)
+        = [a_i c x^(a - e_i) rho^(e+1) + 2 (e - J) c x^(a + e_i) rho^e] / rho^(J+1),
+    since d rho / dx_i = 2 x_i.  Raises ``ExponentOverflowError`` on a field
+    that reached 128."""
+    num, den, j, k = raw
+    shift = layout.xshift[i]
+    block = layout.block_of(i)
+    rho_shift = layout.rho_shift[block - 1]
+    exp = j if block == 1 else k
+    unit = 1 << shift
+    down = (1 << rho_shift) - unit
+    out: dict[int, int] = {}
+    get = out.get
+    for key, coeff in num.items():
+        a = (key >> shift) & _MASK
+        if a:
+            nk = key + down
+            out[nk] = get(nk, 0) + a * coeff
+        e = (key >> rho_shift) & _MASK
+        if e != exp:
+            nk = key + unit
+            out[nk] = get(nk, 0) + 2 * (e - exp) * coeff
+    out = _live(out)
+    layout.check_keys(out)
+    return (out, den, j + 1, k) if block == 1 else (out, den, j, k + 1)
 
 
 def _raw_diff(terms: dict[int, int], shift: int) -> dict[int, int]:
@@ -428,7 +478,7 @@ class BlockPoly:
             out: dict[int, int] = {}
             for frag, coeff in frags.items():
                 _raw_add_into(out, self.num, coeff, frag)
-            return BlockPoly._make(self.layout, out, self.den * fden, self.j, self.k,
+            return BlockPoly._make(self.layout, _live(out), self.den * fden, self.j, self.k,
                                    rewrite=False)
         value = Fraction(value)
         if not value:
@@ -440,33 +490,9 @@ class BlockPoly:
     # -- calculus ------------------------------------------------------------
 
     def diff_x(self, i: int) -> BlockPoly:
-        """Partial derivative in x_{i+1}, in one pass over the terms.
-
-        With rho the r^2 of x_{i+1}'s block and J its power in the denominator,
-        d/dx_i (c x^a rho^e / rho^J)
-            = [a_i c x^(a - e_i) rho^(e+1) + 2 (e - J) c x^(a + e_i) rho^e] / rho^(J+1),
-        since d rho / dx_i = 2 x_i."""
-        layout = self.layout
-        shift = layout.xshift[i]
-        block = layout.block_of(i)
-        rho_shift = layout.rho_shift[block - 1]
-        exp = self.j if block == 1 else self.k
-        unit = 1 << shift
-        down = (1 << rho_shift) - unit
-        out: dict[int, int] = {}
-        get = out.get
-        for key, coeff in self.num.items():
-            a = (key >> shift) & _MASK
-            if a:
-                nk = key + down
-                out[nk] = get(nk, 0) + a * coeff
-            e = (key >> rho_shift) & _MASK
-            if e != exp:
-                nk = key + unit
-                out[nk] = get(nk, 0) + 2 * (e - exp) * coeff
-        out = {key: c for key, c in out.items() if c}
-        j, k = (self.j + 1, self.k) if block == 1 else (self.j, self.k + 1)
-        return BlockPoly._make(layout, out, self.den, j, k)
+        """Partial derivative in x_{i+1} (``_raw_diff_x``), reduced."""
+        return BlockPoly._make(self.layout,
+                               *_raw_diff_x(self.layout, (self.num, self.den, self.j, self.k), i))
 
     def diff_p(self, i: int) -> BlockPoly:
         return BlockPoly._make(self.layout, _raw_diff(self.num, self.layout.pshift[i]),

@@ -150,16 +150,25 @@ def kummer(Nr: int, b, z):
 
 
 def wavefunction(mode: RadialMode, r: float) -> float:
-    """Radial wavefunction value at r > 0, normalization prefactor as printed."""
+    """Normalized radial wavefunction at r > 0.
+
+    With u = a r^2, a = omega/hbar, the solution regular at the origin is
+    R = C e^(-u/2) u^(delta + l/2) 1F1(-Nr; alpha + 1; u), which goes as
+    r^(alpha - (m-2)/2) near 0; 1F1 is L_Nr^alpha(u) over its value at u = 0,
+    (alpha + 1)_Nr / Nr!.  The Laguerre norm, the integral of e^(-u) u^alpha
+    L_Nr^alpha(u)^2 over u > 0, is Gamma(Nr + alpha + 1)/Nr!, so the integral
+    of R^2 r^(m-1) over r > 0 is 1 at
+    C^2 = 2 a^(m/2) Gamma(Nr + alpha + 1) / (Gamma(alpha + 1)^2 Nr!)."""
     if r <= 0:
         raise ValueError("r must be positive")
     spec = mode.spec
     a = float(spec.omega_reduced)
     u = a * r * r
-    b = 2.0 * (mode.delta + spec.l / 2.0 + spec.m / 4.0)
-    pref = math.sqrt(2.0 * math.gamma(mode.Nr + b) / math.factorial(mode.Nr))
-    body = a * math.exp(-u / 2.0) * u ** ((mode.delta + spec.l / 2.0) / 2.0) / math.sqrt(b)
-    return pref * body * float(kummer(mode.Nr, b, u))
+    b = mode.alpha + 1.0
+    log_c2 = (math.log(2.0) + spec.m / 2.0 * math.log(a) + math.lgamma(mode.Nr + b)
+              - 2.0 * math.lgamma(b) - math.lgamma(mode.Nr + 1.0))
+    return (math.exp(log_c2 / 2.0 - u / 2.0) * u ** (mode.delta + spec.l / 2.0)
+            * float(kummer(mode.Nr, b, u)))
 
 
 def wavefunction_norm(mode: RadialMode, r_max: float | None = None,

@@ -265,11 +265,11 @@ def test_criterion_9_oscillation_and_normalization():
     for k in range(5):
         _, vec = fd_eigenvector(spec, GridSpec(nodes=256), index=k)
         ok = ok and sign_changes(vec) == k
-    # quadrature of the printed wavefunction converges and is finite
+    # quadrature of the printed wavefunction converges to one
     for test_spec, nr in ((ComponentSpec(m=2), 1), (ComponentSpec(m=2, c=Fraction(2)), 0),
                           (ComponentSpec(m=4, l=2, c=Fraction(1, 3)), 2)):
         value, err = wavefunction_norm(closed_form(test_spec, nr))
-        ok = ok and err < 1e-6 and value > 0
+        ok = ok and err < 1e-6 and abs(value - 1.0) < 1e-8
     # the two-dimensional family integrates to exactly one
     value, err = wavefunction_norm(closed_form(ComponentSpec(m=2), 0))
     ok = ok and abs(value - 1.0) < 1e-6

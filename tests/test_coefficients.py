@@ -22,6 +22,7 @@ from random_scalars import random_scalar
 from singosc.opalg import (BlockLayout, BlockPoly, DiffOp, ExponentOverflowError,
                            PhaseFn, ParamScalar, combine, commutator, poisson_bracket)
 from singosc.opalg.classical import bracket_words, combine_phase
+from singosc.opalg.diffop import _FIRST
 from singosc.opalg.poly import Derivatives
 from test_classical import _chained_bracket
 
@@ -328,3 +329,131 @@ def test_lifted_product_past_127_raises(block):
         combine([(1, far, None), (1, low, high)])
     with pytest.raises(ExponentOverflowError):
         combine([(1, far, None), (-1, high, low)])
+
+
+# Scales with several parameter monomials over non-unit Fraction coefficients:
+# the word sums form one kernel call per monomial, its parameter key a shift
+# on the unscaled factor.
+PARAMETER_SCALES = (
+    ParamScalar({(2, 0, 1, 0): Fraction(3, 7), (0, 2, 0, 0): Fraction(-5, 2)}),
+    ParamScalar({(1, 1, 0, 0): Fraction(-2, 3), (0, 0, 0, 1): Fraction(4, 5),
+                 (0, 0, 0, 0): Fraction(1, 11)}),
+    ParamScalar({(3, 0, 0, 0): Fraction(5, 3), (0, 0, 1, 1): Fraction(-7, 9)}),
+)
+
+
+def _parameter_scaled_words(make):
+    """Words over four factors at different (j, k), every scale a multi-term
+    ParamScalar: a mirror pair whose scales do not cancel, one whose scales
+    cancel, a repeated word, a bare word and a self product."""
+    s1, s2, s3 = PARAMETER_SCALES
+    f, g, h, u = (make(j, k) for j, k in ((0, 1), (2, 0), (1, 2), (2, 2)))
+    return [(s1, f, g), (s2, g, f),        # mirror pair, s1 + s2 != 0
+            (s3, f, h), (-s3, h, f),       # mirror pair, cancelling scales
+            (s2, u, g), (s1, u, g),        # repeated
+            (s3, h, None), (s1, u, u)]     # bare, self
+
+
+def _value_at(layout, rng, j, k):
+    terms = _random_terms(layout, rng, nterms=4)
+    if layout.momenta:
+        terms = {key + layout.p_key(rng.randrange(layout.N), rng.randrange(3)): c
+                 for key, c in terms.items()}
+    return BlockPoly(layout, terms, j=j, k=k)
+
+
+@pytest.mark.parametrize("split", WORD_SUM_SPLITS)
+def test_phase_word_sum_with_parameter_scales_matches_chained_arithmetic(split):
+    layout = BlockLayout(*split, momenta=True)
+    rng = random.Random(61)
+    for _ in range(4):
+        words = _parameter_scaled_words(lambda j, k: PhaseFn(_value_at(layout, rng, j, k)))
+        f, g = words[0][1], words[0][2]
+        expected = BlockPoly.zero(layout)
+        for scale, left, right in words:
+            expected = expected + (left.value if right is None
+                                   else left.value * right.value).scaled(scale)
+        s = PARAMETER_SCALES[0]
+        brackets = [(s, g, f, _FIRST), (-s, f, g, _FIRST)]  # s {f, g}
+        expected_all = expected + _chained_bracket(f, g).value.scaled(s)
+        for mixed, want in ((words, expected), (words + brackets, expected_all)):
+            got = combine_phase(mixed).value
+            assert got == want
+            assert hash(got) == hash(want)
+            assert got.den > 0 and gcd(got.den, *got.num.values()) == 1
+        _assert_cancelled_to_zero(
+            combine_phase(words + [(-scale, f, g) for scale, f, g in words]).value)
+
+
+@pytest.mark.parametrize("split", WORD_SUM_SPLITS)
+def test_operator_word_sum_with_parameter_scales_matches_chained_arithmetic(split):
+    layout = BlockLayout(*split)
+    rng = random.Random(67)
+
+    def make(j, k):
+        terms = {}
+        for order in range(3):
+            beta = [0] * layout.N
+            for _ in range(order):
+                beta[rng.randrange(layout.N)] += 1
+            terms[tuple(beta)] = _value_at(layout, rng, j, k)
+        return DiffOp(layout, terms)
+
+    for _ in range(3):
+        words = _parameter_scaled_words(make)
+        got = combine(words)
+        expected = DiffOp.zero(layout)
+        for scale, left, right in words:
+            expected = expected + (left if right is None else left * right).scaled(scale)
+        assert got == expected
+        assert hash(got) == hash(expected)
+        fn = _laurent_value(layout, rng)
+        applied = BlockPoly.zero(layout)
+        for scale, left, right in words:
+            applied = applied + left.apply(fn if right is None else right.apply(fn)).scaled(scale)
+        assert got.apply(fn) == applied
+        _assert_cancelled_to_zero(
+            combine(words + [(-scale, left, right) for scale, left, right in words]).symbol)
+
+
+def _hbar_monomials(layout, powers, key=0):
+    """sum_i hbar^powers[i] times x_{i+1}, so every term holds a distinct x."""
+    return BlockPoly(layout, {key + layout.x_key(i) + layout.param_key((p, 0, 0, 0)): 1
+                              for i, p in enumerate(powers)})
+
+
+def test_parameter_scale_past_127_raises():
+    # hbar^100 on a product of hbar^30 and hbar^126, hbar^127: every product
+    # key would take the hbar field to 256 or 257 and carry into the next
+    # field, leaving no guard bit for the final check, so the scale's shift
+    # onto the one-term factor must be refused before the kernel adds it
+    scale = ParamScalar.hbar(100)
+    phase = BlockLayout(4, 2, momenta=True)
+    small, large = (PhaseFn(_hbar_monomials(phase, powers)) for powers in ((30,), (126, 127)))
+    # the last sum lifts the product onto 1/rho1 as well: lift and monomial
+    # are one shift
+    over_rho1 = PhaseFn(BlockPoly.monomial(phase, 0, j=1))
+    for words in ([(scale, small, large)], [(scale, large, small)],
+                  [(scale, small, large), (1, over_rho1, None)]):
+        with pytest.raises(ExponentOverflowError):
+            combine_phase(words)
+    layout = BlockLayout(4, 2)
+    small, large = (DiffOp.multiplication(layout, _hbar_monomials(layout, powers))
+                    for powers in ((30,), (126, 127)))
+    over_rho1 = DiffOp.multiplication(layout, BlockPoly.monomial(layout, 0, j=1))
+    for words in ([(scale, small, large)], [(scale, large, small)],
+                  [(scale, small, large), (scale, large, small), (1, over_rho1, None)]):
+        with pytest.raises(ExponentOverflowError):
+            combine(words)
+
+
+def test_parameter_scale_below_128_by_the_exact_maximum_passes():
+    # the OR of hbar^64 and hbar^63 reads 127 in the hbar field, so a shift of
+    # hbar^1 reaches 128 by that bound; the exact maximum, 64 + 1, is fine
+    phase = BlockLayout(4, 2, momenta=True)
+    f = PhaseFn(_hbar_monomials(phase, (64, 63)))
+    g = PhaseFn(_hbar_monomials(phase, (0, 0, 0)))
+    scale = ParamScalar.hbar(1, Fraction(2, 3))
+    got = combine_phase([(scale, f, g)]).value
+    assert got == (f.value * g.value).scaled(scale)
+    assert max(key >> phase.param_shift[0] & 0xFF for key in got.num) == 65

@@ -181,12 +181,39 @@ def test_wavefunction_normalization_quadrature():
         value, err = wavefunction_norm(mode)
         assert err < 1e-6
         assert value == pytest.approx(1.0, abs=1e-6)
-    # in other dimensions the integral is finite and converged, but not unity;
-    # the measured value is reported rather than assumed
+    # and every other dimension too, alpha irrational here (alpha^2 = 13/4)
     mode = closed_form(ComponentSpec(m=3, l=1, c=Fraction(1, 2)), 1)
     value, err = wavefunction_norm(mode)
     assert err < 1e-6
-    assert math.isfinite(value) and value > 0
+    assert value == pytest.approx(1.0, abs=1e-8)
+
+
+def _wavefunction_sweep():
+    """Seeded (m, l, c, Nr, hbar, omega), about half with an irrational alpha."""
+    rng = random.Random(71)
+    specs = []
+    while len(specs) < 24:
+        m = rng.randrange(1, 7)
+        l = 0 if m == 1 else rng.randrange(4)
+        c = Fraction(rng.randrange(0, 12), rng.randrange(1, 5)) if rng.random() < 0.8 else 0
+        spec = ComponentSpec(m=m, l=l, c=c, hbar=Fraction(rng.randrange(1, 5), 3),
+                             omega=Fraction(rng.randrange(1, 7), 2))
+        specs.append((spec, rng.randrange(5)))
+    assert sum(spec.alpha_exact is None for spec, _ in specs) >= 8
+    return specs
+
+
+@pytest.mark.parametrize("spec, nr", _wavefunction_sweep())
+def test_wavefunction_solves_the_radial_equation_and_is_normalized(spec, nr):
+    mode = closed_form(spec, nr)
+    # small-r power: the indicial root alpha - (m - 2)/2 of the radial equation
+    r1 = 1e-6 / math.sqrt(float(spec.omega_reduced))
+    slope = (math.log(abs(wavefunction(mode, 2 * r1))) - math.log(abs(wavefunction(mode, r1)))
+             ) / math.log(2.0)
+    assert slope == pytest.approx(mode.alpha - (spec.m - 2) / 2, abs=1e-8)
+    value, err = wavefunction_norm(mode)
+    assert err < 1e-8
+    assert value == pytest.approx(1.0, abs=1e-8)
 
 
 def test_total_energy_examples():

@@ -167,15 +167,17 @@ def test_report_is_name_ordered_and_serializable():
 
 
 def _count_derivatives(monkeypatch):
-    from singosc.opalg import BlockPoly
+    # the derivative table takes each x derivative with diffop's binding of
+    # poly._raw_diff_x, on a raw (num, den, j, k) tuple
+    from singosc.opalg import diffop
     calls = []
-    original = BlockPoly.diff_x
+    original = diffop._raw_diff_x
 
-    def counted(self, i):
-        calls.append((self, i))  # holding self keeps every id distinct
-        return original(self, i)
+    def counted(layout, raw, i):
+        calls.append((raw, i))  # holding raw keeps every id distinct
+        return original(layout, raw, i)
 
-    monkeypatch.setattr(BlockPoly, "diff_x", counted)
+    monkeypatch.setattr(diffop, "_raw_diff_x", counted)
     return calls
 
 
@@ -184,6 +186,36 @@ def test_a_verify_call_takes_each_derivative_once(monkeypatch):
     assert verify_q3(4, 2).all_passed
     assert calls
     assert len({(id(value), i) for value, i in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("verify, build", [(verify_q3, build_quantum),
+                                           (verify_qp3, build_classical)])
+def test_a_verify_call_builds_each_p_derivative_table_once(verify, build, monkeypatch):
+    # a scaled word multiplies its scale into the products, so every table is
+    # built for a word's own left factor and kept in the call's derivative
+    # table, one per factor and Leibniz part, whatever scales the factor
+    from singosc.opalg import diffop
+    from singosc.opalg.poly import Derivatives
+    built, tables = [], []
+    original = diffop._p_derivatives
+
+    def counted(f, part):
+        built.append((f, part, original(f, part)))  # holding f keeps every id distinct
+        return built[-1][2]
+
+    class Recorded(Derivatives):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    gens = build(4, 2)
+    monkeypatch.setattr(diffop, "_p_derivatives", counted)
+    monkeypatch.setattr(verify_module, "Derivatives", Recorded)
+    assert verify(4, 2, gens=gens).all_passed
+    (table,) = tables
+    assert built
+    assert len({(id(f), part) for f, part, _ in built}) == len(built)
+    assert all(table.of(f).get(part) is derived for f, part, derived in built)
 
 
 def test_derivatives_do_not_outlive_a_verify_call(monkeypatch):
