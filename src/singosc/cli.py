@@ -273,9 +273,7 @@ def _cmd_wavefunction(opts: dict) -> tuple[list[dict], list[str]]:
                                 hbar=_fraction(opts["hbar"]),
                                 omega=_fraction(opts["omega"]))
     mode = radial.closed_form(spec, opts["nr"])
-    r_max = _r_max(opts)
-    if r_max is None:
-        r_max = 8.0 / math.sqrt(float(spec.omega_reduced))
+    r_max = _r_max(opts) or radial.default_r_max(mode)
     samples = opts["samples"]
     if samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {samples}")

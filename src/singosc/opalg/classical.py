@@ -1,9 +1,10 @@
 """Classical phase-space functions and the Poisson bracket.
 
 A PhaseFn is a polynomial in x_1..x_N, p_1..p_N over the parameter ring,
-divided by powers of r1^2 and r2^2, backed by the same packed representation
-as the operator coefficients (momenta carry no denominators).  Operators live
-on this layout too, as standard-ordered symbols, p^beta for d^beta (``diffop``).
+divided by powers of r1^2 and r2^2 (momenta carry no denominators), a
+``BlockPoly`` on its split's one layout.  Operators live there too, as
+standard-ordered symbols, p^beta for d^beta, and their coefficients are the
+values with no momentum (``diffop``).
 In the symbol product sum_delta (1/delta!) d_p^delta sigma_L d_x^delta sigma_R
 (Folland, *Harmonic Analysis in Phase Space*, 1989, ch. 2), each delta > 0
 term is hbar^|delta| below sigma_L sigma_R once d = (i/hbar) p, so the leading
@@ -42,13 +43,11 @@ class PhaseFn:
     __slots__ = ("value",)
 
     def __init__(self, value: BlockPoly):
-        if not value.layout.momenta:
-            raise ValueError("PhaseFn requires a layout with momenta")
         self.value = value
 
-    @classmethod
-    def layout(cls, N: int, n: int) -> BlockLayout:
-        return BlockLayout(N, n, momenta=True)
+    @property
+    def layout(self) -> BlockLayout:
+        return self.value.layout
 
     @classmethod
     def zero(cls, layout: BlockLayout) -> PhaseFn:

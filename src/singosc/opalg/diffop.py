@@ -2,12 +2,12 @@
 
 An operator sum_beta c_beta d^beta, every derivative to the right of its
 coefficient (standard order), is stored as its symbol sum_beta c_beta p^beta:
-one ``BlockPoly`` on the split's phase-space layout (``PhaseFn.layout``),
-whose p fields hold the derivative orders.  Standard order makes the symbol
-unique and the BlockPoly normal form makes its value unique, so ``==``
-compares symbols.  ``terms`` splits the symbol into one coefficient per
-multi-index on the operator's own momentum-free layout, and ``apply``
-differentiates its argument term by term from that view.
+one ``BlockPoly`` on the split's layout, whose p fields hold the derivative
+orders.  Standard order makes the symbol unique and the BlockPoly normal form
+makes its value unique, so ``==`` compares symbols.  ``terms`` splits the
+symbol into one coefficient per multi-index, the same value with its p fields
+masked off, and ``apply`` differentiates its argument term by term from that
+view.
 
 Composition is the product of standard-ordered symbols (Folland, *Harmonic
 Analysis in Phase Space*, 1989, ch. 2), with p standing for d:
@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iproduct
-from math import comb, prod
+from math import comb
 
 from .poly import (_MASK, BlockLayout, BlockPoly, Derivatives, _raw_diff_x, _raw_mul_into,
                    _Sum, _sum)
@@ -55,38 +55,34 @@ def _check_split(a: BlockLayout, b: BlockLayout) -> None:
             f"operands built for different splits: ({a.N},{a.n}) vs ({b.N},{b.n})")
 
 
-@lru_cache(maxsize=None)
-def _symbol_layout(N: int, n: int) -> BlockLayout:
-    """The phase-space layout that holds the symbols of the (N, n) operators."""
-    return BlockLayout(N, n, momenta=True)
-
-
 class DiffOp:
     """A normal-ordered differential operator for a concrete (N, n) split."""
 
-    __slots__ = ("layout", "symbol")
+    __slots__ = ("symbol",)
 
     def __init__(self, layout: BlockLayout, terms: dict[Beta, BlockPoly] | None = None):
-        self.layout = layout
         self.symbol = _symbol_of(layout, terms or {})
 
     @classmethod
-    def _of(cls, layout: BlockLayout, symbol: BlockPoly) -> DiffOp:
+    def _of(cls, symbol: BlockPoly) -> DiffOp:
         op = object.__new__(cls)
-        op.layout, op.symbol = layout, symbol
+        op.symbol = symbol
         return op
+
+    @property
+    def layout(self) -> BlockLayout:
+        return self.symbol.layout
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
     def zero(cls, layout: BlockLayout) -> DiffOp:
-        return cls._of(layout, BlockPoly.zero(_symbol_layout(layout.N, layout.n)))
+        return cls._of(BlockPoly.zero(layout))
 
     @classmethod
     def identity(cls, layout: BlockLayout) -> DiffOp:
         # the symbol 1: key 0, the monomial with every exponent zero
-        phase = _symbol_layout(layout.N, layout.n)
-        return cls._of(layout, BlockPoly._make(phase, {0: 1}, 1, 0, 0, rewrite=False))
+        return cls._of(BlockPoly._make(layout, {0: 1}, 1, 0, 0, rewrite=False))
 
     @classmethod
     def multiplication(cls, layout: BlockLayout, value: BlockPoly) -> DiffOp:
@@ -101,16 +97,16 @@ class DiffOp:
 
     def __add__(self, other: DiffOp) -> DiffOp:
         _check_split(self.layout, other.layout)
-        return DiffOp._of(self.layout, self.symbol + other.symbol)
+        return DiffOp._of(self.symbol + other.symbol)
 
     def __sub__(self, other: DiffOp) -> DiffOp:
         return self + (-other)
 
     def __neg__(self) -> DiffOp:
-        return DiffOp._of(self.layout, -self.symbol)
+        return DiffOp._of(-self.symbol)
 
     def scaled(self, value: ParamScalar | Fraction | int) -> DiffOp:
-        return DiffOp._of(self.layout, self.symbol.scaled(value))
+        return DiffOp._of(self.symbol.scaled(value))
 
     # -- composition -------------------------------------------------------------
 
@@ -134,13 +130,15 @@ class DiffOp:
 
     @property
     def terms(self) -> dict[Beta, BlockPoly]:
-        """The coefficient of each d^beta, on ``layout``, split anew from the symbol."""
-        sym, phase = self.symbol, self.symbol.layout
-        pmask = sum(_MASK << s for s in phase.pshift)
+        """The coefficient of each d^beta, split anew from the symbol: its terms
+        with p^beta, the p fields masked off."""
+        sym = self.symbol
+        layout, pmask = sym.layout, sym.layout.pmask
         slots: dict[int, dict[int, int]] = {}
         for key, coeff in sym.num.items():
-            slots.setdefault(key & pmask, {})[phase.to_plain(key)] = coeff
-        return {phase.unpack(p)[1]: BlockPoly._make(self.layout, num, sym.den, sym.j, sym.k)
+            p = key & pmask
+            slots.setdefault(p, {})[key - p] = coeff
+        return {layout.unpack(p)[1]: BlockPoly._make(layout, num, sym.den, sym.j, sym.k)
                 for p, num in slots.items()}
 
     def is_zero(self) -> bool:
@@ -166,7 +164,7 @@ class DiffOp:
         return self.terms.get(tuple(beta), BlockPoly.zero(self.layout))
 
     def substitute_params(self, values) -> DiffOp:
-        return DiffOp._of(self.layout, self.symbol.substitute_params(values))
+        return DiffOp._of(self.symbol.substitute_params(values))
 
     def __repr__(self) -> str:
         terms = self.terms
@@ -181,15 +179,17 @@ class DiffOp:
 
 
 def _symbol_of(layout: BlockLayout, terms: dict[Beta, BlockPoly]) -> BlockPoly:
-    """sum_beta c_beta p^beta in one accumulator: each coefficient's keys move
-    up past the momenta and gain the p fields of beta."""
-    phase = _symbol_layout(layout.N, layout.n)
+    """sum_beta c_beta p^beta in one accumulator: each coefficient's keys gain the
+    p fields of beta.  A coefficient must be free of the momenta."""
     parts = []
     for beta, coeff in terms.items():
-        momenta = sum(phase.p_key(i, b) for i, b in enumerate(beta))
+        _check_split(layout, coeff.layout)
+        if any(key & layout.pmask for key in coeff.num):
+            raise ValueError("an operator coefficient holds a momentum")
+        momenta = sum(layout.p_key(i, b) for i, b in enumerate(beta))
         parts.append((coeff.den, coeff.j, coeff.k, 1,
-                      {phase.from_plain(key) + momenta: c for key, c in coeff.num.items()}))
-    return _sum(phase, parts)
+                      {key + momenta: c for key, c in coeff.num.items()}))
+    return _sum(layout, parts)
 
 
 _MISSING = object()
@@ -211,19 +211,27 @@ def _leibniz(momenta: int, pshift: tuple[int, ...], part: int
              ) -> tuple[tuple[Beta, int, int], ...]:
     """(delta, binom(a, delta), delta packed in the p fields) for every nonzero
     delta <= a componentwise, or every |delta| = 1 one for ``_FIRST``, where
-    ``momenta`` holds the p fields of a."""
-    a = [(momenta >> s) & _MASK for s in pshift]
-    return tuple((delta, prod(map(comb, a, delta)), sum(d << s for d, s in zip(delta, pshift)))
-                 for delta in _iproduct(*(range(b + 1) for b in a))
-                 if any(delta) and (part == _DERIVATIVES or sum(delta) == 1))
+    ``momenta`` holds the p fields of a.  Only the nonzero fields of a are
+    walked; delta is zero on the others."""
+    fields = [(i, a) for i, s in enumerate(pshift) if (a := (momenta >> s) & _MASK)]
+    out = []
+    for ds in _iproduct(*(range(a + 1) for _, a in fields)):
+        order = sum(ds)
+        if order and (part == _DERIVATIVES or order == 1):
+            delta, binom, packed = [0] * len(pshift), 1, 0
+            for (i, a), d in zip(fields, ds):
+                delta[i] = d
+                binom *= comb(a, d)
+                packed += d << pshift[i]
+            out.append((tuple(delta), binom, packed))
+    return tuple(out)
 
 
 def _p_derivatives(f: BlockPoly, part: int) -> dict[Beta, dict[int, int]]:
     """{delta: numerators of (1/delta!) d_p^delta f over f's denominator} for
     the deltas of ``part``, in one pass over f's terms (one shift keeps
     distinct terms distinct, so none meet)."""
-    pshift = f.layout.pshift
-    pmask = sum(_MASK << s for s in pshift)
+    pshift, pmask = f.layout.pshift, f.layout.pmask
     table: dict[Beta, dict[int, int]] = {}
     for key, coeff in f.num.items():
         if key & pmask:
@@ -352,8 +360,7 @@ def symbol_sum(words: list[tuple], derivatives: Derivatives | None = None) -> _S
 def _finalize(layout: BlockLayout, acc: dict) -> DiffOp:
     """The accumulated symbol, reduced once."""
     ((j, k, den), terms), = acc[_SYMBOL].items()
-    return DiffOp._of(layout, BlockPoly._make(_symbol_layout(layout.N, layout.n),
-                                              terms, den, j, k))
+    return DiffOp._of(BlockPoly._make(layout, terms, den, j, k))
 
 
 def commutator(left: DiffOp, right: DiffOp,

@@ -46,7 +46,7 @@ class Generators:
 
     @property
     def layout(self) -> BlockLayout:
-        return self.H.value.layout if isinstance(self.H, PhaseFn) else self.H.layout
+        return self.H.layout
 
     @property
     def N(self) -> int:

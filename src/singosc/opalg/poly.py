@@ -2,10 +2,12 @@
 
 Monomials are packed into single integers: one 8-bit field per coordinate
 exponent (x_1 is the most significant, so integer order on keys is lex order
-with x_1 first), then the momenta if the layout has them, then one field each
-for rho1 = r1^2 = x_1^2+..+x_n^2 and rho2 = r2^2 = x_{n+1}^2+..+x_N^2, then
-four fields for the parameter exponents.  Monomial multiplication is then
-plain integer addition.  An exponent lives in the low 7 bits of its field and
+with x_1 first), then one per momentum p_1..p_N, then one field each for
+rho1 = r1^2 = x_1^2+..+x_n^2 and rho2 = r2^2 = x_{n+1}^2+..+x_N^2, then four
+fields for the parameter exponents.  A split has this one layout: operator
+symbols, their coefficients (values whose p fields are zero) and the
+classical functions all use it.  Monomial multiplication is then plain
+integer addition.  An exponent lives in the low 7 bits of its field and
 must stay below 128; the top bit is a guard.  The sum of two exponents below
 128 never carries out of its field, so an overflowing product sets a guard
 bit, and every normalization pass raises ``ExponentOverflowError`` on a guard
@@ -71,24 +73,25 @@ class ExponentOverflowError(OverflowError):
 
 
 class BlockLayout:
-    """Variable layout for a concrete (N, n) split, optionally with momenta."""
+    """Variable layout of a concrete (N, n) split: N coordinates, N momenta,
+    rho1, rho2 and the four parameters."""
 
     __slots__ = (
-        "N", "n", "momenta", "nfields", "xshift", "pshift", "rho_shift", "param_shift",
+        "N", "n", "nfields", "xshift", "pshift", "pmask", "rho_shift", "param_shift",
         "guard", "_rules",
     )
 
-    def __init__(self, N: int, n: int, momenta: bool = False):
+    def __init__(self, N: int, n: int):
         if N < 2 or not 1 <= n <= N - 1:
             raise ValueError(f"invalid dimension split (N, n) = ({N}, {n})")
         self.N = N
         self.n = n
-        self.momenta = momenta
-        ncoord = 2 * N if momenta else N
-        self.nfields = ncoord + 6
+        self.nfields = 2 * N + 6
         top = self.nfields - 1
         self.xshift = tuple((top - i) * _BITS for i in range(N))
-        self.pshift = tuple((top - N - i) * _BITS for i in range(N)) if momenta else ()
+        self.pshift = tuple((top - N - i) * _BITS for i in range(N))
+        # every p field of a key: key & pmask is its momentum monomial
+        self.pmask = sum(_MASK << s for s in self.pshift)
         self.rho_shift = (5 * _BITS, 4 * _BITS)
         self.param_shift = tuple((3 - t) * _BITS for t in range(4))
         self.guard = sum(_LIMIT << (f * _BITS) for f in range(self.nfields))
@@ -100,8 +103,7 @@ class BlockLayout:
             for b, (lead, end) in enumerate(((0, n), (n, N))))
 
     def same_split(self, other: "BlockLayout") -> bool:
-        return self is other or (self.N == other.N and self.n == other.n
-                                 and self.momenta == other.momenta)
+        return self is other or (self.N == other.N and self.n == other.n)
 
     # -- key packing -------------------------------------------------------
 
@@ -114,19 +116,6 @@ class BlockLayout:
     def rho_key(self, block: int, power: int = 1) -> int:
         """rho_block^power, where rho_1 = r1^2 and rho_2 = r2^2."""
         return _field(power) << self.rho_shift[block - 1]
-
-    def from_plain(self, key: int) -> int:
-        """A key of this split's momentum-free layout, repacked for this one:
-        the x fields move up past the N momentum fields, and the rho and
-        parameter fields, the low six in both layouts, stay."""
-        low = 6 * _BITS
-        return ((key >> low) << (low + self.N * _BITS)) | (key & ((1 << low) - 1))
-
-    def to_plain(self, key: int) -> int:
-        """The key with its momentum fields dropped, repacked for the
-        momentum-free layout: the inverse of ``from_plain``."""
-        low = 6 * _BITS
-        return ((key >> (low + self.N * _BITS)) << low) | (key & ((1 << low) - 1))
 
     def param_key(self, exps: Exponents) -> int:
         s = self.param_shift

@@ -171,13 +171,22 @@ def wavefunction(mode: RadialMode, r: float) -> float:
             * float(kummer(mode.Nr, b, u)))
 
 
+def default_r_max(mode: RadialMode) -> float:
+    """Where sampling and quadrature of the wavefunction end by default: twice
+    the classical turning radius, u = a r^2 = 4 (4 Nr + 2 alpha + 2), since the
+    last node lies near u = 4 Nr + 2 alpha + 2, and never below u = 64."""
+    turning = math.sqrt(4 * mode.Nr + 2 * mode.alpha + 2)
+    return max(8.0, 2.0 * turning) / math.sqrt(float(mode.spec.omega_reduced))
+
+
 def wavefunction_norm(mode: RadialMode, r_max: float | None = None,
                       tol: float = 1e-10) -> tuple[float, float]:
-    """Adaptive quadrature of |psi|^2 r^{m-1}; returns (value, error estimate)."""
+    """Adaptive quadrature of |psi|^2 r^{m-1} on (0, r_max), ``default_r_max``
+    if None; returns (value, error estimate)."""
     from scipy.integrate import quad
     spec = mode.spec
     if r_max is None:
-        r_max = 8.0 / math.sqrt(float(spec.omega_reduced))
+        r_max = default_r_max(mode)
     value, err = quad(lambda r: wavefunction(mode, r) ** 2 * r ** (spec.m - 1),
                       0.0, r_max, epsabs=tol, epsrel=tol, limit=200)
     return value, err
@@ -185,10 +194,10 @@ def wavefunction_norm(mode: RadialMode, r_max: float | None = None,
 
 def wavefunction_sign_changes(mode: RadialMode, r_max: float | None = None,
                               samples: int = 4000) -> int:
-    """Sign changes of psi on (0, r_max), the Sturm oscillation count."""
-    spec = mode.spec
+    """Sign changes of psi on (0, r_max), the Sturm oscillation count, with
+    r_max ``default_r_max`` if None."""
     if r_max is None:
-        r_max = 8.0 / math.sqrt(float(spec.omega_reduced))
+        r_max = default_r_max(mode)
     rs = np.linspace(r_max / samples, r_max, samples)
     vals = np.array([wavefunction(mode, r) for r in rs])
     scale = np.max(np.abs(vals))

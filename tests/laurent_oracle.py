@@ -41,7 +41,7 @@ def power(p: dict, e: int, width: int) -> dict:
 
 
 def width(layout) -> int:
-    return layout.N * (2 if layout.momenta else 1) + 4
+    return 2 * layout.N + 4
 
 
 def square_sum(layout, indices) -> dict:

@@ -162,6 +162,30 @@ def test_builder_layout_errors():
         build_quantum(4, 4)
 
 
+@pytest.mark.parametrize("split", [(2, 1), (4, 2), (5, 2)])
+def test_coefficients_rebuild_every_generator(split):
+    # a coefficient is the symbol's value with its p fields masked off, on the
+    # same layout, so building an operator from its terms gives it back
+    gens = build_quantum(*split)
+    layout = gens.layout
+    ops = [gens.H, gens.A, gens.B, gens.J2, gens.K2, *gens.J.values(), *gens.K.values()]
+    for op in ops:
+        terms = op.terms
+        assert all(coeff.layout is layout and not any(key & layout.pmask for key in coeff.num)
+                   for coeff in terms.values())
+        assert DiffOp(layout, terms) == op
+
+
+def test_a_coefficient_holding_a_momentum_is_rejected():
+    layout = BlockLayout(3, 1)
+    for key in (layout.p_key(0), layout.x_key(1) + layout.p_key(2, 2)):
+        coeff = BlockPoly.monomial(layout, key) + _x(layout, 0)
+        with pytest.raises(ValueError, match="an operator coefficient holds a momentum"):
+            DiffOp(layout, {(1, 0, 0): coeff})
+    with pytest.raises(DimensionMismatchError):
+        DiffOp(layout, {(1, 0, 0): _x(BlockLayout(4, 2), 0)})
+
+
 def test_generator_families_and_casimirs():
     gens = build_quantum(4, 2)
     assert set(gens.J) == {(1, 2)}

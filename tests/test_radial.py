@@ -169,7 +169,8 @@ def test_wavefunction_gaussian_ground_state():
 def test_wavefunction_node_counts():
     for spec in (ComponentSpec(m=2, c=Fraction(1)), ComponentSpec(m=3, l=1),
                  ComponentSpec(m=5, c=Fraction(1, 3))):
-        for nr in range(4):
+        # the default range grows with Nr, so the highest modes keep every node
+        for nr in (*range(4), 12, 16, 20):
             mode = closed_form(spec, nr)
             assert wavefunction_sign_changes(mode) == nr
 
@@ -186,6 +187,12 @@ def test_wavefunction_normalization_quadrature():
     value, err = wavefunction_norm(mode)
     assert err < 1e-6
     assert value == pytest.approx(1.0, abs=1e-8)
+    # an excited mode that fills u = a r^2 past 64: the default range grows
+    # with Nr (from Nr = 19 up the quadrature warns of roundoff)
+    for nr in (12, 16):
+        value, err = wavefunction_norm(closed_form(ComponentSpec(m=3, l=1), nr))
+        assert err < 1e-6
+        assert value == pytest.approx(1.0, abs=1e-8)
 
 
 def _wavefunction_sweep():
