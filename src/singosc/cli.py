@@ -256,12 +256,12 @@ def _cmd_radial(opts: dict) -> tuple[list[dict], list[str]]:
 def _cmd_levels(opts: dict) -> tuple[list[dict], list[str]]:
     from . import levels
     try:
-        e_cut = float(_fraction(opts["e_cut"]))
-    except OverflowError:
-        raise ConfigError(f"--e-cut {opts['e_cut']} is too large for a float") from None
-    table = levels.enumerate_levels(
-        opts["N"], opts["n"], _fraction(opts["c1"]), _fraction(opts["c2"]),
-        e_cut=e_cut, hbar=_fraction(opts["hbar"]), omega=_fraction(opts["omega"]))
+        table = levels.enumerate_levels(
+            opts["N"], opts["n"], _fraction(opts["c1"]), _fraction(opts["c2"]),
+            e_cut=_fraction(opts["e_cut"]), hbar=_fraction(opts["hbar"]),
+            omega=_fraction(opts["omega"]))
+    except ValueError as exc:
+        raise ConfigError(f"levels up to --e-cut {opts['e_cut']}: {exc}") from None
     if not table.levels:
         raise ConfigError(f"no level lies at or below --e-cut {opts['e_cut']}")
     return table.records(), []

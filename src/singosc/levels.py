@@ -5,7 +5,10 @@ p = N1 + N2 and the two indicial exponents, so the p + 1 radial splits of p
 are always degenerate, weighted by the two angular multiplicities.  At zero
 coupling a one-coordinate block carries the parity labels l in {0, 1} with
 the signed exponent l + (m-2)/2; at positive coupling only the regular
-half-line sector is kept (and flagged).
+half-line sector is kept (and flagged).  Levels are grouped by exact energy,
+and the table is cut exactly at e_cut: equal energies are found by comparing
+the rational and square-root parts of the exponents, never by a float
+tolerance.
 """
 
 from __future__ import annotations
@@ -13,11 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count as _count, takewhile
+from functools import cache
+from itertools import count, takewhile
 
-from .exact import exact_sqrt
-
-MERGE_REL_TOL = 1e-9
+from .exact import sqrt_sum_floor
 
 
 def dim_harm(m: int, l: int) -> int:
@@ -104,28 +106,13 @@ def count_quanta_tuples(N: int, l: int) -> int:
 # -- indicial exponents per block -----------------------------------------------
 
 
-def block_alpha(m: int, l: int, c_reduced: Fraction) -> tuple[float, Fraction | None]:
-    """(alpha as float, exact Fraction if available) for one block.
-
-    At zero coupling the signed value l + (m-2)/2 is used, which selects the
-    correct parity branch for one-coordinate blocks.
-    """
-    if c_reduced == 0:
-        exact = Fraction(2 * l + m - 2, 2)
-        return float(exact), exact
-    alpha_sq = Fraction(2 * l + m - 2, 2) ** 2 + 2 * c_reduced
-    exact = exact_sqrt(alpha_sq)
-    if exact is not None:
-        return float(exact), exact
-    return math.sqrt(float(alpha_sq)), None
-
-
-def block_labels(m: int, c_reduced: Fraction, l_limit: int):
-    """Angular labels carried by a block: parity pair for m = 1 at c = 0,
-    the flagged regular sector only for m = 1 at c > 0, all l otherwise."""
+def block_labels(m: int, c_reduced: Fraction):
+    """Angular labels carried by a block, in increasing alpha: parity pair for
+    m = 1 at c = 0, the flagged regular sector only for m = 1 at c > 0, all l
+    otherwise."""
     if m == 1:
         return (0, 1) if c_reduced == 0 else (0,)
-    return tuple(range(l_limit + 1))
+    return count(0)
 
 
 # -- level table ------------------------------------------------------------------
@@ -157,7 +144,7 @@ class LevelTable:
     c2: Fraction
     hbar: Fraction
     omega: Fraction
-    e_cut: float
+    e_cut: Fraction | float
     levels: tuple[Level, ...]
 
     def records(self) -> list[dict]:
@@ -188,12 +175,13 @@ E_CUT_LIMIT = 64
 
 
 def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int = 0,
-                     e_cut: float = 10.0, hbar: Fraction = Fraction(1),
+                     e_cut: Fraction | float = 10.0, hbar: Fraction = Fraction(1),
                      omega: Fraction = Fraction(1)) -> LevelTable:
-    """All levels with E <= e_cut, grouped by energy with their degeneracies.
+    """All levels with E <= e_cut, grouped by exact energy with their degeneracies.
 
-    An e_cut above ``E_CUT_LIMIT`` hbar omega raises ``ValueError`` before
-    anything is enumerated."""
+    A float e_cut counts at its exact binary value.  An e_cut above
+    ``E_CUT_LIMIT`` hbar omega raises ``ValueError`` before anything is
+    enumerated."""
     if not 1 <= n <= N - 1:
         raise ValueError(f"invalid split ({N}, {n})")
     c1, c2, hbar, omega = Fraction(c1), Fraction(c2), Fraction(hbar), Fraction(omega)
@@ -201,86 +189,86 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
         raise ValueError("couplings must be non-negative")
     if hbar <= 0 or omega <= 0:
         raise ValueError("hbar and omega must be positive")
-    h2 = hbar ** 2
-    c1r, c2r = c1 / h2, c2 / h2
-    hw = float(hbar * omega)
-    if e_cut > E_CUT_LIMIT * hw:
-        raise ValueError(f"e_cut {e_cut:g} is above {E_CUT_LIMIT} hbar omega = "
-                         f"{E_CUT_LIMIT * hw:g}; the level table grows as "
+    if e_cut > E_CUT_LIMIT * hbar * omega:
+        raise ValueError(f"e_cut {e_cut} is above {E_CUT_LIMIT} hbar omega = "
+                         f"{E_CUT_LIMIT * hbar * omega}; the level table grows as "
                          "(e_cut / hbar omega)^4")
-    m1_dim, m2_dim = n, N - n
-    step = 2 * hbar * omega
+    blocks = ((n, c1 / hbar ** 2), (N - n, c2 / hbar ** 2))
+    hw = float(hbar * omega)
+    cut = Fraction(e_cut) / (hbar * omega)
+    xn, xd = cut.numerator, cut.denominator
+    # E / (hbar omega) = 2 p + 2 + alpha1 + alpha2, and each alpha is
+    # (a + b / sqrt(R)) / D: a and b ints over one denominator D for the table,
+    # R the radicand of the first alpha met in its square class (R = 1 and
+    # b = 0 for a rational alpha).  Square roots of radicands in distinct
+    # classes are linearly independent over Q (Besicovitch 1940), so two
+    # energies are equal exactly when their rational and irrational parts are.
+    D = math.lcm(4, *(c.denominator for _, c in blocks))
+    classes: list[int] = []
 
-    # angular label ranges large enough to pass e_cut
-    l_limit = max(4, int(e_cut / hw) + 2)
+    @cache
+    def alpha(block: int, l: int) -> tuple[float, int, int, int]:
+        """(float alpha, a, b, R) of a block label.  At zero coupling alpha is
+        the signed l + (m-2)/2, which selects the parity branch of a
+        one-coordinate block; else alpha^2 = (l + (m-2)/2)^2 + 2 c / hbar^2."""
+        m, c_reduced = blocks[block]
+        a = (2 * l + m - 2) * D // 2
+        if c_reduced == 0:
+            return a / D, a, 0, 1
+        square = a * a + 2 * c_reduced.numerator * (D // c_reduced.denominator) * D
+        root = math.isqrt(square)
+        if root * root == square:
+            return root / D, root, 0, 1
+        # sqrt(square) = s / sqrt(R) where square * R = s^2
+        R = next((R for R in classes if math.isqrt(square * R) ** 2 == square * R), None)
+        if R is None:
+            classes.append(R := square)
+        return math.sqrt(square / (D * D)), 0, math.isqrt(square * R), R
 
-    def past_cut(alpha_sum: float) -> bool:
-        return 2.0 * hw * (1 + alpha_sum / 2.0) > e_cut + 1e-12
+    # one entry per (l1, l2, p), in the table's order; alpha grows with l, so a
+    # label's pairs end at the first past the cut, and the labels of block 1
+    # at the first whose pair with l2 = 0 is
+    entries = []
+    for l1 in block_labels(*blocks[0]):
+        f1, a1, b1, R1 = alpha(0, l1)
+        for l2 in block_labels(*blocks[1]):
+            f2, a2, b2, R2 = alpha(1, l2)
+            rational = 2 * D + a1 + a2
+            # floor((cut - (rational + b1 / sqrt(R1) + b2 / sqrt(R2)) / D) / 2)
+            top = sqrt_sum_floor(((xn * D - xd * rational) * R1 * R2, -xd * b1 * R2,
+                                  -xd * b2 * R1, 0), 2 * xd * D * R1 * R2, (R1, R2))
+            if top < 0:
+                break
+            irrational = _irrational_part(b1, R1, b2, R2)
+            mult = dim_harm(blocks[0][0], l1) * dim_harm(blocks[1][0], l2)
+            for p in range(top + 1):
+                entries.append((2.0 * hw * (p + 1 + (f1 + f2) / 2.0), p, l1, l2, mult,
+                                (irrational, rational + 2 * p * D)))
+        if l2 == 0 and top < 0:
+            break
+    entries.sort()
 
-    def alphas(m: int, c_reduced: Fraction, other_low: float) -> dict:
-        # alpha grows with l and float addition is monotone, so a block's labels
-        # end at the first whose pair with the other block's label 0 is past the cut
-        pairs = ((l, block_alpha(m, l, c_reduced)) for l in block_labels(m, c_reduced, l_limit))
-        return dict(takewhile(lambda pair: not past_cut(pair[1][0] + other_low), pairs))
+    # one level per exact energy, at the float of its first entry
+    levels: dict[tuple, tuple[float, list[Contributor]]] = {}
+    for value, p, l1, l2, mult, key in entries:
+        _, contributors = levels.setdefault(key, (value, []))
+        contributors.extend(Contributor(N1=n1, N2=p - n1, l_n=l1, l_Nn=l2, multiplicity=mult)
+                            for n1 in range(p + 1))
+    flags = tuple(f"block{i}-half-line-regular-sector"
+                  for i, (m, c_reduced) in enumerate(blocks, 1) if m == 1 and c_reduced > 0)
+    return LevelTable(N=N, n=n, c1=c1, c2=c2, hbar=hbar, omega=omega, e_cut=e_cut, levels=tuple(
+        Level(energy=value,
+              energy_exact=None if irrational else hbar * omega * Fraction(rational, D),
+              degeneracy=sum(c.multiplicity for c in contributors),
+              contributors=tuple(contributors), flags=flags)
+        for (irrational, rational), (value, contributors) in levels.items()))
 
-    alpha1 = alphas(m1_dim, c1r, block_alpha(m2_dim, 0, c2r)[0])
-    alpha2 = alphas(m2_dim, c2r, block_alpha(m1_dim, 0, c1r)[0])
 
-    entries: list[tuple[float, Fraction | None, Contributor]] = []
-    flags = []
-    if m1_dim == 1 and c1r > 0:
-        flags.append("block1-half-line-regular-sector")
-    if m2_dim == 1 and c2r > 0:
-        flags.append("block2-half-line-regular-sector")
-
-    for l1, (float1, exact1) in alpha1.items():
-        for l2, (float2, exact2) in alpha2.items():
-            if past_cut(float1 + float2):
-                continue
-            mult = dim_harm(m1_dim, l1) * dim_harm(m2_dim, l2)
-            if mult == 0:
-                continue
-            # E = 2 hbar omega (p + 1 + (alpha1 + alpha2)/2) grows by 2 hbar omega per p
-            exact = None
-            if exact1 is not None and exact2 is not None:
-                exact = step * (1 + (exact1 + exact2) / 2)
-            for p in _count(0):
-                value = 2.0 * hw * (p + 1 + (float1 + float2) / 2.0)
-                if value > e_cut + 1e-12:
-                    break
-                for n1 in range(p + 1):
-                    entries.append((value, exact, Contributor(
-                        N1=n1, N2=p - n1, l_n=l1, l_Nn=l2, multiplicity=mult)))
-                if exact is not None:
-                    exact += step
-
-    entries.sort(key=lambda e: (e[0], e[2].N1 + e[2].N2, e[2].l_n, e[2].l_Nn, e[2].N1))
-    # one group of entries per level; each entry joins the group whose first
-    # value lies within MERGE_REL_TOL of its own
-    groups: list[list[tuple[float, Fraction | None, Contributor]]] = []
-    for entry in entries:
-        if groups and abs(entry[0] - groups[-1][0][0]) <= MERGE_REL_TOL * abs(entry[0]):
-            groups[-1].append(entry)
-        else:
-            groups.append([entry])
-    levels: list[Level] = []
-    for group in groups:
-        value, exact, _ = group[0]
-        level_flags = tuple(flags)
-        if len(group) > 1:
-            merged_flags = set(flags)
-            # an exact energy that differs from the first one's (or is missing
-            # on one side only) marks a merge by floating-point closeness alone
-            if any(other != exact for _, other, _ in group):
-                merged_flags.add("accidental-merge")
-                exact = None
-            level_flags = tuple(sorted(merged_flags))
-        levels.append(Level(energy=value, energy_exact=exact,
-                            degeneracy=sum(c.multiplicity for _, _, c in group),
-                            contributors=tuple(c for _, _, c in group),
-                            flags=level_flags))
-    return LevelTable(N=N, n=n, c1=c1, c2=c2, hbar=hbar, omega=omega,
-                      e_cut=e_cut, levels=tuple(levels))
+def _irrational_part(b1: int, R1: int, b2: int, R2: int) -> tuple[tuple[int, int], ...]:
+    """b1 / sqrt(R1) + b2 / sqrt(R2) as (R, b) pairs with b != 0, sorted by R."""
+    if R1 == R2:
+        return ((R1, b1 + b2),) if b1 + b2 else ()
+    return tuple(sorted((R, b) for R, b in ((R1, b1), (R2, b2)) if b))
 
 
 @dataclass(frozen=True)
@@ -307,8 +295,8 @@ def oscillator_count_check(N: int, l_max: int) -> list[CountCheck]:
         dims = (n, N - n)
         for l in range(l_max + 1):
             total = 0
-            labels1 = block_labels(dims[0], Fraction(0), l)
-            labels2 = block_labels(dims[1], Fraction(0), l)
+            labels1 = tuple(takewhile(l.__ge__, block_labels(dims[0], Fraction(0))))
+            labels2 = tuple(takewhile(l.__ge__, block_labels(dims[1], Fraction(0))))
             for l1 in labels1:
                 for l2 in labels2:
                     rem = l - l1 - l2

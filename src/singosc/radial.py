@@ -199,10 +199,7 @@ def wavefunction_sign_changes(mode: RadialMode, r_max: float | None = None,
     if r_max is None:
         r_max = default_r_max(mode)
     rs = np.linspace(r_max / samples, r_max, samples)
-    vals = np.array([wavefunction(mode, r) for r in rs])
-    scale = np.max(np.abs(vals))
-    signs = np.sign(vals[np.abs(vals) > 1e-9 * scale])
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+    return sign_changes(np.array([wavefunction(mode, r) for r in rs]), 1e-9)
 
 
 # -- finite-difference oracle -----------------------------------------------------
@@ -386,7 +383,7 @@ def sign_changes(vector: np.ndarray, rel_floor: float = 1e-8) -> int:
 
 @dataclass(frozen=True)
 class TotalEnergy:
-    """Sum of two component levels, with the p-form cross-check."""
+    """Sum of two component levels."""
 
     energy: float
     p: int
@@ -401,11 +398,8 @@ def total_energy(mode1: RadialMode, mode2: RadialMode) -> TotalEnergy:
     if (s1.hbar, s1.omega) != (s2.hbar, s2.omega):
         raise ValueError("components must share hbar and omega")
     p = mode1.Nr + mode2.Nr
-    e_sum = mode1.energy + mode2.energy
-    e_pform = 2.0 * float(s1.hbar * s1.omega) * (p + 1 + (mode1.alpha + mode2.alpha) / 2.0)
-    if not math.isclose(e_sum, e_pform, rel_tol=1e-12, abs_tol=1e-12):
-        raise AssertionError("sum form and p-form disagree beyond roundoff")
     exact = None
     if mode1.energy_exact is not None and mode2.energy_exact is not None:
         exact = mode1.energy_exact + mode2.energy_exact
-    return TotalEnergy(energy=e_sum, p=p, energy_exact=exact, mode1=mode1, mode2=mode2)
+    return TotalEnergy(energy=mode1.energy + mode2.energy, p=p, energy_exact=exact,
+                       mode1=mode1, mode2=mode2)

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath as mp
 import pytest
 
+from singosc.cli import main
 from singosc.levels import (count_quanta_tuples, dim_harm, dim_harm_bruteforce,
                             enumerate_levels, oscillator_count_check,
                             oscillator_level_count)
 from singosc.qalg import CentralEigs, set_solution
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_dim_harm_examples():
@@ -141,18 +148,22 @@ def _table(table):
 
 def test_level_tables_are_pinned():
     # block 1's alpha at l = 0 is the rational 1e-10, so its levels sit 1e-10
-    # above those of irrational alpha at l = 1 and merge with them by float
-    # closeness alone: accidental-merge, with no exact energy
+    # above those of irrational alpha at l = 1, and those of (1, 1) and (2, 0)
+    # sit about 2.5e-21 apart: all are distinct levels
     table = enumerate_levels(4, 2, Fraction(1, 2 * 10 ** 20), 0, e_cut=5.5)
     assert _table(table) == [
         (2.0000000001, Fraction(20000000001, 10000000000), 1, (), [(0, 0, 0, 0, 1)]),
-        (3.0, None, 4, ("accidental-merge",), [(0, 0, 1, 0, 2), (0, 0, 0, 1, 2)]),
-        (4.0, None, 10, ("accidental-merge",),
-         [(0, 0, 1, 1, 4), (0, 0, 2, 0, 2), (0, 0, 0, 2, 2), (0, 1, 0, 0, 1),
-          (1, 0, 0, 0, 1)]),
-        (5.0, None, 20, ("accidental-merge",),
-         [(0, 0, 1, 2, 4), (0, 0, 2, 1, 4), (0, 0, 3, 0, 2), (0, 1, 1, 0, 2),
-          (1, 0, 1, 0, 2), (0, 0, 0, 3, 2), (0, 1, 0, 1, 2), (1, 0, 0, 1, 2)])]
+        (3.0, None, 2, (), [(0, 0, 1, 0, 2)]),
+        (3.0000000001, Fraction(30000000001, 10000000000), 2, (), [(0, 0, 0, 1, 2)]),
+        (4.0, None, 4, (), [(0, 0, 1, 1, 4)]),
+        (4.0, None, 2, (), [(0, 0, 2, 0, 2)]),
+        (4.0000000001, Fraction(40000000001, 10000000000), 4, (),
+         [(0, 0, 0, 2, 2), (0, 1, 0, 0, 1), (1, 0, 0, 0, 1)]),
+        (5.0, None, 8, (), [(0, 0, 1, 2, 4), (0, 1, 1, 0, 2), (1, 0, 1, 0, 2)]),
+        (5.0, None, 4, (), [(0, 0, 2, 1, 4)]),
+        (5.0, None, 2, (), [(0, 0, 3, 0, 2)]),
+        (5.0000000001, Fraction(50000000001, 10000000000), 6, (),
+         [(0, 0, 0, 3, 2), (0, 1, 0, 1, 2), (1, 0, 0, 1, 2)])]
     # both blocks one-coordinate at positive coupling: both flags, irrational levels
     table = enumerate_levels(2, 1, Fraction(1), Fraction(3, 2), e_cut=9.0)
     flags = ("block1-half-line-regular-sector", "block2-half-line-regular-sector")
@@ -169,3 +180,94 @@ def test_level_tables_are_pinned():
         (4.5, Fraction(9, 2), 10, (),
          [(0, 0, 0, 3, 2), (0, 0, 1, 2, 2), (0, 1, 0, 1, 2), (1, 0, 0, 1, 2),
           (0, 1, 1, 0, 1), (1, 0, 1, 0, 1)])]
+
+
+def _oracle_energies(N, n, c1, c2, e_cut):
+    """{(N1, N2, l_n, l_Nn): E} at the working precision and hbar = omega = 1,
+    for all labels with p, l_n, l_Nn < e_cut + 3: all with E <= e_cut and more."""
+    bound = int(e_cut) + 3
+
+    def alpha(m, l, c):
+        square = Fraction(2 * l + m - 2, 2) ** 2 + 2 * c
+        return mp.mpf(2 * l + m - 2) / 2 if c == 0 else mp.sqrt(
+            mp.mpf(square.numerator) / square.denominator)
+
+    def labels(m, c):
+        return ((0, 1) if c == 0 else (0,)) if m == 1 else range(bound)
+
+    out = {}
+    for l1 in labels(n, c1):
+        for l2 in labels(N - n, c2):
+            for p in range(bound):
+                energy = 2 * p + 2 + alpha(n, l1, c1) + alpha(N - n, l2, c2)
+                for n1 in range(p + 1):
+                    out[(n1, p - n1, l1, l2)] = energy
+    return out
+
+
+_PARTITION_CASES = [
+    # rational alpha 1e-10 at l = 0 next to irrational alphas at l >= 1
+    (4, 2, Fraction(1, 2 * 10 ** 20), Fraction(0), Fraction(11, 2)),
+    # n = N - n with c1 = c2: the blocks swap into each other
+    (4, 2, Fraction(3, 7), Fraction(3, 7), Fraction(9)),
+    (6, 3, Fraction(2), Fraction(2), Fraction(10)),
+    # (0, 0) and (2, 2) merge through sqrt 5
+    (4, 2, Fraction(1, 2), Fraction(5, 2), Fraction(14)),
+    # (1, 5) and (7, 3) merge at 5 sqrt 2, through the radicands 2, 32 and 50
+    (4, 2, Fraction(1, 2), Fraction(7, 2), Fraction(14)),
+]
+
+
+def _seeded_partition_cases(seed, count):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        N = rng.randint(2, 6)
+        c1 = rng.choice([Fraction(0), Fraction(rng.randint(1, 30), rng.randint(1, 9))])
+        c2 = c1 if rng.random() < 0.3 else rng.choice(
+            [Fraction(0), Fraction(rng.randint(1, 30), rng.randint(1, 9))])
+        cases.append((N, rng.randint(1, N - 1), c1, c2, Fraction(rng.randint(8, 24), 2)))
+    return cases
+
+
+@pytest.mark.parametrize("N, n, c1, c2, e_cut",
+                         _PARTITION_CASES + _seeded_partition_cases(23, 8))
+def test_levels_partition_contributors_by_exact_energy(N, n, c1, c2, e_cut):
+    table = enumerate_levels(N, n, c1, c2, e_cut=e_cut)
+    with mp.workdps(50):
+        oracle = _oracle_energies(N, n, c1, c2, e_cut)
+        tol, cut = mp.mpf("1e-40"), mp.mpf(e_cut.numerator) / e_cut.denominator
+        firsts, seen = [], set()
+        for level in table.levels:
+            energies = [oracle[(c.N1, c.N2, c.l_n, c.l_Nn)] for c in level.contributors]
+            assert max(energies) - min(energies) <= tol, level
+            firsts.append(energies[0])
+            seen.update((c.N1, c.N2, c.l_n, c.l_Nn) for c in level.contributors)
+        firsts.sort()
+        assert all(b - a > tol for a, b in zip(firsts, firsts[1:]))
+        for labels, energy in oracle.items():
+            if abs(energy - cut) > tol:
+                assert (labels in seen) == (energy < cut), (labels, energy)
+            else:  # only an energy that equals the cut lies this close to it
+                assert labels in seen, labels
+
+
+def test_levels_are_cut_exactly():
+    kept = enumerate_levels(3, 1, 0, 0, e_cut=Fraction(9, 2))
+    assert kept.levels[-1].energy_exact == Fraction(9, 2)
+    dropped = enumerate_levels(3, 1, 0, 0, e_cut=Fraction(9, 2) - Fraction(1, 10 ** 15))
+    assert dropped.levels[-1].energy_exact == Fraction(7, 2)
+
+
+def test_levels_command_keeps_a_level_at_a_rational_cut(capsys):
+    # at hbar = 1/3, 4/3 is 4 hbar omega: p = 1 with l_n + l_Nn = 1
+    assert main(["levels", "--N", "2", "--n", "1", "--hbar", "1/3", "--e-cut", "4/3"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert max(rec["energy_over_hw"] for rec in records) == 4.0
+
+
+def test_levels_command_matches_golden(capsys):
+    argv = ["levels", "--N", "4", "--n", "2", "--c1", "1/2", "--c2", "7/2", "--e-cut", "14"]
+    assert main(argv) == 0
+    golden = GOLDEN / "levels-N4-n2-c1-1_2-c2-7_2.jsonl"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
