@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import count, takewhile
+from itertools import count
 
 from .exact import sqrt_sum_floor
 
@@ -286,24 +286,15 @@ class CountCheck:
 def oscillator_count_check(N: int, l_max: int) -> list[CountCheck]:
     """At c1 = c2 = 0: per-level counts must match the isotropic oscillator.
 
-    For every partition n and every l <= l_max, the contributions of all
-    (N1, N2, l_n, l_Nn) with 2(N1 + N2) + l_n + l_Nn = l must add up to
-    C(l + N - 1, N - 1).
+    For every partition n and every l <= l_max, the degeneracy of the level
+    E = hbar omega (l + N/2) in ``enumerate_levels`` must be C(l + N - 1, N - 1).
     """
     out = []
     for n in range(1, N):
-        dims = (n, N - n)
-        for l in range(l_max + 1):
-            total = 0
-            labels1 = tuple(takewhile(l.__ge__, block_labels(dims[0], Fraction(0))))
-            labels2 = tuple(takewhile(l.__ge__, block_labels(dims[1], Fraction(0))))
-            for l1 in labels1:
-                for l2 in labels2:
-                    rem = l - l1 - l2
-                    if rem < 0 or rem % 2:
-                        continue
-                    p = rem // 2
-                    total += (p + 1) * dim_harm(dims[0], l1) * dim_harm(dims[1], l2)
-            out.append(CountCheck(n=n, l=l, counted=total,
-                                  expected=oscillator_level_count(N, l)))
+        table = enumerate_levels(N, n, e_cut=Fraction(N, 2) + l_max)
+        counted = {level.energy_exact - Fraction(N, 2): level.degeneracy
+                   for level in table.levels}
+        out.extend(CountCheck(n=n, l=l, counted=counted.get(l, 0),
+                              expected=oscillator_level_count(N, l))
+                   for l in range(l_max + 1))
     return out

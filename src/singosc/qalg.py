@@ -28,6 +28,7 @@ from typing import Sequence
 
 from . import relations
 from .exact import Biquadratic, exact_sqrt, sqrt_sum_floor, sqrt_sum_sign
+from .levels import enumerate_levels
 
 
 # -- central-element data ------------------------------------------------------
@@ -384,8 +385,9 @@ class HarmonicCheck:
 
 def harmonic_limit_check(N: int, l_max: int, hbar: Fraction = Fraction(1),
                          omega: Fraction = Fraction(1)) -> list[HarmonicCheck]:
-    """At c1 = c2 = 0 every (p, l_n, l_Nn) with 2p + l_n + l_Nn = l must give
-    E = hbar omega (l + N/2), across every partition n.
+    """At c1 = c2 = 0 every (p, l_n, l_Nn) that ``enumerate_levels`` lists up to
+    E = hbar omega (l_max + N/2) must give E = hbar omega (l + N/2), with
+    l = 2p + l_n + l_Nn, across every partition n.
 
     Each energy is that of the set-1 solution from ``set_solution``.  At
     c = 0 the m of a block of dimension d and label l is |2l + d - 2|, and
@@ -396,24 +398,19 @@ def harmonic_limit_check(N: int, l_max: int, hbar: Fraction = Fraction(1),
     checks: list[HarmonicCheck] = []
     for n in range(1, N):
         dims = (n, N - n)
-        l1_max = 1 if dims[0] == 1 else l_max
-        l2_max = 1 if dims[1] == 1 else l_max
-        for l in range(l_max + 1):
-            for l_n in range(min(l, l1_max) + 1):
-                for l_nn in range(min(l - l_n, l2_max) + 1):
-                    rem = l - l_n - l_nn
-                    if rem % 2:
-                        continue
-                    p = rem // 2
-                    ce = CentralEigs(N=N, n=n, l_n=l_n, l_Nn=l_nn, hbar=hbar, omega=omega)
-                    eps1, eps2 = (1 if 2 * label + dim - 2 >= 0 else -1
-                                  for label, dim in ((l_n, dims[0]), (l_nn, dims[1])))
-                    energy = set_solution(1, eps1, eps2, p, ce)[1].rational()
-                    expected = hbar * omega * (l + Fraction(N, 2))
-                    checks.append(HarmonicCheck(
-                        n=n, l=l, p=p, l_n=l_n, l_Nn=l_nn,
-                        energy=energy, expected=expected,
-                        passed=energy == expected))
+        table = enumerate_levels(N, n, e_cut=hbar * omega * (Fraction(N, 2) + l_max),
+                                 hbar=hbar, omega=omega)
+        for p, l_n, l_nn in sorted({(c.N1 + c.N2, c.l_n, c.l_Nn)
+                                    for level in table.levels for c in level.contributors}):
+            l = 2 * p + l_n + l_nn
+            ce = CentralEigs(N=N, n=n, l_n=l_n, l_Nn=l_nn, hbar=hbar, omega=omega)
+            eps1, eps2 = (1 if 2 * label + dim - 2 >= 0 else -1
+                          for label, dim in ((l_n, dims[0]), (l_nn, dims[1])))
+            energy = set_solution(1, eps1, eps2, p, ce)[1].rational()
+            expected = hbar * omega * (l + Fraction(N, 2))
+            checks.append(HarmonicCheck(n=n, l=l, p=p, l_n=l_n, l_Nn=l_nn,
+                                        energy=energy, expected=expected,
+                                        passed=energy == expected))
     return checks
 
 

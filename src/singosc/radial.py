@@ -5,7 +5,9 @@ Each component of the model is a singular oscillator in its own dimension m:
     R'' + (m-1)/r R' + (2E' - w'^2 r^2 - (2c' + l(l+m-2))/r^2) R = 0
 
 with c' = c/hbar^2, w' = omega/hbar, E' = E/hbar^2.  The closed form gives
-E = 2 hbar omega (Nr + alpha/2 + 1/2) with alpha = sqrt((l+(m-2)/2)^2 + 2c').
+E = 2 hbar omega (Nr + alpha/2 + 1/2) with alpha = sqrt((l+(m-2)/2)^2 + 2c'),
+and the regular solution R = C e^(-u/2) u^(delta + l/2) L_Nr^alpha(u) with
+u = w' r^2, its Laguerre polynomial evaluated by the three-term recurrence.
 
 The FD solver is a genuine oracle: it never uses the spectrum formula.  After
 the standard substitution R = r^{-(m-1)/2} chi the effective potential picks
@@ -132,43 +134,43 @@ def _energy(spec: ComponentSpec, Nr: int) -> float:
     return 2.0 * float(spec.hbar * spec.omega) * (Nr + spec.alpha / 2.0 + 0.5)
 
 
-def kummer(Nr: int, b, z):
-    """The polynomial confluent hypergeometric value 1F1(-Nr; b; z).
-
-    Ascending term recurrence; exact when b and z are Fractions.
-    """
-    if Nr < 0 or Nr != int(Nr):
-        raise ValueError("first parameter must be the non-positive integer -Nr")
-    if b <= 0:
-        raise ValueError("lower parameter must be positive")
-    total = 1 + z * 0  # one, in the arithmetic of z
-    term = total
-    for k in range(Nr):
-        term = term * (k - Nr) * z / ((b + k) * (k + 1))
-        total = total + term
-    return total
-
-
 def wavefunction(mode: RadialMode, r: float) -> float:
     """Normalized radial wavefunction at r > 0.
 
     With u = a r^2, a = omega/hbar, the solution regular at the origin is
-    R = C e^(-u/2) u^(delta + l/2) 1F1(-Nr; alpha + 1; u), which goes as
-    r^(alpha - (m-2)/2) near 0; 1F1 is L_Nr^alpha(u) over its value at u = 0,
-    (alpha + 1)_Nr / Nr!.  The Laguerre norm, the integral of e^(-u) u^alpha
-    L_Nr^alpha(u)^2 over u > 0, is Gamma(Nr + alpha + 1)/Nr!, so the integral
-    of R^2 r^(m-1) over r > 0 is 1 at
-    C^2 = 2 a^(m/2) Gamma(Nr + alpha + 1) / (Gamma(alpha + 1)^2 Nr!)."""
+    R = C e^(-u/2) u^(delta + l/2) L_Nr^alpha(u), which goes as
+    r^(alpha - (m-2)/2) near 0.  The Laguerre norm, the integral of
+    e^(-u) u^alpha L_Nr^alpha(u)^2 over u > 0, is Gamma(Nr + alpha + 1)/Nr!,
+    so the integral of R^2 r^(m-1) over r > 0 is 1 at
+    C^2 = 2 a^(m/2) Nr! / Gamma(Nr + alpha + 1).
+
+    L comes from the three-term recurrence (DLMF 18.9.13)
+    (k + 1) L_(k+1) = (2k + 1 + alpha - u) L_k - (k + alpha) L_(k-1), with its
+    growth carried as a power of two, so R is finite at every Nr and r and
+    underflows to 0.0 only where its true value does."""
     if r <= 0:
         raise ValueError("r must be positive")
     spec = mode.spec
     a = float(spec.omega_reduced)
     u = a * r * r
-    b = mode.alpha + 1.0
-    log_c2 = (math.log(2.0) + spec.m / 2.0 * math.log(a) + math.lgamma(mode.Nr + b)
-              - 2.0 * math.lgamma(b) - math.lgamma(mode.Nr + 1.0))
-    return (math.exp(log_c2 / 2.0 - u / 2.0) * u ** (mode.delta + spec.l / 2.0)
-            * float(kummer(mode.Nr, b, u)))
+    if u > 2.0 ** 511:
+        # e^(-u/2) is far below the smallest float, and u L_k could overflow
+        return 0.0
+    alpha = mode.alpha
+    # L_Nr^alpha(u) = lag 2^scale, with |lag| kept below 2^512
+    prev, lag, scale = 0.0, 1.0, 0
+    for k in range(mode.Nr):
+        prev, lag = lag, ((2 * k + 1 + alpha - u) * lag - (k + alpha) * prev) / (k + 1)
+        if abs(lag) > 2.0 ** 512:
+            prev, lag, scale = prev * 2.0 ** -512, lag * 2.0 ** -512, scale + 512
+    if lag == 0.0:
+        return 0.0
+    log_c2 = (math.log(2.0) + spec.m / 2.0 * math.log(a) + math.lgamma(mode.Nr + 1.0)
+              - math.lgamma(mode.Nr + alpha + 1.0))
+    # log u as log a + 2 log r, finite where a r^2 underflows
+    log_u = math.log(a) + 2.0 * math.log(r)
+    return math.copysign(math.exp(log_c2 / 2.0 - u / 2.0 + (mode.delta + spec.l / 2.0) * log_u
+                                  + scale * math.log(2.0) + math.log(abs(lag))), lag)
 
 
 def default_r_max(mode: RadialMode) -> float:
@@ -179,26 +181,20 @@ def default_r_max(mode: RadialMode) -> float:
     return max(8.0, 2.0 * turning) / math.sqrt(float(mode.spec.omega_reduced))
 
 
-def wavefunction_norm(mode: RadialMode, r_max: float | None = None,
-                      tol: float = 1e-10) -> tuple[float, float]:
-    """Adaptive quadrature of |psi|^2 r^{m-1} on (0, r_max), ``default_r_max``
-    if None; returns (value, error estimate)."""
+def wavefunction_norm(mode: RadialMode) -> tuple[float, float]:
+    """Adaptive quadrature of |psi|^2 r^{m-1} on (0, ``default_r_max``);
+    returns (value, error estimate)."""
     from scipy.integrate import quad
-    spec = mode.spec
-    if r_max is None:
-        r_max = default_r_max(mode)
-    value, err = quad(lambda r: wavefunction(mode, r) ** 2 * r ** (spec.m - 1),
-                      0.0, r_max, epsabs=tol, epsrel=tol, limit=200)
-    return value, err
+    m = mode.spec.m
+    return quad(lambda r: wavefunction(mode, r) ** 2 * r ** (m - 1),
+                0.0, default_r_max(mode), epsabs=1e-10, epsrel=1e-10, limit=200)
 
 
-def wavefunction_sign_changes(mode: RadialMode, r_max: float | None = None,
-                              samples: int = 4000) -> int:
-    """Sign changes of psi on (0, r_max), the Sturm oscillation count, with
-    r_max ``default_r_max`` if None."""
-    if r_max is None:
-        r_max = default_r_max(mode)
-    rs = np.linspace(r_max / samples, r_max, samples)
+def wavefunction_sign_changes(mode: RadialMode) -> int:
+    """Sign changes of psi at 4000 even steps up to ``default_r_max``, the
+    Sturm oscillation count."""
+    r_max = default_r_max(mode)
+    rs = np.linspace(r_max / 4000, r_max, 4000)
     return sign_changes(np.array([wavefunction(mode, r) for r in rs]), 1e-9)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -120,6 +121,22 @@ def test_wavefunction_subcommand(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert len(records) == 50
     assert all("psi" in rec and "r" in rec for rec in records)
+
+
+def _strict_json(line: str) -> dict:
+    """One JSON record; NaN and Infinity, which JSON does not have, raise."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(line, parse_constant=refuse)
+
+
+def test_wavefunction_of_a_highly_excited_mode_is_finite_json(capsys):
+    code, out, _ = _run(capsys, ["wavefunction", "--m", "3", "--l", "1",
+                                 "--nr", "200", "--samples", "20"])
+    assert code == 0
+    records = [_strict_json(line) for line in out.splitlines()]
+    assert len(records) == 20
+    assert all(math.isfinite(rec["psi"]) for rec in records)
 
 
 def test_verify_poisson_subcommand(capsys):

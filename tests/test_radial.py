@@ -1,4 +1,4 @@
-"""Closed-form radial levels, Kummer evaluation, wavefunctions, FD oracle."""
+"""Closed-form radial levels, Laguerre wavefunctions, FD oracle."""
 
 from __future__ import annotations
 
@@ -6,13 +6,14 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from singosc.qalg import CentralEigs, m_values
 from singosc.radial import (ComponentSpec, GridError, GridSpec, closed_form,
-                            fd_eigenvalues, fd_eigenvector, kummer, sign_changes,
-                            total_energy, wavefunction, wavefunction_norm,
-                            wavefunction_sign_changes)
+                            default_r_max, fd_eigenvalues, fd_eigenvector,
+                            sign_changes, total_energy, wavefunction,
+                            wavefunction_norm, wavefunction_sign_changes)
 
 
 def test_closed_form_examples():
@@ -71,19 +72,6 @@ def test_m_quantum_equals_twice_alpha():
         s2 = ComponentSpec(m=dims[1], c=c2, l=l2, hbar=hbar, omega=omega)
         assert mq.m1_squared == 4 * s1.alpha_squared
         assert mq.m2_squared == 4 * s2.alpha_squared
-
-
-def test_kummer_examples():
-    assert kummer(0, Fraction(7, 2), Fraction(100)) == 1
-    assert kummer(1, Fraction(2), Fraction(1)) == Fraction(1, 2)
-    assert kummer(2, Fraction(3), Fraction(0)) == 1
-    # float path agrees with the exact one
-    assert kummer(3, 2.5, 1.25) == pytest.approx(
-        float(kummer(3, Fraction(5, 2), Fraction(5, 4))), rel=1e-14)
-    with pytest.raises(ValueError):
-        kummer(1, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        kummer(-1, 1.0, 1.0)
 
 
 def test_fd_matches_closed_form_spec_cases():
@@ -170,7 +158,7 @@ def test_wavefunction_node_counts():
     for spec in (ComponentSpec(m=2, c=Fraction(1)), ComponentSpec(m=3, l=1),
                  ComponentSpec(m=5, c=Fraction(1, 3))):
         # the default range grows with Nr, so the highest modes keep every node
-        for nr in (*range(4), 12, 16, 20):
+        for nr in (*range(4), 12, 16, 20, 30, 40, 60):
             mode = closed_form(spec, nr)
             assert wavefunction_sign_changes(mode) == nr
 
@@ -187,12 +175,11 @@ def test_wavefunction_normalization_quadrature():
     value, err = wavefunction_norm(mode)
     assert err < 1e-6
     assert value == pytest.approx(1.0, abs=1e-8)
-    # an excited mode that fills u = a r^2 past 64: the default range grows
-    # with Nr (from Nr = 19 up the quadrature warns of roundoff)
-    for nr in (12, 16):
+    # excited modes that fill u = a r^2 past 64: the default range grows with Nr
+    for nr in (12, 16, 30, 60):
         value, err = wavefunction_norm(closed_form(ComponentSpec(m=3, l=1), nr))
         assert err < 1e-6
-        assert value == pytest.approx(1.0, abs=1e-8)
+        assert value == pytest.approx(1.0, abs=1e-10)
 
 
 def _wavefunction_sweep():
@@ -210,7 +197,8 @@ def _wavefunction_sweep():
     return specs
 
 
-@pytest.mark.parametrize("spec, nr", _wavefunction_sweep())
+@pytest.mark.parametrize("spec, nr", _wavefunction_sweep()
+                         + [(spec, 60) for spec, _ in _wavefunction_sweep()])
 def test_wavefunction_solves_the_radial_equation_and_is_normalized(spec, nr):
     mode = closed_form(spec, nr)
     # small-r power: the indicial root alpha - (m - 2)/2 of the radial equation
@@ -220,7 +208,44 @@ def test_wavefunction_solves_the_radial_equation_and_is_normalized(spec, nr):
     assert slope == pytest.approx(mode.alpha - (spec.m - 2) / 2, abs=1e-8)
     value, err = wavefunction_norm(mode)
     assert err < 1e-8
-    assert value == pytest.approx(1.0, abs=1e-8)
+    assert value == pytest.approx(1.0, abs=1e-10)
+
+
+def _mp_wavefunction(mode, r):
+    """R at r in 50-digit mpmath, from alpha^2, a and r alone."""
+    spec = mode.spec
+    a = mpmath.mpf(spec.omega_reduced.numerator) / spec.omega_reduced.denominator
+    alpha = mpmath.sqrt(mpmath.mpf(spec.alpha_squared.numerator) / spec.alpha_squared.denominator)
+    u = a * mpmath.mpf(r) ** 2
+    c2 = 2 * a ** (mpmath.mpf(spec.m) / 2) * mpmath.factorial(mode.Nr) / mpmath.gamma(
+        mode.Nr + alpha + 1)
+    return (mpmath.sqrt(c2) * mpmath.exp(-u / 2) * u ** (alpha / 2 - mpmath.mpf(spec.m - 2) / 4)
+            * mpmath.laguerre(mode.Nr, alpha, u))
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in _wavefunction_sweep()]
+                         + [ComponentSpec(m=1, c=Fraction(5, 3))])
+def test_wavefunction_matches_mpmath(spec):
+    with mpmath.workdps(50):
+        for nr in (0, 1, 5, 16, 30, 60, 150):
+            mode = closed_form(spec, nr)
+            rs = [default_r_max(mode) * i / 16 for i in range(1, 17)]
+            want = [_mp_wavefunction(mode, r) for r in rs]
+            scale = max(abs(w) for w in want)
+            for r, w in zip(rs, want):
+                assert abs(wavefunction(mode, r) - w) <= 1e-12 * scale, (nr, r)
+
+
+def test_wavefunction_is_finite_at_every_radius():
+    # the recurrence carries L's growth as a power of two: no overflow at high
+    # Nr, and 0.0 only where e^(-u/2) is below the smallest float
+    for nr in (0, 200, 2000):
+        mode = closed_form(ComponentSpec(m=3, l=1), nr)
+        values = [wavefunction(mode, r) for r in (1e-200, 1.0, 30.0, 1e100, 1e200, math.inf)]
+        assert all(math.isfinite(v) for v in values)
+        assert values[0] != 0 and values[1] != 0 and values[-3:] == [0.0] * 3
+    mode = closed_form(ComponentSpec(m=2), 1)
+    assert wavefunction(mode, 1.0) == 0.0  # L_1^0(1) = 0, the node itself
 
 
 def test_total_energy_examples():
