@@ -6,8 +6,8 @@ configurations produce byte-identical output.  Timings and progress go
 to stderr only, as do the per-check times of ``verify-algebra --timings`` and
 ``verify-poisson --timings``.  Those two share one handler, since both run
 the one check table of ``opalg.verify``; bad input, such as a non-finite
-``--r-max`` or an ``--e-cut`` past ``levels.E_CUT_LIMIT``, exits 2 with a
-message.
+``--r-max``, an ``--e-cut`` past ``levels.E_CUT_LIMIT`` or an ``--output``
+that cannot be written, exits 2 with a message.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", default=None, type=int)
     p.add_argument("--count", default=None, type=int)
     p.add_argument("--grid-nodes", default=None, type=int)
-    p.add_argument("--grid-levels", default=None, type=int)
     p.add_argument("--r-max", default=None, type=float)
     common(p)
 
@@ -106,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
 _DEFAULTS = {
     "hbar": "1", "omega": "1", "format": "json-lines", "output": None,
     "samples": 200, "c1": "0", "c2": "0", "c": "0", "l": 0, "p_max": 2,
-    "l_max": 2, "count": 3, "grid_nodes": 512, "grid_levels": 3, "r_max": None,
+    "l_max": 2, "count": 3, "grid_nodes": 512, "r_max": None,
     "e_cut": "8", "nr": 0,
 }
 
@@ -183,8 +182,11 @@ def _emit(records: list[dict], fmt: str, output: str | None) -> None:
             writer.writerow({k: rec.get(k, "") for k in fields})
         body = buf.getvalue()
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --output {output}: {exc}") from None
     else:
         sys.stdout.write(body)
 
@@ -229,26 +231,27 @@ def _cmd_radial(opts: dict) -> tuple[list[dict], list[str]]:
     spec = radial.ComponentSpec(m=opts["m"], c=_fraction(opts["c"]), l=opts["l"],
                                 hbar=_fraction(opts["hbar"]),
                                 omega=_fraction(opts["omega"]))
-    grid = radial.GridSpec(nodes=opts["grid_nodes"], r_max=_r_max(opts),
-                           levels=opts["grid_levels"])
-    count = opts["count"]
-    fd = radial.fd_eigenvalues(spec, grid, count=count)
+    grid = radial.GridSpec(nodes=opts["grid_nodes"], r_max=_r_max(opts))
+    fd = radial.fd_eigenvalues(spec, grid, count=opts["count"])
     records = []
     failures = []
-    for idx, fd_rec in enumerate(fd.record()):
+    for idx, energy in enumerate(fd.energies):
         mode = radial.closed_form(spec, idx)
-        rel = abs(fd.energies[idx] - mode.energy) / abs(mode.energy)
+        rel = abs(energy - mode.energy) / abs(mode.energy)
         reasons = [] if fd.converged else ["fd_converged false"]
         if not rel < 1e-6:
             reasons.append(f"fd_rel_error {rel:.3g} > 1e-6")
         if reasons:
             failures.append(f"Nr={mode.Nr} ({', '.join(reasons)})")
+        order = fd.observed_orders[idx]
         rec = mode.record()
-        rec.update({"fd_energy": fd.energies[idx], "fd_rel_error": rel,
+        rec.update({"fd_energy": energy, "fd_rel_error": rel,
                     "fd_converged": fd.converged,
-                    "fd_observed_order": fd_rec["observed_order"],
-                    "fd_h": fd_rec["h"], "fd_raw": fd_rec["raw"],
-                    "scheme": fd_rec["scheme"], "r_max": fd.r_max})
+                    # None (JSON null) for an order that could not be observed
+                    "fd_observed_order": None if math.isnan(order) else order,
+                    "fd_h": list(fd.h_values),
+                    "fd_raw": [raw[idx] for raw in fd.raw_levels],
+                    "scheme": "regularized", "r_max": fd.r_max})
         records.append(rec)
     return records, failures
 
@@ -316,10 +319,10 @@ def main(argv: list[str] | None = None) -> int:
         if "N" in opts and "n" in opts and not 1 <= opts["n"] <= opts["N"] - 1:
             raise ConfigError(f"invalid partition (N, n) = ({opts['N']}, {opts['n']})")
         records, failures = _HANDLERS[args.command](opts)
+        _emit(records, opts["format"], opts["output"])
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(records, opts["format"], opts["output"])
     if failures:
         print(f"FAILED: {', '.join(failures)}", file=sys.stderr)
         return 1

@@ -148,14 +148,18 @@ class LevelTable:
     levels: tuple[Level, ...]
 
     def records(self) -> list[dict]:
+        """One record per (level, p, l_n, l_Nn).  ``level`` is the level's
+        0-based position in the table, so two levels whose float energies
+        print alike stay apart."""
         out = []
-        for level in self.levels:
+        for index, level in enumerate(self.levels):
             seen = {}
             for contrib in level.contributors:
                 key = (contrib.N1 + contrib.N2, contrib.l_n, contrib.l_Nn)
                 seen[key] = seen.get(key, 0) + contrib.multiplicity
             for (p, l_n, l_nn), mult in sorted(seen.items()):
                 rec = {
+                    "level": index,
                     "energy_over_hw": level.energy / float(self.hbar * self.omega),
                     "p": p, "l_n": l_n, "l_Nn": l_nn,
                     "degeneracy": level.degeneracy,

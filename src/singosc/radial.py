@@ -15,7 +15,9 @@ up ((m-1)(m-3)/4)/(2r^2); for fractional indicial exponents a plain Dirichlet
 grid cannot represent the regular branch at the origin (the operator is in
 the limit-circle regime for alpha < 1), so the solver factors out the
 indicial power r^{alpha+1/2} and discretizes the remaining smooth problem in
-conservative form with weight r^{2 alpha + 1}.
+conservative form with weight r^{2 alpha + 1}.  It solves three grids, of
+nodes, 2 nodes and 4 nodes cells, and extrapolates each level by two h^2
+Richardson stages; the three raw values also give its observed order.
 """
 
 from __future__ import annotations
@@ -212,22 +214,21 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretization request for the FD eigensolver."""
+    """Discretization request for the FD eigensolver: the cells of the coarsest
+    of its three grids, and the cutoff radius (None for the default)."""
 
     nodes: int = 512
     r_max: float | None = None
-    levels: int = 3
 
     def __post_init__(self):
         if self.nodes < 64:
             raise GridError("need at least 64 nodes")
-        if self.levels < 1:
-            raise GridError("need at least one grid level")
 
 
 @dataclass(frozen=True)
 class FdResult:
-    """Extrapolated FD eigenvalues plus per-level diagnostics."""
+    """Extrapolated FD eigenvalues plus per-level diagnostics; ``raw_levels``
+    and ``h_values`` hold one entry per grid, coarsest first."""
 
     energies: tuple[float, ...]
     raw_levels: tuple[tuple[float, ...], ...] = field(repr=False)
@@ -238,24 +239,9 @@ class FdResult:
     @property
     def converged(self) -> bool:
         """Every observed order lies within ORDER_TOL of 2.  An order that
-        could not be observed (fewer than three grid levels) is not converged."""
+        could not be observed (NaN: two grids agree, or the level's differences
+        change sign between halvings) is not converged."""
         return all(abs(order - 2.0) <= ORDER_TOL for order in self.observed_orders)
-
-    def record(self) -> list[dict]:
-        out = []
-        for idx, e in enumerate(self.energies):
-            out.append({
-                "index": idx,
-                "energy": e,
-                "raw": [lev[idx] for lev in self.raw_levels],
-                "h": list(self.h_values),
-                # None (JSON null) for an order that could not be observed
-                "observed_order": (None if math.isnan(self.observed_orders[idx])
-                                   else self.observed_orders[idx]),
-                "r_max": self.r_max,
-                "scheme": "regularized",
-            })
-        return out
 
 
 def _regularized_tridiagonal(spec: ComponentSpec, M: int, r_max: float):
@@ -282,7 +268,7 @@ def _regularized_tridiagonal(spec: ComponentSpec, M: int, r_max: float):
 
 
 def _fd_grid(spec: ComponentSpec, grid: GridSpec, count: int) -> tuple[float, list[int]]:
-    """(r_max, cells per grid level, finest last) for the lowest ``count`` levels.
+    """(r_max, cells of the three grids, finest last) for the lowest ``count`` levels.
 
     The default r_max is twice the classical turning point of level count + 3.
     Raises ``GridError`` when r_max lies below the turning point of the highest
@@ -298,12 +284,13 @@ def _fd_grid(spec: ComponentSpec, grid: GridSpec, count: int) -> tuple[float, li
     wavelength = math.pi / math.sqrt(2.0 * e_top)
     if (r_max / grid.nodes) > wavelength / 4.0:
         raise GridError("grid too coarse to resolve the requested levels")
-    return r_max, [grid.nodes * 2 ** level for level in range(grid.levels)]
+    return r_max, [grid.nodes, 2 * grid.nodes, 4 * grid.nodes]
 
 
 def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
                    count: int = 1) -> FdResult:
-    """Lowest eigenvalues of the radial operator, Richardson-extrapolated.
+    """Lowest eigenvalues of the radial operator, Richardson-extrapolated from
+    the grids of ``grid.nodes``, twice and four times that many cells.
 
     The discretized operator acts on the reduced radial function with
     regularity at 0 and a Dirichlet cutoff at r_max; eigenvalues are returned
@@ -328,34 +315,28 @@ def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
 
 
 def _richardson(raw: list[tuple[float, ...]]) -> tuple[list[float], list[float]]:
-    """h^2-Richardson across grid halvings (one or two stages as available)."""
-    count = len(raw[0])
+    """Per level, the two-stage h^2-Richardson value and the observed order from
+    its values on the three grids of ``raw`` (coarsest first, h halving).
+
+    Stage one removes the h^2 term from each pair of neighbouring grids, stage
+    two the h^4 term from the two stage-one values.  The order is
+    log2((coarse - mid) / (mid - fine)), NaN when mid and fine agree or that
+    ratio is not positive."""
     energies = []
     orders = []
-    for idx in range(count):
-        seq = [lev[idx] for lev in raw]
-        if len(seq) == 1:
-            energies.append(seq[0])
-            orders.append(float("nan"))
-            continue
-        stage1 = [(4.0 * seq[i + 1] - seq[i]) / 3.0 for i in range(len(seq) - 1)]
-        if len(stage1) >= 2:
-            energies.append((16.0 * stage1[-1] - stage1[-2]) / 15.0)
-        else:
-            energies.append(stage1[-1])
-        if len(seq) >= 3 and seq[-2] != seq[-1]:
-            num = seq[-3] - seq[-2]
-            den = seq[-2] - seq[-1]
-            orders.append(math.log2(abs(num / den)) if den and num / den > 0
-                          else float("nan"))
-        else:
-            orders.append(float("nan"))
+    for coarse, mid, fine in zip(*raw):
+        stage1_coarse = (4.0 * mid - coarse) / 3.0
+        stage1_fine = (4.0 * fine - mid) / 3.0
+        energies.append((16.0 * stage1_fine - stage1_coarse) / 15.0)
+        ratio = (coarse - mid) / (mid - fine) if mid != fine else math.nan
+        orders.append(math.log2(ratio) if ratio > 0 else math.nan)
     return energies, orders
 
 
 def fd_eigenvector(spec: ComponentSpec, grid: GridSpec | None = None,
                    index: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(radial nodes, eigenvector samples) on the finest grid, for node counting.
+    """(radial nodes, eigenvector samples) on the finest of the three grids,
+    4 ``grid.nodes`` cells, for node counting.
 
     The grid is that of ``fd_eigenvalues(spec, grid, count=index + 1)``, and so
     are its ``GridError`` checks."""

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import singosc
+from singosc import radial
 from singosc.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -90,6 +91,15 @@ def test_csv_format_and_output_file(tmp_path, capsys):
     header = lines[0].split(",")
     assert {"energy_over_hw", "p", "l_n", "l_Nn", "degeneracy"} <= set(header)
     assert len(lines) > 3
+
+
+@pytest.mark.parametrize("target", ["a-directory", "missing/dir/x.jsonl"])
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, target):
+    (tmp_path / "a-directory").mkdir()
+    path = str(tmp_path / target)
+    code, out, err = _run(capsys, ["levels", "--N", "4", "--n", "2", "--output", path])
+    assert (code, out) == (2, "")
+    assert f"error: cannot write --output {path}: " in err
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -182,11 +192,21 @@ def test_levels_with_an_e_cut_past_the_float_range_exits_2(capsys):
     assert "--e-cut 1e400" in err
 
 
-def test_radial_without_fd_convergence_exits_1(capsys):
-    # two grid levels observe no order, and on 64 nodes with r_max = 7 the
-    # levels Nr = 1, 2 also miss 1e-6 (by about 1.7x and 4x); Nr = 0 does not
-    code, out, err = _run(capsys, ["radial", "--m", "2", "--count", "3", "--grid-levels", "2",
-                                   "--grid-nodes", "64", "--r-max", "7"])
+def _without_observed_orders(monkeypatch):
+    """Make every FD order unobservable (NaN), as when two grids agree."""
+    richardson = radial._richardson
+
+    def no_orders(raw):
+        energies, orders = richardson(raw)
+        return energies, [math.nan] * len(orders)
+    monkeypatch.setattr(radial, "_richardson", no_orders)
+
+
+def test_radial_without_fd_convergence_exits_1(capsys, monkeypatch):
+    # no order is observed, and with r_max = 4.5 the levels Nr = 1, 2 also miss
+    # 1e-6 (by about 6.7x and 250x); Nr = 0 does not
+    _without_observed_orders(monkeypatch)
+    code, out, err = _run(capsys, ["radial", "--m", "2", "--count", "3", "--r-max", "4.5"])
     assert code == 1
     assert all(json.loads(line)["fd_converged"] is False for line in out.splitlines())
     assert err.startswith("FAILED: Nr=0 (fd_converged false), Nr=1 (")
@@ -195,10 +215,10 @@ def test_radial_without_fd_convergence_exits_1(capsys):
         assert f"Nr={nr} (fd_converged false, fd_rel_error " in err
 
 
-def test_radial_failure_names_only_the_reason_that_holds(capsys):
-    # two grid levels give no observed order, but the levels still agree
-    code, out, err = _run(capsys, ["radial", "--m", "2", "--c", "1", "--count", "2",
-                                   "--grid-levels", "2"])
+def test_radial_failure_names_only_the_reason_that_holds(capsys, monkeypatch):
+    # no order is observed, but the levels still agree
+    _without_observed_orders(monkeypatch)
+    code, out, err = _run(capsys, ["radial", "--m", "2", "--c", "1", "--count", "2"])
     assert code == 1
     # strict JSON: the order that could not be observed is null, not NaN
     records = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
@@ -339,6 +359,8 @@ def test_spectrum_runs_with_mpmath_blocked():
     ["verify-algebra", "--N", "2", "--n", "1", "--samples", "3"],
     ["verify-algebra", "--N", "2", "--n", "1", "--seed", "1"],
     ["verify-algebra", "--N", "2", "--n", "1", "--skip-casimir"],
+    # radial always solves three grids
+    ["radial", "--m", "2", "--grid-levels", "3"],
 ])
 def test_option_the_command_never_reads_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -390,6 +412,8 @@ def test_commands_load_only_the_libraries_they_use():
     ("param_mode = sampled", ["verify-algebra", "--N", "2", "--n", "1"]),
     ("seed = 1", ["verify-algebra", "--N", "2", "--n", "1"]),
     ("skip_casimir = true", ["verify-algebra", "--N", "2", "--n", "1"]),
+    # radial always solves three grids
+    ("grid_levels = 3", ["radial", "--m", "2", "--count", "1"]),
 ])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, line, argv):
     cfg = tmp_path / "run.cfg"

@@ -271,3 +271,18 @@ def test_levels_command_matches_golden(capsys):
     assert main(argv) == 0
     golden = GOLDEN / "levels-N4-n2-c1-1_2-c2-7_2.jsonl"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_levels_that_print_the_same_float_energy_name_distinct_levels(capsys):
+    # at c1 = 10^-20 / 2 the energies 4 + sqrt(1 + e), 3 + sqrt(4 + e) and
+    # 2 + sqrt(9 + e), e = 10^-20, are distinct levels that all print as 5.0
+    argv = ["levels", "--N", "4", "--n", "2", "--c1", "1/200000000000000000000",
+            "--e-cut", "11/2"]
+    assert main(argv) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    at_five = [rec for rec in records if rec["energy_over_hw"] == 5.0]
+    degeneracy = {rec["level"]: rec["degeneracy"] for rec in at_five}
+    assert sorted(degeneracy.values()) == [2, 4, 8]
+    # every record's level is its table position, in print order
+    assert [rec["level"] for rec in records] == sorted(rec["level"] for rec in records)
+    assert {rec["level"] for rec in records} == set(range(records[-1]["level"] + 1))

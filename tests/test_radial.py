@@ -89,7 +89,7 @@ def test_fd_matches_closed_form_spec_cases():
 
 def test_fd_second_order_convergence_and_richardson_gain():
     spec = ComponentSpec(m=3, c=Fraction(5, 4), l=1)
-    result = fd_eigenvalues(spec, GridSpec(nodes=256, levels=3), count=1)
+    result = fd_eigenvalues(spec, GridSpec(nodes=256), count=1)
     exact = closed_form(spec, 0).energy
     raw_err = abs(result.raw_levels[-1][0] - exact / float(spec.hbar ** 2))
     extr_err = abs(result.energies[0] - exact)
@@ -101,10 +101,41 @@ def test_fd_convergence_flag():
     regular = fd_eigenvalues(ComponentSpec(m=2), count=3)
     assert regular.converged
     assert all(abs(order - 2.0) < 0.01 for order in regular.observed_orders)
-    # with two grid levels no order is observed, so convergence is not shown
-    two_levels = fd_eigenvalues(ComponentSpec(m=2), GridSpec(levels=2), count=1)
-    assert not two_levels.converged
-    assert math.isnan(two_levels.observed_orders[0])
+
+
+def _random_fd_spec(rng: random.Random) -> ComponentSpec:
+    m = rng.randint(1, 4)
+    return ComponentSpec(m=m, c=Fraction(rng.randint(0, 12), rng.randint(1, 7)),
+                         l=0 if m == 1 else rng.randint(0, 2))
+
+
+def test_fd_solves_three_halving_grids():
+    rng = random.Random(25)
+    for _ in range(12):
+        spec, nodes = _random_fd_spec(rng), rng.choice((128, 256, 512))
+        result = fd_eigenvalues(spec, GridSpec(nodes=nodes), count=rng.randint(1, 3))
+        assert len(result.raw_levels) == 3
+        h = result.h_values
+        assert h == (result.r_max / nodes, h[0] / 2, h[1] / 2)
+
+
+def test_fd_energies_and_orders_are_two_stage_richardson_of_the_raw_levels():
+    rng = random.Random(7)
+    specs = [_random_fd_spec(rng) for _ in range(20)]
+    assert any(spec.alpha_exact is None for spec in specs)
+    for spec in specs:
+        result = fd_eigenvalues(spec, GridSpec(nodes=256), count=3)
+        h2 = float(spec.hbar ** 2)
+        for idx in range(3):
+            e_h, e_h2, e_h4 = (level[idx] for level in result.raw_levels)
+            # an error c h^2 + d h^4: one stage per power
+            r_h = e_h2 + (e_h2 - e_h) / 3
+            r_h2 = e_h4 + (e_h4 - e_h2) / 3
+            assert result.energies[idx] == pytest.approx(
+                (r_h2 + (r_h2 - r_h) / 15) * h2, rel=1e-13)
+            # the error shrinks by 2^order per halving
+            order = math.log((e_h - e_h2) / (e_h2 - e_h4)) / math.log(2)
+            assert result.observed_orders[idx] == pytest.approx(order, abs=1e-9)
 
 
 def test_fd_scaled_units():
