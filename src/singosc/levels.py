@@ -1,8 +1,8 @@
 """Total spectra with degeneracies: enumeration over radial and angular labels.
 
-A level is fixed by (N1, N2, l_n, l_Nn); its energy depends only on
-p = N1 + N2 and the two indicial exponents, so the p + 1 radial splits of p
-are always degenerate, weighted by the two angular multiplicities.  At zero
+A level's energy depends only on p = N1 + N2 and the two indicial exponents,
+so a level stores one entry per (p, l_n, l_Nn): the p + 1 radial splits of p
+are always degenerate, each weighted by the two angular multiplicities.  At zero
 coupling a one-coordinate block carries the parity labels l in {0, 1} with
 the signed exponent l + (m-2)/2; at positive coupling only the regular
 half-line sector is kept (and flagged).  Levels are grouped by exact energy,
@@ -36,71 +36,9 @@ def dim_harm(m: int, l: int) -> int:
             // (math.factorial(l) * math.factorial(m - 2)))
 
 
-def dim_harm_bruteforce(m: int, l: int) -> int:
-    """Oracle: dimension of the kernel of the Laplacian on degree-l monomials.
-
-    Exact rational Gaussian elimination; intended for small (m, l).
-    """
-    monos = _monomials(m, l)
-    if l < 2:
-        return len(monos)
-    lower = {mono: idx for idx, mono in enumerate(_monomials(m, l - 2))}
-    rows = []
-    for mono in monos:
-        row = [Fraction(0)] * len(lower)
-        for i in range(m):
-            if mono[i] >= 2:
-                img = list(mono)
-                img[i] -= 2
-                row[lower[tuple(img)]] += mono[i] * (mono[i] - 1)
-        rows.append(row)
-    # rank by column elimination over Q
-    rank = 0
-    ncols = len(lower)
-    pivots = []
-    for col in range(ncols):
-        pivot_row = None
-        for ridx, row in enumerate(rows):
-            if row[col] and ridx not in pivots:
-                pivot_row = ridx
-                break
-        if pivot_row is None:
-            continue
-        pivots.append(pivot_row)
-        rank += 1
-        prow = rows[pivot_row]
-        inv = 1 / prow[col]
-        for ridx, row in enumerate(rows):
-            if ridx != pivot_row and row[col]:
-                factor = row[col] * inv
-                for cdx in range(col, ncols):
-                    row[cdx] -= factor * prow[cdx]
-    return len(monos) - rank
-
-
-def _monomials(m: int, degree: int) -> list[tuple[int, ...]]:
-    if m == 1:
-        return [(degree,)]
-    out = []
-    for first in range(degree + 1):
-        for rest in _monomials(m - 1, degree - first):
-            out.append((first,) + rest)
-    return out
-
-
 def oscillator_level_count(N: int, l: int) -> int:
     """C(l + N - 1, N - 1), the count of N-tuples of quanta summing to l."""
     return math.comb(l + N - 1, N - 1)
-
-
-def count_quanta_tuples(N: int, l: int) -> int:
-    """Brute-force enumeration oracle for oscillator_level_count."""
-    if N == 1:
-        return 1
-    total = 0
-    for first in range(l + 1):
-        total += count_quanta_tuples(N - 1, l - first)
-    return total
 
 
 # -- indicial exponents per block -----------------------------------------------
@@ -132,8 +70,14 @@ class Level:
     energy: float
     energy_exact: Fraction | None
     degeneracy: int
-    contributors: tuple[Contributor, ...]
+    labels: tuple[tuple[int, int, int, int], ...]
     flags: tuple[str, ...] = ()
+
+    @property
+    def contributors(self) -> tuple[Contributor, ...]:
+        """Each (p, l_n, l_Nn, multiplicity per split) label as its p + 1 splits."""
+        return tuple(Contributor(N1=n1, N2=p - n1, l_n=l_n, l_Nn=l_nn, multiplicity=mult)
+                     for p, l_n, l_nn, mult in self.labels for n1 in range(p + 1))
 
 
 @dataclass(frozen=True)
@@ -153,17 +97,13 @@ class LevelTable:
         print alike stay apart."""
         out = []
         for index, level in enumerate(self.levels):
-            seen = {}
-            for contrib in level.contributors:
-                key = (contrib.N1 + contrib.N2, contrib.l_n, contrib.l_Nn)
-                seen[key] = seen.get(key, 0) + contrib.multiplicity
-            for (p, l_n, l_nn), mult in sorted(seen.items()):
+            for p, l_n, l_nn, mult in sorted(level.labels):
                 rec = {
                     "level": index,
                     "energy_over_hw": level.energy / float(self.hbar * self.omega),
                     "p": p, "l_n": l_n, "l_Nn": l_nn,
                     "degeneracy": level.degeneracy,
-                    "contributor_multiplicity": mult,
+                    "contributor_multiplicity": (p + 1) * mult,
                 }
                 if level.flags:
                     rec["flags"] = ",".join(level.flags)
@@ -172,9 +112,9 @@ class LevelTable:
 
 
 # The largest e_cut, in units of hbar omega, that enumerate_levels accepts.
-# The table grows as (e_cut / hbar omega)^4: at (4,2) with c1 = c2 = 0 it holds
-# 191,488 contributors at this limit (about a second and 70 MB on a 2-CPU
-# x86-64 VM), and would hold about 10^10 at 1000 hbar omega.
+# The table grows as (e_cut / hbar omega)^3: at (4,2) with c1 = c2 = 0 it holds
+# 22,352 label entries over 63 levels at this limit (`levels` takes 0.5 s and
+# 31 MB on a 2-CPU x86-64 VM), and would hold about 10^8 at 1000 hbar omega.
 E_CUT_LIMIT = 64
 
 
@@ -196,7 +136,7 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
     if e_cut > E_CUT_LIMIT * hbar * omega:
         raise ValueError(f"e_cut {e_cut} is above {E_CUT_LIMIT} hbar omega = "
                          f"{E_CUT_LIMIT * hbar * omega}; the level table grows as "
-                         "(e_cut / hbar omega)^4")
+                         "(e_cut / hbar omega)^3")
     blocks = ((n, c1 / hbar ** 2), (N - n, c2 / hbar ** 2))
     hw = float(hbar * omega)
     cut = Fraction(e_cut) / (hbar * omega)
@@ -253,19 +193,17 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
     entries.sort()
 
     # one level per exact energy, at the float of its first entry
-    levels: dict[tuple, tuple[float, list[Contributor]]] = {}
+    levels: dict[tuple, tuple[float, list[tuple[int, int, int, int]]]] = {}
     for value, p, l1, l2, mult, key in entries:
-        _, contributors = levels.setdefault(key, (value, []))
-        contributors.extend(Contributor(N1=n1, N2=p - n1, l_n=l1, l_Nn=l2, multiplicity=mult)
-                            for n1 in range(p + 1))
+        levels.setdefault(key, (value, []))[1].append((p, l1, l2, mult))
     flags = tuple(f"block{i}-half-line-regular-sector"
                   for i, (m, c_reduced) in enumerate(blocks, 1) if m == 1 and c_reduced > 0)
     return LevelTable(N=N, n=n, c1=c1, c2=c2, hbar=hbar, omega=omega, e_cut=e_cut, levels=tuple(
         Level(energy=value,
               energy_exact=None if irrational else hbar * omega * Fraction(rational, D),
-              degeneracy=sum(c.multiplicity for c in contributors),
-              contributors=tuple(contributors), flags=flags)
-        for (irrational, rational), (value, contributors) in levels.items()))
+              degeneracy=sum((p + 1) * mult for p, _, _, mult in labels),
+              labels=tuple(labels), flags=flags)
+        for (irrational, rational), (value, labels) in levels.items()))
 
 
 def _irrational_part(b1: int, R1: int, b2: int, R2: int) -> tuple[tuple[int, int], ...]:

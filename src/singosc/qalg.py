@@ -400,8 +400,7 @@ def harmonic_limit_check(N: int, l_max: int, hbar: Fraction = Fraction(1),
         dims = (n, N - n)
         table = enumerate_levels(N, n, e_cut=hbar * omega * (Fraction(N, 2) + l_max),
                                  hbar=hbar, omega=omega)
-        for p, l_n, l_nn in sorted({(c.N1 + c.N2, c.l_n, c.l_Nn)
-                                    for level in table.levels for c in level.contributors}):
+        for p, l_n, l_nn, _ in sorted(entry for level in table.levels for entry in level.labels):
             l = 2 * p + l_n + l_nn
             ce = CentralEigs(N=N, n=n, l_n=l_n, l_Nn=l_nn, hbar=hbar, omega=omega)
             eps1, eps2 = (1 if 2 * label + dim - 2 >= 0 else -1

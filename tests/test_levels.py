@@ -11,9 +11,9 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
+from level_oracles import count_quanta_tuples, dim_harm_bruteforce
 from singosc.cli import main
-from singosc.levels import (count_quanta_tuples, dim_harm, dim_harm_bruteforce,
-                            enumerate_levels, oscillator_count_check,
+from singosc.levels import (dim_harm, enumerate_levels, oscillator_count_check,
                             oscillator_level_count)
 from singosc.qalg import CentralEigs, set_solution
 
@@ -180,6 +180,19 @@ def test_level_tables_are_pinned():
         (4.5, Fraction(9, 2), 10, (),
          [(0, 0, 0, 3, 2), (0, 0, 1, 2, 2), (0, 1, 0, 1, 2), (1, 0, 0, 1, 2),
           (0, 1, 1, 0, 1), (1, 0, 1, 0, 1)])]
+
+
+def test_the_table_at_the_e_cut_limit_stores_one_entry_per_label_triple():
+    table = enumerate_levels(4, 2, 0, 0, e_cut=64)
+    assert len(table.levels) == 63 and len(table.records()) == 22352
+    for level in table.levels:
+        l = level.energy_exact - 2
+        assert l.denominator == 1 and level.degeneracy == math.comb(int(l) + 3, 3)
+        contributors = level.contributors
+        assert sum(c.multiplicity for c in contributors) == level.degeneracy
+        # the stored triples are distinct, and the per-split view covers exactly them
+        assert sorted({(c.N1 + c.N2, c.l_n, c.l_Nn) for c in contributors}) == sorted(
+            (p, l_n, l_nn) for p, l_n, l_nn, _ in level.labels)
 
 
 def _oracle_energies(N, n, c1, c2, e_cut):
