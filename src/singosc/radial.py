@@ -18,6 +18,15 @@ indicial power r^{alpha+1/2} and discretizes the remaining smooth problem in
 conservative form with weight r^{2 alpha + 1}.  It solves three grids, of
 nodes, 2 nodes and 4 nodes cells, and extrapolates each level by two h^2
 Richardson stages; the three raw values also give its observed order.
+
+Each grid's lowest levels come from inverse iteration (LAPACK dstein) started
+at one guess per level: a loose bisection on the coarse grid, the coarse levels
+on the mid grid and their h^2 prediction on the fine grid.  A level is the
+Rayleigh quotient of its vector, certified by its residual interval and one
+Sturm count; when a certificate fails the grid is bisected to full precision
+instead.  The quotients are not limited by bisection's ulp * ||T|| stop, so
+FD agrees with the closed form to about 1e-13 relative at 512 nodes (m = 2,
+c = 1, Nr <= 2), where bisection left 2e-12 to 5e-12.
 """
 
 from __future__ import annotations
@@ -287,6 +296,81 @@ def _fd_grid(spec: ComponentSpec, grid: GridSpec, count: int) -> tuple[float, li
     return r_max, [grid.nodes, 2 * grid.nodes, 4 * grid.nodes]
 
 
+# Absolute tolerance of the coarse grid's guesses, relative to ||T||_inf, and
+# the rounds of inverse iteration before the certificate is tried.
+GUESS_TOL = 1e-7
+REFINE_ROUNDS = 3
+
+
+def _gershgorin(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
+    """(lower bound of T's spectrum, ||T||_inf) for T = (diag, off), from its
+    Gershgorin discs."""
+    radius = np.zeros_like(diag)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    return float(np.min(diag - radius)), float(np.max(np.abs(diag) + radius))
+
+
+def _bisect(diag: np.ndarray, off: np.ndarray, count: int, tol: float = 0.0) -> np.ndarray:
+    """Levels 0..count-1 of T by LAPACK dstebz bisection to absolute ``tol``;
+    0 bisects to full precision, ulp * ||T||."""
+    from scipy.linalg import lapack
+    # range 2: by index, levels il..iu = 1..count (1-based)
+    m, w, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, count, tol, b"E")
+    if info != 0 or m != count:
+        raise np.linalg.LinAlgError(f"dstebz returned info={info}, {m} of {count} levels")
+    return w[:count]
+
+
+def _lowest(diag: np.ndarray, off: np.ndarray, count: int, guess) -> np.ndarray:
+    """Levels 0..count-1 of T = (diag, off), refined from one guess per level.
+
+    Inverse iteration (LAPACK dstein, all levels in one call) turns the guesses
+    into vectors z, and each level is its Rayleigh quotient q with residual
+    r = ||Tz - qz||; while some r exceeds the rounding floor the quotients are
+    the next shifts.  For symmetric T each interval q +- (r + floor) holds an
+    eigenvalue, so when the intervals ascend disjointly and one Sturm count
+    finds exactly ``count`` eigenvalues up to the top of the last one, the
+    quotients are levels 0..count-1.  Any other outcome bisects instead, also a
+    guess list that does not strictly ascend, which is never passed to dstein:
+    LAPACK rejects it with a message on stdout."""
+    from scipy.linalg import lapack
+    n = diag.size
+    bottom, norm = _gershgorin(diag, off)
+    floor = 8.0 * n * np.finfo(float).eps * norm
+    shifts = np.asarray(guess, dtype=float)
+    block = np.ones(n, dtype=np.int32)
+    split = np.full(n, n, dtype=np.int32)
+    for _ in range(REFINE_ROUNDS):
+        if not np.all(np.diff(shifts) > 0.0):
+            return _bisect(diag, off, count)
+        z, info = lapack.dstein(diag, off, shifts, block, split)
+        if info != 0:
+            return _bisect(diag, off, count)
+        tz = diag[:, None] * z
+        tz[:-1] += off[:, None] * z[1:]
+        tz[1:] += off[:, None] * z[:-1]
+        q = np.einsum("ij,ij->j", z, tz) / np.einsum("ij,ij->j", z, z)
+        residual = np.linalg.norm(tz - q * z, axis=0)
+        if residual.max() <= floor:
+            break
+        shifts = q
+    else:
+        return _bisect(diag, off, count)
+    radius = residual + floor
+    lower, upper = q - radius, q + radius
+    if not np.all(lower[1:] > upper[:-1]):
+        return _bisect(diag, off, count)
+    # range 1: by value over (below, upper[-1]]; a tolerance wider than that
+    # interval leaves it unbisected, so the call is one Sturm count per end
+    below = bottom - floor
+    width = upper[-1] - below
+    m, _, _, _, info = lapack.dstebz(diag, off, 1, below, upper[-1], 1, 1, 2.0 * width, b"E")
+    if info != 0 or m != count:
+        return _bisect(diag, off, count)
+    return q
+
+
 def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
                    count: int = 1) -> FdResult:
     """Lowest eigenvalues of the radial operator, Richardson-extrapolated from
@@ -294,18 +378,23 @@ def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
 
     The discretized operator acts on the reduced radial function with
     regularity at 0 and a Dirichlet cutoff at r_max; eigenvalues are returned
-    in energy units (multiplied back by hbar^2).
+    in energy units (multiplied back by hbar^2).  Each grid's guesses for
+    ``_lowest`` come from a loose bisection (coarse), the coarse levels (mid)
+    or their h^2 prediction mid - (coarse - mid)/4 (fine).
     """
-    from scipy.linalg import eigh_tridiagonal
     if count < 1:
         raise ValueError("need at least one eigenvalue")
     r_max, cells = _fd_grid(spec, grid or GridSpec(), count)
     raw = []
     for M in cells:
         diag, off = _regularized_tridiagonal(spec, M, r_max)
-        vals = eigh_tridiagonal(diag, off, select="i",
-                                select_range=(0, count - 1), eigvals_only=True)
-        raw.append(tuple(float(v) for v in vals))
+        if not raw:
+            guess = _bisect(diag, off, count, GUESS_TOL * _gershgorin(diag, off)[1])
+        elif len(raw) == 1:
+            guess = raw[0]
+        else:
+            guess = [mid - (coarse - mid) / 4.0 for coarse, mid in zip(*raw)]
+        raw.append(tuple(float(v) for v in _lowest(diag, off, count, guess)))
 
     energies, orders = _richardson(raw)
     h2 = float(spec.hbar ** 2)

@@ -282,8 +282,8 @@ def test_timings_go_to_stderr_and_leave_stdout_pinned(capsys, command, N, n):
 
 
 def test_levels_past_the_e_cut_limit_exits_2_at_once(capsys):
-    # at the parent's unbounded enumeration, --e-cut 1000 would need about
-    # 10^10 table entries
+    # without the limit, --e-cut 1000 would build a table of about 8*10^7
+    # label entries
     start = time.perf_counter()
     code, out, err = _run(capsys, ["levels", "--N", "4", "--n", "2", "--e-cut", "1000"])
     assert time.perf_counter() - start < 1.0

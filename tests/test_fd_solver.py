@@ -1,0 +1,112 @@
+"""The FD oracle's per-grid solver: certified inverse iteration, bisection fallback."""
+
+from __future__ import annotations
+
+import json
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from scipy.linalg import eigh_tridiagonal
+
+from singosc import radial
+from singosc.cli import main
+from singosc.radial import ComponentSpec, GridError, GridSpec, fd_eigenvalues
+
+
+def _spy_full_bisection(monkeypatch) -> list[int]:
+    """Record the size of every matrix that ``radial._bisect`` solves to full
+    precision (tol 0); the coarse grid's loose guesses are not recorded."""
+    bisect = radial._bisect
+    sizes = []
+
+    def spy(diag, off, count, tol=0.0):
+        if tol == 0.0:
+            sizes.append(diag.size)
+        return bisect(diag, off, count, tol)
+    monkeypatch.setattr(radial, "_bisect", spy)
+    return sizes
+
+
+def _irrational_specs(seed: int, how_many: int) -> list[tuple[ComponentSpec, int, int]]:
+    """(spec, count, nodes) with m = 1..8, an irrational alpha, count <= 12 and
+    nodes <= 256, drawn until the grid resolves the requested levels."""
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < how_many:
+        m = rng.randrange(1, 9)
+        spec = ComponentSpec(m=m, c=Fraction(rng.randrange(1, 60), rng.randrange(1, 8)),
+                             l=0 if m == 1 else rng.randrange(0, 4))
+        count, nodes = rng.randrange(1, 13), rng.choice([64, 128, 256])
+        if spec.alpha_exact is not None:
+            continue
+        try:
+            radial._fd_grid(spec, GridSpec(nodes=nodes), count)
+        except GridError:
+            continue
+        specs.append((spec, count, nodes))
+    return specs
+
+
+def _dense_levels(spec: ComponentSpec, cells: int, r_max: float, count: int) -> np.ndarray:
+    diag, off = radial._regularized_tridiagonal(spec, cells, r_max)
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvalsh(dense)[:count]
+
+
+def _check_against_dense(spec: ComponentSpec, count: int, nodes: int, r_max=None):
+    result = fd_eigenvalues(spec, GridSpec(nodes=nodes, r_max=r_max), count)
+    for cells, raw in zip((nodes, 2 * nodes, 4 * nodes), result.raw_levels):
+        dense = _dense_levels(spec, cells, result.r_max, count)
+        assert np.all(np.abs(np.asarray(raw) - dense) <= 1e-11 * np.abs(dense)), (spec, cells)
+
+
+@pytest.mark.parametrize("spec,count,nodes", _irrational_specs(27, 6))
+def test_every_grid_matches_a_dense_eigensolver_without_bisecting(spec, count, nodes,
+                                                                  monkeypatch):
+    full = _spy_full_bisection(monkeypatch)
+    _check_against_dense(spec, count, nodes)
+    assert full == []
+
+
+def test_a_short_r_max_grid_matches_a_dense_eigensolver():
+    # the cut at r_max = 4.5 that the CLI's non-convergence test uses
+    _check_against_dense(ComponentSpec(m=2), 3, 256, r_max=4.5)
+
+
+def _wrong_guesses(levels: np.ndarray, norm: float) -> dict[str, np.ndarray]:
+    count = levels.size - 1
+    return {
+        "shifted up one level": levels[1:],
+        "duplicated": np.r_[levels[0], levels[:count - 1]],
+        "not ascending": levels[:count][::-1],
+        "far above the spectrum": 10.0 * norm + np.arange(count),
+    }
+
+
+def test_wrong_guesses_fall_back_to_full_precision_bisection(monkeypatch, capfd):
+    spec, count = ComponentSpec(m=2, c=Fraction(1)), 4
+    r_max, cells = radial._fd_grid(spec, GridSpec(nodes=128), count)
+    diag, off = radial._regularized_tridiagonal(spec, cells[0], r_max)
+    levels = eigh_tridiagonal(diag, off, select="i", select_range=(0, count),
+                              eigvals_only=True)
+    bisected = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
+                                eigvals_only=True)
+    full = _spy_full_bisection(monkeypatch)
+    for name, guess in _wrong_guesses(levels, radial._gershgorin(diag, off)[1]).items():
+        before = len(full)
+        got = radial._lowest(diag, off, count, guess)
+        assert len(full) == before + 1, name
+        assert np.array_equal(got, bisected), name
+    captured = capfd.readouterr()
+    assert (captured.out, captured.err) == ("", "")
+
+
+def test_radial_readme_command_agrees_past_bisection_precision(capsys):
+    # a converged Rayleigh quotient is not limited by bisection's ulp * ||T||
+    # stop, which left 4.5e-12, 3.6e-12 and 2.2e-12 here
+    assert main(["radial", "--m", "2", "--c", "1", "--count", "3"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == 3
+    assert all(rec["fd_rel_error"] < 1e-12 for rec in records)
