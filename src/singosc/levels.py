@@ -65,13 +65,22 @@ class Contributor:
     multiplicity: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Level:
     energy: float
     energy_exact: Fraction | None
     degeneracy: int
     labels: tuple[tuple[int, int, int, int], ...]
     flags: tuple[str, ...] = ()
+
+    def __init__(self, energy: float, energy_exact: Fraction | None, degeneracy: int,
+                 labels: tuple[tuple[int, int, int, int], ...], flags: tuple[str, ...] = ()):
+        # The generated frozen __init__ sets each field by object.__setattr__;
+        # filling the instance dict gives the same instance for less, and
+        # enumerate_levels builds one per level.
+        attrs = self.__dict__
+        attrs["energy"], attrs["energy_exact"] = energy, energy_exact
+        attrs["degeneracy"], attrs["labels"], attrs["flags"] = degeneracy, labels, flags
 
     @property
     def contributors(self) -> tuple[Contributor, ...]:
@@ -138,8 +147,9 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
                          f"{E_CUT_LIMIT * hbar * omega}; the level table grows as "
                          "(e_cut / hbar omega)^3")
     blocks = ((n, c1 / hbar ** 2), (N - n, c2 / hbar ** 2))
-    hw = float(hbar * omega)
-    cut = Fraction(e_cut) / (hbar * omega)
+    hw = hbar * omega
+    two_hw = 2.0 * float(hw)
+    cut = Fraction(e_cut) / hw
     xn, xd = cut.numerator, cut.denominator
     # E / (hbar omega) = 2 p + 2 + alpha1 + alpha2, and each alpha is
     # (a + b / sqrt(R)) / D: a and b ints over one denominator D for the table,
@@ -175,6 +185,7 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
     entries = []
     for l1 in block_labels(*blocks[0]):
         f1, a1, b1, R1 = alpha(0, l1)
+        dim1 = dim_harm(blocks[0][0], l1)
         for l2 in block_labels(*blocks[1]):
             f2, a2, b2, R2 = alpha(1, l2)
             rational = 2 * D + a1 + a2
@@ -184,9 +195,10 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
             if top < 0:
                 break
             irrational = _irrational_part(b1, R1, b2, R2)
-            mult = dim_harm(blocks[0][0], l1) * dim_harm(blocks[1][0], l2)
+            mult = dim1 * dim_harm(blocks[1][0], l2)
+            half = (f1 + f2) / 2.0
             for p in range(top + 1):
-                entries.append((2.0 * hw * (p + 1 + (f1 + f2) / 2.0), p, l1, l2, mult,
+                entries.append((two_hw * (p + 1 + half), p, l1, l2, mult,
                                 (irrational, rational + 2 * p * D)))
         if l2 == 0 and top < 0:
             break
@@ -198,11 +210,10 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
         levels.setdefault(key, (value, []))[1].append((p, l1, l2, mult))
     flags = tuple(f"block{i}-half-line-regular-sector"
                   for i, (m, c_reduced) in enumerate(blocks, 1) if m == 1 and c_reduced > 0)
+    hn, hd = hw.numerator, hw.denominator
     return LevelTable(N=N, n=n, c1=c1, c2=c2, hbar=hbar, omega=omega, e_cut=e_cut, levels=tuple(
-        Level(energy=value,
-              energy_exact=None if irrational else hbar * omega * Fraction(rational, D),
-              degeneracy=sum((p + 1) * mult for p, _, _, mult in labels),
-              labels=tuple(labels), flags=flags)
+        Level(value, None if irrational else Fraction(hn * rational, hd * D),
+              sum((p + 1) * mult for p, _, _, mult in labels), tuple(labels), flags)
         for (irrational, rational), (value, labels) in levels.items()))
 
 

@@ -20,7 +20,6 @@ a solution is read.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -87,6 +86,36 @@ class CentralEigs:
     def branches(self) -> tuple:
         """The placement table of ``solve_unirreps``, built by ``_branch_table``."""
         return _branch_table(self.mq)
+
+    @cached_property
+    def quarters(self) -> dict[tuple[int, int], Biquadratic]:
+        """s/4 = (eps1 m1 + eps2 m2)/4 per sign pair (eps1, eps2)."""
+        m1, m2 = self.mq.m1, self.mq.m2
+        return {(eps1, eps2): (eps1 * m1 + eps2 * m2) / 4 for eps1, eps2 in _SIGNS}
+
+    @cached_property
+    def _energies(self) -> dict[tuple[int, int, int], Biquadratic]:
+        return {}
+
+    @cached_property
+    def _energy_texts(self) -> dict[tuple[int, int, int], str]:
+        return {}
+
+    def energy(self, p: int, eps1: int, eps2: int) -> Biquadratic:
+        """E = 2 hbar omega (p + 1 + s/4), built once per (p, eps1, eps2): the
+        three solution sets of one (p, eps1, eps2) share it."""
+        key = p, eps1, eps2
+        if key not in self._energies:
+            hw = self.hbar * self.omega
+            self._energies[key] = (p + 1 + self.quarters[eps1, eps2]) * (2 * hw)
+        return self._energies[key]
+
+    def energy_text(self, p: int, eps1: int, eps2: int) -> str:
+        """The printed form of ``energy(p, eps1, eps2)``, also built once."""
+        key = p, eps1, eps2
+        if key not in self._energy_texts:
+            self._energy_texts[key] = _num_str(self.energy(*key), self.mq.exact)
+        return self._energy_texts[key]
 
 
 @dataclass(frozen=True)
@@ -246,7 +275,8 @@ class UnirrepSolution:
             "N": ce.N, "n": ce.n, "c1": str(ce.c1), "c2": str(ce.c2),
             "p": self.p, "l_n": ce.l_n, "l_Nn": ce.l_Nn,
             "set": self.set_id, "eps1": self.eps1, "eps2": self.eps2,
-            "u": _num_str(self.u, self.exact), "energy": _num_str(self.energy, self.exact),
+            "u": _num_str(self.u, self.exact),
+            "energy": ce.energy_text(self.p, self.eps1, self.eps2),
             "admissible": self.admissible,
             "failing_x": self.failing_x,
         }
@@ -262,9 +292,9 @@ def set_solution(set_id: int, eps1: int, eps2: int, p: int,
     """Closed-form (u, E) for one of the three solution sets, from the m1, m2
     of ``ce``: with s = eps1 m1 + eps2 m2, E = 2 hbar omega (p + 1 + s/4) and
     u = (hbar omega -+ E) / (2 hbar omega) for sets 1 and 2, and (2 + s)/4
-    for set 3."""
-    quarter = (eps1 * ce.mq.m1 + eps2 * ce.mq.m2) / 4
-    energy = (p + 1 + quarter) * (2 * ce.hbar * ce.omega)
+    for set 3.  s/4 and E are those that ``ce`` keeps."""
+    quarter = ce.quarters[eps1, eps2]
+    energy = ce.energy(p, eps1, eps2)
     if set_id == 1:
         u = -(quarter + Fraction(2 * p + 1, 2))
     elif set_id == 2:
@@ -282,34 +312,31 @@ def solve_unirreps(p: int, ce: CentralEigs) -> list[UnirrepSolution]:
     Every verdict is exact and computed in integers, for rational and
     irrational m1, m2 alike, from the branch table ``ce.branches`` that each
     ``CentralEigs`` builds once (``_branch_table``); per p the solver only
-    evaluates its placements at q = p + 1.  With s = eps1 m1 + eps2 m2,
-    E / (2 hbar omega) = q + s/4, so E > 0 exactly when s/2 > -2q: when
-    floor(s/2) > -2q, or floor(s/2) = -2q and s/2 is not an integer.  Since
-    eta = 24576 hbar^18 omega^2 = -lead / 512 > 0, Phi / eta = -512 prod_i
-    (x + u - r_i) vanishes at an integer x that is a root and is otherwise
-    positive exactly when an odd number of roots lie above x.  u, E and Phi
-    are not built here.
+    compares q = p + 1 with each branch's first q of positive energy and
+    places its roots at that q (``_verdict``).  Since eta = 24576 hbar^18
+    omega^2 = -lead / 512 > 0, Phi / eta = -512 prod_i (x + u - r_i) vanishes
+    at an integer x that is a root and is otherwise positive exactly when an
+    odd number of roots lie above x.  u, E and Phi are not built here.
     """
     if p < 0:
         raise ValueError("p must be non-negative")
     q = p + 1
     exact = ce.mq.exact
     out: list[UnirrepSolution] = []
-    for set_id, eps1, eps2, (half_s_floor, half_s_integral), roots in ce.branches:
-        if half_s_floor > -2 * q or (half_s_floor == -2 * q and not half_s_integral):
-            admissible, failing = _verdict(
-                [(slope * q + offset, integral) for slope, offset, integral in roots], p)
-        else:
-            admissible, failing = False, None
+    for set_id, eps1, eps2, q_min, roots in ce.branches:
+        admissible, failing = _verdict(roots, q) if q >= q_min else (False, None)
         out.append(UnirrepSolution(set_id, eps1, eps2, p, admissible, failing, exact, ce))
     return out
 
 
 def _branch_table(mq: MQuantum) -> tuple:
     """For each (set, eps1, eps2), in the order of ``solve_unirreps``: the tuple
-    (set, eps1, eps2, placement of s/2, roots of Phi).
+    (set, eps1, eps2, q_min, roots of Phi), none of which depends on p.
 
-    The placement of s/2 = (eps1 m1 + eps2 m2)/2 is (floor, is an integer).
+    With s = eps1 m1 + eps2 m2, E / (2 hbar omega) = q + s/4, so E > 0 exactly
+    when s/2 > -2q: when floor(s/2) > -2q, or floor(s/2) = -2q and s/2 is not
+    an integer, which holds from q = q_min on.
+
     u, the four m-roots (2 +- m1 +- m2)/4 and the two energy roots each read
     1/2 + j q + (k1 m1 + k2 m2)/4 with q = p + 1 and j in {-1, 0, 1}, so each
     factor x + u - r_i of Phi(x) = lead * prod_i (x + u - r_i) vanishes at
@@ -333,7 +360,9 @@ def _branch_table(mq: MQuantum) -> tuple:
             for slope, k1, k2 in factors:
                 floor, integral = placed[uk1 - k1, uk2 - k2]
                 roots.append((slope - u_slope, -floor, integral))
-            table.append((set_id, eps1, eps2, placed[2 * eps1, 2 * eps2], tuple(roots)))
+            half_s_floor, half_s_integral = placed[2 * eps1, 2 * eps2]
+            q_min = -half_s_floor // 2 + 1 if half_s_integral else -(half_s_floor // 2)
+            table.append((set_id, eps1, eps2, q_min, tuple(roots)))
     return tuple(table)
 
 
@@ -349,23 +378,44 @@ def _placements(rad1: int, rad2: int, den: int) -> dict[tuple[int, int], tuple[i
     return placed
 
 
-def _verdict(roots: list[tuple[int, bool]], p: int) -> tuple[bool, int | None]:
-    """(admissible, failing x) of a branch with E > 0, from the roots of Phi
-    given as (ceiling, is an integer): Phi must vanish at x = 0 and x = p + 1
-    and Phi / eta, whose sign is that of (-1)^(roots above x + 1), be
-    positive on 1..p."""
-    zeros = {ceil for ceil, integral in roots if integral}
-    if 0 not in zeros:
+def _verdict(roots: tuple, q: int) -> tuple[bool, int | None]:
+    """(admissible, failing x) at q = p + 1 of a branch with E > 0, from the
+    roots of Phi as (slope, offset, is an integer), their ceilings being
+    slope q + offset: Phi must vanish at x = 0 and x = q, and Phi / eta, whose
+    sign is that of (-1)^(roots above x + 1), be positive on 1..p.
+
+    One pass over the roots finds the zeros, the roots above x = 1 and the
+    ceilings in 2..p.  The count above x drops by the number of ceilings
+    equal to x, so Phi / eta changes sign at an x of 2..p exactly when an odd
+    number of ceilings equal x; the first x of 1..p to fail is 1 when the count
+    above 1 is even, else the first zero or sign change."""
+    zero_0 = zero_q = False
+    above = 0
+    first = q  # the first zero in 1..p, q for none
+    inner = []
+    for slope, offset, integral in roots:
+        ceil = slope * q + offset
+        if ceil > 1:
+            above += 1
+            if ceil < q:
+                inner.append(ceil)
+        if integral:
+            if ceil == 0:
+                zero_0 = True
+            elif ceil == q:
+                zero_q = True
+            elif 0 < ceil < first:
+                first = ceil
+    if not zero_0:
         return False, 0
-    if p + 1 not in zeros:
-        return False, p + 1
-    # the number of roots above x changes only where x reaches a ceiling, so
-    # the first x of 1..p to fail is 1 or a ceiling: one pass over them, sorted
-    ceilings = sorted(ceil for ceil, _ in roots)
-    for x in (1, *ceilings):
-        if 1 <= x <= p and (x in zeros or not (len(ceilings) - bisect_right(ceilings, x)) % 2):
-            return False, x
-    return True, None
+    if not zero_q:
+        return False, q
+    if q > 1 and not above % 2:
+        return False, 1
+    for ceil in inner:
+        if ceil < first and inner.count(ceil) % 2:
+            first = ceil
+    return (True, None) if first == q else (False, first)
 
 
 # -- harmonic (c1 = c2 = 0) limit -------------------------------------------------

@@ -17,7 +17,11 @@ the limit-circle regime for alpha < 1), so the solver factors out the
 indicial power r^{alpha+1/2} and discretizes the remaining smooth problem in
 conservative form with weight r^{2 alpha + 1}.  It solves three grids, of
 nodes, 2 nodes and 4 nodes cells, and extrapolates each level by two h^2
-Richardson stages; the three raw values also give its observed order.
+Richardson stages; the three raw values also give its observed order.  The
+grids share one set of face powers r^{2 alpha + 1} and r^{2 alpha + 2},
+computed on the finest grid: the faces of the coarser two are its every 4th
+and every 2nd face, bit for bit, so each grid is the one it would be if built
+on its own.
 
 Each grid's lowest levels come from inverse iteration (LAPACK dstein) started
 at one guess per level: a loose bisection on the coarse grid, the coarse levels
@@ -253,27 +257,41 @@ class FdResult:
         return all(abs(order - 2.0) <= ORDER_TOL for order in self.observed_orders)
 
 
-def _regularized_tridiagonal(spec: ComponentSpec, M: int, r_max: float):
-    """Conservative scheme for the smooth factor phi = chi / r^{alpha+1/2}.
+def _regularized_tridiagonals(spec: ComponentSpec, cells: list[int], r_max: float):
+    """Conservative scheme for the smooth factor phi = chi / r^{alpha+1/2}, as
+    (diag, off) for each grid of ``cells`` cells on (0, r_max).
 
     Cell centers r_i = (i-1/2)h, exact cell integrals of the weight
     r^{2 alpha + 1}, midpoint fluxes, Dirichlet half-cell at r_max.  The zero
     flux through the r = 0 face enforces the regular branch exactly.
+
+    The face powers r^{2 alpha + 1} and r^{2 alpha + 2} are computed once, on
+    the finest grid, the last of ``cells``; every other count must be that one
+    over a power of two.  A grid's h is then the finest h times a power of two,
+    exactly, so its faces and centers are the finest grid's faces and centers
+    at a stride, bit for bit, and so are the powers.
     """
-    h = r_max / M
+    fine = cells[-1]
     alpha = math.sqrt(float(spec.alpha_squared))
-    centers = (np.arange(1, M + 1) - 0.5) * h
-    faces = np.arange(0, M + 1) * h
-    a_face = faces ** (2.0 * alpha + 1.0)
+    # the faces (even) and centers (odd) of the finest grid
+    points = np.arange(0, 2 * fine + 1) * (r_max / (2 * fine))
+    a_fine = points[::2] ** (2.0 * alpha + 1.0)
     p = 2.0 * alpha + 2.0
-    w_cell = (faces[1:] ** p - faces[:-1] ** p) / p
+    p_fine = points[::2] ** p
     wq = float(spec.omega_reduced)
-    v = 0.5 * wq * wq * centers * centers
-    diag = (a_face[:-1] + a_face[1:]) / (2.0 * h)
-    diag[-1] += a_face[-1] / h  # half-cell Dirichlet closure at r_max
-    diag = (diag + v * w_cell) / w_cell
-    off = -a_face[1:-1] / (2.0 * h) / np.sqrt(w_cell[:-1] * w_cell[1:])
-    return diag, off
+    grids = []
+    for M in cells:
+        h = r_max / M
+        step = fine // M
+        a_face, p_face, centers = a_fine[::step], p_fine[::step], points[step::2 * step]
+        w_cell = (p_face[1:] - p_face[:-1]) / p
+        v = 0.5 * wq * wq * centers * centers
+        diag = (a_face[:-1] + a_face[1:]) / (2.0 * h)
+        diag[-1] += a_face[-1] / h  # half-cell Dirichlet closure at r_max
+        diag = (diag + v * w_cell) / w_cell
+        off = a_face[1:-1] / (-2.0 * h) / np.sqrt(w_cell[:-1] * w_cell[1:])
+        grids.append((diag, off))
+    return grids
 
 
 def _fd_grid(spec: ComponentSpec, grid: GridSpec, count: int) -> tuple[float, list[int]]:
@@ -300,15 +318,17 @@ def _fd_grid(spec: ComponentSpec, grid: GridSpec, count: int) -> tuple[float, li
 # the rounds of inverse iteration before the certificate is tried.
 GUESS_TOL = 1e-7
 REFINE_ROUNDS = 3
+_EPS = np.finfo(float).eps
 
 
 def _gershgorin(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
     """(lower bound of T's spectrum, ||T||_inf) for T = (diag, off), from its
     Gershgorin discs."""
+    size = np.abs(off)
     radius = np.zeros_like(diag)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    return float(np.min(diag - radius)), float(np.max(np.abs(diag) + radius))
+    radius[:-1] += size
+    radius[1:] += size
+    return float((diag - radius).min()), float((np.abs(diag) + radius).max())
 
 
 def _bisect(diag: np.ndarray, off: np.ndarray, count: int, tol: float = 0.0) -> np.ndarray:
@@ -322,8 +342,10 @@ def _bisect(diag: np.ndarray, off: np.ndarray, count: int, tol: float = 0.0) -> 
     return w[:count]
 
 
-def _lowest(diag: np.ndarray, off: np.ndarray, count: int, guess) -> np.ndarray:
-    """Levels 0..count-1 of T = (diag, off), refined from one guess per level.
+def _lowest(diag: np.ndarray, off: np.ndarray, count: int, guess,
+            bounds: tuple[float, float]) -> np.ndarray:
+    """Levels 0..count-1 of T = (diag, off), refined from one guess per level;
+    ``bounds`` is ``_gershgorin(diag, off)``.
 
     Inverse iteration (LAPACK dstein, all levels in one call) turns the guesses
     into vectors z, and each level is its Rayleigh quotient q with residual
@@ -336,13 +358,13 @@ def _lowest(diag: np.ndarray, off: np.ndarray, count: int, guess) -> np.ndarray:
     LAPACK rejects it with a message on stdout."""
     from scipy.linalg import lapack
     n = diag.size
-    bottom, norm = _gershgorin(diag, off)
-    floor = 8.0 * n * np.finfo(float).eps * norm
+    bottom, norm = bounds
+    floor = 8.0 * n * _EPS * norm
     shifts = np.asarray(guess, dtype=float)
     block = np.ones(n, dtype=np.int32)
     split = np.full(n, n, dtype=np.int32)
     for _ in range(REFINE_ROUNDS):
-        if not np.all(np.diff(shifts) > 0.0):
+        if not (shifts[1:] > shifts[:-1]).all():
             return _bisect(diag, off, count)
         z, info = lapack.dstein(diag, off, shifts, block, split)
         if info != 0:
@@ -351,7 +373,8 @@ def _lowest(diag: np.ndarray, off: np.ndarray, count: int, guess) -> np.ndarray:
         tz[:-1] += off[:, None] * z[1:]
         tz[1:] += off[:, None] * z[:-1]
         q = np.einsum("ij,ij->j", z, tz) / np.einsum("ij,ij->j", z, z)
-        residual = np.linalg.norm(tz - q * z, axis=0)
+        tz -= q * z
+        residual = np.sqrt((tz * tz).sum(axis=0))
         if residual.max() <= floor:
             break
         shifts = q
@@ -359,7 +382,7 @@ def _lowest(diag: np.ndarray, off: np.ndarray, count: int, guess) -> np.ndarray:
         return _bisect(diag, off, count)
     radius = residual + floor
     lower, upper = q - radius, q + radius
-    if not np.all(lower[1:] > upper[:-1]):
+    if not (lower[1:] > upper[:-1]).all():
         return _bisect(diag, off, count)
     # range 1: by value over (below, upper[-1]]; a tolerance wider than that
     # interval leaves it unbisected, so the call is one Sturm count per end
@@ -386,15 +409,15 @@ def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
         raise ValueError("need at least one eigenvalue")
     r_max, cells = _fd_grid(spec, grid or GridSpec(), count)
     raw = []
-    for M in cells:
-        diag, off = _regularized_tridiagonal(spec, M, r_max)
+    for diag, off in _regularized_tridiagonals(spec, cells, r_max):
+        bounds = _gershgorin(diag, off)
         if not raw:
-            guess = _bisect(diag, off, count, GUESS_TOL * _gershgorin(diag, off)[1])
+            guess = _bisect(diag, off, count, GUESS_TOL * bounds[1])
         elif len(raw) == 1:
             guess = raw[0]
         else:
             guess = [mid - (coarse - mid) / 4.0 for coarse, mid in zip(*raw)]
-        raw.append(tuple(float(v) for v in _lowest(diag, off, count, guess)))
+        raw.append(tuple(_lowest(diag, off, count, guess, bounds).tolist()))
 
     energies, orders = _richardson(raw)
     h2 = float(spec.hbar ** 2)
@@ -432,7 +455,7 @@ def fd_eigenvector(spec: ComponentSpec, grid: GridSpec | None = None,
     from scipy.linalg import eigh_tridiagonal
     r_max, cells = _fd_grid(spec, grid or GridSpec(), index + 1)
     M = cells[-1]
-    diag, off = _regularized_tridiagonal(spec, M, r_max)
+    [(diag, off)] = _regularized_tridiagonals(spec, [M], r_max)
     _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(index, index))
     h = r_max / M
     return (np.arange(1, M + 1) - 0.5) * h, vecs[:, 0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -50,7 +51,7 @@ def _irrational_specs(seed: int, how_many: int) -> list[tuple[ComponentSpec, int
 
 
 def _dense_levels(spec: ComponentSpec, cells: int, r_max: float, count: int) -> np.ndarray:
-    diag, off = radial._regularized_tridiagonal(spec, cells, r_max)
+    [(diag, off)] = radial._regularized_tridiagonals(spec, [cells], r_max)
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     return np.linalg.eigvalsh(dense)[:count]
 
@@ -75,6 +76,45 @@ def test_a_short_r_max_grid_matches_a_dense_eigensolver():
     _check_against_dense(ComponentSpec(m=2), 3, 256, r_max=4.5)
 
 
+def _tridiagonal_by_grid(spec: ComponentSpec, M: int, r_max: float):
+    """Reference: one grid built on its own, with its own face powers."""
+    h = r_max / M
+    alpha = math.sqrt(float(spec.alpha_squared))
+    centers = (np.arange(1, M + 1) - 0.5) * h
+    faces = np.arange(0, M + 1) * h
+    a_face = faces ** (2.0 * alpha + 1.0)
+    p = 2.0 * alpha + 2.0
+    w_cell = (faces[1:] ** p - faces[:-1] ** p) / p
+    wq = float(spec.omega_reduced)
+    v = 0.5 * wq * wq * centers * centers
+    diag = (a_face[:-1] + a_face[1:]) / (2.0 * h)
+    diag[-1] += a_face[-1] / h
+    diag = (diag + v * w_cell) / w_cell
+    off = -a_face[1:-1] / (2.0 * h) / np.sqrt(w_cell[:-1] * w_cell[1:])
+    return diag, off
+
+
+def test_shared_face_powers_build_each_grid_bit_for_bit():
+    rng = random.Random(28)
+    built = 0
+    while built < 40:
+        m = rng.randrange(1, 9)
+        spec = ComponentSpec(m=m, c=Fraction(rng.randrange(0, 60), rng.randrange(1, 8)),
+                             l=0 if m == 1 else rng.randrange(0, 4),
+                             hbar=Fraction(rng.randrange(1, 5), rng.randrange(1, 4)),
+                             omega=Fraction(rng.randrange(1, 5), rng.randrange(1, 4)))
+        grid = GridSpec(nodes=rng.choice([64, 100, 128, 333, 512]),
+                        r_max=rng.choice([None, rng.uniform(2.0, 30.0)]))
+        try:
+            r_max, cells = radial._fd_grid(spec, grid, rng.randrange(1, 8))
+        except GridError:
+            continue
+        built += 1
+        for M, (diag, off) in zip(cells, radial._regularized_tridiagonals(spec, cells, r_max)):
+            ref_diag, ref_off = _tridiagonal_by_grid(spec, M, r_max)
+            assert np.array_equal(diag, ref_diag) and np.array_equal(off, ref_off), (spec, M)
+
+
 def _wrong_guesses(levels: np.ndarray, norm: float) -> dict[str, np.ndarray]:
     count = levels.size - 1
     return {
@@ -88,7 +128,7 @@ def _wrong_guesses(levels: np.ndarray, norm: float) -> dict[str, np.ndarray]:
 def test_wrong_guesses_fall_back_to_full_precision_bisection(monkeypatch, capfd):
     spec, count = ComponentSpec(m=2, c=Fraction(1)), 4
     r_max, cells = radial._fd_grid(spec, GridSpec(nodes=128), count)
-    diag, off = radial._regularized_tridiagonal(spec, cells[0], r_max)
+    [(diag, off)] = radial._regularized_tridiagonals(spec, cells[:1], r_max)
     levels = eigh_tridiagonal(diag, off, select="i", select_range=(0, count),
                               eigvals_only=True)
     bisected = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
@@ -96,7 +136,7 @@ def test_wrong_guesses_fall_back_to_full_precision_bisection(monkeypatch, capfd)
     full = _spy_full_bisection(monkeypatch)
     for name, guess in _wrong_guesses(levels, radial._gershgorin(diag, off)[1]).items():
         before = len(full)
-        got = radial._lowest(diag, off, count, guess)
+        got = radial._lowest(diag, off, count, guess, radial._gershgorin(diag, off))
         assert len(full) == before + 1, name
         assert np.array_equal(got, bisected), name
     captured = capfd.readouterr()

@@ -15,6 +15,7 @@ from level_oracles import count_quanta_tuples, dim_harm_bruteforce
 from singosc.cli import main
 from singosc.levels import (dim_harm, enumerate_levels, oscillator_count_check,
                             oscillator_level_count)
+from singosc.exact import exact_sqrt
 from singosc.qalg import CentralEigs, set_solution
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -263,6 +264,64 @@ def test_levels_partition_contributors_by_exact_energy(N, n, c1, c2, e_cut):
                 assert (labels in seen) == (energy < cut), (labels, energy)
             else:  # only an energy that equals the cut lies this close to it
                 assert labels in seen, labels
+
+
+def _level_fields_by_labels(table) -> list[tuple]:
+    """Reference: each level's fields rebuilt from its labels alone.  alpha is
+    the signed l + (m-2)/2 at zero coupling, else the root of
+    (l + (m-2)/2)^2 + 2c/hbar^2, as a float rounded once; the level's float
+    energy is the least of its labels' 2 hbar omega (p + 1 + (alpha1 + alpha2)/2),
+    and its exact energy hbar omega (2p + 2 + alpha1 + alpha2) when both are
+    rational."""
+    dims = (table.n, table.N - table.n)
+    hw = table.hbar * table.omega
+
+    def alpha(block, l):
+        c = (table.c1, table.c2)[block] / table.hbar ** 2
+        base = Fraction(2 * l + dims[block] - 2, 2)
+        if c == 0:
+            return float(base), base
+        root = exact_sqrt(base ** 2 + 2 * c)
+        return (float(root) if root is not None else math.sqrt(float(base ** 2 + 2 * c))), root
+
+    out = []
+    for level in table.levels:
+        floats, exacts, degeneracy, labels = [], set(), 0, []
+        for p, l_n, l_nn, _ in level.labels:
+            (f1, r1), (f2, r2) = alpha(0, l_n), alpha(1, l_nn)
+            floats.append(2.0 * float(hw) * (p + 1 + (f1 + f2) / 2.0))
+            exacts.add(None if r1 is None or r2 is None else hw * (2 * p + 2 + r1 + r2))
+            mult = dim_harm(dims[0], l_n) * dim_harm(dims[1], l_nn)
+            degeneracy += (p + 1) * mult
+            labels.append((p, l_n, l_nn, mult))
+        [exact] = exacts
+        flags = tuple(f"block{i}-half-line-regular-sector"
+                      for i, (m, c) in enumerate(zip(dims, (table.c1, table.c2)), 1)
+                      if m == 1 and c > 0)
+        out.append((min(floats), exact, degeneracy, tuple(labels), flags))
+    return out
+
+
+def test_level_fields_match_a_build_from_their_labels():
+    rng = random.Random(28)
+    tables = 0
+    while tables < 30:
+        N = rng.randrange(2, 8)
+        n = rng.randrange(1, N)
+        c1, c2 = (rng.choice([Fraction(0), Fraction(rng.randrange(1, 40), rng.randrange(1, 9))])
+                  for _ in range(2))
+        hbar = Fraction(rng.randrange(1, 4), rng.randrange(1, 3))
+        omega = Fraction(rng.randrange(1, 5), rng.randrange(1, 4))
+        table = enumerate_levels(N, n, c1, c2, e_cut=hbar * omega * rng.randrange(N, N + 12),
+                                 hbar=hbar, omega=omega)
+        if not table.levels:
+            continue
+        tables += 1
+        assert [(level.energy, level.energy_exact, level.degeneracy, level.labels, level.flags)
+                for level in table.levels] == _level_fields_by_labels(table), table
+        for level in table.levels:
+            assert type(level.energy) is float
+            assert type(level.energy_exact) in (Fraction, type(None))
 
 
 def test_levels_are_cut_exactly():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import mpmath as mp
@@ -198,6 +199,55 @@ def test_factor_evaluation_matches_expanded_polynomial():
                 assert sol.phi_values == tuple(values)
                 seen_exact.add(sol.exact)
     assert seen_exact == {True, False}
+
+
+def _verdict_by_sorted_walk(roots: list[tuple[int, bool]], p: int) -> tuple[bool, int | None]:
+    """Reference verdict of a branch with E > 0, from the roots of Phi as
+    (ceiling, is an integer): a zero set, then a walk over the sorted ceilings."""
+    zeros = {ceil for ceil, integral in roots if integral}
+    if 0 not in zeros:
+        return False, 0
+    if p + 1 not in zeros:
+        return False, p + 1
+    ceilings = sorted(ceil for ceil, _ in roots)
+    for x in (1, *ceilings):
+        if 1 <= x <= p and (x in zeros or not (len(ceilings) - bisect_right(ceilings, x)) % 2):
+            return False, x
+    return True, None
+
+
+def _parity_block_eigs(rng):
+    """c = 0 with a one-coordinate block, whose label is a parity 0 or 1."""
+    N = rng.randrange(2, 7)
+    n = rng.choice([1, N - 1])
+    return CentralEigs(N=N, n=n, l_n=rng.randrange(0, 2 if n == 1 else 4),
+                      l_Nn=rng.randrange(0, 2 if N - n == 1 else 4),
+                      hbar=Fraction(rng.randrange(1, 4), 2), omega=Fraction(rng.randrange(1, 4)))
+
+
+def test_one_pass_verdicts_match_the_sorted_walk():
+    rng = random.Random(28)
+    # the (2,1) branch set 1, (-1,-1) at l = (0,0) has the verdict that
+    # ROADMAP item 1 tracks as wrong; it is decided like any other branch
+    harmonic_21 = CentralEigs(N=2, n=1, l_n=0, l_Nn=0)
+    cases = ([_rational_m_eigs(rng)[0] for _ in range(8)]
+             + [_irrational_m_eigs(rng) for _ in range(8)]
+             + [_parity_block_eigs(rng) for _ in range(8)] + [harmonic_21])
+    assert {ce.mq.exact for ce in cases} == {True, False}
+    for ce in cases:
+        for p in range(13):
+            q = p + 1
+            for sol, (set_id, eps1, eps2, _, roots) in zip(solve_unirreps(p, ce), ce.branches):
+                assert (sol.set_id, sol.eps1, sol.eps2) == (set_id, eps1, eps2)
+                if set_solution(set_id, eps1, eps2, p, ce)[1].sign() > 0:
+                    want = _verdict_by_sorted_walk(
+                        [(slope * q + offset, integral) for slope, offset, integral in roots], p)
+                else:
+                    want = (False, None)
+                assert (sol.admissible, sol.failing_x) == want, (ce, p, set_id, eps1, eps2)
+    tracked = {p: next(s for s in solve_unirreps(p, harmonic_21)
+                       if (s.set_id, s.eps1, s.eps2) == (1, -1, -1)) for p in range(1, 13)}
+    assert all((s.admissible, s.failing_x) == (False, p) for p, s in tracked.items())
 
 
 def test_verdicts_need_neither_closed_form_nor_values(monkeypatch):
