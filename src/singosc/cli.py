@@ -3,11 +3,13 @@
 All numeric inputs are exact rational strings ("3/4", "2"); every record is
 emitted as one json line (or one CSV row) in a fixed order, so identical
 configurations produce byte-identical output.  Timings and progress go
-to stderr only, as do the per-check times of ``verify-algebra --timings`` and
-``verify-poisson --timings``.  Those two share one handler, since both run
-the one check table of ``opalg.verify``; bad input, such as a non-finite
-``--r-max``, an ``--e-cut`` past ``levels.E_CUT_LIMIT`` or an ``--output``
-that cannot be written, exits 2 with a message.
+to stderr only, as do the per-check times of ``verify-* --timings``.  The
+three verify commands share one handler, which prints the records of a
+``report.VerificationReport``: ``verify-algebra`` and ``verify-poisson`` run
+the check table of ``opalg.verify``, ``verify-spectrum`` that of ``qalg``.
+Bad input, such as a non-finite ``--r-max``, an ``--e-cut`` past
+``levels.E_CUT_LIMIT`` or below the ground level, or an ``--output`` that
+cannot be written, exits 2 with a message.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ import math
 import sys
 from fractions import Fraction
 from functools import partial
-
-SUBCOMMANDS = ("verify-algebra", "verify-poisson", "spectrum", "radial",
-               "levels", "wavefunction")
-
 
 class ConfigError(Exception):
     pass
@@ -40,6 +38,39 @@ def _fraction(text: str) -> Fraction:
         raise ConfigError(f"not an exact rational: {text!r} ({exc})") from None
 
 
+# Each option's argparse settings.  A subcommand takes only the options its
+# handler reads: those it names below, then --format and --output.
+_OPTIONS = {
+    "--N": {"type": int, "required": True}, "--n": {"type": int, "required": True},
+    "--m": {"type": int, "required": True}, "--c1": {}, "--c2": {}, "--c": {},
+    "--l": {"type": int}, "--p-max": {"type": int}, "--l-max": {"type": int},
+    "--count": {"type": int}, "--grid-nodes": {"type": int}, "--nr": {"type": int},
+    "--samples": {"type": int}, "--r-max": {"type": float}, "--e-cut": {},
+    "--hbar": {"help": "exact rational (default 1)"},
+    "--omega": {"help": "exact rational (default 1)"},
+    "--timings": {"action": "store_true", "default": False,
+                  "help": "one line per check on stderr: name, wall seconds, residual terms"},
+    "--format": {"choices": _FORMATS},
+    "--output": {"help": "output path (default stdout)"},
+}
+
+_COMMANDS = {
+    "verify-algebra": ("exact quantum Q(3) identity checks", "--N --n --timings"),
+    "verify-poisson": ("exact classical Poisson checks", "--N --n --timings"),
+    "verify-spectrum": ("exact checks of the spectrum up to an energy cutoff",
+                        "--N --n --c1 --c2 --e-cut --hbar --omega --timings"),
+    "spectrum": ("algebraic spectrum from the unirreps",
+                 "--N --n --c1 --c2 --p-max --l-max --hbar --omega"),
+    "radial": ("closed-form levels and the FD cross-check",
+               "--m --c --l --count --grid-nodes --r-max --hbar --omega"),
+    "levels": ("degeneracy table up to an energy cutoff",
+               "--N --n --c1 --c2 --e-cut --hbar --omega"),
+    "wavefunction": ("radial wavefunction samples",
+                     "--m --c --l --nr --r-max --samples --hbar --omega"),
+}
+SUBCOMMANDS = tuple(_COMMANDS)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="singosc",
@@ -47,58 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "singular oscillators.")
     parser.add_argument("--config", help="flat key = value file; flags win over it")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # each subcommand takes only the options its handler reads
-    def common(p, units: bool = True):
-        if units:
-            p.add_argument("--hbar", default=None, help="exact rational (default 1)")
-            p.add_argument("--omega", default=None, help="exact rational (default 1)")
-        p.add_argument("--format", default=None, choices=_FORMATS)
-        p.add_argument("--output", default=None, help="output path (default stdout)")
-
-    for name, text in (("verify-algebra", "exact quantum Q(3) identity checks"),
-                       ("verify-poisson", "exact classical Poisson checks")):
+    for name, (text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        p.add_argument("--N", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--timings", action="store_true",
-                       help="one line per check on stderr: name, wall seconds, residual terms")
-        common(p, units=False)
-
-    p = sub.add_parser("spectrum", help="algebraic spectrum from the unirreps")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c1", default=None)
-    p.add_argument("--c2", default=None)
-    p.add_argument("--p-max", default=None, type=int)
-    p.add_argument("--l-max", default=None, type=int)
-    common(p)
-
-    p = sub.add_parser("radial", help="closed-form levels and the FD cross-check")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--c", default=None)
-    p.add_argument("--l", default=None, type=int)
-    p.add_argument("--count", default=None, type=int)
-    p.add_argument("--grid-nodes", default=None, type=int)
-    p.add_argument("--r-max", default=None, type=float)
-    common(p)
-
-    p = sub.add_parser("levels", help="degeneracy table up to an energy cutoff")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c1", default=None)
-    p.add_argument("--c2", default=None)
-    p.add_argument("--e-cut", default=None)
-    common(p)
-
-    p = sub.add_parser("wavefunction", help="radial wavefunction samples")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--c", default=None)
-    p.add_argument("--l", default=None, type=int)
-    p.add_argument("--nr", default=None, type=int)
-    p.add_argument("--r-max", default=None, type=float)
-    p.add_argument("--samples", default=None, type=int)
-    common(p)
+        for flag in (*flags.split(), "--format", "--output"):
+            p.add_argument(flag, **{"default": None, **_OPTIONS[flag]})
     return parser
 
 
@@ -192,9 +175,14 @@ def _emit(records: list[dict], fmt: str, output: str | None) -> None:
 
 
 def _cmd_verify(command: str, opts: dict) -> tuple[list[dict], list[str]]:
-    from . import opalg
-    verify = opalg.verify_q3 if command == "verify-algebra" else opalg.verify_qp3
-    report = verify(opts["N"], opts["n"])
+    if command == "verify-spectrum":
+        from . import qalg
+        report = qalg.verify_spectrum(opts["N"], opts["n"], *(
+            _fraction(opts[key]) for key in ("c1", "c2", "e_cut", "hbar", "omega")))
+    else:
+        from . import opalg
+        verify = opalg.verify_q3 if command == "verify-algebra" else opalg.verify_qp3
+        report = verify(opts["N"], opts["n"])
     if opts["timings"]:
         for result in report.results:
             rec = result.record(include_timing=True)
@@ -303,6 +291,7 @@ def _log(message: str) -> None:
 _HANDLERS = {
     "verify-algebra": partial(_cmd_verify, "verify-algebra"),
     "verify-poisson": partial(_cmd_verify, "verify-poisson"),
+    "verify-spectrum": partial(_cmd_verify, "verify-spectrum"),
     "spectrum": _cmd_spectrum,
     "radial": _cmd_radial,
     "levels": _cmd_levels,

@@ -36,11 +36,6 @@ def dim_harm(m: int, l: int) -> int:
             // (math.factorial(l) * math.factorial(m - 2)))
 
 
-def oscillator_level_count(N: int, l: int) -> int:
-    """C(l + N - 1, N - 1), the count of N-tuples of quanta summing to l."""
-    return math.comb(l + N - 1, N - 1)
-
-
 # -- indicial exponents per block -----------------------------------------------
 
 
@@ -222,32 +217,3 @@ def _irrational_part(b1: int, R1: int, b2: int, R2: int) -> tuple[tuple[int, int
     if R1 == R2:
         return ((R1, b1 + b2),) if b1 + b2 else ()
     return tuple(sorted((R, b) for R, b in ((R1, b1), (R2, b2)) if b))
-
-
-@dataclass(frozen=True)
-class CountCheck:
-    n: int
-    l: int
-    counted: int
-    expected: int
-
-    @property
-    def passed(self) -> bool:
-        return self.counted == self.expected
-
-
-def oscillator_count_check(N: int, l_max: int) -> list[CountCheck]:
-    """At c1 = c2 = 0: per-level counts must match the isotropic oscillator.
-
-    For every partition n and every l <= l_max, the degeneracy of the level
-    E = hbar omega (l + N/2) in ``enumerate_levels`` must be C(l + N - 1, N - 1).
-    """
-    out = []
-    for n in range(1, N):
-        table = enumerate_levels(N, n, e_cut=Fraction(N, 2) + l_max)
-        counted = {level.energy_exact - Fraction(N, 2): level.degeneracy
-                   for level in table.levels}
-        out.extend(CountCheck(n=n, l=l, counted=counted.get(l, 0),
-                              expected=oscillator_level_count(N, l))
-                   for l in range(l_max + 1))
-    return out

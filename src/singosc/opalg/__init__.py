@@ -5,7 +5,7 @@ from .classical import PhaseFn, classical_limit, poisson_bracket
 from .diffop import DiffOp, DimensionMismatchError, combine, commutator
 from .generators import Generators, angular_momentum, build_classical, build_quantum
 from .poly import BlockLayout, BlockPoly, ExponentOverflowError
-from .report import CheckResult, VerificationReport
+from ..report import CheckResult, VerificationReport
 from .scalars import ParamScalar
 from .verify import verify_q3, verify_qp3
 

@@ -33,7 +33,7 @@ from .classical import PhaseFn, bracket_words, combine_phase, poisson_bracket
 from .diffop import DiffOp, combine, commutator
 from .generators import Generators, build_classical, build_quantum
 from .poly import Derivatives
-from .report import CheckResult, VerificationReport
+from ..report import CheckResult, VerificationReport
 from .scalars import ParamScalar
 
 _W2 = ParamScalar.omega(2)

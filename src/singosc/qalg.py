@@ -6,7 +6,8 @@ of ``singosc.relations`` that ``opalg.verify`` proves (``Realization``), and
 ``structure_poly_factored`` is the paper's factorization, whose six roots and
 leading coefficient encode the finite-representation constraints.  Both, and
 the recursion, are exact in Q(sqrt(m1^2), sqrt(m2^2)) (``exact.Biquadratic``),
-so the agreement checks test equality, for irrational m too.
+so the agreement checks test equality, for irrational m too.  ``verify_spectrum``
+runs them, with the c = 0 counts and energies, as one check table.
 
 The unirrep solver decides every verdict in integers, without the field, from
 what each ``CentralEigs`` caches: its ``MQuantum`` (m1^2, m2^2, and m1, m2 on
@@ -20,6 +21,8 @@ a solution is read.
 from __future__ import annotations
 
 import math
+import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +30,8 @@ from typing import Sequence
 
 from . import relations
 from .exact import Biquadratic, exact_sqrt, sqrt_sum_floor, sqrt_sum_sign
-from .levels import enumerate_levels
+from .levels import LevelTable, enumerate_levels
+from .report import CheckResult, VerificationReport
 
 
 # -- central-element data ------------------------------------------------------
@@ -121,18 +125,22 @@ class CentralEigs:
 @dataclass(frozen=True)
 class MQuantum:
     """Positive roots m1, m2 of the central-element combinations, from their
-    exact squares; a root is built, in the field of both, on first read."""
+    exact squares; both roots are built together, in one field, on first read."""
 
     m1_squared: Fraction
     m2_squared: Fraction
 
     @cached_property
-    def m1(self) -> Biquadratic:
-        return Biquadratic.sqrt_pair(self.m1_squared, self.m2_squared)[0]
+    def _pair(self) -> tuple[Biquadratic, Biquadratic]:
+        return Biquadratic.sqrt_pair(self.m1_squared, self.m2_squared)
 
-    @cached_property
+    @property
+    def m1(self) -> Biquadratic:
+        return self._pair[0]
+
+    @property
     def m2(self) -> Biquadratic:
-        return Biquadratic.sqrt_pair(self.m1_squared, self.m2_squared)[1]
+        return self._pair[1]
 
     @cached_property
     def exact(self) -> bool:
@@ -168,14 +176,6 @@ class StructureFn:
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
         return acc
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def agrees_with(self, other: "StructureFn") -> bool:
-        """Exact coefficient equality."""
-        return self.coeffs == other.coeffs
 
 
 def structure_poly_raw(u: Biquadratic | Fraction, energy: Biquadratic | Fraction,
@@ -226,9 +226,8 @@ _SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 class UnirrepSolution:
     """One (set, sign) branch of the finite-representation constraints.
 
-    The verdict is decided when the branch is solved; u, the energy and the
-    values of Phi at x = 0..p+1 are computed on first read, from the m1, m2
-    of ``ce``.
+    The verdict is decided when the branch is solved; u and the energy are
+    computed on first read, from the m1, m2 of ``ce``.
     """
 
     set_id: int
@@ -261,13 +260,6 @@ class UnirrepSolution:
     @property
     def energy(self) -> Biquadratic:
         return self._closed_form[1]
-
-    @cached_property
-    def phi_values(self) -> tuple:
-        """Phi(x) = lead * prod_i (x + u - r_i) at x = 0..p+1."""
-        shifts = [self.u - r for r in factored_roots(self.energy, self.ce)]
-        return tuple(_lead(self.ce) * math.prod(x + s for s in shifts)
-                     for x in range(self.p + 2))
 
     def record(self) -> dict:
         ce = self.ce
@@ -418,51 +410,6 @@ def _verdict(roots: tuple, q: int) -> tuple[bool, int | None]:
     return (True, None) if first == q else (False, first)
 
 
-# -- harmonic (c1 = c2 = 0) limit -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HarmonicCheck:
-    n: int
-    l: int
-    p: int
-    l_n: int
-    l_Nn: int
-    energy: Fraction
-    expected: Fraction
-    passed: bool
-
-
-def harmonic_limit_check(N: int, l_max: int, hbar: Fraction = Fraction(1),
-                         omega: Fraction = Fraction(1)) -> list[HarmonicCheck]:
-    """At c1 = c2 = 0 every (p, l_n, l_Nn) that ``enumerate_levels`` lists up to
-    E = hbar omega (l_max + N/2) must give E = hbar omega (l + N/2), with
-    l = 2p + l_n + l_Nn, across every partition n.
-
-    Each energy is that of the set-1 solution from ``set_solution``.  At
-    c = 0 the m of a block of dimension d and label l is |2l + d - 2|, and
-    its sign eps (+ at 0) picks the branch: a one-coordinate block with
-    parity label 0 takes eps = -1.
-    """
-    hbar, omega = Fraction(hbar), Fraction(omega)
-    checks: list[HarmonicCheck] = []
-    for n in range(1, N):
-        dims = (n, N - n)
-        table = enumerate_levels(N, n, e_cut=hbar * omega * (Fraction(N, 2) + l_max),
-                                 hbar=hbar, omega=omega)
-        for p, l_n, l_nn, _ in sorted(entry for level in table.levels for entry in level.labels):
-            l = 2 * p + l_n + l_nn
-            ce = CentralEigs(N=N, n=n, l_n=l_n, l_Nn=l_nn, hbar=hbar, omega=omega)
-            eps1, eps2 = (1 if 2 * label + dim - 2 >= 0 else -1
-                          for label, dim in ((l_n, dims[0]), (l_nn, dims[1])))
-            energy = set_solution(1, eps1, eps2, p, ce)[1].rational()
-            expected = hbar * omega * (l + Fraction(N, 2))
-            checks.append(HarmonicCheck(n=n, l=l, p=p, l_n=l_n, l_Nn=l_nn,
-                                        energy=energy, expected=expected,
-                                        passed=energy == expected))
-    return checks
-
-
 # -- deformed-oscillator realization ----------------------------------------------
 
 
@@ -565,3 +512,97 @@ def recursion_consistency(p: int, ce: CentralEigs, set_id: int = 1,
     if len(ratios) < 2:
         return False, ratios
     return all(r == alg.rho0_squared for r in ratios), ratios
+
+
+# -- the spectrum check table ------------------------------------------------------
+
+
+def _physical_branches(table: LevelTable):
+    """(p, ce, (eps1, eps2)) for each (p, l_n, l_Nn) label of ``table``, with one
+    ``CentralEigs`` per (l_n, l_Nn), on the set-1 branch that separation of
+    variables gives: eps_i = + when c_i > 0, else the sign of 2 l_i + d_i - 2,
+    with + at 0."""
+    branches: dict[tuple[int, int], tuple] = {}
+    for level in table.levels:
+        for p, l_n, l_nn, _ in level.labels:
+            if (l_n, l_nn) not in branches:
+                ce = CentralEigs(table.N, table.n, l_n, l_nn, table.c1, table.c2,
+                                 table.hbar, table.omega)
+                branches[l_n, l_nn] = ce, tuple(
+                    1 if c > 0 or 2 * l + d - 2 >= 0 else -1
+                    for c, l, d in ((ce.c1, l_n, ce.n), (ce.c2, l_nn, ce.N - ce.n)))
+            yield (p, *branches[l_n, l_nn])
+
+
+# Each check below yields one verdict per case, True (holds), False (fails) or
+# None (skipped), from the level table at the given couplings and the tables
+# of every split at c = 0.
+
+def _oscillator_counts(table: LevelTable, harmonic: list[LevelTable]):
+    """At c = 0 the level E = hbar omega (l + N/2) of each split has the
+    degeneracy C(l + N - 1, N - 1) of the isotropic oscillator, for each l
+    up to the cut."""
+    for split in harmonic:
+        hw, ground = split.hbar * split.omega, Fraction(split.N, 2)
+        counted = {level.energy_exact / hw - ground: level.degeneracy for level in split.levels}
+        for l in range(math.floor(split.e_cut / hw - ground) + 1):
+            yield counted.get(l, 0) == math.comb(l + split.N - 1, split.N - 1)
+
+
+def _harmonic_energies(table: LevelTable, harmonic: list[LevelTable]):
+    """At c = 0 each label's energy is hbar omega (2p + l_n + l_Nn + N/2)."""
+    for split in harmonic:
+        for p, ce, eps in _physical_branches(split):
+            l = 2 * p + ce.l_n + ce.l_Nn
+            yield set_solution(1, *eps, p, ce)[1] == ce.hbar * ce.omega * (l + Fraction(ce.N, 2))
+
+
+def _structure_functions(table: LevelTable, harmonic: list[LevelTable]):
+    """The raw and factorized structure polynomials agree at each label."""
+    for p, ce, eps in _physical_branches(table):
+        u, energy = set_solution(1, *eps, p, ce)
+        yield structure_poly_raw(u, energy, ce) == structure_poly_factored(u, energy, ce)
+
+
+def _recursions(table: LevelTable, harmonic: list[LevelTable]):
+    """The ladder recursion holds at each label; a label with fewer than two
+    usable points (p = 0, or poles), which ``recursion_consistency`` fails, is
+    skipped."""
+    for p, ce, eps in _physical_branches(table):
+        ok, ratios = recursion_consistency(p, ce, 1, eps)
+        yield ok if len(ratios) >= 2 else None
+
+
+# Every spectrum check, in run order: its name, what one case is, and its verdicts.
+_SPECTRUM_CHECKS = (
+    ("oscillator-count[c=0]", "(n, l) pairs", _oscillator_counts),
+    ("harmonic-limit[c=0]", "(n, p, l_n, l_Nn) labels", _harmonic_energies),
+    ("structure-functions", "(p, l_n, l_Nn) labels", _structure_functions),
+    ("recursion", "(p, l_n, l_Nn) labels", _recursions),
+)
+
+
+def verify_spectrum(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int = 0,
+                    e_cut: Fraction | int = 10, hbar: Fraction | int = 1,
+                    omega: Fraction | int = 1) -> VerificationReport:
+    """Every check of ``_SPECTRUM_CHECKS`` up to ``e_cut``, each one timed: the
+    c = 0 ones over every split of N, the others over the labels of
+    ``enumerate_levels`` at the split and couplings given, each on its physical
+    branch.  A record's ``residual_terms`` counts its failing cases and its
+    ``detail`` the cases checked (and skipped); a check of no case fails.
+    """
+    table = enumerate_levels(N, n, c1, c2, e_cut, hbar, omega)
+    if not table.levels:
+        raise ValueError(f"no level lies at or below e_cut {e_cut}")
+    harmonic = [enumerate_levels(N, split, e_cut=e_cut, hbar=hbar, omega=omega)
+                for split in range(1, N)]
+    report = VerificationReport(context={"family": "spectrum", "N": N, "n": n,
+                                         "c1": str(table.c1), "c2": str(table.c2)})
+    for name, cases, verdicts in _SPECTRUM_CHECKS:
+        start = time.perf_counter()
+        tally = Counter(verdicts(table, harmonic))
+        checked = tally[True] + tally[False]
+        skipped = f", {tally[None]} skipped" if tally[None] else ""
+        report.add(CheckResult(name, checked > 0 and not tally[False], tally[False],
+                               time.perf_counter() - start, f"{checked} {cases} checked{skipped}"))
+    return report.finalize()

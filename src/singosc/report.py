@@ -1,4 +1,5 @@
-"""Structured pass/fail reports for the identity-verification suites."""
+"""Structured pass/fail reports of the check tables: the algebra and Poisson
+checks of ``opalg.verify`` and the spectrum checks of ``qalg``."""
 
 from __future__ import annotations
 

@@ -58,7 +58,7 @@ def _monomials(m: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def count_quanta_tuples(N: int, l: int) -> int:
-    """Brute-force enumeration oracle for oscillator_level_count."""
+    """Brute-force enumeration oracle for the oscillator count C(l + N - 1, N - 1)."""
     if N == 1:
         return 1
     total = 0

@@ -15,13 +15,11 @@ from fractions import Fraction
 
 import pytest
 
-from singosc.levels import oscillator_count_check
 from singosc.opalg import (MUTABLE_CONSTANTS, QuadraticConstants, build_quantum,
                            combine, commutator, verify_q3, verify_qp3)
 from singosc.opalg.verify import _ProductCache, quadratic_ac_rhs, quadratic_bc_rhs
-from singosc.qalg import (CentralEigs, exact_sqrt, harmonic_limit_check, m_values,
-                          set_solution, solve_unirreps, structure_poly_factored,
-                          structure_poly_raw)
+from singosc.qalg import (CentralEigs, exact_sqrt, m_values, set_solution, solve_unirreps,
+                          structure_poly_factored, structure_poly_raw, verify_spectrum)
 from singosc.radial import (ComponentSpec, GridSpec, closed_form, fd_eigenvalues,
                             fd_eigenvector, sign_changes, total_energy,
                             wavefunction_norm)
@@ -121,7 +119,7 @@ def test_criterion_4_structure_function_equivalence():
         energy = Fraction(rng.randrange(-9, 9), rng.randrange(1, 8))
         raw = structure_poly_raw(u, energy, ce)
         fac = structure_poly_factored(u, energy, ce)
-        ok = ok and raw.degree == 6 and raw.agrees_with(fac)
+        ok = ok and len(raw.coeffs) == 7 and raw == fac
     # irrational m: exact equality at a rational (u, E) and at a closed-form
     # solution, which no root moved by 1e-40 keeps
     for _ in range(20):
@@ -131,11 +129,11 @@ def test_criterion_4_structure_function_equivalence():
                            Fraction(rng.randrange(-9, 9), rng.randrange(1, 8))),
                           (sol.u, sol.energy)):
             raw = structure_poly_raw(u, energy, ce)
-            ok = ok and raw.agrees_with(structure_poly_factored(u, energy, ce))
+            ok = ok and raw == structure_poly_factored(u, energy, ce)
             offsets = [0] * 6
             offsets[rng.randrange(6)] = Fraction(1, 10 ** 40)
             moved = structure_poly_factored(u, energy, ce, root_offsets=offsets)
-            ok = ok and not raw.agrees_with(moved)
+            ok = ok and raw != moved
     _announce(4, "raw structure polynomial equals factorized form "
                  "(20 rational-m and 20 irrational-m tuples)", ok)
     assert ok
@@ -187,11 +185,10 @@ def test_criterion_5_triple_spectrum_agreement():
 def test_criterion_6_harmonic_limit():
     ok = True
     for N in (4, 8):
-        checks = harmonic_limit_check(N, 6)
-        ok = ok and bool(checks) and all(c.passed for c in checks)
-        # the degeneracies of the level tables, all partitions
-        counts = oscillator_count_check(N, 6)
-        ok = ok and bool(counts) and all(c.passed for c in counts)
+        # the energies and the degeneracies of the level tables, all partitions
+        report = verify_spectrum(N, 1, e_cut=Fraction(N, 2) + 6)
+        ok = ok and all(report[name].passed and report[name].residual_terms == 0
+                        for name in ("harmonic-limit[c=0]", "oscillator-count[c=0]"))
     _announce(6, "harmonic limit energies and counts, N in {4, 8}, l <= 6", ok)
     assert ok
 
@@ -214,8 +211,9 @@ def test_criterion_7_unirrep_positivity():
                 continue
             checked += 1
             ok = ok and sol.admissible and sol.failing_x is None
-            ok = ok and sol.phi_values[0] == 0 and sol.phi_values[p + 1] == 0
-            ok = ok and all(v > 0 for v in sol.phi_values[1:p + 1])
+            phi = structure_poly_factored(sol.u, sol.energy, ce)
+            ok = ok and phi(0) == 0 and phi(p + 1) == 0
+            ok = ok and all(phi(x) > 0 for x in range(1, p + 1))
     _announce(7, "positivity of the structure function on eps=(+1,+1) branches", ok,
               f"{len(tuples)} tuples (40 with irrational m), {checked} branch checks")
     assert ok and checked >= 2 * len(tuples)
@@ -241,12 +239,12 @@ def test_criterion_8_mutation_sensitivity():
     ce, _, _ = _random_rational_tuple(rng)
     u, energy = Fraction(1, 3), Fraction(7, 2)
     raw = structure_poly_raw(u, energy, ce)
-    assert raw.agrees_with(structure_poly_factored(u, energy, ce))
+    assert raw == structure_poly_factored(u, energy, ce)
     for idx in range(6):
         offsets = [Fraction(0)] * 6
         offsets[idx] = Fraction(1)
         mutated_fn = structure_poly_factored(u, energy, ce, root_offsets=offsets)
-        ok = ok and not raw.agrees_with(mutated_fn)
+        ok = ok and raw != mutated_fn
     _announce(8, "every structure-constant and root mutation is detected", ok,
               f"{len(MUTABLE_CONSTANTS)} constants + 6 roots")
     assert ok

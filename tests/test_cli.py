@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import singosc
-from singosc import radial
+from singosc import qalg, radial, relations
 from singosc.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -281,6 +281,100 @@ def test_timings_go_to_stderr_and_leave_stdout_pinned(capsys, command, N, n):
         assert (terms, rest) == ("0", ["residual", "terms"])
 
 
+# golden file -> verify-spectrum arguments: irrational m at (5,2), and a
+# one-coordinate parity block at c = 0 at (3,1)
+_SPECTRUM_GOLDENS = {
+    "verify-spectrum-N5-n2-c1-3_7-c2-5.jsonl":
+        ["--N", "5", "--n", "2", "--c1", "3/7", "--c2", "5", "--e-cut", "12"],
+    "verify-spectrum-N3-n1-c1-0-c2-2.jsonl":
+        ["--N", "3", "--n", "1", "--c1", "0", "--c2", "2", "--e-cut", "10"],
+}
+_SPECTRUM_CHECKS = ["harmonic-limit[c=0]", "oscillator-count[c=0]", "recursion",
+                    "structure-functions"]
+
+
+@pytest.mark.parametrize("golden", _SPECTRUM_GOLDENS)
+def test_verify_spectrum_output_is_pinned(capsys, golden):
+    argv = ["verify-spectrum", *_SPECTRUM_GOLDENS[golden]]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [rec["check"] for rec in records] == _SPECTRUM_CHECKS
+    for rec in records:
+        assert rec["passed"] and rec["residual_terms"] == 0
+        assert (rec["family"], rec["N"], rec["n"]) == ("spectrum", int(argv[2]), int(argv[4]))
+        assert (rec["c1"], rec["c2"]) == (argv[6], argv[8])
+        assert int(rec["detail"].split()[0]) > 0
+    # --timings writes one line per check and a summary to stderr only
+    code, timed, err = _run(capsys, [*argv, "--timings"])
+    assert code == 0 and timed == out
+    lines = err.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == _SPECTRUM_CHECKS
+    assert lines[-1].startswith(f"verify-spectrum ({argv[2]},{argv[4]}): 4 checks in ")
+
+
+def _failed_spectrum_checks(capsys) -> dict:
+    """The failing checks of verify-spectrum at (5,2), c1 = 3/7, c2 = 5 up to
+    E = 9: 21 labels, 5 of them with two usable points of the recursion."""
+    code, out, err = _run(capsys, ["verify-spectrum", "--N", "5", "--n", "2", "--c1", "3/7",
+                                   "--c2", "5", "--e-cut", "9"])
+    failed = {rec["check"]: rec["residual_terms"]
+              for rec in map(json.loads, out.splitlines()) if not rec["passed"]}
+    assert code == (1 if failed else 0)
+    if failed:
+        assert err.splitlines()[-1] == f"FAILED: {', '.join(sorted(failed))}"
+    return failed
+
+
+def test_a_bumped_relation_constant_fails_verify_spectrum(capsys, monkeypatch):
+    assert _failed_spectrum_checks(capsys) == {}
+    base = relations.QuadraticConstants.for_dims(5, 2)
+    for field_name in relations.MUTABLE_CONSTANTS:
+        bumped = base.bumped(field_name)
+        monkeypatch.setattr(relations.QuadraticConstants, "for_dims",
+                            classmethod(lambda cls, N, n, bumped=bumped: bumped))
+        failed = _failed_spectrum_checks(capsys)
+        # gamma' of [B, C] enters the recursion, not Phi
+        want = ["recursion"] if field_name == "bc_b2" else ["recursion", "structure-functions"]
+        assert sorted(failed) == want, field_name
+        assert all(failed.values()), field_name
+
+
+def test_a_moved_phi_root_fails_verify_spectrum(capsys, monkeypatch):
+    roots = qalg.factored_roots
+    for index in range(6):
+        def moved(energy, ce, index=index):
+            out = roots(energy, ce)
+            out[index] = out[index] + 1
+            return out
+        monkeypatch.setattr(qalg, "factored_roots", moved)
+        failed = _failed_spectrum_checks(capsys)
+        # every label's Phi moves: 21 of 21 fail
+        assert failed["structure-functions"] == 21, index
+
+
+def test_a_spectrum_check_that_checks_nothing_fails(capsys):
+    # at the ground level of (4,2) only p = 0 is below the cut, and the
+    # recursion needs two usable points: it skips that label, checks none and fails
+    code, out, err = _run(capsys, ["verify-spectrum", "--N", "4", "--n", "2", "--e-cut", "2"])
+    assert code == 1
+    records = {rec["check"]: rec for rec in map(json.loads, out.splitlines())}
+    assert records["recursion"]["passed"] is False
+    assert records["recursion"]["residual_terms"] == 0
+    assert records["recursion"]["detail"] == "0 (p, l_n, l_Nn) labels checked, 1 skipped"
+    assert all(rec["passed"] for name, rec in records.items() if name != "recursion")
+    assert err.splitlines()[-1] == "FAILED: recursion"
+
+
+@pytest.mark.parametrize("cut", ["0", "-3", "1"])
+def test_verify_spectrum_below_the_ground_level_exits_2(capsys, cut):
+    code, out, err = _run(capsys, ["verify-spectrum", "--N", "4", "--n", "2", "--e-cut", cut])
+    assert code == 2
+    assert out == ""
+    assert f"no level lies at or below e_cut {cut}" in err
+
+
 def test_levels_past_the_e_cut_limit_exits_2_at_once(capsys):
     # without the limit, --e-cut 1000 would build a table of about 8*10^7
     # label entries
@@ -323,6 +417,7 @@ import singosc.cli
 seen["import"] = heavy()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for argv in (["levels", "--N", "4", "--n", "2", "--e-cut", "9/2"],
+                 ["verify-spectrum", "--N", "3", "--n", "1", "--c2", "2", "--e-cut", "10"],
                  ["wavefunction", "--m", "3", "--samples", "5"],
                  ["radial", "--m", "2", "--c", "1", "--count", "1"],
                  ["spectrum", "--N", "4", "--n", "2"],
@@ -395,7 +490,7 @@ def test_commands_load_only_the_libraries_they_use():
     # loaded after it (cumulative: the commands run in this order in one
     # interpreter)
     assert json.loads(proc.stdout) == {
-        "import": [], "levels": [0], "wavefunction": [0, "numpy"],
+        "import": [], "levels": [0], "verify-spectrum": [0], "wavefunction": [0, "numpy"],
         "radial": [0, "numpy", "scipy"], "spectrum": [0, "numpy", "scipy"],
         "verify-algebra": [0, "numpy", "scipy", "singosc.opalg"],
         "verify-poisson": [0, "numpy", "scipy", "singosc.opalg"]}

@@ -13,10 +13,9 @@ import pytest
 
 from level_oracles import count_quanta_tuples, dim_harm_bruteforce
 from singosc.cli import main
-from singosc.levels import (dim_harm, enumerate_levels, oscillator_count_check,
-                            oscillator_level_count)
+from singosc.levels import dim_harm, enumerate_levels
 from singosc.exact import exact_sqrt
-from singosc.qalg import CentralEigs, set_solution
+from singosc.qalg import CentralEigs, set_solution, verify_spectrum
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -47,20 +46,21 @@ def test_dim_harm_against_binomial_difference():
 def test_oscillator_count_enumeration_oracle():
     for N in (2, 3, 4, 8):
         for l in range(0, 7):
-            assert count_quanta_tuples(N, l) == oscillator_level_count(N, l)
+            assert count_quanta_tuples(N, l) == math.comb(l + N - 1, N - 1)
 
 
 @pytest.mark.parametrize("N,l_max", [(2, 5), (4, 6), (5, 4)])
 def test_per_level_counts_all_partitions(N, l_max):
-    checks = oscillator_count_check(N, l_max)
-    assert checks
-    for check in checks:
-        assert check.passed, check
+    result = verify_spectrum(N, 1, e_cut=Fraction(N, 2) + l_max)["oscillator-count[c=0]"]
+    assert result.passed and result.residual_terms == 0
+    # one count per split and l
+    assert result.detail == f"{(N - 1) * (l_max + 1)} (n, l) pairs checked"
 
 
 def test_per_level_counts_n8_partition4():
-    checks = [c for c in oscillator_count_check(8, 4) if c.n == 4]
-    assert checks and all(c.passed for c in checks)
+    table = enumerate_levels(8, 4, e_cut=4 + 4)
+    counted = {level.energy_exact - 4: level.degeneracy for level in table.levels}
+    assert counted == {l: math.comb(l + 7, 7) for l in range(5)}
 
 
 def test_level_table_harmonic_l2_degeneracy():

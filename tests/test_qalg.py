@@ -12,9 +12,9 @@ import pytest
 from singosc import qalg, relations
 from singosc.exact import sqrt_sum_sign
 from singosc.exact import Biquadratic
-from singosc.qalg import (CentralEigs, exact_sqrt, harmonic_limit_check, m_values,
-                          recursion_consistency, set_solution, solve_unirreps,
-                          structure_poly_factored, structure_poly_raw)
+from singosc.qalg import (CentralEigs, MQuantum, exact_sqrt, m_values, recursion_consistency,
+                          set_solution, solve_unirreps, structure_poly_factored,
+                          structure_poly_raw, verify_spectrum)
 
 
 def _rational_m_eigs(rng, N=None, n=None):
@@ -68,8 +68,8 @@ def test_raw_equals_factored_on_random_rational_tuples():
         energy = Fraction(rng.randrange(-9, 9), rng.randrange(1, 8))
         raw = structure_poly_raw(u, energy, ce)
         fac = structure_poly_factored(u, energy, ce)
-        assert raw.degree == 6 and fac.degree == 6
-        assert raw.agrees_with(fac)
+        assert len(raw.coeffs) == len(fac.coeffs) == 7  # degree 6
+        assert raw == fac
 
 
 def test_unshifted_last_factor_reading_fails():
@@ -78,7 +78,7 @@ def test_unshifted_last_factor_reading_fails():
     u = Fraction(1, 3)
     raw = structure_poly_raw(u, Fraction(5, 2), ce)
     fac = structure_poly_factored(u, Fraction(5, 2), ce, root_offsets=(0,) * 5 + (u,))
-    assert not raw.agrees_with(fac)
+    assert raw != fac
 
 
 def test_factored_root_locations():
@@ -111,7 +111,7 @@ def test_solve_unirreps_boundaries_and_positivity():
     by_key = {(s.set_id, s.eps1, s.eps2): s for s in sols}
     best = by_key[(1, 1, 1)]
     assert best.admissible and best.failing_x is None
-    assert best.phi_values[0] == 0
+    assert structure_poly_factored(best.u, best.energy, ce)(0) == 0
     # set 2 never satisfies the upper boundary: leading -x factor
     for eps in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         sol = by_key[(2, *eps)]
@@ -193,10 +193,9 @@ def test_factor_evaluation_matches_expanded_polynomial():
             sols = solve_unirreps(p, ce)
             oracle = _expanded_unirreps(p, ce)
             assert len(sols) == len(oracle) == 12
-            for sol, (key, values, verdict) in zip(sols, oracle):
+            for sol, (key, _, verdict) in zip(sols, oracle):
                 assert (sol.set_id, sol.eps1, sol.eps2) == key
                 assert (sol.admissible, sol.failing_x) == verdict
-                assert sol.phi_values == tuple(values)
                 seen_exact.add(sol.exact)
     assert seen_exact == {True, False}
 
@@ -273,6 +272,37 @@ def test_negative_branch_with_large_m_is_inadmissible():
             assert (s.energy <= 0) or s.failing_x is not None
 
 
+def test_m_roots_are_built_once_per_central_eigs(monkeypatch):
+    pair = Biquadratic.sqrt_pair
+    calls = []
+    monkeypatch.setattr(Biquadratic, "sqrt_pair", lambda *args: calls.append(args) or pair(*args))
+    # quarters reads both roots; the pair is built once, with the same values
+    ce = CentralEigs(N=5, n=2, l_n=1, l_Nn=0, c1=Fraction(1, 3), c2=Fraction(2, 7))
+    assert ce.quarters[1, -1] == (ce.mq.m1 - ce.mq.m2) / 4
+    assert len(calls) == 1
+    mq = MQuantum(m1_squared=Fraction(13, 9), m2_squared=Fraction(2))
+    assert (mq.m1, mq.m2) == pair(mq.m1_squared, mq.m2_squared)
+    assert mq.m1 ** 2 == mq.m1_squared and mq.m2 ** 2 == mq.m2_squared
+    assert len(calls) == 2
+
+
+def test_recursion_check_skips_labels_without_two_usable_points():
+    # m1 = 3, m2 = 4: the ground label (p = 0) at E = 11/2 is the only one
+    # below the cut, and one point cannot fix rho0^2
+    ce = CentralEigs(N=4, n=2, l_n=0, l_Nn=0, c1=Fraction(9, 8), c2=Fraction(2))
+    ok, ratios = recursion_consistency(0, ce)
+    assert not ok and len(ratios) < 2
+    report = verify_spectrum(4, 2, ce.c1, ce.c2, e_cut=Fraction(11, 2))
+    result = report["recursion"]
+    assert (result.passed, result.residual_terms) == (False, 0)
+    assert result.detail == "0 (p, l_n, l_Nn) labels checked, 1 skipped"
+    assert report["structure-functions"].passed
+    # above the cut of p = 1 the p = 0 labels are still skipped, not failed
+    result = verify_spectrum(4, 2, ce.c1, ce.c2, e_cut=Fraction(15, 2))["recursion"]
+    assert (result.passed, result.residual_terms) == (True, 0)
+    assert result.detail.endswith("skipped") and not result.detail.startswith("0 ")
+
+
 def test_energy_monotonic_in_p_with_constant_gap():
     ce = CentralEigs(N=5, n=2, l_n=1, l_Nn=0, c1=Fraction(9, 8), c2=Fraction(2))
     energies = [set_solution(1, 1, 1, p, ce)[1] for p in range(5)]
@@ -281,19 +311,24 @@ def test_energy_monotonic_in_p_with_constant_gap():
 
 
 def test_harmonic_limit_all_partitions():
-    for N, l_max in [(4, 4), (8, 3)]:
-        checks = harmonic_limit_check(N, l_max)
-        assert checks and all(c.passed for c in checks)
+    for N, l_max, hw in [(4, 4, 1), (8, 3, 1), (3, 5, Fraction(3, 2))]:
+        report = verify_spectrum(N, 1, e_cut=hw * (Fraction(N, 2) + l_max),
+                                 hbar=Fraction(1, 2), omega=2 * hw)
+        for name in ("harmonic-limit[c=0]", "oscillator-count[c=0]"):
+            assert report[name].passed and report[name].residual_terms == 0
+            assert not report[name].detail.startswith("0 ")
+        assert report["oscillator-count[c=0]"].detail.startswith(f"{(N - 1) * (l_max + 1)} ")
 
 
 def test_harmonic_limit_expected_examples():
-    checks = {(c.n, c.l, c.p, c.l_n, c.l_Nn): c for c in harmonic_limit_check(4, 2)}
-    assert checks[(2, 0, 0, 0, 0)].energy == 2
-    for key, c in checks.items():
-        if key[0] == 2 and key[1] == 2:
-            assert c.energy == 4
-    checks8 = {(c.n, c.l, c.p, c.l_n, c.l_Nn): c for c in harmonic_limit_check(8, 1)}
-    assert checks8[(4, 1, 0, 1, 0)].energy == 5
+    # (4,2): E = 2 at l = 0, and E = 4 on every label of l = 2p + l_n + l_Nn = 2
+    assert set_solution(1, 1, 1, 0, CentralEigs(N=4, n=2, l_n=0, l_Nn=0))[1] == 2
+    for p, l_n, l_nn in ((1, 0, 0), (0, 2, 0), (0, 1, 1), (0, 0, 2)):
+        assert set_solution(1, 1, 1, p, CentralEigs(N=4, n=2, l_n=l_n, l_Nn=l_nn))[1] == 4
+    assert set_solution(1, 1, 1, 0, CentralEigs(N=8, n=4, l_n=1, l_Nn=0))[1] == 5
+    # a one-coordinate block with parity label 0 takes eps = -1: E = 1 at (2,1)
+    assert set_solution(1, -1, -1, 0, CentralEigs(N=2, n=1, l_n=0, l_Nn=0))[1] == 1
+    assert set_solution(1, -1, 1, 0, CentralEigs(N=2, n=1, l_n=0, l_Nn=1))[1] == 2
 
 
 def test_recursion_consistency_exact_and_inexact():
@@ -347,7 +382,7 @@ def _spectrum_side_checks(ce, p):
     """(raw == factored, the recursion holds) on the set-1 (+, +) branch."""
     u, energy = set_solution(1, 1, 1, p, ce)
     raw = structure_poly_raw(u, energy, ce)
-    return raw.agrees_with(structure_poly_factored(u, energy, ce)), recursion_consistency(p, ce)[0]
+    return raw == structure_poly_factored(u, energy, ce), recursion_consistency(p, ce)[0]
 
 
 @pytest.mark.parametrize("ce, p, rational", _TABLE_POINTS, ids=["m-rational", "m-irrational"])
