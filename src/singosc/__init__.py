@@ -4,8 +4,8 @@ The heavy lifting lives in the submodules:
 
 - ``singosc.opalg``  exact operator engine and identity verification
 - ``singosc.qalg``   structure functions, unirreps, algebraic spectrum, spectrum checks
-- ``singosc.radial`` closed-form levels, wavefunctions, FD eigensolver
-- ``singosc.levels`` degeneracy tables
+- ``singosc.radial`` float closed-form levels, wavefunctions, FD eigensolver
+- ``singosc.levels`` degeneracy tables with exact level energies
 - ``singosc.exact``  exact rational and biquadratic arithmetic for the three above
 - ``singosc.report`` the check records and report of every verify command
 - ``singosc.cli``    command-line front end

@@ -100,7 +100,7 @@ class Biquadratic:
     non-square, and a b is not a square.  So 1, sqrt a, sqrt b and sqrt(a b)
     are linearly independent over Q, each number has one tuple of coordinates
     in lowest terms, and equality compares them.  Numbers combine with ints,
-    Fractions and the numbers of the same field.
+    Fractions and the numbers of every field whose surds this one spans.
     """
 
     num: tuple[int, int, int, int]
@@ -131,12 +131,29 @@ class Biquadratic:
         return cls(num1, first.denominator, (a, b)), cls(num2, den2, (a, b))
 
     def _coordinates(self, other) -> tuple | None:
-        """(num, den) of other in this field, or None when it has none."""
+        """(num, den) of other in this field, in lowest terms, or None when it
+        has none (Besicovitch 1940): a surd sqrt(r) of another field is
+        (isqrt(r t) / t) sqrt(t) for the t of a, b, a b with r t a square."""
         if isinstance(other, (int, Fraction)):
             return (other.numerator, 0, 0, 0), other.denominator
-        if isinstance(other, Biquadratic) and other.radicands == self.radicands:
+        if not isinstance(other, Biquadratic):
+            return None
+        if other.radicands == self.radicands:
             return other.num, other.den
-        return None
+        (a, b), (c, d) = self.radicands, other.radicands
+        scale = a * b or a or b or 1  # a multiple of every t
+        num = [other.num[0] * scale, 0, 0, 0]
+        for coefficient, r in zip(other.num[1:], (c, d, c * d)):
+            if not coefficient:
+                continue
+            for slot, t in enumerate((a, b, a * b), 1):
+                if t and math.isqrt(r * t) ** 2 == r * t:
+                    num[slot] += coefficient * math.isqrt(r * t) * (scale // t)
+                    break
+            else:
+                return None
+        x = Biquadratic(tuple(num), other.den * scale, self.radicands)
+        return x.num, x.den
 
     def _scaled(self, p: int, q: int) -> Biquadratic:
         """self * p / q."""
@@ -164,18 +181,19 @@ class Biquadratic:
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other.numerator, other.denominator)
-        if not isinstance(other, Biquadratic) or other.radicands != self.radicands:
+        coordinates = self._coordinates(other)
+        if coordinates is None:
             return NotImplemented
+        (y0, y1, y2, y3), dy = coordinates
+        if not (y1 or y2 or y3):
+            return self._scaled(y0, dy)
         a, b = self.radicands
         x0, x1, x2, x3 = self.num
-        y0, y1, y2, y3 = other.num
         return Biquadratic((x0 * y0 + a * x1 * y1 + b * x2 * y2 + a * b * x3 * y3,
                             x0 * y1 + x1 * y0 + b * (x2 * y3 + x3 * y2),
                             x0 * y2 + x2 * y0 + a * (x1 * y3 + x3 * y1),
                             x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1),
-                           self.den * other.den, self.radicands)
+                           self.den * dy, self.radicands)
 
     __rmul__ = __mul__
 
@@ -219,8 +237,6 @@ class Biquadratic:
         return (self - other).sign() < 0
 
     def __hash__(self) -> int:
-        if any(self.num[1:]):
-            return hash((self.num, self.den, self.radicands))
         return hash(Fraction(self.num[0], self.den))
 
     def rational(self) -> Fraction:

@@ -8,7 +8,7 @@ the signed exponent l + (m-2)/2; at positive coupling only the regular
 half-line sector is kept (and flagged).  Levels are grouped by exact energy,
 and the table is cut exactly at e_cut: equal energies are found by comparing
 the rational and square-root parts of the exponents, never by a float
-tolerance.
+tolerance.  Each level's exact energy is an ``exact.Biquadratic``.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import count
 
-from .exact import sqrt_sum_floor
+from .exact import Biquadratic, sqrt_sum_floor
 
 
 def dim_harm(m: int, l: int) -> int:
@@ -63,19 +63,28 @@ class Contributor:
 @dataclass(frozen=True, init=False)
 class Level:
     energy: float
-    energy_exact: Fraction | None
     degeneracy: int
     labels: tuple[tuple[int, int, int, int], ...]
     flags: tuple[str, ...] = ()
 
-    def __init__(self, energy: float, energy_exact: Fraction | None, degeneracy: int,
-                 labels: tuple[tuple[int, int, int, int], ...], flags: tuple[str, ...] = ()):
+    def __init__(self, energy: float, degeneracy: int,
+                 labels: tuple[tuple[int, int, int, int], ...], flags: tuple[str, ...], key):
         # The generated frozen __init__ sets each field by object.__setattr__;
         # filling the instance dict gives the same instance for less, and
         # enumerate_levels builds one per level.
         attrs = self.__dict__
-        attrs["energy"], attrs["energy_exact"] = energy, energy_exact
-        attrs["degeneracy"], attrs["labels"], attrs["flags"] = degeneracy, labels, flags
+        attrs["energy"], attrs["degeneracy"] = energy, degeneracy
+        attrs["labels"], attrs["flags"], attrs["_key"] = labels, flags, key
+
+    @cached_property
+    def energy_exact(self) -> Biquadratic:
+        """hbar omega (rational + sum of b / sqrt(R)) / D, from the key
+        ((the (R, b) pairs, rational), D, hbar omega) that the level was grouped by."""
+        (irrational, rational), D, hw = self._key
+        roots = [R for R, _ in irrational]
+        product = math.prod(roots)
+        num = (rational * product, *(b * (product // R) for R, b in irrational), 0, 0, 0)
+        return Biquadratic(num[:4], D * product, (*roots, 0, 0)[:2]) * hw
 
     @property
     def contributors(self) -> tuple[Contributor, ...]:
@@ -205,11 +214,10 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
         levels.setdefault(key, (value, []))[1].append((p, l1, l2, mult))
     flags = tuple(f"block{i}-half-line-regular-sector"
                   for i, (m, c_reduced) in enumerate(blocks, 1) if m == 1 and c_reduced > 0)
-    hn, hd = hw.numerator, hw.denominator
     return LevelTable(N=N, n=n, c1=c1, c2=c2, hbar=hbar, omega=omega, e_cut=e_cut, levels=tuple(
-        Level(value, None if irrational else Fraction(hn * rational, hd * D),
-              sum((p + 1) * mult for p, _, _, mult in labels), tuple(labels), flags)
-        for (irrational, rational), (value, labels) in levels.items()))
+        Level(value, sum((p + 1) * mult for p, _, _, mult in labels), tuple(labels), flags,
+              (key, D, hw))
+        for key, (value, labels) in levels.items()))
 
 
 def _irrational_part(b1: int, R1: int, b2: int, R2: int) -> tuple[tuple[int, int], ...]:

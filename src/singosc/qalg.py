@@ -518,10 +518,10 @@ def recursion_consistency(p: int, ce: CentralEigs, set_id: int = 1,
 
 
 def _physical_branches(table: LevelTable):
-    """(p, ce, (eps1, eps2)) for each (p, l_n, l_Nn) label of ``table``, with one
-    ``CentralEigs`` per (l_n, l_Nn), on the set-1 branch that separation of
-    variables gives: eps_i = + when c_i > 0, else the sign of 2 l_i + d_i - 2,
-    with + at 0."""
+    """(p, ce, (eps1, eps2), level) for each (p, l_n, l_Nn) label of ``table``
+    and the level holding it, with one ``CentralEigs`` per (l_n, l_Nn), on the
+    set-1 branch that separation of variables gives: eps_i = + when c_i > 0,
+    else the sign of 2 l_i + d_i - 2, with + at 0."""
     branches: dict[tuple[int, int], tuple] = {}
     for level in table.levels:
         for p, l_n, l_nn, _ in level.labels:
@@ -531,7 +531,7 @@ def _physical_branches(table: LevelTable):
                 branches[l_n, l_nn] = ce, tuple(
                     1 if c > 0 or 2 * l + d - 2 >= 0 else -1
                     for c, l, d in ((ce.c1, l_n, ce.n), (ce.c2, l_nn, ce.N - ce.n)))
-            yield (p, *branches[l_n, l_nn])
+            yield (p, *branches[l_n, l_nn], level)
 
 
 # Each check below yields one verdict per case, True (holds), False (fails) or
@@ -552,14 +552,20 @@ def _oscillator_counts(table: LevelTable, harmonic: list[LevelTable]):
 def _harmonic_energies(table: LevelTable, harmonic: list[LevelTable]):
     """At c = 0 each label's energy is hbar omega (2p + l_n + l_Nn + N/2)."""
     for split in harmonic:
-        for p, ce, eps in _physical_branches(split):
+        for p, ce, eps, _ in _physical_branches(split):
             l = 2 * p + ce.l_n + ce.l_Nn
             yield set_solution(1, *eps, p, ce)[1] == ce.hbar * ce.omega * (l + Fraction(ce.N, 2))
 
 
+def _energies(table: LevelTable, harmonic: list[LevelTable]):
+    """The algebraic energy of each label is the exact energy of its level."""
+    for p, ce, eps, level in _physical_branches(table):
+        yield set_solution(1, *eps, p, ce)[1] == level.energy_exact
+
+
 def _structure_functions(table: LevelTable, harmonic: list[LevelTable]):
     """The raw and factorized structure polynomials agree at each label."""
-    for p, ce, eps in _physical_branches(table):
+    for p, ce, eps, _ in _physical_branches(table):
         u, energy = set_solution(1, *eps, p, ce)
         yield structure_poly_raw(u, energy, ce) == structure_poly_factored(u, energy, ce)
 
@@ -568,7 +574,7 @@ def _recursions(table: LevelTable, harmonic: list[LevelTable]):
     """The ladder recursion holds at each label; a label with fewer than two
     usable points (p = 0, or poles), which ``recursion_consistency`` fails, is
     skipped."""
-    for p, ce, eps in _physical_branches(table):
+    for p, ce, eps, _ in _physical_branches(table):
         ok, ratios = recursion_consistency(p, ce, 1, eps)
         yield ok if len(ratios) >= 2 else None
 
@@ -577,6 +583,7 @@ def _recursions(table: LevelTable, harmonic: list[LevelTable]):
 _SPECTRUM_CHECKS = (
     ("oscillator-count[c=0]", "(n, l) pairs", _oscillator_counts),
     ("harmonic-limit[c=0]", "(n, p, l_n, l_Nn) labels", _harmonic_energies),
+    ("energies", "(p, l_n, l_Nn) labels", _energies),
     ("structure-functions", "(p, l_n, l_Nn) labels", _structure_functions),
     ("recursion", "(p, l_n, l_Nn) labels", _recursions),
 )

@@ -83,14 +83,9 @@ class ComponentSpec:
         return (Fraction(2 * self.l + self.m - 2, 2)) ** 2 + 2 * self.c_reduced
 
     @cached_property
-    def alpha_exact(self) -> Fraction | None:
-        """sqrt(alpha_squared) when it is rational, else None."""
-        return exact_sqrt(self.alpha_squared)
-
-    @cached_property
     def alpha(self) -> float:
-        exact = self.alpha_exact
-        return float(exact) if exact is not None else math.sqrt(float(self.alpha_squared))
+        root = exact_sqrt(self.alpha_squared)
+        return float(root) if root is not None else math.sqrt(float(self.alpha_squared))
 
     @property
     def flags(self) -> tuple[str, ...]:
@@ -108,19 +103,7 @@ class RadialMode:
     delta: float
     alpha: float
     energy: float
-    alpha_exact: Fraction | None
     flags: tuple[str, ...] = ()
-
-    @property
-    def exact(self) -> bool:
-        return self.alpha_exact is not None
-
-    @property
-    def energy_exact(self) -> Fraction | None:
-        if self.alpha_exact is None:
-            return None
-        return 2 * self.spec.hbar * self.spec.omega * (
-            self.Nr + self.alpha_exact / 2 + Fraction(1, 2))
 
     def record(self) -> dict:
         rec = {
@@ -140,8 +123,7 @@ def closed_form(spec: ComponentSpec, Nr: int) -> RadialMode:
     base = Fraction(2 * spec.l + spec.m - 2, 2)
     delta = (spec.alpha - float(base)) / 2.0
     return RadialMode(spec=spec, Nr=Nr, delta=delta, alpha=spec.alpha,
-                      energy=_energy(spec, Nr), alpha_exact=spec.alpha_exact,
-                      flags=spec.flags)
+                      energy=_energy(spec, Nr), flags=spec.flags)
 
 
 def _energy(spec: ComponentSpec, Nr: int) -> float:
@@ -476,19 +458,10 @@ class TotalEnergy:
 
     energy: float
     p: int
-    energy_exact: Fraction | None
-    mode1: RadialMode
-    mode2: RadialMode
 
 
 def total_energy(mode1: RadialMode, mode2: RadialMode) -> TotalEnergy:
     """E = E1 + E2 = 2 hbar omega (p + 1 + (alpha1 + alpha2)/2), p = N1 + N2."""
-    s1, s2 = mode1.spec, mode2.spec
-    if (s1.hbar, s1.omega) != (s2.hbar, s2.omega):
+    if (mode1.spec.hbar, mode1.spec.omega) != (mode2.spec.hbar, mode2.spec.omega):
         raise ValueError("components must share hbar and omega")
-    p = mode1.Nr + mode2.Nr
-    exact = None
-    if mode1.energy_exact is not None and mode2.energy_exact is not None:
-        exact = mode1.energy_exact + mode2.energy_exact
-    return TotalEnergy(energy=mode1.energy + mode2.energy, p=p, energy_exact=exact,
-                       mode1=mode1, mode2=mode2)
+    return TotalEnergy(energy=mode1.energy + mode2.energy, p=mode1.Nr + mode2.Nr)

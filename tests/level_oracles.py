@@ -1,8 +1,27 @@
-"""Brute-force oracles for the degeneracy bookkeeping in ``singosc.levels``."""
+"""Brute-force oracles for the degeneracy bookkeeping in ``singosc.levels``,
+and the level of a pair of radial modes."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from singosc.levels import Level, enumerate_levels
+
+
+def regular_level(N: int, n: int, c1: Fraction, c2: Fraction, p: int, l_n: int, l_nn: int,
+                  energy: float, hbar: Fraction = Fraction(1),
+                  omega: Fraction = Fraction(1)) -> Level:
+    """The level of (N, n) at couplings c1, c2 that holds the label (p, l_n, l_Nn)
+    of two regular radial modes, as ``radial.ComponentSpec`` solves them: at zero
+    coupling a one-coordinate block carries its regular mode as the parity
+    label 1.  ``energy``, within hbar omega / 2 of the level's, places the cut."""
+    hw = Fraction(hbar) * Fraction(omega)
+    label = (p, *(1 if m == 1 and c == 0 else l
+                  for m, c, l in ((n, c1, l_n), (N - n, c2, l_nn))))
+    table = enumerate_levels(N, n, c1, c2, e_cut=energy + float(hw) / 2, hbar=hbar, omega=omega)
+    [level] = [level for level in table.levels
+               if label in {entry[:3] for entry in level.labels}]
+    return level
 
 
 def dim_harm_bruteforce(m: int, l: int) -> int:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from level_oracles import regular_level
 from singosc.opalg import (MUTABLE_CONSTANTS, QuadraticConstants, build_quantum,
                            combine, commutator, verify_q3, verify_qp3)
 from singosc.opalg.verify import _ProductCache, quadratic_ac_rhs, quadratic_bc_rhs
@@ -164,7 +165,11 @@ def test_criterion_5_triple_spectrum_agreement():
         ok = ok and mq.m2_squared == 4 * spec2.alpha_squared
         _, e_alg = set_solution(1, 1, 1, p, ce)
         tot = total_energy(closed_form(spec1, n1), closed_form(spec2, n2))
-        ok = ok and abs(tot.energy - float(e_alg)) <= 1e-12 * abs(tot.energy)
+        # the level of separation of variables, exactly; the float closed form
+        # to rounding
+        e_level = regular_level(N, n, c1, c2, p, l1, l2, tot.energy).energy_exact
+        ok = ok and e_alg == e_level
+        ok = ok and abs(tot.energy - float(e_level)) <= 1e-12 * abs(tot.energy)
         # FD cross-check, one component at a time
         e_fd = 0.0
         for spec, nr in ((spec1, n1), (spec2, n2)):

@@ -15,6 +15,7 @@ import pytest
 import singosc
 from singosc import qalg, radial, relations
 from singosc.cli import main
+from singosc.levels import enumerate_levels
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -281,15 +282,18 @@ def test_timings_go_to_stderr_and_leave_stdout_pinned(capsys, command, N, n):
         assert (terms, rest) == ("0", ["residual", "terms"])
 
 
-# golden file -> verify-spectrum arguments: irrational m at (5,2), and a
-# one-coordinate parity block at c = 0 at (3,1)
+# golden file -> verify-spectrum arguments: irrational m at (5,2), a
+# one-coordinate parity block at c = 0 at (3,1), and the levels golden's input
+# at (4,2), whose levels merge through sqrt 2, sqrt 32 and sqrt 50
 _SPECTRUM_GOLDENS = {
     "verify-spectrum-N5-n2-c1-3_7-c2-5.jsonl":
         ["--N", "5", "--n", "2", "--c1", "3/7", "--c2", "5", "--e-cut", "12"],
     "verify-spectrum-N3-n1-c1-0-c2-2.jsonl":
         ["--N", "3", "--n", "1", "--c1", "0", "--c2", "2", "--e-cut", "10"],
+    "verify-spectrum-N4-n2-c1-1_2-c2-7_2.jsonl":
+        ["--N", "4", "--n", "2", "--c1", "1/2", "--c2", "7/2", "--e-cut", "14"],
 }
-_SPECTRUM_CHECKS = ["harmonic-limit[c=0]", "oscillator-count[c=0]", "recursion",
+_SPECTRUM_CHECKS = ["energies", "harmonic-limit[c=0]", "oscillator-count[c=0]", "recursion",
                     "structure-functions"]
 
 
@@ -311,7 +315,42 @@ def test_verify_spectrum_output_is_pinned(capsys, golden):
     assert code == 0 and timed == out
     lines = err.splitlines()
     assert [line.split()[0] for line in lines[:-1]] == _SPECTRUM_CHECKS
-    assert lines[-1].startswith(f"verify-spectrum ({argv[2]},{argv[4]}): 4 checks in ")
+    assert lines[-1].startswith(f"verify-spectrum ({argv[2]},{argv[4]}): 5 checks in ")
+
+
+def _spectrum_records(capsys, argv: list[str]) -> tuple[int, dict]:
+    code, out, _ = _run(capsys, ["verify-spectrum", *argv])
+    return code, {rec["check"]: rec for rec in map(json.loads, out.splitlines())}
+
+
+def test_a_shifted_algebraic_energy_fails_energies(capsys, monkeypatch):
+    solve = qalg.set_solution
+
+    def shifted(set_id, eps1, eps2, p, ce):
+        u, energy = solve(set_id, eps1, eps2, p, ce)
+        return u, energy + ce.hbar * ce.omega / 1000
+
+    monkeypatch.setattr(qalg, "set_solution", shifted)
+    code, records = _spectrum_records(
+        capsys, ["--N", "5", "--n", "2", "--c1", "3/7", "--c2", "5", "--e-cut", "12"])
+    assert code == 1
+    energies = records["energies"]
+    assert energies["passed"] is False and energies["residual_terms"] == 73
+
+
+def test_energies_hold_on_the_two_dimensional_harmonic_labels(capsys):
+    # at (2,1) and c = 0 the algebraic energy of every label is its level's,
+    # l = (0,0) with p >= 1 included, whose branch solve_unirreps refuses:
+    # what fails there is the verdict, not the energy
+    code, records = _spectrum_records(
+        capsys, ["--N", "2", "--n", "1", "--c1", "0", "--c2", "0", "--e-cut", "12"])
+    assert code == 0
+    energies = records["energies"]
+    assert energies["passed"] and energies["residual_terms"] == 0
+    assert energies["detail"] == "23 (p, l_n, l_Nn) labels checked"
+    labels = {label[:3] for level in enumerate_levels(2, 1, e_cut=12).levels
+              for label in level.labels}
+    assert len(labels) == 23 and {(p, 0, 0) for p in range(1, 6)} <= labels
 
 
 def _failed_spectrum_checks(capsys) -> dict:

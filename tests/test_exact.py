@@ -58,11 +58,37 @@ def test_canonical_form_gives_equality_and_hash():
     assert y == m2 * m1 * Fraction(1, 6) and hash(y) == hash(m2 * m1 * Fraction(1, 6))
     assert y != m1 * m2 / 7 and y != Fraction(1, 6)
     assert Biquadratic((4, 2, 0, 6), -8, (3, 7)) == Biquadratic((-2, -1, 0, -3), 4, (3, 7))
-    # the numbers of two fields do not combine, and are never equal
+    # numbers of two fields whose surds neither spans do not combine, and a
+    # rational number is the same number in every field
     other = Biquadratic.sqrt_pair(Fraction(11), Fraction(13))[0]
     with pytest.raises(TypeError):
         m1 + other
-    assert other * 0 + Fraction(8, 5) != x
+    assert other * 0 + Fraction(8, 5) == x and x == other * 0 + Fraction(8, 5)
+
+
+def test_numbers_of_one_square_class_are_equal_across_fields():
+    root8 = Biquadratic.sqrt_pair(Fraction(8), Fraction(3))[0]
+    root2, root3 = Biquadratic.sqrt_pair(Fraction(2), Fraction(3))
+    assert root8.radicands == (8, 3) and root2.radicands == (2, 3)
+    assert root8 == 2 * root2 and 2 * root2 == root8
+    assert root8 - 2 * root2 == 0 and 2 * root2 - root8 == 0
+    assert hash(root8) == hash(2 * root2)
+    # * and / give one number whichever field they are written in
+    x, y = root8 + root3 / 7, 3 - root8 * root3
+    x2, y2 = 2 * root2 + root3 / 7, 3 - 2 * root2 * root3
+    assert x * y == x2 * y2 == x * y2 == x2 * y and hash(x * y) == hash(x2 * y2)
+    assert x / y == x2 / y2 == x / y2 == x2 / y and y / y2 == 1
+    assert (x / y).radicands == (8, 3) and (x2 / y).radicands == (2, 3)
+    # sqrt(a b) of one field is a surd of the other: sqrt 24 = 2 sqrt 6
+    root6 = Biquadratic.sqrt_pair(Fraction(6), Fraction(2))[0]
+    assert root8 * root3 == 2 * root6 and root6 * root2 == 2 * root3
+    # a surd of another square class is no number of this field
+    root5 = Biquadratic.sqrt_pair(Fraction(5), Fraction(3))[0]
+    assert root5 != root8 and root8 != root5 and root5 * 0 + root3 == root3
+    with pytest.raises(TypeError):
+        root8 + root5
+    with pytest.raises(TypeError):
+        root8 * root5
 
 
 def test_ring_axioms_and_inverse():

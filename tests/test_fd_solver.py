@@ -13,6 +13,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from singosc import radial
 from singosc.cli import main
+from singosc.exact import exact_sqrt
 from singosc.radial import ComponentSpec, GridError, GridSpec, fd_eigenvalues
 
 
@@ -40,7 +41,7 @@ def _irrational_specs(seed: int, how_many: int) -> list[tuple[ComponentSpec, int
         spec = ComponentSpec(m=m, c=Fraction(rng.randrange(1, 60), rng.randrange(1, 8)),
                              l=0 if m == 1 else rng.randrange(0, 4))
         count, nodes = rng.randrange(1, 13), rng.choice([64, 128, 256])
-        if spec.alpha_exact is not None:
+        if exact_sqrt(spec.alpha_squared) is not None:
             continue
         try:
             radial._fd_grid(spec, GridSpec(nodes=nodes), count)

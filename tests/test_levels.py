@@ -14,7 +14,7 @@ import pytest
 from level_oracles import count_quanta_tuples, dim_harm_bruteforce
 from singosc.cli import main
 from singosc.levels import dim_harm, enumerate_levels
-from singosc.exact import exact_sqrt
+from singosc.exact import Biquadratic, exact_sqrt
 from singosc.qalg import CentralEigs, set_solution, verify_spectrum
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -55,6 +55,10 @@ def test_per_level_counts_all_partitions(N, l_max):
     assert result.passed and result.residual_terms == 0
     # one count per split and l
     assert result.detail == f"{(N - 1) * (l_max + 1)} (n, l) pairs checked"
+
+
+def _root(x) -> Biquadratic:
+    return Biquadratic.sqrt_pair(Fraction(x), Fraction(0))[0]
 
 
 def test_per_level_counts_n8_partition4():
@@ -114,7 +118,7 @@ def test_table_energies_match_algebraic_set1():
         contrib = level.contributors[0]
         ce = CentralEigs(N=4, n=2, l_n=contrib.l_n, l_Nn=contrib.l_Nn, c1=c1, c2=c2)
         _, energy = set_solution(1, 1, 1, contrib.N1 + contrib.N2, ce)
-        assert level.energy == pytest.approx(float(energy), rel=1e-12)
+        assert level.energy_exact == energy
 
 
 def test_one_coordinate_block_flagging():
@@ -152,25 +156,28 @@ def test_level_tables_are_pinned():
     # above those of irrational alpha at l = 1, and those of (1, 1) and (2, 0)
     # sit about 2.5e-21 apart: all are distinct levels
     table = enumerate_levels(4, 2, Fraction(1, 2 * 10 ** 20), 0, e_cut=5.5)
+    one, four, nine = (_root(x + Fraction(1, 10 ** 20)) for x in (1, 4, 9))
     assert _table(table) == [
         (2.0000000001, Fraction(20000000001, 10000000000), 1, (), [(0, 0, 0, 0, 1)]),
-        (3.0, None, 2, (), [(0, 0, 1, 0, 2)]),
+        (3.0, 2 + one, 2, (), [(0, 0, 1, 0, 2)]),
         (3.0000000001, Fraction(30000000001, 10000000000), 2, (), [(0, 0, 0, 1, 2)]),
-        (4.0, None, 4, (), [(0, 0, 1, 1, 4)]),
-        (4.0, None, 2, (), [(0, 0, 2, 0, 2)]),
+        (4.0, 3 + one, 4, (), [(0, 0, 1, 1, 4)]),
+        (4.0, 2 + four, 2, (), [(0, 0, 2, 0, 2)]),
         (4.0000000001, Fraction(40000000001, 10000000000), 4, (),
          [(0, 0, 0, 2, 2), (0, 1, 0, 0, 1), (1, 0, 0, 0, 1)]),
-        (5.0, None, 8, (), [(0, 0, 1, 2, 4), (0, 1, 1, 0, 2), (1, 0, 1, 0, 2)]),
-        (5.0, None, 4, (), [(0, 0, 2, 1, 4)]),
-        (5.0, None, 2, (), [(0, 0, 3, 0, 2)]),
+        (5.0, 4 + one, 8, (), [(0, 0, 1, 2, 4), (0, 1, 1, 0, 2), (1, 0, 1, 0, 2)]),
+        (5.0, 3 + four, 4, (), [(0, 0, 2, 1, 4)]),
+        (5.0, 2 + nine, 2, (), [(0, 0, 3, 0, 2)]),
         (5.0000000001, Fraction(50000000001, 10000000000), 6, (),
          [(0, 0, 0, 3, 2), (0, 1, 0, 1, 2), (1, 0, 0, 1, 2)])]
-    # both blocks one-coordinate at positive coupling: both flags, irrational levels
+    # both blocks one-coordinate at positive coupling: both flags, irrational
+    # levels (alpha1 = 3/2, alpha2 = sqrt(13) / 2)
     table = enumerate_levels(2, 1, Fraction(1), Fraction(3, 2), e_cut=9.0)
     flags = ("block1-half-line-regular-sector", "block2-half-line-regular-sector")
     assert _table(table) == [
-        (5.302775637731995, None, 1, flags, [(0, 0, 0, 0, 1)]),
-        (7.302775637731995, None, 2, flags, [(0, 1, 0, 0, 1), (1, 0, 0, 0, 1)])]
+        (5.302775637731995, Fraction(7, 2) + _root(13) / 2, 1, flags, [(0, 0, 0, 0, 1)]),
+        (7.302775637731995, Fraction(11, 2) + _root(13) / 2, 2, flags,
+         [(0, 1, 0, 0, 1), (1, 0, 0, 0, 1)])]
     # harmonic limit: exact energies, every merge exact
     table = enumerate_levels(3, 1, 0, 0, e_cut=4.5)
     assert _table(table) == [
@@ -187,7 +194,7 @@ def test_the_table_at_the_e_cut_limit_stores_one_entry_per_label_triple():
     table = enumerate_levels(4, 2, 0, 0, e_cut=64)
     assert len(table.levels) == 63 and len(table.records()) == 22352
     for level in table.levels:
-        l = level.energy_exact - 2
+        l = (level.energy_exact - 2).rational()
         assert l.denominator == 1 and level.degeneracy == math.comb(int(l) + 3, 3)
         contributors = level.contributors
         assert sum(c.multiplicity for c in contributors) == level.degeneracy
@@ -271,26 +278,29 @@ def _level_fields_by_labels(table) -> list[tuple]:
     the signed l + (m-2)/2 at zero coupling, else the root of
     (l + (m-2)/2)^2 + 2c/hbar^2, as a float rounded once; the level's float
     energy is the least of its labels' 2 hbar omega (p + 1 + (alpha1 + alpha2)/2),
-    and its exact energy hbar omega (2p + 2 + alpha1 + alpha2) when both are
-    rational."""
+    and its exact energy hbar omega (2p + 2 + alpha1 + alpha2), with both roots
+    taken in the field of the label's two squares."""
     dims = (table.n, table.N - table.n)
     hw = table.hbar * table.omega
 
     def alpha(block, l):
+        """(float alpha, its sign, alpha^2)."""
         c = (table.c1, table.c2)[block] / table.hbar ** 2
         base = Fraction(2 * l + dims[block] - 2, 2)
         if c == 0:
-            return float(base), base
+            return float(base), -1 if base < 0 else 1, base ** 2
         root = exact_sqrt(base ** 2 + 2 * c)
-        return (float(root) if root is not None else math.sqrt(float(base ** 2 + 2 * c))), root
+        return (float(root) if root is not None else math.sqrt(float(base ** 2 + 2 * c))
+                ), 1, base ** 2 + 2 * c
 
     out = []
     for level in table.levels:
         floats, exacts, degeneracy, labels = [], set(), 0, []
         for p, l_n, l_nn, _ in level.labels:
-            (f1, r1), (f2, r2) = alpha(0, l_n), alpha(1, l_nn)
+            (f1, s1, q1), (f2, s2, q2) = alpha(0, l_n), alpha(1, l_nn)
             floats.append(2.0 * float(hw) * (p + 1 + (f1 + f2) / 2.0))
-            exacts.add(None if r1 is None or r2 is None else hw * (2 * p + 2 + r1 + r2))
+            r1, r2 = Biquadratic.sqrt_pair(q1, q2)
+            exacts.add(hw * (2 * p + 2 + s1 * r1 + s2 * r2))
             mult = dim_harm(dims[0], l_n) * dim_harm(dims[1], l_nn)
             degeneracy += (p + 1) * mult
             labels.append((p, l_n, l_nn, mult))
@@ -321,7 +331,7 @@ def test_level_fields_match_a_build_from_their_labels():
                 for level in table.levels] == _level_fields_by_labels(table), table
         for level in table.levels:
             assert type(level.energy) is float
-            assert type(level.energy_exact) in (Fraction, type(None))
+            assert type(level.energy_exact) is Biquadratic
 
 
 def test_levels_are_cut_exactly():

@@ -9,27 +9,41 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from singosc.qalg import CentralEigs, m_values
+from level_oracles import regular_level
+from singosc.exact import Biquadratic, exact_sqrt
+from singosc.qalg import CentralEigs, m_values, set_solution
 from singosc.radial import (ComponentSpec, GridError, GridSpec, closed_form,
                             default_r_max, fd_eigenvalues, fd_eigenvector,
                             sign_changes, total_energy, wavefunction,
                             wavefunction_norm, wavefunction_sign_changes)
 
 
+def _exact_energy(spec: ComponentSpec, Nr: int) -> Biquadratic:
+    """The exact energy of spec's mode Nr, from the level of (m + 2, m) that
+    holds it next to the ground mode of an uncoupled m = 2 block, of energy
+    hbar omega."""
+    hw = spec.hbar * spec.omega
+    level = regular_level(spec.m + 2, spec.m, spec.c, Fraction(0), Nr, spec.l, 0,
+                          closed_form(spec, Nr).energy + float(hw), spec.hbar, spec.omega)
+    return level.energy_exact - hw
+
+
 def test_closed_form_examples():
     mode = closed_form(ComponentSpec(m=2), 0)
     assert (mode.delta, mode.alpha, mode.energy) == (0.0, 0.0, 1.0)
-    assert mode.energy_exact == 1
+    assert _exact_energy(ComponentSpec(m=2), 0) == 1
 
-    mode = closed_form(ComponentSpec(m=2, c=Fraction(1)), 0)
+    spec = ComponentSpec(m=2, c=Fraction(1))
+    mode = closed_form(spec, 0)
     assert mode.alpha == pytest.approx(math.sqrt(2.0), abs=0, rel=1e-15)
     assert mode.energy == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
-    assert mode.alpha_exact is None
+    assert exact_sqrt(spec.alpha_squared) is None
+    assert _exact_energy(spec, 0) == 1 + Biquadratic.sqrt_pair(Fraction(2), Fraction(0))[0]
 
     mode = closed_form(ComponentSpec(m=3, l=1), 0)
     assert mode.alpha == 1.5
     assert mode.energy == 2.5
-    assert mode.energy_exact == Fraction(5, 2)
+    assert _exact_energy(ComponentSpec(m=3, l=1), 0) == Fraction(5, 2)
 
 
 def test_alpha_identity_against_direct_delta_formula():
@@ -44,7 +58,7 @@ def test_alpha_identity_against_direct_delta_formula():
         c_red = (alpha_target ** 2 - base ** 2) / 2
         spec = ComponentSpec(m=m, c=c_red, l=l)
         mode = closed_form(spec, 0)
-        assert mode.alpha_exact == alpha_target
+        assert _exact_energy(spec, 0) == alpha_target + 1
         radicand = (Fraction(l, 2) + Fraction(m - 2, 4)) ** 2 + c_red / 2
         delta_direct = math.sqrt(float(radicand)) - (m - 2) / 4.0 - l / 2.0
         assert mode.delta == pytest.approx(delta_direct, rel=1e-13, abs=1e-13)
@@ -122,7 +136,7 @@ def test_fd_solves_three_halving_grids():
 def test_fd_energies_and_orders_are_two_stage_richardson_of_the_raw_levels():
     rng = random.Random(7)
     specs = [_random_fd_spec(rng) for _ in range(20)]
-    assert any(spec.alpha_exact is None for spec in specs)
+    assert any(exact_sqrt(spec.alpha_squared) is None for spec in specs)
     for spec in specs:
         result = fd_eigenvalues(spec, GridSpec(nodes=256), count=3)
         h2 = float(spec.hbar ** 2)
@@ -224,7 +238,7 @@ def _wavefunction_sweep():
         spec = ComponentSpec(m=m, l=l, c=c, hbar=Fraction(rng.randrange(1, 5), 3),
                              omega=Fraction(rng.randrange(1, 7), 2))
         specs.append((spec, rng.randrange(5)))
-    assert sum(spec.alpha_exact is None for spec, _ in specs) >= 8
+    assert sum(exact_sqrt(spec.alpha_squared) is None for spec, _ in specs) >= 8
     return specs
 
 
@@ -283,7 +297,7 @@ def test_total_energy_examples():
     s2 = ComponentSpec(m=2)
     both_ground = total_energy(closed_form(s2, 0), closed_form(s2, 0))
     assert both_ground.energy == 2.0 and both_ground.p == 0
-    assert both_ground.energy_exact == 2
+    assert regular_level(4, 2, 0, 0, 0, 0, 0, both_ground.energy).energy_exact == 2
 
     shifted = total_energy(closed_form(s2, 1), closed_form(s2, 0))
     assert shifted.energy == 4.0 and shifted.p == 1
@@ -304,15 +318,16 @@ def test_total_energy_matches_algebraic_set1():
         c1 = Fraction(rng.randrange(0, 9), 2)
         c2 = Fraction(rng.randrange(0, 9), 2)
         ce = CentralEigs(N=N, n=n, l_n=l1, l_Nn=l2, c1=c1, c2=c2)
-        mq = m_values(ce)
         n1 = rng.randrange(0, 3)
         n2 = rng.randrange(0, 3)
         tot = total_energy(
             closed_form(ComponentSpec(m=dims[0], c=c1, l=l1), n1),
             closed_form(ComponentSpec(m=dims[1], c=c2, l=l2), n2))
         p = n1 + n2
-        algebraic = 2.0 * (p + 1 + (float(mq.m1) + float(mq.m2)) / 4.0)
-        assert tot.energy == pytest.approx(algebraic, rel=1e-12)
+        _, algebraic = set_solution(1, 1, 1, p, ce)
+        assert algebraic == regular_level(N, n, c1, c2, p, l1, l2, tot.energy).energy_exact
+        # the float closed form, within rounding of the exact energy
+        assert tot.energy == pytest.approx(float(algebraic), rel=1e-12)
 
 
 def test_component_spec_validation():
@@ -338,4 +353,5 @@ def test_alpha_is_computed_once_per_spec(monkeypatch):
     fd_eigenvalues(spec, GridSpec(nodes=128), count=3)
     modes = [closed_form(spec, nr) for nr in range(3)]
     assert len(calls) == 1
-    assert modes[2].alpha_exact is None and modes[0].alpha == math.sqrt(float(spec.alpha_squared))
+    assert original(spec.alpha_squared) is None
+    assert modes[0].alpha == math.sqrt(float(spec.alpha_squared))
