@@ -15,8 +15,6 @@ cannot be written, exits 2 with a message.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -156,6 +154,8 @@ def _emit(records: list[dict], fmt: str, output: str | None) -> None:
         body = "".join(json.dumps(rec, sort_keys=True, default=str) + "\n"
                        for rec in records)
     else:
+        import csv
+        import io
         buf = io.StringIO()
         fields = sorted({key for rec in records for key in rec})
         writer = csv.DictWriter(buf, fieldnames=fields, restval="",
@@ -268,12 +268,10 @@ def _cmd_wavefunction(opts: dict) -> tuple[list[dict], list[str]]:
     samples = opts["samples"]
     if samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {samples}")
-    records = []
-    for i in range(1, samples + 1):
-        r = r_max * i / samples
-        records.append({"r": r, "psi": radial.wavefunction(mode, r),
-                        "m": spec.m, "l": spec.l, "Nr": mode.Nr})
-    return records, []
+    rs = [r_max * i / samples for i in range(1, samples + 1)]
+    psis = radial.wavefunction(mode, rs).tolist()
+    return [{"r": r, "psi": psi, "m": spec.m, "l": spec.l, "Nr": mode.Nr}
+            for r, psi in zip(rs, psis)], []
 
 
 def _r_max(opts: dict) -> float | None:

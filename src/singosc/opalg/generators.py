@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classical import PhaseFn, classical_limit
-from .diffop import DiffOp
+from .diffop import DiffOp, combine
 from .poly import BlockLayout, BlockPoly
 from .scalars import ParamScalar
 
@@ -139,12 +139,9 @@ def build_quantum(N: int, n: int) -> Generators:
     K = {(i + 1, jdx + 1): angular_momentum(layout, i, jdx)
          for i in range(n, N) for jdx in range(i + 1, N)}
 
-    J2 = DiffOp.zero(layout)
-    for op in J.values():
-        J2 = J2 - op * op
-    K2 = DiffOp.zero(layout)
-    for op in K.values():
-        K2 = K2 - op * op
+    # J2 = -sum L_ij^2 over a block, one word sum; a one-coordinate block has none
+    J2, K2 = (combine([(-1, op, op) for op in block.values()]) if block
+              else DiffOp.zero(layout) for block in (J, K))
 
     return Generators(H=H, A=A, B=B, J=J, K=K, J2=J2, K2=K2)
 

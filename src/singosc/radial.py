@@ -131,8 +131,8 @@ def _energy(spec: ComponentSpec, Nr: int) -> float:
     return 2.0 * float(spec.hbar * spec.omega) * (Nr + spec.alpha / 2.0 + 0.5)
 
 
-def wavefunction(mode: RadialMode, r: float) -> float:
-    """Normalized radial wavefunction at r > 0.
+def wavefunction(mode: RadialMode, r):
+    """Normalized radial wavefunction at r > 0, a float or an array of them.
 
     With u = a r^2, a = omega/hbar, the solution regular at the origin is
     R = C e^(-u/2) u^(delta + l/2) L_Nr^alpha(u), which goes as
@@ -142,32 +142,54 @@ def wavefunction(mode: RadialMode, r: float) -> float:
     C^2 = 2 a^(m/2) Nr! / Gamma(Nr + alpha + 1).
 
     L comes from the three-term recurrence (DLMF 18.9.13)
-    (k + 1) L_(k+1) = (2k + 1 + alpha - u) L_k - (k + alpha) L_(k-1), with its
-    growth carried as a power of two, so R is finite at every Nr and r and
-    underflows to 0.0 only where its true value does."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    (k + 1) L_(k+1) = (2k + 1 + alpha - u) L_k - (k + alpha) L_(k-1), run on
+    every sample at once with each sample's growth carried as a power of two,
+    so R is finite at every Nr and r and underflows to 0.0 only where its true
+    value does.  An array of r gives an array of the same shape; each sample is
+    finished with ``math``, so it is bit for bit the float call's value."""
     spec = mode.spec
     a = float(spec.omega_reduced)
-    u = a * r * r
-    if u > 2.0 ** 511:
-        # e^(-u/2) is far below the smallest float, and u L_k could overflow
-        return 0.0
-    alpha = mode.alpha
-    # L_Nr^alpha(u) = lag 2^scale, with |lag| kept below 2^512
-    prev, lag, scale = 0.0, 1.0, 0
-    for k in range(mode.Nr):
-        prev, lag = lag, ((2 * k + 1 + alpha - u) * lag - (k + alpha) * prev) / (k + 1)
-        if abs(lag) > 2.0 ** 512:
-            prev, lag, scale = prev * 2.0 ** -512, lag * 2.0 ** -512, scale + 512
-    if lag == 0.0:
-        return 0.0
     log_c2 = (math.log(2.0) + spec.m / 2.0 * math.log(a) + math.lgamma(mode.Nr + 1.0)
-              - math.lgamma(mode.Nr + alpha + 1.0))
-    # log u as log a + 2 log r, finite where a r^2 underflows
-    log_u = math.log(a) + 2.0 * math.log(r)
-    return math.copysign(math.exp(log_c2 / 2.0 - u / 2.0 + (mode.delta + spec.l / 2.0) * log_u
-                                  + scale * math.log(2.0) + math.log(abs(lag))), lag)
+              - math.lgamma(mode.Nr + mode.alpha + 1.0))
+    power = mode.delta + spec.l / 2.0
+
+    def finish(r: float, u: float, lag: float, scale: int) -> float:
+        if u > 2.0 ** 511 or lag == 0.0:
+            # e^(-u/2) is far below the smallest float, or r is a node
+            return 0.0
+        # log u as log a + 2 log r, finite where a r^2 underflows
+        log_u = math.log(a) + 2.0 * math.log(r)
+        return math.copysign(math.exp(log_c2 / 2.0 - u / 2.0 + power * log_u
+                                      + scale * math.log(2.0) + math.log(abs(lag))), lag)
+
+    if isinstance(r, (int, float)):
+        if r <= 0:
+            raise ValueError("r must be positive")
+        u = a * r * r
+        return finish(r, u, *_laguerre(mode.Nr, mode.alpha, u))
+    r = np.asarray(r, dtype=float)
+    if (r <= 0).any():
+        raise ValueError("r must be positive")
+    # past u = 2^511 the recurrence may overflow, silently for floats and with a
+    # warning for arrays; ``finish`` gives those samples 0.0 whatever L comes to
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = a * r * r
+        lag, scale = _laguerre(mode.Nr, mode.alpha, u)
+    samples = (column.ravel().tolist() for column in np.broadcast_arrays(r, u, lag, scale))
+    return np.array([finish(*sample) for sample in zip(*samples)]).reshape(r.shape)
+
+
+def _laguerre(n: int, alpha: float, u):
+    """L_n^alpha(u) = lag 2^scale as (lag, scale), each |lag| kept below 2^512,
+    for a float u or elementwise for an array."""
+    prev, lag, scale = 0.0, 1.0, 0
+    for k in range(n):
+        prev, lag = lag, ((2 * k + 1 + alpha - u) * lag - (k + alpha) * prev) / (k + 1)
+        over = abs(lag) > 2.0 ** 512
+        # 2^-512 where |lag| passed 2^512, else an exact 1, per sample
+        shrink = 2.0 ** (-512 * over)
+        prev, lag, scale = prev * shrink, lag * shrink, scale + 512 * over
+    return lag, scale
 
 
 def default_r_max(mode: RadialMode) -> float:
@@ -192,7 +214,7 @@ def wavefunction_sign_changes(mode: RadialMode) -> int:
     Sturm oscillation count."""
     r_max = default_r_max(mode)
     rs = np.linspace(r_max / 4000, r_max, 4000)
-    return sign_changes(np.array([wavefunction(mode, r) for r in rs]), 1e-9)
+    return sign_changes(wavefunction(mode, rs), 1e-9)
 
 
 # -- finite-difference oracle -----------------------------------------------------
@@ -223,13 +245,16 @@ class GridSpec:
 @dataclass(frozen=True)
 class FdResult:
     """Extrapolated FD eigenvalues plus per-level diagnostics; ``raw_levels``
-    and ``h_values`` hold one entry per grid, coarsest first."""
+    and ``h_values`` hold one entry per grid, coarsest first.  ``vectors`` are
+    the finest grid's certified eigenvectors, column k for level k, sampled at
+    its cell centers (i - 1/2) h_values[-1]."""
 
     energies: tuple[float, ...]
     raw_levels: tuple[tuple[float, ...], ...] = field(repr=False)
     h_values: tuple[float, ...]
     observed_orders: tuple[float, ...]
     r_max: float
+    vectors: np.ndarray = field(repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -325,8 +350,9 @@ def _bisect(diag: np.ndarray, off: np.ndarray, count: int, tol: float = 0.0) -> 
 
 
 def _lowest(diag: np.ndarray, off: np.ndarray, count: int, guess,
-            bounds: tuple[float, float]) -> np.ndarray:
-    """Levels 0..count-1 of T = (diag, off), refined from one guess per level;
+            bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs 0..count-1 of T = (diag, off), refined from one guess per
+    level, as (levels, vectors) with column k of vectors for level k;
     ``bounds`` is ``_gershgorin(diag, off)``.
 
     Inverse iteration (LAPACK dstein, all levels in one call) turns the guesses
@@ -335,9 +361,10 @@ def _lowest(diag: np.ndarray, off: np.ndarray, count: int, guess,
     the next shifts.  For symmetric T each interval q +- (r + floor) holds an
     eigenvalue, so when the intervals ascend disjointly and one Sturm count
     finds exactly ``count`` eigenvalues up to the top of the last one, the
-    quotients are levels 0..count-1.  Any other outcome bisects instead, also a
-    guess list that does not strictly ascend, which is never passed to dstein:
-    LAPACK rejects it with a message on stdout."""
+    quotients are levels 0..count-1.  Any other outcome bisects instead, and
+    pairs the bisected levels with dstein's vectors at them; a guess list that
+    does not strictly ascend is never passed to dstein: LAPACK rejects it with
+    a message on stdout."""
     from scipy.linalg import lapack
     n = diag.size
     bottom, norm = bounds
@@ -347,10 +374,10 @@ def _lowest(diag: np.ndarray, off: np.ndarray, count: int, guess,
     split = np.full(n, n, dtype=np.int32)
     for _ in range(REFINE_ROUNDS):
         if not (shifts[1:] > shifts[:-1]).all():
-            return _bisect(diag, off, count)
+            break
         z, info = lapack.dstein(diag, off, shifts, block, split)
         if info != 0:
-            return _bisect(diag, off, count)
+            break
         tz = diag[:, None] * z
         tz[:-1] += off[:, None] * z[1:]
         tz[1:] += off[:, None] * z[:-1]
@@ -358,22 +385,25 @@ def _lowest(diag: np.ndarray, off: np.ndarray, count: int, guess,
         tz -= q * z
         residual = np.sqrt((tz * tz).sum(axis=0))
         if residual.max() <= floor:
+            radius = residual + floor
+            lower, upper = q - radius, q + radius
+            # range 1: by value over (below, upper[-1]]; a tolerance wider than
+            # that interval leaves it unbisected, so the call is one Sturm count
+            # per end
+            below = bottom - floor
+            width = upper[-1] - below
+            if (lower[1:] > upper[:-1]).all():
+                m, _, _, _, info = lapack.dstebz(diag, off, 1, below, upper[-1], 1, 1,
+                                                 2.0 * width, b"E")
+                if info == 0 and m == count:
+                    return q, z
             break
         shifts = q
-    else:
-        return _bisect(diag, off, count)
-    radius = residual + floor
-    lower, upper = q - radius, q + radius
-    if not (lower[1:] > upper[:-1]).all():
-        return _bisect(diag, off, count)
-    # range 1: by value over (below, upper[-1]]; a tolerance wider than that
-    # interval leaves it unbisected, so the call is one Sturm count per end
-    below = bottom - floor
-    width = upper[-1] - below
-    m, _, _, _, info = lapack.dstebz(diag, off, 1, below, upper[-1], 1, 1, 2.0 * width, b"E")
-    if info != 0 or m != count:
-        return _bisect(diag, off, count)
-    return q
+    levels = _bisect(diag, off, count)
+    z, info = lapack.dstein(diag, off, levels, block, split)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstein returned info={info} at the bisected levels")
+    return levels, z
 
 
 def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
@@ -399,13 +429,14 @@ def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
             guess = raw[0]
         else:
             guess = [mid - (coarse - mid) / 4.0 for coarse, mid in zip(*raw)]
-        raw.append(tuple(_lowest(diag, off, count, guess, bounds).tolist()))
+        levels, vectors = _lowest(diag, off, count, guess, bounds)
+        raw.append(tuple(levels.tolist()))
 
     energies, orders = _richardson(raw)
     h2 = float(spec.hbar ** 2)
     return FdResult(energies=tuple(e * h2 for e in energies),
                     raw_levels=tuple(raw), h_values=tuple(r_max / M for M in cells),
-                    observed_orders=tuple(orders), r_max=r_max)
+                    observed_orders=tuple(orders), r_max=r_max, vectors=vectors)
 
 
 def _richardson(raw: list[tuple[float, ...]]) -> tuple[list[float], list[float]]:
@@ -425,22 +456,6 @@ def _richardson(raw: list[tuple[float, ...]]) -> tuple[list[float], list[float]]
         ratio = (coarse - mid) / (mid - fine) if mid != fine else math.nan
         orders.append(math.log2(ratio) if ratio > 0 else math.nan)
     return energies, orders
-
-
-def fd_eigenvector(spec: ComponentSpec, grid: GridSpec | None = None,
-                   index: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(radial nodes, eigenvector samples) on the finest of the three grids,
-    4 ``grid.nodes`` cells, for node counting.
-
-    The grid is that of ``fd_eigenvalues(spec, grid, count=index + 1)``, and so
-    are its ``GridError`` checks."""
-    from scipy.linalg import eigh_tridiagonal
-    r_max, cells = _fd_grid(spec, grid or GridSpec(), index + 1)
-    M = cells[-1]
-    [(diag, off)] = _regularized_tridiagonals(spec, [M], r_max)
-    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(index, index))
-    h = r_max / M
-    return (np.arange(1, M + 1) - 0.5) * h, vecs[:, 0]
 
 
 def sign_changes(vector: np.ndarray, rel_floor: float = 1e-8) -> int:

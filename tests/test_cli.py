@@ -134,6 +134,16 @@ def test_wavefunction_subcommand(capsys):
     assert all("psi" in rec and "r" in rec for rec in records)
 
 
+def test_wavefunction_output_is_pinned(capsys):
+    # the README command: every sample of one array evaluation, byte for byte
+    # the values of one float call per sample
+    code, out, _ = _run(capsys, ["wavefunction", "--m", "3", "--l", "1", "--nr", "2",
+                                 "--samples", "100"])
+    assert code == 0
+    golden = GOLDEN / "wavefunction-m3-l1-nr2-samples100.jsonl"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def _strict_json(line: str) -> dict:
     """One JSON record; NaN and Infinity, which JSON does not have, raise."""
     def refuse(constant):
@@ -467,6 +477,19 @@ print(json.dumps(seen))
 """
 
 
+_CSV_WEIGHT = """
+import contextlib, io, json, sys
+import singosc.cli
+seen = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for fmt in ("json-lines", "csv"):
+        code = singosc.cli.main(["levels", "--N", "4", "--n", "2", "--e-cut", "9/2",
+                                 "--format", fmt])
+        seen.append([code, "csv" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
 _WITHOUT_MPMATH = """
 import sys
 sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
@@ -533,6 +556,15 @@ def test_commands_load_only_the_libraries_they_use():
         "radial": [0, "numpy", "scipy"], "spectrum": [0, "numpy", "scipy"],
         "verify-algebra": [0, "numpy", "scipy", "singosc.opalg"],
         "verify-poisson": [0, "numpy", "scipy", "singosc.opalg"]}
+
+
+def test_only_csv_output_loads_the_csv_module():
+    # a fresh interpreter, and a command that loads neither numpy nor scipy,
+    # which may import csv themselves
+    proc = subprocess.run([sys.executable, "-c", _CSV_WEIGHT], env=_source_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, False], [0, True]]
 
 
 @pytest.mark.parametrize("line, argv", [

@@ -201,6 +201,18 @@ def test_generator_families_and_casimirs():
     assert g21.J2.is_zero() and g21.K2.is_zero()
 
 
+@pytest.mark.parametrize("split", [(3, 1), (4, 1), (5, 2), (8, 4), (20, 10)])
+def test_casimirs_equal_their_chained_sums(split):
+    # J2 and K2 are built as one word sum each; subtracting the squares one
+    # by one gives the same operators
+    gens = build_quantum(*split)
+    for block, casimir in ((gens.J, gens.J2), (gens.K, gens.K2)):
+        chained = DiffOp.zero(gens.layout)
+        for op in block.values():
+            chained = chained - op * op
+        assert casimir == chained
+
+
 def test_harmonic_limit_of_hamiltonian():
     gens = build_quantum(3, 2)
     layout = gens.layout

@@ -14,7 +14,8 @@ from scipy.linalg import eigh_tridiagonal
 from singosc import radial
 from singosc.cli import main
 from singosc.exact import exact_sqrt
-from singosc.radial import ComponentSpec, GridError, GridSpec, fd_eigenvalues
+from singosc.radial import (ComponentSpec, GridError, GridSpec, fd_eigenvalues,
+                            sign_changes)
 
 
 def _spy_full_bisection(monkeypatch) -> list[int]:
@@ -72,6 +73,13 @@ def test_every_grid_matches_a_dense_eigensolver_without_bisecting(spec, count, n
     assert full == []
 
 
+@pytest.mark.parametrize("spec,count,nodes", _irrational_specs(27, 6))
+def test_the_finest_grid_vectors_obey_the_oscillation_theorem(spec, count, nodes):
+    vectors = fd_eigenvalues(spec, GridSpec(nodes=nodes), count).vectors
+    assert vectors.shape == (4 * nodes, count)
+    assert [sign_changes(vectors[:, k]) for k in range(count)] == list(range(count))
+
+
 def test_a_short_r_max_grid_matches_a_dense_eigensolver():
     # the cut at r_max = 4.5 that the CLI's non-convergence test uses
     _check_against_dense(ComponentSpec(m=2), 3, 256, r_max=4.5)
@@ -116,6 +124,15 @@ def test_shared_face_powers_build_each_grid_bit_for_bit():
             assert np.array_equal(diag, ref_diag) and np.array_equal(off, ref_off), (spec, M)
 
 
+def _residuals(diag: np.ndarray, off: np.ndarray, levels: np.ndarray,
+               vectors: np.ndarray) -> np.ndarray:
+    """||T z_k - levels_k z_k|| per column k of ``vectors``."""
+    tz = diag[:, None] * vectors
+    tz[:-1] += off[:, None] * vectors[1:]
+    tz[1:] += off[:, None] * vectors[:-1]
+    return np.linalg.norm(tz - levels * vectors, axis=0)
+
+
 def _wrong_guesses(levels: np.ndarray, norm: float) -> dict[str, np.ndarray]:
     count = levels.size - 1
     return {
@@ -134,12 +151,17 @@ def test_wrong_guesses_fall_back_to_full_precision_bisection(monkeypatch, capfd)
                               eigvals_only=True)
     bisected = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
                                 eigvals_only=True)
+    bounds = radial._gershgorin(diag, off)
+    floor = 8.0 * diag.size * np.finfo(float).eps * bounds[1]
     full = _spy_full_bisection(monkeypatch)
-    for name, guess in _wrong_guesses(levels, radial._gershgorin(diag, off)[1]).items():
+    for name, guess in _wrong_guesses(levels, bounds[1]).items():
         before = len(full)
-        got = radial._lowest(diag, off, count, guess, radial._gershgorin(diag, off))
+        got, vectors = radial._lowest(diag, off, count, guess, bounds)
         assert len(full) == before + 1, name
         assert np.array_equal(got, bisected), name
+        # the fallback's vectors are dstein's at the bisected levels
+        assert np.all(_residuals(diag, off, got, vectors) <= floor), name
+        assert [sign_changes(vectors[:, k]) for k in range(count)] == list(range(count)), name
     captured = capfd.readouterr()
     assert (captured.out, captured.err) == ("", "")
 

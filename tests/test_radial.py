@@ -7,15 +7,16 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from level_oracles import regular_level
 from singosc.exact import Biquadratic, exact_sqrt
 from singosc.qalg import CentralEigs, m_values, set_solution
 from singosc.radial import (ComponentSpec, GridError, GridSpec, closed_form,
-                            default_r_max, fd_eigenvalues, fd_eigenvector,
-                            sign_changes, total_energy, wavefunction,
-                            wavefunction_norm, wavefunction_sign_changes)
+                            default_r_max, fd_eigenvalues, sign_changes,
+                            total_energy, wavefunction, wavefunction_norm,
+                            wavefunction_sign_changes)
 
 
 def _exact_energy(spec: ComponentSpec, Nr: int) -> Biquadratic:
@@ -162,9 +163,10 @@ def test_fd_scaled_units():
 
 def test_fd_eigenvector_oscillation():
     spec = ComponentSpec(m=2, c=Fraction(1))
+    vectors = fd_eigenvalues(spec, GridSpec(nodes=256), count=4).vectors
+    assert vectors.shape == (4 * 256, 4)
     for k in range(4):
-        _, vec = fd_eigenvector(spec, GridSpec(nodes=256), index=k)
-        assert sign_changes(vec) == k
+        assert sign_changes(vectors[:, k]) == k
 
 
 def test_fd_grid_errors():
@@ -175,16 +177,6 @@ def test_fd_grid_errors():
         GridSpec(nodes=16)
     with pytest.raises(GridError):
         fd_eigenvalues(spec, GridSpec(nodes=64, r_max=40.0), count=8)
-
-
-def test_fd_eigenvector_checks_the_grid_of_fd_eigenvalues():
-    # r_max = 1 lies inside the classical region of level 2, so neither solver
-    # can return that level
-    spec, grid = ComponentSpec(m=3, c=Fraction(1)), GridSpec(r_max=1.0)
-    for solve in (lambda: fd_eigenvalues(spec, grid, count=3),
-                  lambda: fd_eigenvector(spec, grid, index=2)):
-        with pytest.raises(GridError, match="below the classical turning point"):
-            solve()
 
 
 def test_wavefunction_gaussian_ground_state():
@@ -291,6 +283,20 @@ def test_wavefunction_is_finite_at_every_radius():
         assert values[0] != 0 and values[1] != 0 and values[-3:] == [0.0] * 3
     mode = closed_form(ComponentSpec(m=2), 1)
     assert wavefunction(mode, 1.0) == 0.0  # L_1^0(1) = 0, the node itself
+
+
+@pytest.mark.parametrize("spec, nr", _wavefunction_sweep()[:8]
+                         + [(ComponentSpec(m=3, l=1), 200), (ComponentSpec(m=3, l=1), 2000)])
+def test_an_array_of_radii_gives_each_float_call_bit_for_bit(spec, nr):
+    # one recurrence over every sample, each with its own power-of-two scale;
+    # past u = 2^511 a sample is 0.0, as the float call gives
+    mode = closed_form(spec, nr)
+    rs = np.r_[np.linspace(0.01, 1.5, 46) * default_r_max(mode), 1e-200, 1e100, 1e200, np.inf]
+    got = wavefunction(mode, rs.reshape(2, 25))
+    assert got.shape == (2, 25)
+    assert got.ravel().tolist() == [wavefunction(mode, r) for r in rs.tolist()]
+    with pytest.raises(ValueError):
+        wavefunction(mode, np.array([1.0, 0.0]))
 
 
 def test_total_energy_examples():
