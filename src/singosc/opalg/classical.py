@@ -30,11 +30,9 @@ reduces the kept ones once.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .diffop import _FIRST, _PRODUCT, DiffOp, _check_split, symbol_sum
 from .poly import _MASK, BlockLayout, BlockPoly, Derivatives
-from .scalars import ParamScalar
+from .scalars import PARAM_SHIFT, ParamScalar, Rational
 
 
 class PhaseFn:
@@ -80,7 +78,7 @@ class PhaseFn:
         _check_split(self.value.layout, other.value.layout)
         return PhaseFn(self.value * other.value)
 
-    def scaled(self, value: ParamScalar | Fraction | int) -> PhaseFn:
+    def scaled(self, value: ParamScalar | Rational) -> PhaseFn:
         return PhaseFn(self.value.scaled(value))
 
     def is_zero(self) -> bool:
@@ -125,7 +123,7 @@ def classical_limit(op: DiffOp) -> PhaseFn:
     part below hbar^m has no classical limit and raises ``ValueError``."""
     symbol = op.symbol
     layout = symbol.layout
-    hbar_shift = layout.param_shift[0]
+    hbar_shift = PARAM_SHIFT[0]
     terms = {}
     for key, c in symbol.num.items():
         order = sum((key >> s) & _MASK for s in layout.pshift)

@@ -33,14 +33,13 @@ formed lifted onto it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iproduct
 from math import comb
 
 from .poly import (_MASK, BlockLayout, BlockPoly, Derivatives, _raw_diff_x, _raw_mul_into,
                    _Sum, _sum)
-from .scalars import ParamScalar
+from .scalars import ParamScalar, Rational, packed
 
 Beta = tuple[int, ...]
 
@@ -105,7 +104,7 @@ class DiffOp:
     def __neg__(self) -> DiffOp:
         return DiffOp._of(-self.symbol)
 
-    def scaled(self, value: ParamScalar | Fraction | int) -> DiffOp:
+    def scaled(self, value: ParamScalar | Rational) -> DiffOp:
         return DiffOp._of(self.symbol.scaled(value))
 
     # -- composition -------------------------------------------------------------
@@ -240,32 +239,19 @@ def _p_derivatives(f: BlockPoly, part: int) -> dict[Beta, dict[int, int]]:
     return table
 
 
-def _scale_parts(layout: BlockLayout, scale) -> tuple[tuple[int, int, int], ...]:
-    """A word's scale as (den, int numerator, parameter key) parts: an int as it
-    is, a Fraction as its numerator over its denominator, a ``ParamScalar`` as
-    one part per parameter monomial, over one denominator."""
-    if isinstance(scale, int):
-        return ((1, scale, 0),)
-    if isinstance(scale, ParamScalar):
-        frags, den = layout.embed_scalar(scale)
-        return tuple((den, coeff, key) for key, coeff in frags.items())
-    scale = Fraction(scale)
-    return ((scale.denominator, scale.numerator, 0),)
-
-
 def _word_products(products: list, scale, f: BlockPoly, g: BlockPoly, part: int,
                    derivatives: Derivatives) -> None:
     """Append the products of scale * (``part`` of sigma(f o g)), one per delta
-    and parameter monomial of the scale (``_scale_parts``), as ``_Sum.lifted``
+    and parameter key of the scale's packed (num, den), as ``_Sum.lifted``
     arguments: the monomial rides on the kernel as a key shift, so
     ``derivatives`` holds the right factors' raw x derivatives and the left
     factors' p-derivative tables, each built once, whatever scales them."""
     if not (f.num and g.num):
         return
-    scales = _scale_parts(f.layout, scale)
+    scales, sden = packed(scale)
 
     def add(den: int, j: int, k: int, a: dict[int, int], b: dict[int, int]) -> None:
-        for sden, coeff, shift in scales:
+        for shift, coeff in scales.items():
             products.append((den * sden, j, k, coeff, a, b, shift))
 
     if part & _PRODUCT:
@@ -368,7 +354,7 @@ def commutator(left: DiffOp, right: DiffOp,
     return combine([(1, left, right), (-1, right, left)], derivatives)
 
 
-def combine(words: list[tuple[ParamScalar | Fraction | int, DiffOp, DiffOp | None]],
+def combine(words: list[tuple[ParamScalar | Rational, DiffOp, DiffOp | None]],
             derivatives: Derivatives | None = None) -> DiffOp:
     """sum_i scale_i * left_i o right_i, accumulated in one pass and reduced once.
 

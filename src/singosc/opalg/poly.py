@@ -1,24 +1,23 @@
 """Sparse Laurent polynomials in the coordinates and rho_b = r_b^2, over the parameter ring.
 
-Monomials are packed into single integers: one 8-bit field per coordinate
-exponent (x_1 is the most significant, so integer order on keys is lex order
-with x_1 first), then one per momentum p_1..p_N, then one field each for
-rho1 = r1^2 = x_1^2+..+x_n^2 and rho2 = r2^2 = x_{n+1}^2+..+x_N^2, then four
-fields for the parameter exponents.  A split has this one layout: operator
-symbols, their coefficients (values whose p fields are zero) and the
-classical functions all use it.  Monomial multiplication is then plain
-integer addition.  An exponent lives in the low 7 bits of its field and
-must stay below 128; the top bit is a guard.  The sum of two exponents below
-128 never carries out of its field, so an overflowing product sets a guard
-bit, and every normalization pass raises ``ExponentOverflowError`` on a guard
-bit instead of letting a carry change the monomial.
+Monomials are packed into single integers: one field per coordinate exponent
+(x_1 is the most significant, so integer order on keys is lex order with x_1
+first), then one per momentum p_1..p_N, then one field each for
+rho1 = r1^2 = x_1^2+..+x_n^2 and rho2 = r2^2 = x_{n+1}^2+..+x_N^2, then the
+four parameter fields of ``scalars``, which defines every field's width and
+guard bit.  A split has this one layout: operator symbols, their coefficients
+(values whose p fields are zero) and the classical functions all use it, and
+a ``ParamScalar``'s keys are its parameter part.  Monomial multiplication is
+then plain integer addition, and every normalization pass raises
+``ExponentOverflowError`` on a guard bit instead of letting a carry change
+the monomial.
 
 Coefficients are Python integers over one common positive denominator, the
 layout of FLINT's ``fmpq_poly``: a ``BlockPoly`` holds ``num`` (packed key ->
 nonzero int) and ``den``, with gcd(den, every numerator) == 1 and den == 1 for
-the zero polynomial.  ``Fraction`` and ``ParamScalar`` appear only at the API:
-the constructor accepts rational coefficients, and ``as_dict``, ``scaled``,
-``substitute_params``, ``embed_scalar`` and ``repr`` convert.
+the zero polynomial, as a ``ParamScalar`` does.  A scalar enters as its
+(num, den), and ``Fraction`` appears only at the API: the constructor accepts
+rational coefficients, and ``as_dict`` and ``repr`` convert.
 
 A ``BlockPoly`` is (num/den) / (rho1^j rho2^k).  The numerator lives in the
 ring Q[params, x, rho] modulo the ideal (rho1 - r1^2, rho2 - r2^2), which is
@@ -57,29 +56,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce as _fold
-from math import gcd, lcm
+from math import lcm
 from operator import or_
 from typing import Mapping
 
-from .scalars import ParamScalar, Exponents, VAR_NAMES
-
-_BITS = 8
-_MASK = (1 << _BITS) - 1
-_LIMIT = 1 << (_BITS - 1)
-
-
-class ExponentOverflowError(OverflowError):
-    """Raised when an exponent would reach 128 and overflow its packed field."""
+from .scalars import (BITS as _BITS, LIMIT as _LIMIT, MASK as _MASK, PARAM_MASK, VAR_NAMES,
+                      Exponents, ExponentOverflowError, ParamScalar, Rational, exponents,
+                      field as _field, integer_terms, packed, reduced, substitute)
 
 
 class BlockLayout:
     """Variable layout of a concrete (N, n) split: N coordinates, N momenta,
     rho1, rho2 and the four parameters."""
 
-    __slots__ = (
-        "N", "n", "nfields", "xshift", "pshift", "pmask", "rho_shift", "param_shift",
-        "guard", "_rules",
-    )
+    __slots__ = ("N", "n", "nfields", "xshift", "pshift", "pmask", "rho_shift", "guard", "_rules")
 
     def __init__(self, N: int, n: int):
         if N < 2 or not 1 <= n <= N - 1:
@@ -93,7 +83,6 @@ class BlockLayout:
         # every p field of a key: key & pmask is its momentum monomial
         self.pmask = sum(_MASK << s for s in self.pshift)
         self.rho_shift = (5 * _BITS, 4 * _BITS)
-        self.param_shift = tuple((3 - t) * _BITS for t in range(4))
         self.guard = sum(_LIMIT << (f * _BITS) for f in range(self.nfields))
         # the rewrite x_lead^2 -> rho_b - rest_b of each block, as
         # (lead shift, rho_b key, keys of the other squares of the block)
@@ -117,11 +106,6 @@ class BlockLayout:
         """rho_block^power, where rho_1 = r1^2 and rho_2 = r2^2."""
         return _field(power) << self.rho_shift[block - 1]
 
-    def param_key(self, exps: Exponents) -> int:
-        s = self.param_shift
-        return ((_field(exps[0]) << s[0]) | (_field(exps[1]) << s[1])
-                | (_field(exps[2]) << s[2]) | (_field(exps[3]) << s[3]))
-
     def check_keys(self, terms: dict[int, int]) -> None:
         """Raise if any packed key has a guard bit set (an exponent reached 128)."""
         self._check_bits(_fold(or_, terms, 0))
@@ -135,13 +119,11 @@ class BlockLayout:
         for field in range(self.nfields):
             s = (shift >> (field * _BITS)) & _MASK
             if s and max((key >> (field * _BITS)) & _MASK for key in terms) + s >= _LIMIT:
-                raise ExponentOverflowError(
-                    f"an exponent reached {_LIMIT}, beyond the packed monomial field")
+                raise ExponentOverflowError()
 
     def _check_bits(self, bits: int) -> None:
         if bits & self.guard:
-            raise ExponentOverflowError(
-                f"an exponent reached {_LIMIT}, beyond the packed monomial field")
+            raise ExponentOverflowError()
 
     def unpack(self, key: int) -> tuple[tuple[int, ...], tuple[int, ...],
                                         tuple[int, int], Exponents]:
@@ -149,28 +131,10 @@ class BlockLayout:
         xe = tuple((key >> s) & _MASK for s in self.xshift)
         pe = tuple((key >> s) & _MASK for s in self.pshift)
         re = tuple((key >> s) & _MASK for s in self.rho_shift)
-        pa = tuple((key >> s) & _MASK for s in self.param_shift)
-        return xe, pe, re, pa  # type: ignore[return-value]
-
-    def embed_scalar(self, scalar: ParamScalar) -> tuple[dict[int, int], int]:
-        """The scalar as integer numerators on parameter keys, over one denominator."""
-        return _integer_terms({self.param_key(e): c for e, c in scalar.terms.items()})
+        return xe, pe, re, exponents(key)  # type: ignore[return-value]
 
     def block_of(self, i: int) -> int:
         return 1 if i < self.n else 2
-
-
-def _field(power: int) -> int:
-    if not 0 <= power < _LIMIT:
-        raise ExponentOverflowError(f"exponent {power} outside [0, {_LIMIT})")
-    return power
-
-
-def _integer_terms(terms: Mapping[int, int | Fraction]) -> tuple[dict[int, int], int]:
-    """Rational coefficients as integer numerators over their least common denominator."""
-    fracs = {key: Fraction(c) for key, c in terms.items() if c}
-    den = lcm(*(c.denominator for c in fracs.values()))
-    return {key: c.numerator * (den // c.denominator) for key, c in fracs.items()}, den
 
 
 # -- raw term-dict helpers (hot paths) --------------------------------------
@@ -378,9 +342,9 @@ class BlockPoly:
 
     __slots__ = ("layout", "num", "den", "j", "k")
 
-    def __init__(self, layout: BlockLayout, num: Mapping[int, int | Fraction] | None = None,
+    def __init__(self, layout: BlockLayout, num: Mapping[int, Rational] | None = None,
                  j: int = 0, k: int = 0):
-        ints, den = _integer_terms(num or {})
+        ints, den = integer_terms(num or {})
         self._set(layout, ints, den, j, k, True)
 
     @classmethod
@@ -406,14 +370,9 @@ class BlockPoly:
                 num, k = quot, k - 1
         elif num:
             layout.check_keys(num)
-        if num:
-            if den != 1:
-                g = gcd(den, *num.values())
-                if g != 1:
-                    num = {key: c // g for key, c in num.items()}
-                    den //= g
-        else:
-            den, j, k = 1, 0, 0
+        num, den = reduced(num, den)
+        if not num:
+            j = k = 0
         self.layout = layout
         self.num = num
         self.den = den
@@ -427,19 +386,15 @@ class BlockPoly:
         return cls._make(layout, {}, 1, 0, 0, rewrite=False)
 
     @classmethod
-    def scalar(cls, layout: BlockLayout, value: ParamScalar | Fraction | int) -> BlockPoly:
-        if not isinstance(value, ParamScalar):
-            value = ParamScalar.rational(value)
-        return cls(layout, {layout.param_key(e): c for e, c in value.terms.items()})
+    def scalar(cls, layout: BlockLayout, value: ParamScalar | Rational) -> BlockPoly:
+        """The scalar's own (num, den): its keys are keys of every layout."""
+        return cls._make(layout, *packed(value), 0, 0, rewrite=False)
 
     @classmethod
     def monomial(cls, layout: BlockLayout, key: int,
-                 coeff: ParamScalar | Fraction | int = 1, j: int = 0, k: int = 0) -> BlockPoly:
-        if isinstance(coeff, ParamScalar):
-            num = {key + layout.param_key(e): c for e, c in coeff.terms.items()}
-        else:
-            num = {key: coeff}
-        return cls(layout, num, j, k)
+                 coeff: ParamScalar | Rational = 1, j: int = 0, k: int = 0) -> BlockPoly:
+        num, den = packed(coeff)
+        return cls._make(layout, {key + frag: c for frag, c in num.items()}, den, j, k)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -459,22 +414,16 @@ class BlockPoly:
         return BlockPoly._make(self.layout, _raw_mul(self.num, other.num),
                                self.den * other.den, self.j + other.j, self.k + other.k)
 
-    def scaled(self, value: ParamScalar | Fraction | int) -> BlockPoly:
+    def scaled(self, value: ParamScalar | Rational) -> BlockPoly:
         # a nonzero factor free of x and rho keeps the normal form and the
-        # rho powers that divide the numerator, so only the content changes
-        if isinstance(value, ParamScalar):
-            frags, fden = self.layout.embed_scalar(value)
-            out: dict[int, int] = {}
-            for frag, coeff in frags.items():
-                _raw_add_into(out, self.num, coeff, frag)
-            return BlockPoly._make(self.layout, _live(out), self.den * fden, self.j, self.k,
-                                   rewrite=False)
-        value = Fraction(value)
-        if not value:
-            return BlockPoly.zero(self.layout)
-        p = value.numerator
-        return BlockPoly._make(self.layout, {key: c * p for key, c in self.num.items()},
-                               self.den * value.denominator, self.j, self.k, rewrite=False)
+        # rho powers that divide the numerator, so only the content changes;
+        # each parameter monomial of the factor is a shift of the keys
+        frags, fden = packed(value)
+        out: dict[int, int] = {}
+        for frag, p in frags.items():
+            _raw_add_into(out, self.num, p, frag)
+        return BlockPoly._make(self.layout, _live(out), self.den * fden, self.j, self.k,
+                               rewrite=False)
 
     # -- calculus ------------------------------------------------------------
 
@@ -507,22 +456,11 @@ class BlockPoly:
     def term_count(self) -> int:
         return len(self.num)
 
-    def substitute_params(self, values) -> BlockPoly:
-        """Substitute exact rationals for a subset of (hbar, omega, c1, c2)."""
-        layout = self.layout
-        subs = [(layout.param_shift[VAR_NAMES.index(name)], Fraction(v))
-                for name, v in values.items()]
-        out: dict[int, Fraction] = {}
-        for key, num in self.num.items():
-            coeff = Fraction(num, self.den)
-            nk = key
-            for shift, v in subs:
-                e = (nk >> shift) & _MASK
-                if e:
-                    coeff = coeff * v ** e
-                    nk -= e << shift
-            out[nk] = out.get(nk, 0) + coeff
-        return BlockPoly(layout, out, self.j, self.k)
+    def substitute_params(self, values: Mapping[str, Rational]) -> BlockPoly:
+        """Substitute exact rationals for a subset of (hbar, omega, c1, c2),
+        by ``scalars.substitute`` on the parameter fields of the keys."""
+        return BlockPoly._make(self.layout, *substitute(self.num, self.den, values),
+                               self.j, self.k)
 
     def p_degree(self) -> int:
         layout = self.layout
@@ -535,11 +473,15 @@ class BlockPoly:
 
     def as_dict(self) -> dict[tuple[int, ...], ParamScalar]:
         """Numerator over den, as {x, p, rho1, rho2 exponents: ParamScalar}."""
-        grouped: dict[tuple[int, ...], dict] = {}
+        grouped: dict[int, dict[int, int]] = {}
         for key, coeff in self.num.items():
-            xe, pe, re, pa = self.layout.unpack(key)
-            grouped.setdefault(xe + pe + re, {})[pa] = Fraction(coeff, self.den)
-        return {mono: ParamScalar(terms) for mono, terms in grouped.items()}
+            frag = key & PARAM_MASK
+            grouped.setdefault(key - frag, {})[frag] = coeff
+        out = {}
+        for mono, num in grouped.items():
+            xe, pe, re, _ = self.layout.unpack(mono)
+            out[xe + pe + re] = ParamScalar._of(*reduced(num, self.den))
+        return out
 
     def __repr__(self) -> str:
         if not self.num:

@@ -24,8 +24,9 @@ and every 2nd face, bit for bit, so each grid is the one it would be if built
 on its own.
 
 Each grid's lowest levels come from inverse iteration (LAPACK dstein) started
-at one guess per level: a loose bisection on the coarse grid, the coarse levels
-on the mid grid and their h^2 prediction on the fine grid.  A level is the
+at one guess per level: a loose bisection on the coarse grid, the Rayleigh
+quotients of the coarse vectors interpolated to the mid grid, and the h^2
+prediction from the two on the fine grid.  A level is the
 Rayleigh quotient of its vector, certified by its residual interval and one
 Sturm count; when a certificate fails the grid is bisected to full precision
 instead.  The quotients are not limited by bisection's ulp * ||T|| stop, so
@@ -349,6 +350,14 @@ def _bisect(diag: np.ndarray, off: np.ndarray, count: int, tol: float = 0.0) -> 
     return w[:count]
 
 
+def _rayleigh(diag: np.ndarray, off: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Rayleigh quotient of each column of z, T z) for T = (diag, off)."""
+    tz = diag[:, None] * z
+    tz[:-1] += off[:, None] * z[1:]
+    tz[1:] += off[:, None] * z[:-1]
+    return np.einsum("ij,ij->j", z, tz) / np.einsum("ij,ij->j", z, z), tz
+
+
 def _lowest(diag: np.ndarray, off: np.ndarray, count: int, guess,
             bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs 0..count-1 of T = (diag, off), refined from one guess per
@@ -378,10 +387,7 @@ def _lowest(diag: np.ndarray, off: np.ndarray, count: int, guess,
         z, info = lapack.dstein(diag, off, shifts, block, split)
         if info != 0:
             break
-        tz = diag[:, None] * z
-        tz[:-1] += off[:, None] * z[1:]
-        tz[1:] += off[:, None] * z[:-1]
-        q = np.einsum("ij,ij->j", z, tz) / np.einsum("ij,ij->j", z, z)
+        q, tz = _rayleigh(diag, off, z)
         tz -= q * z
         residual = np.sqrt((tz * tz).sum(axis=0))
         if residual.max() <= floor:
@@ -414,8 +420,9 @@ def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
     The discretized operator acts on the reduced radial function with
     regularity at 0 and a Dirichlet cutoff at r_max; eigenvalues are returned
     in energy units (multiplied back by hbar^2).  Each grid's guesses for
-    ``_lowest`` come from a loose bisection (coarse), the coarse levels (mid)
-    or their h^2 prediction mid - (coarse - mid)/4 (fine).
+    ``_lowest`` come from a loose bisection (coarse), the Rayleigh quotients
+    of the coarse eigenvectors interpolated linearly to the mid grid's cell
+    centers (mid), or the h^2 prediction mid - (coarse - mid)/4 (fine).
     """
     if count < 1:
         raise ValueError("need at least one eigenvalue")
@@ -426,7 +433,9 @@ def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
         if not raw:
             guess = _bisect(diag, off, count, GUESS_TOL * bounds[1])
         elif len(raw) == 1:
-            guess = raw[0]
+            coarse, mid = ((np.arange(M) + 0.5) * (r_max / M) for M in cells[:2])
+            z = np.column_stack([np.interp(mid, coarse, column) for column in vectors.T])
+            guess = _rayleigh(diag, off, z)[0]
         else:
             guess = [mid - (coarse - mid) / 4.0 for coarse, mid in zip(*raw)]
         levels, vectors = _lowest(diag, off, count, guess, bounds)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from singosc.opalg import BlockPoly
+from singosc.opalg.scalars import param_key
 
 
 def mul(a: dict, b: dict) -> dict:
@@ -99,7 +100,7 @@ def value(layout, p: dict, j: int = 0, k: int = 0):
     ncoord = width(layout) - 4
     num = {}
     for mono, c in p.items():
-        key = layout.param_key(mono[ncoord:])
+        key = param_key(mono[ncoord:])
         for i, e in enumerate(mono[:ncoord]):
             key += layout.x_key(i, e) if i < layout.N else layout.p_key(i - layout.N, e)
         num[key] = c

@@ -12,6 +12,7 @@ from singosc.opalg import (MUTABLE_CONSTANTS, BlockLayout, BlockPoly, DiffOp, Pa
                            build_quantum, classical_limit, combine, poisson_bracket,
                            verify_qp3)
 from singosc.opalg import verify as verify_module
+from singosc.opalg.scalars import param_key
 from singosc.opalg.verify import _ProductCache
 from test_verify import perturbed_word
 
@@ -179,7 +180,7 @@ def _random_laurent_phase(layout, rng):
     """Random x, p, parameter terms over denominators 3..7, divided by r1^2 r2^2 powers."""
     num = {}
     for _ in range(rng.randrange(2, 5)):
-        key = layout.param_key((rng.randrange(2), 0, rng.randrange(2), 0))
+        key = param_key((rng.randrange(2), 0, rng.randrange(2), 0))
         for _ in range(rng.randrange(0, 4)):
             i = rng.randrange(layout.N)
             key += layout.x_key(i) if rng.random() < 0.5 else layout.p_key(i)

@@ -24,6 +24,7 @@ from singosc.opalg import (BlockLayout, BlockPoly, DiffOp, ExponentOverflowError
 from singosc.opalg.classical import bracket_words, combine_phase
 from singosc.opalg.diffop import _FIRST
 from singosc.opalg.poly import Derivatives
+from singosc.opalg.scalars import PARAM_SHIFT, param_key
 from test_classical import _chained_bracket
 
 DENOMINATORS = (3, 5, 7, 11)
@@ -33,7 +34,7 @@ def _random_terms(layout, rng, nterms=3):
     terms = {}
     for _ in range(nterms):
         key = sum(layout.x_key(rng.randrange(layout.N)) for _ in range(rng.randrange(0, 3)))
-        key += layout.param_key((rng.randrange(2), rng.randrange(2), rng.randrange(2), 0))
+        key += param_key((rng.randrange(2), rng.randrange(2), rng.randrange(2), 0))
         coeff = Fraction(rng.randrange(-9, 10) or 1, rng.choice(DENOMINATORS))
         terms[key] = terms.get(key, 0) + coeff
     return {key: c for key, c in terms.items() if c}
@@ -420,7 +421,7 @@ def test_operator_word_sum_with_parameter_scales_matches_chained_arithmetic(spli
 
 def _hbar_monomials(layout, powers, key=0):
     """sum_i hbar^powers[i] times x_{i+1}, so every term holds a distinct x."""
-    return BlockPoly(layout, {key + layout.x_key(i) + layout.param_key((p, 0, 0, 0)): 1
+    return BlockPoly(layout, {key + layout.x_key(i) + param_key((p, 0, 0, 0)): 1
                               for i, p in enumerate(powers)})
 
 
@@ -458,4 +459,4 @@ def test_parameter_scale_below_128_by_the_exact_maximum_passes():
     scale = ParamScalar.hbar(1, Fraction(2, 3))
     got = combine_phase([(scale, f, g)]).value
     assert got == (f.value * g.value).scaled(scale)
-    assert max(key >> phase.param_shift[0] & 0xFF for key in got.num) == 65
+    assert max(key >> PARAM_SHIFT[0] & 0xFF for key in got.num) == 65

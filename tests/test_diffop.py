@@ -14,6 +14,7 @@ import pytest
 
 from singosc.opalg import (BlockLayout, BlockPoly, DiffOp, DimensionMismatchError,
                            ParamScalar, build_quantum, combine, commutator)
+from singosc.opalg.scalars import param_key
 
 
 def _x(layout, i, power=1, coeff=1):
@@ -26,7 +27,7 @@ def _random_value(layout, rng, max_jk=1):
         key = 0
         for _ in range(rng.randrange(0, 3)):
             key += layout.x_key(rng.randrange(layout.N))
-        key += layout.param_key((rng.randrange(2), 0, rng.randrange(2), 0))
+        key += param_key((rng.randrange(2), 0, rng.randrange(2), 0))
         num[key] = num.get(key, Fraction(0)) + Fraction(rng.randrange(-3, 4) or 1,
                                                         rng.randrange(1, 4))
     return BlockPoly(layout, {k: v for k, v in num.items() if v},

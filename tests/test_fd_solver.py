@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from singosc import radial
 from singosc.cli import main
@@ -164,6 +165,29 @@ def test_wrong_guesses_fall_back_to_full_precision_bisection(monkeypatch, capfd)
         assert [sign_changes(vectors[:, k]) for k in range(count)] == list(range(count)), name
     captured = capfd.readouterr()
     assert (captured.out, captured.err) == ("", "")
+
+
+def test_each_grid_certifies_after_about_one_inverse_iteration(monkeypatch):
+    # at the default 512 nodes the mid grid starts from the Rayleigh quotients
+    # of the coarse vectors interpolated onto it, close enough that nearly
+    # every solve certifies after one dstein round, as on the coarse grid
+    # (loose bisection) and the fine grid (the h^2 prediction); started from
+    # the coarse levels, these 40 mid-grid solves took 65 rounds
+    dstein, calls = lapack.dstein, Counter()
+
+    def spy(diag, *args):
+        calls[diag.size] += 1
+        return dstein(diag, *args)
+    monkeypatch.setattr(lapack, "dstein", spy)
+    specs = _irrational_specs(41, 40)
+    rounds = [0, 0, 0]
+    for spec, count, _ in specs:
+        calls.clear()
+        fd_eigenvalues(spec, GridSpec(), count)
+        for grid, cells in enumerate((512, 1024, 2048)):
+            rounds[grid] += calls[cells]
+    assert rounds[0] == rounds[2] == len(specs)
+    assert rounds[1] <= len(specs) + 2
 
 
 def test_radial_readme_command_agrees_past_bisection_precision(capsys):

@@ -10,6 +10,7 @@ import pytest
 import laurent_oracle as oracle
 from laurent_oracle import expand
 from singosc.opalg import BlockLayout, BlockPoly, ParamScalar
+from singosc.opalg.scalars import param_key
 
 
 def _x(layout, i, power=1, coeff=1):
@@ -98,7 +99,7 @@ def _random_x_value(layout, rng, nterms=4):
     """Random x and parameter terms, lead powers up to 3, over r1^2/r2^2 powers."""
     num = {}
     for _ in range(nterms):
-        key = layout.param_key((rng.randrange(2), 0, rng.randrange(2), 0))
+        key = param_key((rng.randrange(2), 0, rng.randrange(2), 0))
         for _ in range(rng.randrange(4)):
             key += layout.x_key(rng.randrange(layout.N))
         num[key] = num.get(key, 0) + Fraction(rng.randrange(-9, 10) or 1, rng.randrange(1, 6))
