@@ -10,6 +10,10 @@ the check table of ``opalg.verify``, ``verify-spectrum`` that of ``qalg``.
 Bad input, such as a non-finite ``--r-max``, an ``--e-cut`` past
 ``levels.E_CUT_LIMIT`` or below the ground level, or an ``--output`` that
 cannot be written, exits 2 with a message.
+
+Each option is one ``_OPTIONS`` row and each subcommand one ``_COMMANDS`` row.
+A flag beats a ``--config`` file, whose values take their flag's type and
+choices, and the file beats the default; N, n and m have none and are required.
 """
 
 from __future__ import annotations
@@ -25,10 +29,6 @@ class ConfigError(Exception):
     pass
 
 
-# The allowed values of --format, for the flag and for a config file alike.
-_FORMATS = ("json-lines", "csv")
-
-
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -36,37 +36,40 @@ def _fraction(text: str) -> Fraction:
         raise ConfigError(f"not an exact rational: {text!r} ({exc})") from None
 
 
-# Each option's argparse settings.  A subcommand takes only the options its
-# handler reads: those it names below, then --format and --output.
+_REQUIRED = "required, as the flag or as a config file key"
+
+# Each option's argparse settings and its default, read by argparse and the
+# config reader alike; an option without a default is required.  A subcommand
+# takes the options its ``_COMMANDS`` row names, then --format and --output.
 _OPTIONS = {
-    "--N": {"type": int, "required": True}, "--n": {"type": int, "required": True},
-    "--m": {"type": int, "required": True}, "--c1": {}, "--c2": {}, "--c": {},
-    "--l": {"type": int}, "--p-max": {"type": int}, "--l-max": {"type": int},
-    "--count": {"type": int}, "--grid-nodes": {"type": int}, "--nr": {"type": int},
-    "--samples": {"type": int}, "--r-max": {"type": float}, "--e-cut": {},
-    "--hbar": {"help": "exact rational (default 1)"},
-    "--omega": {"help": "exact rational (default 1)"},
+    "--N": {"type": int, "help": _REQUIRED}, "--n": {"type": int, "help": _REQUIRED},
+    "--m": {"type": int, "help": _REQUIRED}, "--c1": {"default": "0"},
+    "--c2": {"default": "0"}, "--c": {"default": "0"}, "--l": {"type": int, "default": 0},
+    "--p-max": {"type": int, "default": 2}, "--l-max": {"type": int, "default": 2},
+    "--count": {"type": int, "default": 3}, "--grid-nodes": {"type": int, "default": 512},
+    "--nr": {"type": int, "default": 0}, "--samples": {"type": int, "default": 200},
+    "--r-max": {"type": float, "default": None}, "--e-cut": {"default": "8"},
+    "--hbar": {"default": "1", "help": "exact rational (default 1)"},
+    "--omega": {"default": "1", "help": "exact rational (default 1)"},
     "--timings": {"action": "store_true", "default": False,
                   "help": "one line per check on stderr: name, wall seconds, residual terms"},
-    "--format": {"choices": _FORMATS},
-    "--output": {"help": "output path (default stdout)"},
+    "--format": {"choices": ("json-lines", "csv"), "default": "json-lines"},
+    "--output": {"default": None, "help": "output path (default stdout)"},
 }
 
-_COMMANDS = {
-    "verify-algebra": ("exact quantum Q(3) identity checks", "--N --n --timings"),
-    "verify-poisson": ("exact classical Poisson checks", "--N --n --timings"),
-    "verify-spectrum": ("exact checks of the spectrum up to an energy cutoff",
-                        "--N --n --c1 --c2 --e-cut --hbar --omega --timings"),
-    "spectrum": ("algebraic spectrum from the unirreps",
-                 "--N --n --c1 --c2 --p-max --l-max --hbar --omega"),
-    "radial": ("closed-form levels and the FD cross-check",
-               "--m --c --l --count --grid-nodes --r-max --hbar --omega"),
-    "levels": ("degeneracy table up to an energy cutoff",
-               "--N --n --c1 --c2 --e-cut --hbar --omega"),
-    "wavefunction": ("radial wavefunction samples",
-                     "--m --c --l --nr --r-max --samples --hbar --omega"),
-}
-SUBCOMMANDS = tuple(_COMMANDS)
+
+def _key(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+# Every option a config file may name: each that takes a value.  A key of
+# another subcommand is ignored, so one file can serve several commands.
+CONFIG_KEYS = frozenset(_key(flag) for flag, row in _OPTIONS.items() if "action" not in row)
+_EXPECTED = {int: "an integer", float: "a number"}
+
+
+def _flags(command: str) -> tuple[str, ...]:
+    return (*_COMMANDS[command][1].split(), "--format", "--output")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,24 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "singular oscillators.")
     parser.add_argument("--config", help="flat key = value file; flags win over it")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        for flag in (*flags.split(), "--format", "--output"):
-            p.add_argument(flag, **{"default": None, **_OPTIONS[flag]})
+    for name, (text, _, _) in _COMMANDS.items():
+        # a flag that is not given is absent, for the config file or the default to fill
+        p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for flag in _flags(name):
+            p.add_argument(flag, **{k: v for k, v in _OPTIONS[flag].items() if k != "default"})
     return parser
-
-
-_DEFAULTS = {
-    "hbar": "1", "omega": "1", "format": "json-lines", "output": None,
-    "samples": 200, "c1": "0", "c2": "0", "c": "0", "l": 0, "p_max": 2,
-    "l_max": 2, "count": 3, "grid_nodes": 512, "r_max": None,
-    "e_cut": "8", "nr": 0,
-}
-
-# Every option a config file may name: those with a default above and the
-# required ones.  A key of another subcommand is ignored, so one file can
-# serve several commands.
-_CONFIG_KEYS = {*_DEFAULTS, "N", "n", "m"}
 
 
 def _read_config(path: str) -> dict:
@@ -114,39 +105,34 @@ def _read_config(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace, config: dict) -> dict:
-    """Flag > config-file > default, per option."""
-    unknown = sorted(set(config) - _CONFIG_KEYS)
+    """Flag > config file > default, per option of the subcommand."""
+    unknown = sorted(set(config) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"config {', '.join(unknown)}: no such option")
-    out = {}
-    for key, value in vars(args).items():
-        if key in ("config", "command"):
-            continue
-        if value is None:
-            if key in config:
-                raw = config[key]
-                default = _DEFAULTS.get(key)
-                if isinstance(default, int):
-                    value = _config_number(key, raw, int)
-                elif isinstance(default, float) or key == "r_max":
-                    value = _config_number(key, raw, float)
-                else:
-                    value = raw
-                if key == "format" and value not in _FORMATS:
-                    raise ConfigError(f"config {key} = {raw!r}: expected one of "
-                                      f"{', '.join(_FORMATS)}")
-            else:
-                value = _DEFAULTS.get(key)
-        out[key] = value
+    given, out = vars(args), {}
+    for flag in _flags(args.command):
+        key, row = _key(flag), _OPTIONS[flag]
+        if key in given:
+            out[key] = given[key]
+        elif key in config:
+            out[key] = _from_config(key, config[key], row)
+        elif "default" in row:
+            out[key] = row["default"]
+        else:
+            raise ConfigError(f"{flag} is required, as the flag or as {key} in a config file")
     return out
 
 
-def _config_number(key: str, raw: str, kind: type) -> int | float:
+def _from_config(key: str, raw: str, row: dict):
+    kind = row.get("type", str)
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
-        raise ConfigError(f"config {key} = {raw!r}: expected "
-                          f"{'an integer' if kind is int else 'a number'}") from None
+        raise ConfigError(f"config {key} = {raw!r}: expected {_EXPECTED[kind]}") from None
+    choices = row.get("choices")
+    if choices and value not in choices:
+        raise ConfigError(f"config {key} = {raw!r}: expected one of {', '.join(choices)}")
+    return value
 
 
 def _emit(records: list[dict], fmt: str, output: str | None) -> None:
@@ -216,9 +202,7 @@ def _cmd_spectrum(opts: dict) -> tuple[list[dict], list[str]]:
 
 def _cmd_radial(opts: dict) -> tuple[list[dict], list[str]]:
     from . import radial
-    spec = radial.ComponentSpec(m=opts["m"], c=_fraction(opts["c"]), l=opts["l"],
-                                hbar=_fraction(opts["hbar"]),
-                                omega=_fraction(opts["omega"]))
+    spec = _component(opts)
     grid = radial.GridSpec(nodes=opts["grid_nodes"], r_max=_r_max(opts))
     fd = radial.fd_eigenvalues(spec, grid, count=opts["count"])
     records = []
@@ -260,9 +244,7 @@ def _cmd_levels(opts: dict) -> tuple[list[dict], list[str]]:
 
 def _cmd_wavefunction(opts: dict) -> tuple[list[dict], list[str]]:
     from . import radial
-    spec = radial.ComponentSpec(m=opts["m"], c=_fraction(opts["c"]), l=opts["l"],
-                                hbar=_fraction(opts["hbar"]),
-                                omega=_fraction(opts["omega"]))
+    spec = _component(opts)
     mode = radial.closed_form(spec, opts["nr"])
     r_max = _r_max(opts) or radial.default_r_max(mode)
     samples = opts["samples"]
@@ -272,6 +254,13 @@ def _cmd_wavefunction(opts: dict) -> tuple[list[dict], list[str]]:
     psis = radial.wavefunction(mode, rs).tolist()
     return [{"r": r, "psi": psi, "m": spec.m, "l": spec.l, "Nr": mode.Nr}
             for r, psi in zip(rs, psis)], []
+
+
+def _component(opts: dict):
+    """The ``radial.ComponentSpec`` of radial and wavefunction."""
+    from .radial import ComponentSpec
+    return ComponentSpec(m=opts["m"], c=_fraction(opts["c"]), l=opts["l"],
+                         hbar=_fraction(opts["hbar"]), omega=_fraction(opts["omega"]))
 
 
 def _r_max(opts: dict) -> float | None:
@@ -286,26 +275,35 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-_HANDLERS = {
-    "verify-algebra": partial(_cmd_verify, "verify-algebra"),
-    "verify-poisson": partial(_cmd_verify, "verify-poisson"),
-    "verify-spectrum": partial(_cmd_verify, "verify-spectrum"),
-    "spectrum": _cmd_spectrum,
-    "radial": _cmd_radial,
-    "levels": _cmd_levels,
-    "wavefunction": _cmd_wavefunction,
+# Each subcommand's help, its flags before --format and --output, and its handler.
+_COMMANDS = {
+    "verify-algebra": ("exact quantum Q(3) identity checks", "--N --n --timings",
+                       partial(_cmd_verify, "verify-algebra")),
+    "verify-poisson": ("exact classical Poisson checks", "--N --n --timings",
+                       partial(_cmd_verify, "verify-poisson")),
+    "verify-spectrum": ("exact checks of the spectrum up to an energy cutoff",
+                        "--N --n --c1 --c2 --e-cut --hbar --omega --timings",
+                        partial(_cmd_verify, "verify-spectrum")),
+    "spectrum": ("algebraic spectrum from the unirreps",
+                 "--N --n --c1 --c2 --p-max --l-max --hbar --omega", _cmd_spectrum),
+    "radial": ("closed-form levels and the FD cross-check",
+               "--m --c --l --count --grid-nodes --r-max --hbar --omega", _cmd_radial),
+    "levels": ("degeneracy table up to an energy cutoff",
+               "--N --n --c1 --c2 --e-cut --hbar --omega", _cmd_levels),
+    "wavefunction": ("radial wavefunction samples",
+                     "--m --c --l --nr --r-max --samples --hbar --omega", _cmd_wavefunction),
 }
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _read_config(args.config) if args.config else {}
         opts = _resolve(args, config)
         if "N" in opts and "n" in opts and not 1 <= opts["n"] <= opts["N"] - 1:
             raise ConfigError(f"invalid partition (N, n) = ({opts['N']}, {opts['n']})")
-        records, failures = _HANDLERS[args.command](opts)
+        records, failures = _COMMANDS[args.command][2](opts)
         _emit(records, opts["format"], opts["output"])
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ mutation tests can knock any single one off by a unit.
 from __future__ import annotations
 
 import time
+from itertools import combinations
 
 from .. import relations
 from ..relations import QuadraticConstants
@@ -166,24 +167,23 @@ def _casimir_check(cache, consts, key, point):
 
 def _so_residual(cache, consts, key, point):
     """First residual of bracket(L_ab, L_cd) = s (d_ac L_bd + d_bd L_ac
-    - d_ad L_bc - d_bc L_ad), s = ``cache.rotation``, that is nonzero at
+    - d_ad L_bc - d_bc L_ad), s = ``cache.rotation``, over the unordered pairs
+    (a swap negates both sides, and bracket(L, L) = 0), that is nonzero at
     ``point``, or a zero one when every pair holds there.  Each pair is its
     bracket words and the L words scaled by -s, combined once; L_ba = -L_ab."""
     gens = getattr(cache.g, _BLOCKS[key])
     minus_s = {1: -cache.rotation, -1: cache.rotation}
-    # a block of one coordinate has no generators: its residual is the empty sum
+    # a block of fewer than two generators has no pair: its residual is the empty sum
     residual = cache.combine([(0, cache.get("1"), None)])
-    for a, b in gens:
-        for c, d in gens:
-            words = cache.bracket_words(gens[(a, b)], gens[(c, d)])
-            for sign, delta, (x, y) in ((1, a == c, (b, d)), (1, b == d, (a, c)),
-                                        (-1, a == d, (b, c)), (-1, b == c, (a, d))):
-                if delta and x != y:
-                    words.append((minus_s[sign if x < y else -sign],
-                                  gens[min(x, y), max(x, y)], None))
-            residual = _at(cache.combine(words), point)
-            if not residual.is_zero():
-                return residual
+    for (a, b), (c, d) in combinations(gens, 2):
+        # two distinct pairs: no delta term is an L_xx
+        words = cache.bracket_words(gens[(a, b)], gens[(c, d)]) + [
+            (minus_s[sign if x < y else -sign], gens[min(x, y), max(x, y)], None)
+            for sign, delta, x, y in ((1, a == c, b, d), (1, b == d, a, c),
+                                      (-1, a == d, b, c), (-1, b == c, a, d)) if delta]
+        residual = _at(cache.combine(words), point)
+        if not residual.is_zero():
+            return residual
     return residual
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import singosc
 from singosc import qalg, radial, relations
-from singosc.cli import main
+from singosc.cli import _OPTIONS, CONFIG_KEYS, SUBCOMMANDS, _flags, main
 from singosc.levels import enumerate_levels
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -580,6 +580,7 @@ def test_only_csv_output_loads_the_csv_module():
     ("skip_casimir = true", ["verify-algebra", "--N", "2", "--n", "1"]),
     # radial always solves three grids
     ("grid_levels = 3", ["radial", "--m", "2", "--count", "1"]),
+    ("N = four", ["spectrum", "--n", "2"]),
 ])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, line, argv):
     cfg = tmp_path / "run.cfg"
@@ -588,3 +589,77 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, line, argv):
     assert code == 2
     assert out == ""
     assert line.partition(" ")[0] in err
+
+
+def test_required_options_may_come_from_the_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N = 5\nn = 2\nc1 = 3/7\nc2 = 5\np_max = 6\nl_max = 3\n")
+    code, out, _ = _run(capsys, ["--config", str(cfg), "spectrum"])
+    assert code == 0
+    assert out == (GOLDEN / "spectrum-N5-n2-c1-3_7-c2-5.jsonl").read_text(encoding="utf-8")
+    # the flag beats the file
+    code, out, _ = _run(capsys, ["--config", str(cfg), "spectrum", "--N", "4"])
+    assert code == 0
+    assert out == _run(capsys, ["spectrum", "--N", "4", "--n", "2", "--c1", "3/7",
+                                "--c2", "5", "--p-max", "6", "--l-max", "3"])[1]
+    assert {json.loads(line)["N"] for line in out.splitlines()} == {4}
+    cfg.write_text("m = 2\n")
+    code, out, _ = _run(capsys, ["--config", str(cfg), "radial", "--count", "1"])
+    assert (code, out) == _run(capsys, ["radial", "--m", "2", "--count", "1"])[:2]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--N", "4"], "--n"),
+    (["verify-algebra", "--n", "1"], "--N"),
+    (["wavefunction", "--l", "1"], "--m"),
+])
+def test_a_missing_required_option_exits_2_naming_its_flag(capsys, argv, flag):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"error: {flag} is required" in err
+
+
+# Per subcommand, small inputs that its flags may replace one at a time.
+_BASE_ARGS = {
+    "verify-algebra": {"--N": "2", "--n": "1"},
+    "verify-poisson": {"--N": "2", "--n": "1"},
+    "verify-spectrum": {"--N": "3", "--n": "1", "--e-cut": "6"},
+    "spectrum": {"--N": "4", "--n": "2", "--p-max": "1", "--l-max": "1"},
+    "radial": {"--m": "3", "--count": "1", "--grid-nodes": "64"},
+    "levels": {"--N": "4", "--n": "2", "--e-cut": "5"},
+    "wavefunction": {"--m": "3", "--samples": "4"},
+}
+# A value for each option that takes one, none of them its default.
+_VALUES = {
+    "--N": "3", "--n": "1", "--m": "2", "--c1": "1/2", "--c2": "3/4", "--c": "1/3",
+    "--l": "1", "--p-max": "0", "--l-max": "0", "--count": "2", "--grid-nodes": "128",
+    "--nr": "1", "--samples": "3", "--r-max": "6.5", "--e-cut": "11/2", "--hbar": "2",
+    "--omega": "1/2", "--format": "csv", "--output": "out.txt",
+}
+_VALUE_CASES = [(command, flag) for command in SUBCOMMANDS for flag in _flags(command)
+                if _OPTIONS[flag].get("action") is None]
+
+
+def test_every_option_that_takes_a_value_is_a_config_key():
+    assert CONFIG_KEYS == {flag[2:].replace("-", "_") for flag in _VALUES}
+    assert {flag for _, flag in _VALUE_CASES} == set(_VALUES)
+
+
+@pytest.mark.parametrize("command, flag", _VALUE_CASES, ids=[" ".join(c) for c in _VALUE_CASES])
+def test_a_config_value_and_its_flag_print_the_same(tmp_path, monkeypatch, capsys,
+                                                    command, flag):
+    monkeypatch.chdir(tmp_path)
+    base = {k: v for k, v in _BASE_ARGS[command].items() if k != flag}
+    argv = [command, *(word for item in base.items() for word in item)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:].replace('-', '_')} = {_VALUES[flag]}\n")
+    printed = []
+    for args in (["--config", str(cfg), *argv], [*argv, flag, _VALUES[flag]]):
+        code, out, _ = _run(capsys, args)
+        written = Path("out.txt").read_text(encoding="utf-8") if flag == "--output" else ""
+        printed.append((code, out, written))
+    assert printed[0] == printed[1]
+    assert printed[0][0] in (0, 1) and printed[0][1] + printed[0][2]
+    if "default" in _OPTIONS[flag]:
+        # the value is read: without it the command prints something else
+        assert _run(capsys, argv)[:2] != printed[0][:2]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from singosc.cli import _DEFAULTS, SUBCOMMANDS, main
+from singosc.cli import CONFIG_KEYS, SUBCOMMANDS, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -43,7 +43,7 @@ def _example_config() -> str:
     """The untagged block whose every line sets a known option."""
     for lang, body in _readme_blocks():
         keys = [line.partition("=")[0].strip() for line in body.splitlines() if line.strip()]
-        if not lang and keys and all(key in _DEFAULTS for key in keys):
+        if not lang and keys and all(key in CONFIG_KEYS for key in keys):
             return body
     raise LookupError("README shows no example config file")
 

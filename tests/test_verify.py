@@ -227,3 +227,75 @@ def test_derivatives_do_not_outlive_a_verify_call(monkeypatch):
         assert verify_q3(4, 2, gens=gens).all_passed
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def _ordered_so_scan(cache, key):
+    """The so(m) check of one block over every ordered pair (L_ab, L_cd), the
+    diagonal included: the first nonzero residual of bracket(L_ab, L_cd) =
+    s (d_ac L_bd + d_bd L_ac - d_ad L_bc - d_bc L_ad), or the empty sum."""
+    gens = getattr(cache.g, verify_module._BLOCKS[key])
+
+    def L(x, y):
+        """(sign, generator) with L_yx = -L_xy, or None for L_xx = 0."""
+        return None if x == y else (1, gens[x, y]) if x < y else (-1, gens[y, x])
+    residual = cache.combine([(0, cache.get("1"), None)])
+    for (a, b), P in gens.items():
+        for (c, d), Q in gens.items():
+            words = cache.bracket_words(P, Q)
+            for sign, delta, x, y in ((1, a == c, b, d), (1, b == d, a, c),
+                                      (-1, a == d, b, c), (-1, b == c, a, d)):
+                term = L(x, y)
+                if delta and term:
+                    s = cache.rotation if sign * term[0] < 0 else -cache.rotation
+                    words.append((s, term[1], None))
+            residual = cache.combine(words)
+            if not residual.is_zero():
+                return residual
+    return residual
+
+
+FAMILIES = [pytest.param(build_quantum, verify_q3, "so-rotations", id="quantum"),
+            pytest.param(build_classical, verify_qp3, "poisson-so", id="classical")]
+
+
+@pytest.mark.parametrize("bend", ["none", "one L_ab times 2", "K times 1/3"])
+@pytest.mark.parametrize("N, n", [(4, 1), (5, 2)])
+@pytest.mark.parametrize("build, verify, name", FAMILIES)
+def test_so_records_match_an_ordered_pair_scan(build, verify, name, N, n, bend):
+    gens = build(N, n)
+    if bend == "one L_ab times 2":
+        key = min(gens.K)
+        gens = dataclasses.replace(gens, K={**gens.K, key: gens.K[key].scaled(2)})
+    elif bend == "K times 1/3":
+        gens = dataclasses.replace(gens, K={k: L.scaled(Fraction(1, 3))
+                                            for k, L in gens.K.items()})
+    report = verify(N, n, gens=gens)
+    cache = _ProductCache(gens)
+    for block in verify_module._BLOCKS:
+        residual = _ordered_so_scan(cache, block)
+        result = report[f"{name}[{block}]"]
+        assert (result.passed, result.residual_terms) == (residual.is_zero(),
+                                                          residual.term_count())
+    # the bent block fails
+    assert report[f"{name}[block2]"].passed == (bend == "none")
+
+
+@pytest.mark.parametrize("build, verify, name", FAMILIES)
+def test_so_checks_bracket_each_unordered_pair_once(monkeypatch, build, verify, name):
+    # (6,2): so(2) has one generator and no pair, so(4) six and 15 pairs
+    gens = build(6, 2)
+    cache = _ProductCache(gens)
+    pair_sums = []
+    for combiner in ("combine", "combine_phase"):
+        def spy(words, derivatives=None, _combine=getattr(verify_module, combiner)):
+            # a pair sum holds the bracket words; the empty sum holds none
+            if any(word[2] is not None for word in words):
+                pair_sums[-1] += 1
+            return _combine(words, derivatives)
+        monkeypatch.setattr(verify_module, combiner, spy)
+    for block in verify_module._BLOCKS:
+        g = len(getattr(gens, verify_module._BLOCKS[block]))
+        pair_sums.append(0)
+        assert verify_module._so_residual(cache, None, block, None).is_zero()
+        assert pair_sums[-1] == g * (g - 1) // 2
+    assert pair_sums == [0, 15]
