@@ -14,6 +14,7 @@ cannot be written, exits 2 with a message.
 Each option is one ``_OPTIONS`` row and each subcommand one ``_COMMANDS`` row.
 A flag beats a ``--config`` file, whose values take their flag's type and
 choices, and the file beats the default; N, n and m have none and are required.
+A value its type refuses exits 2 naming its flag (argparse) or its config key.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ class ConfigError(Exception):
     pass
 
 
-def _fraction(text: str) -> Fraction:
+def _rational(text: str) -> Fraction:
+    """An exact rational such as "3/4" or "2"; argparse names the flag of a bad one."""
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"not an exact rational: {text!r} ({exc})") from None
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
 
 
 _REQUIRED = "required, as the flag or as a config file key"
@@ -43,14 +45,16 @@ _REQUIRED = "required, as the flag or as a config file key"
 # takes the options its ``_COMMANDS`` row names, then --format and --output.
 _OPTIONS = {
     "--N": {"type": int, "help": _REQUIRED}, "--n": {"type": int, "help": _REQUIRED},
-    "--m": {"type": int, "help": _REQUIRED}, "--c1": {"default": "0"},
-    "--c2": {"default": "0"}, "--c": {"default": "0"}, "--l": {"type": int, "default": 0},
+    "--m": {"type": int, "help": _REQUIRED}, "--c1": {"type": _rational, "default": Fraction(0)},
+    "--c2": {"type": _rational, "default": Fraction(0)},
+    "--c": {"type": _rational, "default": Fraction(0)}, "--l": {"type": int, "default": 0},
     "--p-max": {"type": int, "default": 2}, "--l-max": {"type": int, "default": 2},
     "--count": {"type": int, "default": 3}, "--grid-nodes": {"type": int, "default": 512},
     "--nr": {"type": int, "default": 0}, "--samples": {"type": int, "default": 200},
-    "--r-max": {"type": float, "default": None}, "--e-cut": {"default": "8"},
-    "--hbar": {"default": "1", "help": "exact rational (default 1)"},
-    "--omega": {"default": "1", "help": "exact rational (default 1)"},
+    "--r-max": {"type": float, "default": None},
+    "--e-cut": {"type": _rational, "default": Fraction(8)},
+    "--hbar": {"type": _rational, "default": Fraction(1), "help": "exact rational (default 1)"},
+    "--omega": {"type": _rational, "default": Fraction(1), "help": "exact rational (default 1)"},
     "--timings": {"action": "store_true", "default": False,
                   "help": "one line per check on stderr: name, wall seconds, residual terms"},
     "--format": {"choices": ("json-lines", "csv"), "default": "json-lines"},
@@ -65,7 +69,7 @@ def _key(flag: str) -> str:
 # Every option a config file may name: each that takes a value.  A key of
 # another subcommand is ignored, so one file can serve several commands.
 CONFIG_KEYS = frozenset(_key(flag) for flag, row in _OPTIONS.items() if "action" not in row)
-_EXPECTED = {int: "an integer", float: "a number"}
+_EXPECTED = {int: "an integer", float: "a number", _rational: "an exact rational"}
 
 
 def _flags(command: str) -> tuple[str, ...]:
@@ -127,7 +131,7 @@ def _from_config(key: str, raw: str, row: dict):
     kind = row.get("type", str)
     try:
         value = kind(raw)
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise ConfigError(f"config {key} = {raw!r}: expected {_EXPECTED[kind]}") from None
     choices = row.get("choices")
     if choices and value not in choices:
@@ -164,7 +168,7 @@ def _cmd_verify(command: str, opts: dict) -> tuple[list[dict], list[str]]:
     if command == "verify-spectrum":
         from . import qalg
         report = qalg.verify_spectrum(opts["N"], opts["n"], *(
-            _fraction(opts[key]) for key in ("c1", "c2", "e_cut", "hbar", "omega")))
+            opts[key] for key in ("c1", "c2", "e_cut", "hbar", "omega")))
     else:
         from . import opalg
         verify = opalg.verify_q3 if command == "verify-algebra" else opalg.verify_qp3
@@ -185,15 +189,13 @@ def _cmd_spectrum(opts: dict) -> tuple[list[dict], list[str]]:
     for key in ("p_max", "l_max"):
         if opts[key] < 0:
             raise ConfigError(f"--{key.replace('_', '-')} must be at least 0, got {opts[key]}")
-    c1, c2 = _fraction(opts["c1"]), _fraction(opts["c2"])
-    hbar, omega = _fraction(opts["hbar"]), _fraction(opts["omega"])
     records = []
     l1_max = min(opts["l_max"], 1) if n == 1 else opts["l_max"]
     l2_max = min(opts["l_max"], 1) if N - n == 1 else opts["l_max"]
     for l_n in range(l1_max + 1):
         for l_nn in range(l2_max + 1):
-            ce = qalg.CentralEigs(N=N, n=n, l_n=l_n, l_Nn=l_nn, c1=c1, c2=c2,
-                                  hbar=hbar, omega=omega)
+            ce = qalg.CentralEigs(N=N, n=n, l_n=l_n, l_Nn=l_nn, c1=opts["c1"], c2=opts["c2"],
+                                  hbar=opts["hbar"], omega=opts["omega"])
             for p in range(opts["p_max"] + 1):
                 for sol in qalg.solve_unirreps(p, ce):
                     records.append(sol.record())
@@ -203,7 +205,11 @@ def _cmd_spectrum(opts: dict) -> tuple[list[dict], list[str]]:
 def _cmd_radial(opts: dict) -> tuple[list[dict], list[str]]:
     from . import radial
     spec = _component(opts)
-    grid = radial.GridSpec(nodes=opts["grid_nodes"], r_max=_r_max(opts))
+    r_max = _r_max(opts)
+    try:
+        grid = radial.GridSpec(nodes=opts["grid_nodes"], r_max=r_max)
+    except radial.GridError as exc:
+        raise ConfigError(f"--grid-nodes {opts['grid_nodes']}: {exc}") from None
     fd = radial.fd_eigenvalues(spec, grid, count=opts["count"])
     records = []
     failures = []
@@ -230,13 +236,8 @@ def _cmd_radial(opts: dict) -> tuple[list[dict], list[str]]:
 
 def _cmd_levels(opts: dict) -> tuple[list[dict], list[str]]:
     from . import levels
-    try:
-        table = levels.enumerate_levels(
-            opts["N"], opts["n"], _fraction(opts["c1"]), _fraction(opts["c2"]),
-            e_cut=_fraction(opts["e_cut"]), hbar=_fraction(opts["hbar"]),
-            omega=_fraction(opts["omega"]))
-    except ValueError as exc:
-        raise ConfigError(f"levels up to --e-cut {opts['e_cut']}: {exc}") from None
+    table = levels.enumerate_levels(opts["N"], opts["n"], opts["c1"], opts["c2"],
+                                    e_cut=opts["e_cut"], hbar=opts["hbar"], omega=opts["omega"])
     if not table.levels:
         raise ConfigError(f"no level lies at or below --e-cut {opts['e_cut']}")
     return table.records(), []
@@ -259,8 +260,8 @@ def _cmd_wavefunction(opts: dict) -> tuple[list[dict], list[str]]:
 def _component(opts: dict):
     """The ``radial.ComponentSpec`` of radial and wavefunction."""
     from .radial import ComponentSpec
-    return ComponentSpec(m=opts["m"], c=_fraction(opts["c"]), l=opts["l"],
-                         hbar=_fraction(opts["hbar"]), omega=_fraction(opts["omega"]))
+    return ComponentSpec(m=opts["m"], c=opts["c"], l=opts["l"],
+                         hbar=opts["hbar"], omega=opts["omega"])
 
 
 def _r_max(opts: dict) -> float | None:

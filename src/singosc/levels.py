@@ -131,6 +131,17 @@ class LevelTable:
 E_CUT_LIMIT = 64
 
 
+def _short(x: Fraction | float) -> str:
+    """x as it prints when that is short, else to three significant digits:
+    an e_cut of 1e400 reads 1.00E+400, not as its 401 digits."""
+    text = str(x)
+    if len(text) <= 24:
+        return text
+    from decimal import Context
+    x = Fraction(x)
+    return str(Context(prec=3).divide(x.numerator, x.denominator))
+
+
 def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int = 0,
                      e_cut: Fraction | float = 10.0, hbar: Fraction = Fraction(1),
                      omega: Fraction = Fraction(1)) -> LevelTable:
@@ -147,7 +158,7 @@ def enumerate_levels(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int 
     if hbar <= 0 or omega <= 0:
         raise ValueError("hbar and omega must be positive")
     if e_cut > E_CUT_LIMIT * hbar * omega:
-        raise ValueError(f"e_cut {e_cut} is above {E_CUT_LIMIT} hbar omega = "
+        raise ValueError(f"e_cut {_short(e_cut)} is above {E_CUT_LIMIT} hbar omega = "
                          f"{E_CUT_LIMIT * hbar * omega}; the level table grows as "
                          "(e_cut / hbar omega)^3")
     blocks = ((n, c1 / hbar ** 2), (N - n, c2 / hbar ** 2))

@@ -19,8 +19,8 @@ real form of the physical generator -i L, so every order takes (-1)^floor(m/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classical import PhaseFn, classical_limit
 from .diffop import DiffOp, combine
@@ -31,18 +31,17 @@ from .scalars import ParamScalar
 Generator = DiffOp | PhaseFn
 
 
-@dataclass(frozen=True)
-class Generators:
+class Generators(NamedTuple):
     """All integrals of motion of the double singular oscillator, as operators
     or as their classical phase-space functions."""
 
     H: Generator
     A: Generator
     B: Generator
-    J: dict[tuple[int, int], Generator] = field(repr=False)
-    K: dict[tuple[int, int], Generator] = field(repr=False)
-    J2: Generator = field(repr=False)
-    K2: Generator = field(repr=False)
+    J: dict[tuple[int, int], Generator]
+    K: dict[tuple[int, int], Generator]
+    J2: Generator
+    K2: Generator
 
     @property
     def layout(self) -> BlockLayout:

@@ -17,13 +17,12 @@ code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class QuadraticConstants:
+class QuadraticConstants(NamedTuple):
     """Structure constants of the two quadratic commutation relations.
 
     [A, C] = hbar^2 ( ac_anti {A,B} + ac_j2h J2 H + ac_k2h K2 H
@@ -50,7 +49,7 @@ class QuadraticConstants:
     @classmethod
     @cache
     def for_dims(cls, N: int, n: int) -> "QuadraticConstants":
-        """The constants of the split (N, n), built once per split: they are frozen."""
+        """The constants of the split (N, n), built once per split: a tuple is immutable."""
         return cls(ac_anti=Fraction(2), ac_j2h=Fraction(-1), ac_k2h=Fraction(1),
                    ac_c1h=Fraction(-2), ac_c2h=Fraction(2),
                    ac_h4h=Fraction((N - 4) * (N - 2 * n), 4), ac_b=Fraction(N * (N - 4), 4),
@@ -60,10 +59,10 @@ class QuadraticConstants:
 
     def bumped(self, field_name: str, amount: int = 1) -> "QuadraticConstants":
         """Copy with one structure constant perturbed by a unit."""
-        return replace(self, **{field_name: getattr(self, field_name) + amount})
+        return self._replace(**{field_name: getattr(self, field_name) + amount})
 
 
-MUTABLE_CONSTANTS = tuple(QuadraticConstants.__dataclass_fields__)
+MUTABLE_CONSTANTS = QuadraticConstants._fields
 
 
 def _zeta(consts: QuadraticConstants, c1, c2) -> list:

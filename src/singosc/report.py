@@ -3,11 +3,10 @@ checks of ``opalg.verify`` and the spectrum checks of ``qalg``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one exact identity check."""
 
     name: str
@@ -29,12 +28,12 @@ class CheckResult:
         return rec
 
 
-@dataclass
 class VerificationReport:
     """A deterministic (name-ordered) collection of check results."""
 
-    context: dict = field(default_factory=dict)
-    results: list[CheckResult] = field(default_factory=list)
+    def __init__(self, context: dict) -> None:
+        self.context = context
+        self.results: list[CheckResult] = []
 
     def add(self, result: CheckResult) -> None:
         self.results.append(result)

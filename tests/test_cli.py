@@ -68,10 +68,39 @@ def test_levels_with_non_positive_hbar_or_omega_exits_2(capsys, flag, value):
     assert "hbar and omega must be positive" in err
 
 
-def test_bad_rational_exits_2(capsys):
-    code, _, err = _run(capsys, ["spectrum", "--N", "4", "--n", "2", "--c1", "0.25x"])
-    assert code == 2
-    assert "not an exact rational" in err
+def test_bad_rational_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for value in ("0.25x", "1/0"):
+        # argparse names the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--N", "4", "--n", "2", "--c1", value])
+        assert exc.value.code == 2
+        assert f"argument --c1: not an exact rational: {value!r}" in capsys.readouterr().err
+        # and the config reader the key
+        cfg.write_text(f"c1 = {value}\n")
+        code, out, err = _run(capsys, ["--config", str(cfg), "spectrum", "--N", "4", "--n", "2"])
+        assert (code, out) == (2, "")
+        assert f"config c1 = {value!r}: expected an exact rational" in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--hbar", "0", "hbar and omega must be positive"),
+    ("--c1", "-1", "couplings must be non-negative"),
+])
+def test_levels_errors_do_not_blame_the_e_cut(capsys, flag, value, message):
+    code, out, err = _run(capsys, ["levels", "--N", "4", "--n", "2", flag, value])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_too_few_grid_nodes_exit_2_naming_the_flag(tmp_path, capsys):
+    code, out, err = _run(capsys, ["radial", "--m", "2", "--grid-nodes", "48"])
+    assert (code, out) == (2, "")
+    assert err == "error: --grid-nodes 48: need at least 64 nodes\n"
+    # the other grid errors keep their own wording
+    code, out, err = _run(capsys, ["radial", "--m", "2", "--r-max", "0.5"])
+    assert (code, out) == (2, "")
+    assert err == "error: r_max=0.5 is below the classical turning point\n"
 
 
 def test_byte_identical_output_for_same_config(capsys):
@@ -200,7 +229,7 @@ def test_non_finite_r_max_exits_2(tmp_path, capsys, command, value):
 def test_levels_with_an_e_cut_past_the_float_range_exits_2(capsys):
     code, out, err = _run(capsys, ["levels", "--N", "4", "--n", "2", "--e-cut", "1e400"])
     assert (code, out) == (2, "")
-    assert "--e-cut 1e400" in err
+    assert "e_cut 1.00E+400 is above 64 hbar omega" in err
 
 
 def _without_observed_orders(monkeypatch):
@@ -556,6 +585,31 @@ def test_commands_load_only_the_libraries_they_use():
         "radial": [0, "numpy", "scipy"], "spectrum": [0, "numpy", "scipy"],
         "verify-algebra": [0, "numpy", "scipy", "singosc.opalg"],
         "verify-poisson": [0, "numpy", "scipy", "singosc.opalg"]}
+
+
+_VERIFY_RECORDS = """
+import contextlib, io, json, sys
+import singosc.cli, singosc.opalg
+imported = "dataclasses" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [singosc.cli.main([command, "--N", "4", "--n", "2"])
+             for command in ("verify-algebra", "verify-poisson")]
+records = sorted(f"{name}.{attr}" for name, module in list(sys.modules.items())
+                 if name.startswith("singosc") for attr, obj in vars(module).items()
+                 if isinstance(obj, type) and "__dataclass_fields__" in vars(obj))
+print(json.dumps([codes, imported, records]))
+"""
+
+
+def test_the_verify_path_defines_no_dataclasses():
+    # a fresh interpreter: the records of the verify path are NamedTuples and
+    # a plain class, so importing singosc loads no dataclasses, and no module
+    # the verify commands load defines one (what the standard library or numpy
+    # import for themselves varies with the Python version, so is not checked)
+    proc = subprocess.run([sys.executable, "-c", _VERIFY_RECORDS], env=_source_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0], False, []]
 
 
 def test_only_csv_output_loads_the_csv_module():

@@ -3,7 +3,6 @@ parameter point, and mutation sensitivity of every structure constant."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -60,7 +59,7 @@ def test_a_rescaled_rotation_generator_fails_only_its_block(verify, build, check
     # to the third, so one rescaled generator breaks the relations it enters
     gens = build(5, 2)
     key = min(gens.K)
-    bent = dataclasses.replace(gens, K={**gens.K, key: gens.K[key].scaled(factor)})
+    bent = gens._replace(K={**gens.K, key: gens.K[key].scaled(factor)})
     report = verify(5, 2, gens=bent)
     assert [r.name for r in report.failures()] == [check]
     assert report[check].residual_terms > 0
@@ -116,14 +115,22 @@ def test_every_bumped_constant_leaves_its_golden_residuals(family, build, verify
         assert got == expected, field_name
 
 
+def test_every_bumped_constant_is_a_quadratic_constants():
+    consts = QuadraticConstants.for_dims(4, 2)
+    for name in MUTABLE_CONSTANTS:
+        bumped = consts.bumped(name)
+        assert type(bumped) is QuadraticConstants, name
+        assert getattr(bumped, name) == getattr(consts, name) + 1
+        assert bumped._replace(**{name: getattr(consts, name)}) == consts
+
+
 def test_specific_mutation_from_4_to_3():
     # the B-coefficient N(N-4)/4 of the first relation, with N(N-4) -> N(N-3)
     N, n = 4, 2
     gens = build_quantum(N, n)
     cache = _ProductCache(gens)
     good = QuadraticConstants.for_dims(N, n)
-    import dataclasses
-    bad = dataclasses.replace(good, ac_b=Fraction(N * (N - 3), 4))
+    bad = good._replace(ac_b=Fraction(N * (N - 3), 4))
     lhs = commutator(gens.A, cache.get("C"))
     assert (lhs - combine(cache.graded(quadratic_ac_rhs(cache, good)))).is_zero()
     residual = lhs - combine(cache.graded(quadratic_ac_rhs(cache, bad)))
@@ -265,10 +272,9 @@ def test_so_records_match_an_ordered_pair_scan(build, verify, name, N, n, bend):
     gens = build(N, n)
     if bend == "one L_ab times 2":
         key = min(gens.K)
-        gens = dataclasses.replace(gens, K={**gens.K, key: gens.K[key].scaled(2)})
+        gens = gens._replace(K={**gens.K, key: gens.K[key].scaled(2)})
     elif bend == "K times 1/3":
-        gens = dataclasses.replace(gens, K={k: L.scaled(Fraction(1, 3))
-                                            for k, L in gens.K.items()})
+        gens = gens._replace(K={k: L.scaled(Fraction(1, 3)) for k, L in gens.K.items()})
     report = verify(N, n, gens=gens)
     cache = _ProductCache(gens)
     for block in verify_module._BLOCKS:
