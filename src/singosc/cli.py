@@ -8,8 +8,9 @@ three verify commands share one handler, which prints the records of a
 ``report.VerificationReport``: ``verify-algebra`` and ``verify-poisson`` run
 the check table of ``opalg.verify``, ``verify-spectrum`` that of ``qalg``.
 Bad input, such as a non-finite ``--r-max``, an ``--e-cut`` past
-``levels.E_CUT_LIMIT`` or below the ground level, or an ``--output`` that
-cannot be written, exits 2 with a message.
+``levels.E_CUT_LIMIT`` or below the ground level, an FD grid past
+``radial.FD_MEMORY_LIMIT``, more than ``SAMPLES_LIMIT`` wavefunction samples,
+or an ``--output`` that cannot be written, exits 2 with a message.
 
 Each option is one ``_OPTIONS`` row and each subcommand one ``_COMMANDS`` row.
 A flag beats a ``--config`` file, whose values take their flag's type and
@@ -243,6 +244,12 @@ def _cmd_levels(opts: dict) -> tuple[list[dict], list[str]]:
     return table.records(), []
 
 
+# wavefunction holds every sample and its record before it writes the first,
+# about 430 bytes each (tracemalloc), so this bound keeps a run near 43 MB,
+# under radial.FD_MEMORY_LIMIT; the README samples 100 and 200.
+SAMPLES_LIMIT = 100_000
+
+
 def _cmd_wavefunction(opts: dict) -> tuple[list[dict], list[str]]:
     from . import radial
     spec = _component(opts)
@@ -251,6 +258,8 @@ def _cmd_wavefunction(opts: dict) -> tuple[list[dict], list[str]]:
     samples = opts["samples"]
     if samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {samples}")
+    if samples > SAMPLES_LIMIT:
+        raise ConfigError(f"--samples {samples} is above the limit of {SAMPLES_LIMIT}")
     rs = [r_max * i / samples for i in range(1, samples + 1)]
     psis = radial.wavefunction(mode, rs).tolist()
     return [{"r": r, "psi": psi, "m": spec.m, "l": spec.l, "Nr": mode.Nr}

@@ -4,18 +4,20 @@ The structure function has two independent forms: ``structure_poly_raw``
 derives it, like A(x), b(x) and the ladder recursion, from the relation table
 of ``singosc.relations`` that ``opalg.verify`` proves (``Realization``), and
 ``structure_poly_factored`` is the paper's factorization, whose six roots and
-leading coefficient encode the finite-representation constraints.  Both, and
-the recursion, are exact in Q(sqrt(m1^2), sqrt(m2^2)) (``exact.Biquadratic``),
-so the agreement checks test equality, for irrational m too.  ``verify_spectrum``
-runs them, with the c = 0 counts and energies, as one check table.
+leading coefficient encode the finite-representation constraints.  Both are
+functions of x, of degree 6, so agreeing at x = 0..6 makes them equal
+(``structure_functions_agree``).  Both, and the recursion, are exact in
+Q(sqrt(m1^2), sqrt(m2^2)) (``exact.Biquadratic``), so the agreement checks
+test equality, for irrational m too.  ``verify_spectrum`` runs them, with the
+c = 0 counts and energies, as one check table.
 
 The unirrep solver decides every verdict in integers, without the field, from
-what each ``CentralEigs`` caches: its ``MQuantum`` (m1^2, m2^2, and m1, m2 on
-first read) and its branch table, which places each root of Phi's six linear
-factors, and s/2 = (eps1 m1 + eps2 m2)/2, among the integers by exact floors
-and signs (``exact.sqrt_sum_floor``, ``exact.sqrt_sum_sign``).  Per p the
-solver only shifts those by multiples of p + 1; u, E and Phi are computed when
-a solution is read.
+what each ``CentralEigs`` caches: m1^2 and m2^2 (m1 and m2 on first read) and
+its branch table, which places each root of Phi's six linear factors, and
+s/2 = (eps1 m1 + eps2 m2)/2, among the integers by exact floors and signs
+(``exact.sqrt_sum_floor``, ``exact.sqrt_sum_sign``).  Per p the solver only
+shifts those by multiples of p + 1; u, E and Phi are computed when a solution
+is read.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import relations
 from .exact import Biquadratic, exact_sqrt, sqrt_sum_floor, sqrt_sum_sign
@@ -76,25 +78,44 @@ class CentralEigs:
         return self.hbar ** 2 * self.l_Nn * (self.l_Nn + m - 2)
 
     @cached_property
-    def mq(self) -> MQuantum:
-        """m_i >= 0 with hbar^2 m1^2 = 8 c1 + 4 J2 + hbar^2 (n-2)^2 (and the
-        block-2 twin)."""
-        h2 = self.hbar ** 2
-        m1_sq = (8 * self.c1 + 4 * self.j2) / h2 + (self.n - 2) ** 2
-        m2_sq = (8 * self.c2 + 4 * self.k2) / h2 + (self.N - self.n - 2) ** 2
-        if m1_sq < 0 or m2_sq < 0:
-            raise ValueError("negative radicand for m1/m2")
-        return MQuantum(m1_squared=m1_sq, m2_squared=m2_sq)
+    def m1_squared(self) -> Fraction:
+        """m1^2 with hbar^2 m1^2 = 8 c1 + 4 J2 + hbar^2 (n-2)^2; never negative,
+        as c1 >= 0 and l_n (l_n + n - 2) >= 0 on every label accepted."""
+        return (8 * self.c1 + 4 * self.j2) / self.hbar ** 2 + (self.n - 2) ** 2
+
+    @cached_property
+    def m2_squared(self) -> Fraction:
+        """The block-2 twin of ``m1_squared``."""
+        return (8 * self.c2 + 4 * self.k2) / self.hbar ** 2 + (self.N - self.n - 2) ** 2
+
+    @cached_property
+    def _m_pair(self) -> tuple[Biquadratic, Biquadratic]:
+        return Biquadratic.sqrt_pair(self.m1_squared, self.m2_squared)
+
+    @property
+    def m1(self) -> Biquadratic:
+        """m1 >= 0; m1 and m2 are built together, in one field, on first read."""
+        return self._m_pair[0]
+
+    @property
+    def m2(self) -> Biquadratic:
+        return self._m_pair[1]
+
+    @cached_property
+    def exact(self) -> bool:
+        """Whether m1 and m2 are both rational."""
+        return (exact_sqrt(self.m1_squared) is not None
+                and exact_sqrt(self.m2_squared) is not None)
 
     @cached_property
     def branches(self) -> tuple:
         """The placement table of ``solve_unirreps``, built by ``_branch_table``."""
-        return _branch_table(self.mq)
+        return _branch_table(self)
 
     @cached_property
     def quarters(self) -> dict[tuple[int, int], Biquadratic]:
         """s/4 = (eps1 m1 + eps2 m2)/4 per sign pair (eps1, eps2)."""
-        m1, m2 = self.mq.m1, self.mq.m2
+        m1, m2 = self.m1, self.m2
         return {(eps1, eps2): (eps1 * m1 + eps2 * m2) / 4 for eps1, eps2 in _SIGNS}
 
     @cached_property
@@ -118,70 +139,30 @@ class CentralEigs:
         """The printed form of ``energy(p, eps1, eps2)``, also built once."""
         key = p, eps1, eps2
         if key not in self._energy_texts:
-            self._energy_texts[key] = _num_str(self.energy(*key), self.mq.exact)
+            self._energy_texts[key] = _num_str(self.energy(*key), self.exact)
         return self._energy_texts[key]
 
 
-@dataclass(frozen=True)
-class MQuantum:
-    """Positive roots m1, m2 of the central-element combinations, from their
-    exact squares; both roots are built together, in one field, on first read."""
-
-    m1_squared: Fraction
-    m2_squared: Fraction
-
-    @cached_property
-    def _pair(self) -> tuple[Biquadratic, Biquadratic]:
-        return Biquadratic.sqrt_pair(self.m1_squared, self.m2_squared)
-
-    @property
-    def m1(self) -> Biquadratic:
-        return self._pair[0]
-
-    @property
-    def m2(self) -> Biquadratic:
-        return self._pair[1]
-
-    @cached_property
-    def exact(self) -> bool:
-        return (exact_sqrt(self.m1_squared) is not None
-                and exact_sqrt(self.m2_squared) is not None)
+def m_values(ce: CentralEigs) -> CentralEigs:
+    """``ce``, which holds m1, m2 and their squares; the benchmark reads them here."""
+    return ce
 
 
-def m_values(ce: CentralEigs) -> MQuantum:
-    """The m1, m2 of ``ce``: one ``MQuantum`` per ``CentralEigs``, so every
-    solution of it shares one pair of field roots."""
-    return ce.mq
+# -- the structure function ---------------------------------------------------------
 
 
-# -- dense degree-6 polynomials ---------------------------------------------------
-
-
-def poly_mul(a: Sequence, b: Sequence) -> list:
-    out = [a[0] * 0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for jdx, cb in enumerate(b):
-            out[i + jdx] = out[i + jdx] + ca * cb
-    return out
-
-
-@dataclass(frozen=True)
-class StructureFn:
-    """Degree-6 structure polynomial, by its coefficients in x."""
-
-    coeffs: tuple
-
-    def __call__(self, x):
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+def structure_functions_agree(phi: Callable, other: Callable) -> bool:
+    """Whether two structure functions are equal: both are polynomials of
+    degree 6 in x, so they are exactly when they agree at x = 0..6."""
+    return all(phi(x) == other(x) for x in range(7))
 
 
 def structure_poly_raw(u: Biquadratic | Fraction, energy: Biquadratic | Fraction,
-                       ce: CentralEigs) -> StructureFn:
-    """The structure polynomial of the proved relations (``Realization.phi``)."""
-    return StructureFn(coeffs=tuple(Realization(energy, ce).phi(u)))
+                       ce: CentralEigs) -> Callable:
+    """x -> Phi(x + u), the structure function of the proved relations
+    (``Realization.phi``)."""
+    phi = Realization(energy, ce).phi
+    return lambda x: phi(x + u)
 
 
 def factored_roots(energy: Biquadratic | Fraction, ce: CentralEigs) -> list:
@@ -189,20 +170,16 @@ def factored_roots(energy: Biquadratic | Fraction, ce: CentralEigs) -> list:
     four (2 +- m1 +- m2)/4, which depend on the central elements only (the m
     of ``ce``), and the two roots (hbar omega -+ E)/(2 hbar omega) of the
     energy factor."""
-    m1, m2, hw = ce.mq.m1, ce.mq.m2, ce.hbar * ce.omega
+    m1, m2, hw = ce.m1, ce.m2, ce.hbar * ce.omega
     return [(2 + m1 + m2) / 4, (2 - m1 + m2) / 4, (2 + m1 - m2) / 4, (2 - m1 - m2) / 4,
             (-energy + hw) / (2 * hw), (energy + hw) / (2 * hw)]
 
 
-def _lead(ce: CentralEigs) -> Fraction:
-    """Leading coefficient of the factorized structure polynomial."""
-    return -12582912 * ce.hbar ** 18 * ce.omega ** 2
-
-
 def structure_poly_factored(u: Biquadratic | Fraction, energy: Biquadratic | Fraction,
                             ce: CentralEigs,
-                            root_offsets: Sequence | None = None) -> StructureFn:
-    """Factorized structure polynomial, with the roots of ``factored_roots``.
+                            root_offsets: Sequence | None = None) -> Callable:
+    """x -> lead * prod_i (x + u - r_i), the factorized structure function, with
+    lead = -12582912 hbar^18 omega^2 and the roots r_i of ``factored_roots``.
 
     The last factor is read as (x + u - (E + hbar omega)/(2 hbar omega)).
     ``root_offsets`` perturbs individual roots (mutation testing).
@@ -210,10 +187,8 @@ def structure_poly_factored(u: Biquadratic | Fraction, energy: Biquadratic | Fra
     roots = factored_roots(energy, ce)
     if root_offsets is not None:
         roots = [r + d for r, d in zip(roots, root_offsets)]
-    coeffs = [_lead(ce)]
-    for root in roots:
-        coeffs = poly_mul(coeffs, [u - root, 1])
-    return StructureFn(coeffs=tuple(coeffs))
+    lead, shifts = -12582912 * ce.hbar ** 18 * ce.omega ** 2, [u - root for root in roots]
+    return lambda x: math.prod((x + shift for shift in shifts), start=lead)
 
 
 # -- finite unirreps -------------------------------------------------------------
@@ -222,12 +197,11 @@ def structure_poly_factored(u: Biquadratic | Fraction, energy: Biquadratic | Fra
 _SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-@dataclass(frozen=True, init=False)
-class UnirrepSolution:
+class UnirrepSolution(NamedTuple):
     """One (set, sign) branch of the finite-representation constraints.
 
     The verdict is decided when the branch is solved; u and the energy are
-    computed on first read, from the m1, m2 of ``ce``.
+    read from ``set_solution``, which takes E from those ``ce`` keeps.
     """
 
     set_id: int
@@ -237,29 +211,15 @@ class UnirrepSolution:
     admissible: bool
     failing_x: int | None
     exact: bool
-    ce: CentralEigs = field(repr=False, compare=False)
-
-    def __init__(self, set_id: int, eps1: int, eps2: int, p: int, admissible: bool,
-                 failing_x: int | None, exact: bool, ce: CentralEigs):
-        # The generated frozen __init__ sets each field by object.__setattr__;
-        # filling the instance dict gives the same instance at a third of the
-        # cost, and solve_unirreps builds twelve per call.
-        attrs = self.__dict__
-        attrs["set_id"], attrs["eps1"], attrs["eps2"], attrs["p"] = set_id, eps1, eps2, p
-        attrs["admissible"], attrs["failing_x"] = admissible, failing_x
-        attrs["exact"], attrs["ce"] = exact, ce
-
-    @cached_property
-    def _closed_form(self) -> tuple[Biquadratic, Biquadratic]:
-        return set_solution(self.set_id, self.eps1, self.eps2, self.p, self.ce)
+    ce: CentralEigs
 
     @property
     def u(self) -> Biquadratic:
-        return self._closed_form[0]
+        return set_solution(self.set_id, self.eps1, self.eps2, self.p, self.ce)[0]
 
     @property
     def energy(self) -> Biquadratic:
-        return self._closed_form[1]
+        return set_solution(self.set_id, self.eps1, self.eps2, self.p, self.ce)[1]
 
     def record(self) -> dict:
         ce = self.ce
@@ -313,7 +273,7 @@ def solve_unirreps(p: int, ce: CentralEigs) -> list[UnirrepSolution]:
     if p < 0:
         raise ValueError("p must be non-negative")
     q = p + 1
-    exact = ce.mq.exact
+    exact = ce.exact
     out: list[UnirrepSolution] = []
     for set_id, eps1, eps2, q_min, roots in ce.branches:
         admissible, failing = _verdict(roots, q) if q >= q_min else (False, None)
@@ -321,7 +281,7 @@ def solve_unirreps(p: int, ce: CentralEigs) -> list[UnirrepSolution]:
     return out
 
 
-def _branch_table(mq: MQuantum) -> tuple:
+def _branch_table(ce: CentralEigs) -> tuple:
     """For each (set, eps1, eps2), in the order of ``solve_unirreps``: the tuple
     (set, eps1, eps2, q_min, roots of Phi), none of which depends on p.
 
@@ -336,7 +296,7 @@ def _branch_table(mq: MQuantum) -> tuple:
     A root is held as (slope, offset, is an integer), its ceiling being
     slope q + offset; ``_placements`` places each t among the integers.
     """
-    m1_sq, m2_sq = mq.m1_squared, mq.m2_squared
+    m1_sq, m2_sq = ce.m1_squared, ce.m2_squared
     den = math.lcm(m1_sq.denominator, m2_sq.denominator)
     # m_i = sqrt(rad_i) / den with integer radicands
     rad1 = m1_sq.numerator * (den // m1_sq.denominator) * den
@@ -441,6 +401,14 @@ class Realization:
         self.gamma, self.eps, self.zeta = ac["A", "B"], ac["B",], ac[()]
         self.gamma_b, self.z, self.eta, self.casimir = -bc["B2",], bc["A",], bc[()], k[()]
         self.rho0_squared = 1 / (3 * 2 ** 12 * self.gamma ** 8)
+        g, e, z, g2 = self.gamma, self.eps, self.z, self.gamma ** 2
+        scale = 1 / (256 * g2 * g2 * self.rho0_squared)
+        # Phi's coefficients in w^2, lowest first
+        self._phi_cubic = tuple(c * scale for c in (
+            256 * self.zeta ** 2,
+            -64 * g2 * self.casimir - 64 * g * e * self.eta + 16 * z * e * e,
+            16 * g * g2 * self.eta - z * (8 * g2 * e + 4 * g2 * g2),
+            z * g2 * g2))
 
     def a(self, y):
         return self.gamma / 2 * (y * y - Fraction(1, 4)) - self.eps / (2 * self.gamma)
@@ -448,20 +416,11 @@ class Realization:
     def b(self, y):
         return -self.zeta / (2 * self.gamma * self.a(y) + self.eps)
 
-    def phi(self, u) -> list:
-        """Coefficients in x of Phi(y), y = x + u, summed as a cubic in w^2."""
-        g, e, z, g2 = self.gamma, self.eps, self.z, self.gamma ** 2
-        scale = 1 / (256 * g2 * g2 * self.rho0_squared)
-        w2 = poly_mul([2 * u - 1, 2], [2 * u - 1, 2])
-        *lower, top = (256 * self.zeta ** 2,
-                       -64 * g2 * self.casimir - 64 * g * e * self.eta + 16 * z * e * e,
-                       16 * g * g2 * self.eta - z * (8 * g2 * e + 4 * g2 * g2),
-                       z * g2 * g2)
-        coeffs = [top * scale]
-        for c in reversed(lower):
-            coeffs = poly_mul(coeffs, w2)
-            coeffs[0] = coeffs[0] + c * scale
-        return coeffs
+    def phi(self, y):
+        """Phi(y), the cubic in w^2 = (2y - 1)^2 of the class docstring."""
+        w2 = (2 * y - 1) ** 2
+        c0, c1, c2, c3 = self._phi_cubic
+        return ((c3 * w2 + c2) * w2 + c1) * w2 + c0
 
 
 def _at_center(words: list, values: dict, hbar: Fraction) -> dict:
@@ -564,10 +523,11 @@ def _energies(table: LevelTable, harmonic: list[LevelTable]):
 
 
 def _structure_functions(table: LevelTable, harmonic: list[LevelTable]):
-    """The raw and factorized structure polynomials agree at each label."""
+    """The raw and factorized structure functions agree at each label."""
     for p, ce, eps, _ in _physical_branches(table):
         u, energy = set_solution(1, *eps, p, ce)
-        yield structure_poly_raw(u, energy, ce) == structure_poly_factored(u, energy, ce)
+        yield structure_functions_agree(structure_poly_raw(u, energy, ce),
+                                        structure_poly_factored(u, energy, ce))
 
 
 def _recursions(table: LevelTable, harmonic: list[LevelTable]):

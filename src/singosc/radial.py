@@ -24,9 +24,9 @@ and every 2nd face, bit for bit, so each grid is the one it would be if built
 on its own.
 
 Each grid's lowest levels come from inverse iteration (LAPACK dstein) started
-at one guess per level: a loose bisection on the coarse grid, the Rayleigh
-quotients of the coarse vectors interpolated to the mid grid, and the h^2
-prediction from the two on the fine grid.  A level is the
+at one guess per level: a loose bisection on the coarse grid, the coarse
+levels on the mid grid, and the h^2 prediction from the two on the fine
+grid.  A level is the
 Rayleigh quotient of its vector, certified by its residual interval and one
 Sturm count; when a certificate fails the grid is bisected to full precision
 instead.  The quotients are not limited by bisection's ulp * ||T|| stop, so
@@ -226,8 +226,17 @@ def wavefunction_sign_changes(mode: RadialMode) -> int:
 ORDER_TOL = 0.5
 
 
+# An FD solve peaks near 32 bytes per finest-grid cell and per level requested
+# plus five (tracemalloc: 8.1 MB at 1,024 nodes and count 60).  A grid far past
+# the default gains nothing: at m = 2, c = 1 and count 3 the worst relative
+# error is 1.8e-13 at 512 nodes, 2.0e-12 at 2,048 and 1.3e-11 at 16,384, as
+# rounding grows with ||T||.  64 MiB admits 65,536 nodes at count 3.
+FD_MEMORY_LIMIT = 2 ** 26
+
+
 class GridError(ValueError):
-    """Raised when the grid cannot resolve the requested levels."""
+    """Raised when the grid cannot resolve the requested levels, or would need
+    more memory than ``FD_MEMORY_LIMIT``."""
 
 
 @dataclass(frozen=True)
@@ -306,8 +315,13 @@ def _fd_grid(spec: ComponentSpec, grid: GridSpec, count: int) -> tuple[float, li
     """(r_max, cells of the three grids, finest last) for the lowest ``count`` levels.
 
     The default r_max is twice the classical turning point of level count + 3.
-    Raises ``GridError`` when r_max lies below the turning point of the highest
-    requested level, or when the coarsest grid cannot resolve level count + 3."""
+    Raises ``GridError`` when the solve would need more than ``FD_MEMORY_LIMIT``
+    bytes, when r_max lies below the turning point of the highest requested
+    level, or when the coarsest grid cannot resolve level count + 3."""
+    need = 32 * 4 * grid.nodes * (count + 5)
+    if need > FD_MEMORY_LIMIT:
+        raise GridError(f"{grid.nodes} nodes at count {count} need about {need} bytes, "
+                        f"above the FD limit of {FD_MEMORY_LIMIT} bytes")
     w = float(spec.omega_reduced)
     h2 = float(spec.hbar ** 2)
     e_top = _energy(spec, count + 3) / h2  # reduced units
@@ -420,9 +434,8 @@ def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
     The discretized operator acts on the reduced radial function with
     regularity at 0 and a Dirichlet cutoff at r_max; eigenvalues are returned
     in energy units (multiplied back by hbar^2).  Each grid's guesses for
-    ``_lowest`` come from a loose bisection (coarse), the Rayleigh quotients
-    of the coarse eigenvectors interpolated linearly to the mid grid's cell
-    centers (mid), or the h^2 prediction mid - (coarse - mid)/4 (fine).
+    ``_lowest`` come from a loose bisection (coarse), the coarse levels (mid),
+    or the h^2 prediction mid - (coarse - mid)/4 (fine).
     """
     if count < 1:
         raise ValueError("need at least one eigenvalue")
@@ -433,9 +446,7 @@ def fd_eigenvalues(spec: ComponentSpec, grid: GridSpec | None = None,
         if not raw:
             guess = _bisect(diag, off, count, GUESS_TOL * bounds[1])
         elif len(raw) == 1:
-            coarse, mid = ((np.arange(M) + 0.5) * (r_max / M) for M in cells[:2])
-            z = np.column_stack([np.interp(mid, coarse, column) for column in vectors.T])
-            guess = _rayleigh(diag, off, z)[0]
+            guess = raw[0]
         else:
             guess = [mid - (coarse - mid) / 4.0 for coarse, mid in zip(*raw)]
         levels, vectors = _lowest(diag, off, count, guess, bounds)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import singosc
-from singosc import qalg, radial, relations
+from singosc import levels, qalg, radial, relations
 from singosc.cli import _OPTIONS, CONFIG_KEYS, SUBCOMMANDS, _flags, main
 from singosc.levels import enumerate_levels
 
@@ -101,6 +101,14 @@ def test_too_few_grid_nodes_exit_2_naming_the_flag(tmp_path, capsys):
     code, out, err = _run(capsys, ["radial", "--m", "2", "--r-max", "0.5"])
     assert (code, out) == (2, "")
     assert err == "error: r_max=0.5 is below the classical turning point\n"
+
+
+def test_an_fd_grid_past_the_memory_limit_exits_2_before_solving(capsys):
+    # 10^8 nodes would need about 10^11 bytes; the refusal builds no array
+    code, out, err = _run(capsys, ["radial", "--m", "2", "--grid-nodes", "100000000"])
+    assert (code, out) == (2, "")
+    assert err == ("error: 100000000 nodes at count 3 need about 102400000000 bytes, "
+                   f"above the FD limit of {radial.FD_MEMORY_LIMIT} bytes\n")
 
 
 def test_byte_identical_output_for_same_config(capsys):
@@ -200,6 +208,8 @@ def test_verify_poisson_subcommand(capsys):
 @pytest.mark.parametrize("flag, value, message", [
     pytest.param("--samples", "0", "--samples must be at least 1", id="0"),
     pytest.param("--samples", "-5", "--samples must be at least 1", id="-5"),
+    pytest.param("--samples", "100001", "--samples 100001 is above the limit of 100000",
+                 id="past-limit"),
     # a zero radius is not the default radius
     pytest.param("--r-max", "0", "--r-max must be a positive finite number", id="r-max-0"),
     pytest.param("--r-max", "-1", "--r-max must be a positive finite number", id="r-max--1"),
@@ -373,8 +383,21 @@ def test_a_shifted_algebraic_energy_fails_energies(capsys, monkeypatch):
     code, records = _spectrum_records(
         capsys, ["--N", "5", "--n", "2", "--c1", "3/7", "--c2", "5", "--e-cut", "12"])
     assert code == 1
-    energies = records["energies"]
-    assert energies["passed"] is False and energies["residual_terms"] == 73
+    failed = {name: rec["residual_terms"] for name, rec in records.items() if not rec["passed"]}
+    # every label of the given couplings, and every c = 0 label of each split
+    assert failed == {"energies": 73, "harmonic-limit[c=0]": 360}
+
+
+def test_a_wrong_harmonic_dimension_fails_the_oscillator_count(capsys, monkeypatch):
+    # one degree-2 harmonic too many in each block of three or more
+    # dimensions moves only the c = 0 degeneracies the count compares
+    dim_harm = levels.dim_harm
+    monkeypatch.setattr(levels, "dim_harm", lambda m, l: dim_harm(m, l) + (m >= 3 and l == 2))
+    code, records = _spectrum_records(
+        capsys, ["--N", "5", "--n", "2", "--c1", "3/7", "--c2", "5", "--e-cut", "12"])
+    assert code == 1
+    failed = {name: rec["residual_terms"] for name, rec in records.items() if not rec["passed"]}
+    assert failed == {"oscillator-count[c=0]": 32}
 
 
 def test_energies_hold_on_the_two_dimensional_harmonic_labels(capsys):

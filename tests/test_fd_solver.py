@@ -168,11 +168,10 @@ def test_wrong_guesses_fall_back_to_full_precision_bisection(monkeypatch, capfd)
 
 
 def test_each_grid_certifies_after_about_one_inverse_iteration(monkeypatch):
-    # at the default 512 nodes the mid grid starts from the Rayleigh quotients
-    # of the coarse vectors interpolated onto it, close enough that nearly
-    # every solve certifies after one dstein round, as on the coarse grid
-    # (loose bisection) and the fine grid (the h^2 prediction); started from
-    # the coarse levels, these 40 mid-grid solves took 65 rounds
+    # at the default 512 nodes every coarse-grid solve (from a loose
+    # bisection) and every fine-grid solve (from the h^2 prediction) certifies
+    # after one dstein round; the mid grid starts from the coarse levels and
+    # may take more
     dstein, calls = lapack.dstein, Counter()
 
     def spy(diag, *args):
@@ -187,7 +186,6 @@ def test_each_grid_certifies_after_about_one_inverse_iteration(monkeypatch):
         for grid, cells in enumerate((512, 1024, 2048)):
             rounds[grid] += calls[cells]
     assert rounds[0] == rounds[2] == len(specs)
-    assert rounds[1] <= len(specs) + 2
 
 
 def test_radial_readme_command_agrees_past_bisection_precision(capsys):

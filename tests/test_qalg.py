@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -12,9 +13,9 @@ import pytest
 from singosc import qalg, relations
 from singosc.exact import sqrt_sum_sign
 from singosc.exact import Biquadratic
-from singosc.qalg import (CentralEigs, MQuantum, exact_sqrt, m_values, recursion_consistency,
-                          set_solution, solve_unirreps, structure_poly_factored,
-                          structure_poly_raw, verify_spectrum)
+from singosc.qalg import (CentralEigs, exact_sqrt, m_values, recursion_consistency,
+                          set_solution, solve_unirreps, structure_functions_agree,
+                          structure_poly_factored, structure_poly_raw, verify_spectrum)
 
 
 def _rational_m_eigs(rng, N=None, n=None):
@@ -68,8 +69,21 @@ def test_raw_equals_factored_on_random_rational_tuples():
         energy = Fraction(rng.randrange(-9, 9), rng.randrange(1, 8))
         raw = structure_poly_raw(u, energy, ce)
         fac = structure_poly_factored(u, energy, ce)
-        assert len(raw.coeffs) == len(fac.coeffs) == 7  # degree 6
-        assert raw == fac
+        assert structure_functions_agree(raw, fac)
+
+
+def test_six_points_do_not_decide_the_structure_function():
+    # a degree-6 term that vanishes at x = 0..5 moves Phi only from x = 6 on
+    ce = CentralEigs(N=4, n=2, l_n=0, l_Nn=1, c1=Fraction(9, 8), c2=Fraction(1, 2))
+    u, energy = Fraction(1, 3), Fraction(5, 2)
+    fac = structure_poly_factored(u, energy, ce)
+
+    def bent(x):
+        return fac(x) + Fraction(1, 7) * math.prod(x - k for k in range(6))
+    assert all(bent(x) == fac(x) for x in range(6))
+    assert structure_functions_agree(structure_poly_raw(u, energy, ce), fac)
+    assert not structure_functions_agree(bent, fac)
+    assert not structure_functions_agree(structure_poly_raw(u, energy, ce), bent)
 
 
 def test_unshifted_last_factor_reading_fails():
@@ -78,7 +92,7 @@ def test_unshifted_last_factor_reading_fails():
     u = Fraction(1, 3)
     raw = structure_poly_raw(u, Fraction(5, 2), ce)
     fac = structure_poly_factored(u, Fraction(5, 2), ce, root_offsets=(0,) * 5 + (u,))
-    assert raw != fac
+    assert not structure_functions_agree(raw, fac)
 
 
 def test_factored_root_locations():
@@ -232,7 +246,7 @@ def test_one_pass_verdicts_match_the_sorted_walk():
     cases = ([_rational_m_eigs(rng)[0] for _ in range(8)]
              + [_irrational_m_eigs(rng) for _ in range(8)]
              + [_parity_block_eigs(rng) for _ in range(8)] + [harmonic_21])
-    assert {ce.mq.exact for ce in cases} == {True, False}
+    assert {ce.exact for ce in cases} == {True, False}
     for ce in cases:
         for p in range(13):
             q = p + 1
@@ -278,9 +292,10 @@ def test_m_roots_are_built_once_per_central_eigs(monkeypatch):
     monkeypatch.setattr(Biquadratic, "sqrt_pair", lambda *args: calls.append(args) or pair(*args))
     # quarters reads both roots; the pair is built once, with the same values
     ce = CentralEigs(N=5, n=2, l_n=1, l_Nn=0, c1=Fraction(1, 3), c2=Fraction(2, 7))
-    assert ce.quarters[1, -1] == (ce.mq.m1 - ce.mq.m2) / 4
+    assert ce.quarters[1, -1] == (ce.m1 - ce.m2) / 4
     assert len(calls) == 1
-    mq = MQuantum(m1_squared=Fraction(13, 9), m2_squared=Fraction(2))
+    mq = CentralEigs(N=4, n=2, l_n=0, l_Nn=0, c1=Fraction(13, 72), c2=Fraction(1, 4))
+    assert (mq.m1_squared, mq.m2_squared) == (Fraction(13, 9), Fraction(2))
     assert (mq.m1, mq.m2) == pair(mq.m1_squared, mq.m2_squared)
     assert mq.m1 ** 2 == mq.m1_squared and mq.m2 ** 2 == mq.m2_squared
     assert len(calls) == 2
@@ -382,7 +397,8 @@ def _spectrum_side_checks(ce, p):
     """(raw == factored, the recursion holds) on the set-1 (+, +) branch."""
     u, energy = set_solution(1, 1, 1, p, ce)
     raw = structure_poly_raw(u, energy, ce)
-    return raw == structure_poly_factored(u, energy, ce), recursion_consistency(p, ce)[0]
+    return (structure_functions_agree(raw, structure_poly_factored(u, energy, ce)),
+            recursion_consistency(p, ce)[0])
 
 
 @pytest.mark.parametrize("ce, p, rational", _TABLE_POINTS, ids=["m-rational", "m-irrational"])

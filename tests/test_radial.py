@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from level_oracles import regular_level
+from singosc import radial
 from singosc.exact import Biquadratic, exact_sqrt
 from singosc.qalg import CentralEigs, m_values, set_solution
 from singosc.radial import (ComponentSpec, GridError, GridSpec, closed_form,
@@ -177,6 +178,11 @@ def test_fd_grid_errors():
         GridSpec(nodes=16)
     with pytest.raises(GridError):
         fd_eigenvalues(spec, GridSpec(nodes=64, r_max=40.0), count=8)
+    # past radial.FD_MEMORY_LIMIT the grid is refused before any array is built
+    assert radial._fd_grid(spec, GridSpec(nodes=2 ** 16), 3)[1][-1] == 2 ** 18
+    for nodes, count in ((2 ** 16 + 1, 3), (2 ** 15, 12), (10 ** 8, 3)):
+        with pytest.raises(GridError, match=f"above the FD limit of {radial.FD_MEMORY_LIMIT}"):
+            radial._fd_grid(spec, GridSpec(nodes=nodes), count)
 
 
 def test_wavefunction_gaussian_ground_state():
