@@ -15,7 +15,7 @@ The API of the exact engine is ``singosc.opalg`` (``verify_q3``,
 ``singosc`` loads none of the submodules: each is loaded when first imported.
 ``opalg``, ``qalg``, ``levels`` and ``exact`` are pure Python; ``radial``
 loads numpy when it is first imported, and scipy on its first FD solve or
-quadrature.
+wavefunction norm.
 """
 
 __version__ = "0.1.0"

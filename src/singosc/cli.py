@@ -10,7 +10,8 @@ the check table of ``opalg.verify``, ``verify-spectrum`` that of ``qalg``.
 Bad input, such as a non-finite ``--r-max``, an ``--e-cut`` past
 ``levels.E_CUT_LIMIT`` or below the ground level, an FD grid past
 ``radial.FD_MEMORY_LIMIT``, more than ``SAMPLES_LIMIT`` wavefunction samples,
-or an ``--output`` that cannot be written, exits 2 with a message.
+an ``--nr`` past ``radial.NR_LIMIT``, or an ``--output`` that cannot be
+written, exits 2 with a message.
 
 Each option is one ``_OPTIONS`` row and each subcommand one ``_COMMANDS`` row.
 A flag beats a ``--config`` file, whose values take their flag's type and
@@ -253,7 +254,10 @@ SAMPLES_LIMIT = 100_000
 def _cmd_wavefunction(opts: dict) -> tuple[list[dict], list[str]]:
     from . import radial
     spec = _component(opts)
-    mode = radial.closed_form(spec, opts["nr"])
+    try:
+        mode = radial.closed_form(spec, opts["nr"])
+    except ValueError as exc:
+        raise ConfigError(f"--nr {opts['nr']}: {exc}") from None
     r_max = _r_max(opts) or radial.default_r_max(mode)
     samples = opts["samples"]
     if samples < 1:

@@ -17,8 +17,6 @@ d = (i/hbar) p, hbar^m d^beta becomes i^m p^beta, and an odd-order L is the
 real form of the physical generator -i L, so every order takes (-1)^floor(m/2).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -55,7 +53,7 @@ class Generators(NamedTuple):
     def n(self) -> int:
         return self.layout.n
 
-    def mapped(self, fn) -> Generators:
+    def mapped(self, fn) -> "Generators":
         """fn applied to every generator."""
         return Generators(H=fn(self.H), A=fn(self.A), B=fn(self.B),
                           J={key: fn(op) for key, op in self.J.items()},

@@ -117,10 +117,15 @@ class RadialMode:
         return rec
 
 
+# ``wavefunction`` runs Nr recurrence steps over every sample: at NR_LIMIT and
+# cli.SAMPLES_LIMIT samples a run takes about 18 s (2-CPU x86-64 VM).
+NR_LIMIT = 10_000
+
+
 def closed_form(spec: ComponentSpec, Nr: int) -> RadialMode:
     """delta, alpha and the discrete energy of radial level Nr."""
-    if Nr < 0:
-        raise ValueError("the radial quantum number must be a non-negative integer")
+    if not 0 <= Nr <= NR_LIMIT:
+        raise ValueError(f"the radial quantum number must be an integer from 0 to {NR_LIMIT}")
     base = Fraction(2 * spec.l + spec.m - 2, 2)
     delta = (spec.alpha - float(base)) / 2.0
     return RadialMode(spec=spec, Nr=Nr, delta=delta, alpha=spec.alpha,
@@ -133,7 +138,7 @@ def _energy(spec: ComponentSpec, Nr: int) -> float:
 
 
 def wavefunction(mode: RadialMode, r):
-    """Normalized radial wavefunction at r > 0, a float or an array of them.
+    """Normalized radial wavefunction at r > 0: a float, or an array of r's shape.
 
     With u = a r^2, a = omega/hbar, the solution regular at the origin is
     R = C e^(-u/2) u^(delta + l/2) L_Nr^alpha(u), which goes as
@@ -146,8 +151,7 @@ def wavefunction(mode: RadialMode, r):
     (k + 1) L_(k+1) = (2k + 1 + alpha - u) L_k - (k + alpha) L_(k-1), run on
     every sample at once with each sample's growth carried as a power of two,
     so R is finite at every Nr and r and underflows to 0.0 only where its true
-    value does.  An array of r gives an array of the same shape; each sample is
-    finished with ``math``, so it is bit for bit the float call's value."""
+    value does.  Each sample is finished with ``math``'s log and exp."""
     spec = mode.spec
     a = float(spec.omega_reduced)
     log_c2 = (math.log(2.0) + spec.m / 2.0 * math.log(a) + math.lgamma(mode.Nr + 1.0)
@@ -163,51 +167,48 @@ def wavefunction(mode: RadialMode, r):
         return math.copysign(math.exp(log_c2 / 2.0 - u / 2.0 + power * log_u
                                       + scale * math.log(2.0) + math.log(abs(lag))), lag)
 
-    if isinstance(r, (int, float)):
-        if r <= 0:
-            raise ValueError("r must be positive")
-        u = a * r * r
-        return finish(r, u, *_laguerre(mode.Nr, mode.alpha, u))
     r = np.asarray(r, dtype=float)
     if (r <= 0).any():
         raise ValueError("r must be positive")
-    # past u = 2^511 the recurrence may overflow, silently for floats and with a
-    # warning for arrays; ``finish`` gives those samples 0.0 whatever L comes to
+    # L_Nr^alpha(u) = lag 2^scale, each |lag| kept below 2^512; past u = 2^511
+    # the recurrence may overflow, and ``finish`` makes those samples 0.0
+    alpha, prev, lag, scale = mode.alpha, 0.0, 1.0, 0
     with np.errstate(over="ignore", invalid="ignore"):
         u = a * r * r
-        lag, scale = _laguerre(mode.Nr, mode.alpha, u)
+        for k in range(mode.Nr):
+            prev, lag = lag, ((2 * k + 1 + alpha - u) * lag - (k + alpha) * prev) / (k + 1)
+            over = abs(lag) > 2.0 ** 512
+            # 2^-512 where |lag| passed 2^512, else an exact 1, per sample
+            shrink = 2.0 ** (-512 * over)
+            prev, lag, scale = prev * shrink, lag * shrink, scale + 512 * over
     samples = (column.ravel().tolist() for column in np.broadcast_arrays(r, u, lag, scale))
-    return np.array([finish(*sample) for sample in zip(*samples)]).reshape(r.shape)
-
-
-def _laguerre(n: int, alpha: float, u):
-    """L_n^alpha(u) = lag 2^scale as (lag, scale), each |lag| kept below 2^512,
-    for a float u or elementwise for an array."""
-    prev, lag, scale = 0.0, 1.0, 0
-    for k in range(n):
-        prev, lag = lag, ((2 * k + 1 + alpha - u) * lag - (k + alpha) * prev) / (k + 1)
-        over = abs(lag) > 2.0 ** 512
-        # 2^-512 where |lag| passed 2^512, else an exact 1, per sample
-        shrink = 2.0 ** (-512 * over)
-        prev, lag, scale = prev * shrink, lag * shrink, scale + 512 * over
-    return lag, scale
+    psi = np.array([finish(*sample) for sample in zip(*samples)]).reshape(r.shape)
+    return psi if r.ndim else float(psi)
 
 
 def default_r_max(mode: RadialMode) -> float:
-    """Where sampling and quadrature of the wavefunction end by default: twice
-    the classical turning radius, u = a r^2 = 4 (4 Nr + 2 alpha + 2), since the
-    last node lies near u = 4 Nr + 2 alpha + 2, and never below u = 64."""
+    """Where sampling of the wavefunction ends by default: twice the classical
+    turning radius, u = a r^2 = 4 (4 Nr + 2 alpha + 2), since the last node
+    lies near u = 4 Nr + 2 alpha + 2, and never below u = 64."""
     turning = math.sqrt(4 * mode.Nr + 2 * mode.alpha + 2)
     return max(8.0, 2.0 * turning) / math.sqrt(float(mode.spec.omega_reduced))
 
 
-def wavefunction_norm(mode: RadialMode) -> tuple[float, float]:
-    """Adaptive quadrature of |psi|^2 r^{m-1} on (0, ``default_r_max``);
-    returns (value, error estimate)."""
-    from scipy.integrate import quad
-    m = mode.spec.m
-    return quad(lambda r: wavefunction(mode, r) ** 2 * r ** (m - 1),
-                0.0, default_r_max(mode), epsabs=1e-10, epsrel=1e-10, limit=200)
+def wavefunction_norm(mode: RadialMode) -> float:
+    """The integral of psi^2 r^(m-1) over r > 0, exact up to rounding: in
+    u = a r^2 it is u^alpha e^(-u) times a polynomial of degree 2 Nr, which the
+    (Nr + 1)-node generalized Gauss-Laguerre rule integrates exactly.  Raises
+    ValueError where the rule's weights underflow a double (Nr >= 185 at alpha = 0)."""
+    from scipy.special import roots_genlaguerre
+    m, a = mode.spec.m, float(mode.spec.omega_reduced)
+    u, weights = roots_genlaguerre(mode.Nr + 1, mode.alpha)
+    if weights.min() < np.finfo(float).tiny:
+        raise ValueError(f"the {mode.Nr + 1}-node Gauss-Laguerre rule underflows a double")
+    psi = wavefunction(mode, np.sqrt(u / a))
+    # psi^2 r^(m-1) dr/du over the weight function, in logs
+    return float(np.exp(np.log(weights) + 2.0 * np.log(np.abs(psi)) + u
+                        + (m / 2.0 - 1.0 - mode.alpha) * np.log(u)
+                        - math.log(2.0 * a ** (m / 2.0))).sum())
 
 
 def wavefunction_sign_changes(mode: RadialMode) -> int:

@@ -15,8 +15,6 @@ side of his Casimir K = C^2 - gamma {A, B^2} + (gamma^2 - eps) B^2 - 2 zeta B
 code.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple

@@ -1,8 +1,6 @@
 """Structured pass/fail reports of the check tables: the algebra and Poisson
 checks of ``opalg.verify`` and the spectrum checks of ``qalg``."""
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 

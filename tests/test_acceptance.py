@@ -261,13 +261,10 @@ def test_criterion_9_oscillation_and_normalization():
     vectors = fd_eigenvalues(spec, GridSpec(nodes=256), count=5).vectors
     for k in range(5):
         ok = ok and sign_changes(vectors[:, k]) == k
-    # quadrature of the printed wavefunction converges to one
-    for test_spec, nr in ((ComponentSpec(m=2), 1), (ComponentSpec(m=2, c=Fraction(2)), 0),
+    # the printed wavefunction integrates to one, by a rule exact up to rounding
+    for test_spec, nr in ((ComponentSpec(m=2), 0), (ComponentSpec(m=2), 1),
+                          (ComponentSpec(m=2, c=Fraction(2)), 0),
                           (ComponentSpec(m=4, l=2, c=Fraction(1, 3)), 2)):
-        value, err = wavefunction_norm(closed_form(test_spec, nr))
-        ok = ok and err < 1e-6 and abs(value - 1.0) < 1e-8
-    # the two-dimensional family integrates to exactly one
-    value, err = wavefunction_norm(closed_form(ComponentSpec(m=2), 0))
-    ok = ok and abs(value - 1.0) < 1e-6
+        ok = ok and abs(wavefunction_norm(closed_form(test_spec, nr)) - 1.0) < 1e-12
     _announce(9, "FD oscillation theorem and wavefunction normalization", ok)
     assert ok

@@ -222,6 +222,19 @@ def test_wavefunction_without_samples_exits_2(capsys, flag, value, message):
     assert message in err
 
 
+@pytest.mark.parametrize("nr", [-1, radial.NR_LIMIT + 1, 10 ** 8])
+def test_wavefunction_past_the_nr_limit_exits_2_before_any_sample(capsys, monkeypatch, nr):
+    # refused in radial.closed_form, so no sample is evaluated
+    def refuse(*args):
+        raise AssertionError("wavefunction evaluated")
+    monkeypatch.setattr(radial, "wavefunction", refuse)
+    code, out, err = _run(capsys, ["wavefunction", "--m", "3", "--nr", str(nr)])
+    assert (code, out) == (2, "")
+    assert (f"--nr {nr}: the radial quantum number must be an integer from 0 to "
+            f"{radial.NR_LIMIT}") in err
+    assert radial.closed_form(radial.ComponentSpec(m=3), radial.NR_LIMIT).Nr == radial.NR_LIMIT
+
+
 @pytest.mark.parametrize("command", ["wavefunction", "radial"])
 @pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
 def test_non_finite_r_max_exits_2(tmp_path, capsys, command, value):

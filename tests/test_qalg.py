@@ -95,6 +95,19 @@ def test_unshifted_last_factor_reading_fails():
     assert not structure_functions_agree(raw, fac)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: Phi vanishes at x = p on this "
+                   "branch, so it reports failing_x = p")
+def test_the_two_dimensional_harmonic_level_is_admitted():
+    # (N, n) = (2, 1) at c = 0: the set-1 (-1, -1) branch is the harmonic level
+    # E = 2 hbar omega (p + 1/2), and the unirreps must admit it; once they do,
+    # this passes and its marker goes
+    ce = CentralEigs(2, 1, 0, 0)
+    for p in range(1, 11):
+        (sol,) = [s for s in solve_unirreps(p, ce) if (s.set_id, s.eps1, s.eps2) == (1, -1, -1)]
+        assert sol.energy == 2 * ce.hbar * ce.omega * (p + Fraction(1, 2))
+        assert sol.admissible, (p, sol.failing_x)
+
+
 def test_factored_root_locations():
     ce = CentralEigs(N=5, n=2, l_n=0, l_Nn=0, c1=Fraction(9, 8), c2=Fraction(15, 8))
     mq = m_values(ce)

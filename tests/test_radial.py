@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from level_oracles import regular_level
 from singosc import radial
@@ -210,19 +216,52 @@ def test_wavefunction_normalization_quadrature():
     # the printed prefactor normalizes the two-dimensional family exactly
     for nr in range(3):
         mode = closed_form(ComponentSpec(m=2), nr)
-        value, err = wavefunction_norm(mode)
-        assert err < 1e-6
-        assert value == pytest.approx(1.0, abs=1e-6)
+        assert wavefunction_norm(mode) == pytest.approx(1.0, abs=1e-12)
     # and every other dimension too, alpha irrational here (alpha^2 = 13/4)
     mode = closed_form(ComponentSpec(m=3, l=1, c=Fraction(1, 2)), 1)
-    value, err = wavefunction_norm(mode)
-    assert err < 1e-6
-    assert value == pytest.approx(1.0, abs=1e-8)
-    # excited modes that fill u = a r^2 past 64: the default range grows with Nr
-    for nr in (12, 16, 30, 60):
-        value, err = wavefunction_norm(closed_form(ComponentSpec(m=3, l=1), nr))
-        assert err < 1e-6
-        assert value == pytest.approx(1.0, abs=1e-10)
+    assert wavefunction_norm(mode) == pytest.approx(1.0, abs=1e-12)
+    # one adaptive quadrature of psi^2 r^2 itself, which assumes no weight
+    # function, so an envelope the rule would divide out is still caught
+    value, err = quad(lambda r: wavefunction(mode, r) ** 2 * r ** 2, 0.0, default_r_max(mode),
+                      epsabs=1e-10, epsrel=1e-10, limit=200)
+    assert err < 1e-8
+    assert value == pytest.approx(1.0, abs=1e-9)
+    # excited modes that fill u = a r^2 past 64
+    for spec, nr in [*((ComponentSpec(m=3, l=1), nr) for nr in (12, 16, 30, 60)),
+                     (ComponentSpec(m=3, l=1, c=Fraction(1, 3)), 150),
+                     (ComponentSpec(m=2), 184)]:
+        assert wavefunction_norm(closed_form(spec, nr)) == pytest.approx(1.0, abs=1e-12), nr
+    # from Nr = 185 at alpha = 0 the rule's smallest weight is below the
+    # smallest normal double
+    with pytest.raises(ValueError, match="186-node Gauss-Laguerre rule underflows a double"):
+        wavefunction_norm(closed_form(ComponentSpec(m=2), 185))
+
+
+def test_a_wrong_envelope_or_prefactor_fails_the_norm(monkeypatch):
+    for spec, nr in _wavefunction_sweep()[:8]:
+        mode = closed_form(spec, nr)
+        # delta + 1/2 multiplies psi by u^(1/2), so the norm is the mean of u
+        shifted = dataclasses.replace(mode, delta=mode.delta + 0.5)
+        assert abs(wavefunction_norm(shifted) - 1.0) > 0.5
+    psi = radial.wavefunction
+    monkeypatch.setattr(radial, "wavefunction", lambda mode, r: 2.0 * psi(mode, r))
+    for spec, nr in _wavefunction_sweep()[:8]:
+        assert wavefunction_norm(closed_form(spec, nr)) == pytest.approx(4.0, rel=1e-12)
+
+
+def test_the_norm_loads_no_adaptive_quadrature():
+    # a fresh interpreter: this one has imported scipy.integrate for the spot check
+    script = ("import sys\n"
+              "from singosc.radial import ComponentSpec, closed_form, wavefunction_norm\n"
+              "mode = closed_form(ComponentSpec(m=3, l=1), 5)\n"
+              "assert abs(wavefunction_norm(mode) - 1) < 1e-12\n"
+              "assert 'scipy.integrate' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(radial.__file__).parent.parent),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _wavefunction_sweep():
@@ -249,9 +288,7 @@ def test_wavefunction_solves_the_radial_equation_and_is_normalized(spec, nr):
     slope = (math.log(abs(wavefunction(mode, 2 * r1))) - math.log(abs(wavefunction(mode, r1)))
              ) / math.log(2.0)
     assert slope == pytest.approx(mode.alpha - (spec.m - 2) / 2, abs=1e-8)
-    value, err = wavefunction_norm(mode)
-    assert err < 1e-8
-    assert value == pytest.approx(1.0, abs=1e-10)
+    assert wavefunction_norm(mode) == pytest.approx(1.0, abs=1e-12)
 
 
 def _mp_wavefunction(mode, r):
@@ -295,12 +332,15 @@ def test_wavefunction_is_finite_at_every_radius():
                          + [(ComponentSpec(m=3, l=1), 200), (ComponentSpec(m=3, l=1), 2000)])
 def test_an_array_of_radii_gives_each_float_call_bit_for_bit(spec, nr):
     # one recurrence over every sample, each with its own power-of-two scale;
-    # past u = 2^511 a sample is 0.0, as the float call gives
+    # past u = 2^511 a sample is 0.0; a float r is a 0-d array and gives a float
     mode = closed_form(spec, nr)
     rs = np.r_[np.linspace(0.01, 1.5, 46) * default_r_max(mode), 1e-200, 1e100, 1e200, np.inf]
     got = wavefunction(mode, rs.reshape(2, 25))
     assert got.shape == (2, 25)
-    assert got.ravel().tolist() == [wavefunction(mode, r) for r in rs.tolist()]
+    for r, value in zip(rs.tolist(), got.ravel().tolist()):
+        one = wavefunction(mode, r)
+        assert type(one) is float
+        assert one == wavefunction(mode, np.array([r]))[0] == value
     with pytest.raises(ValueError):
         wavefunction(mode, np.array([1.0, 0.0]))
 
