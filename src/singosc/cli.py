@@ -177,9 +177,8 @@ def _cmd_verify(command: str, opts: dict) -> tuple[list[dict], list[str]]:
         report = verify(opts["N"], opts["n"])
     if opts["timings"]:
         for result in report.results:
-            rec = result.record(include_timing=True)
-            _log(f"{rec['check']}  {rec['wall_time_s']:.6f} s  "
-                 f"{rec['residual_terms']} residual terms")
+            _log(f"{result.name}  {result.wall_time:.6f} s  "
+                 f"{result.residual_terms} residual terms")
     _log(f"{command} ({opts['N']},{opts['n']}): "
          f"{len(report.results)} checks in {report.total_time():.2f}s")
     return report.records(), [r.name for r in report.failures()]

@@ -1,9 +1,9 @@
 """Exact verification of the quadratic symmetry algebra and its Poisson analogue.
 
-Both families run one check table, ``_CHECKS``, which names each check for each
-family: commute/poisson, central/poisson-central, quadratic/classical-limit,
-casimir[generators-vs-central]/poisson-casimir[K-vs-K1] and
-so-rotations/poisson-so.  Every residual is one combination of words
+Both families hand one check table, ``_CHECKS``, to ``report.run_checks``; it
+names each check for each family: commute/poisson, central/poisson-central,
+quadratic/classical-limit, casimir[generators-vs-central]/poisson-casimir[K-vs-K1]
+and so-rotations/poisson-so.  Every residual is one combination of words
 (scale, f, g | None), added into one accumulator and reduced once by the
 family's combiner, and a check passes when it is the exact zero operator (or
 phase-space function).  The right sides are the graded words
@@ -25,7 +25,7 @@ mutation tests can knock any single one off by a unit.
 
 from __future__ import annotations
 
-import time
+from functools import partial
 from itertools import combinations
 
 from .. import relations
@@ -34,7 +34,7 @@ from .classical import PhaseFn, bracket_words, combine_phase, poisson_bracket
 from .diffop import DiffOp, combine, commutator
 from .generators import Generators, build_classical, build_quantum
 from .poly import Derivatives
-from ..report import CheckResult, VerificationReport
+from ..report import VerificationReport, run_checks
 from .scalars import ParamScalar
 
 _W2 = ParamScalar.omega(2)
@@ -189,40 +189,41 @@ def _so_residual(cache, consts, key, point):
 
 _BLOCKS = {"block1": "J", "block2": "K"}
 
+
+def _so_detail(cache, key):
+    return "" if cache.classical else f"{len(getattr(cache.g, _BLOCKS[key]))} generators"
+
+
 # Every check of both families, in run order: its (quantum, Poisson) name, the
-# keys it runs on (each shown in brackets; None: the bare name) and its residual.
+# keys it runs on (in brackets; None: the bare name), its residual and detail.
 _CHECKS = (
-    (("commute", "poisson"), ("H,A", "H,B", "H,J2", "H,K2"), _bracket_check),
-    (("central", "poisson-central"), ("A,J2", "A,K2", "B,J2", "B,K2", "J2,K2"), _bracket_check),
-    (("quadratic", "classical-limit"), ("A,C", "B,C"), _quadratic_check),
-    (("casimir[generators-vs-central]", "poisson-casimir[K-vs-K1]"), (None,), _casimir_check),
-    (("so-rotations", "poisson-so"), tuple(_BLOCKS), _so_residual),
+    (("commute", "poisson"), ("H,A", "H,B", "H,J2", "H,K2"), _bracket_check, None),
+    (("central", "poisson-central"), ("A,J2", "A,K2", "B,J2", "B,K2", "J2,K2"), _bracket_check,
+     None),
+    (("quadratic", "classical-limit"), ("A,C", "B,C"), _quadratic_check, None),
+    (("casimir[generators-vs-central]", "poisson-casimir[K-vs-K1]"), (None,), _casimir_check,
+     None),
+    (("so-rotations", "poisson-so"), tuple(_BLOCKS), _so_residual, _so_detail),
 )
-# The checks whose records carry a ``detail``, by name (the Poisson ones have none).
-_DETAILS = {"so-rotations": lambda gens, key: f"{len(getattr(gens, _BLOCKS[key]))} generators"}
 
 
 def _verify(N: int, n: int, gens: Generators, consts: QuadraticConstants | None,
             casimir: bool = True, point: dict | None = None) -> VerificationReport:
-    """Every check of ``_CHECKS`` in the family of ``gens``, each one timed."""
+    """Every check of ``_CHECKS`` in the family of ``gens``, run by ``run_checks``."""
     cache = _ProductCache(gens)
     consts = consts or QuadraticConstants.for_dims(N, n)
     family = cache.classical
-    report = VerificationReport(context={"family": ("quantum", "classical")[family],
-                                         "N": N, "n": n})
-    for names, keys, residual_fn in _CHECKS:
-        if residual_fn is _casimir_check and not casimir:
-            continue
-        name, describe = names[family], _DETAILS.get(names[family])
-        for key in keys:
-            start = time.perf_counter()
-            residual = residual_fn(cache, consts, key, point)
-            elapsed = time.perf_counter() - start
-            report.add(CheckResult(
-                name=name if key is None else f"{name}[{key}]",
-                passed=residual.is_zero(), residual_terms=residual.term_count(),
-                wall_time=elapsed, detail=describe(gens, key) if describe else ""))
-    return report.finalize()
+
+    def check(residual_fn, key, detail):
+        residual = residual_fn(cache, consts, key, point)
+        return residual.is_zero(), residual.term_count(), detail(cache, key) if detail else ""
+
+    return run_checks(
+        {"family": ("quantum", "classical")[family], "N": N, "n": n},
+        ((names[family] if key is None else f"{names[family]}[{key}]",
+          partial(check, residual_fn, key, detail))
+         for names, keys, residual_fn, detail in _CHECKS
+         if casimir or residual_fn is not _casimir_check for key in keys))
 
 
 def verify_q3(N: int, n: int, *, constants: QuadraticConstants | None = None,

@@ -8,8 +8,8 @@ leading coefficient encode the finite-representation constraints.  Both are
 functions of x, of degree 6, so agreeing at x = 0..6 makes them equal
 (``structure_functions_agree``).  Both, and the recursion, are exact in
 Q(sqrt(m1^2), sqrt(m2^2)) (``exact.Biquadratic``), so the agreement checks
-test equality, for irrational m too.  ``verify_spectrum`` runs them, with the
-c = 0 counts and energies, as one check table.
+test equality, for irrational m too.  ``verify_spectrum`` hands them, with the
+c = 0 counts and energies, to ``report.run_checks`` as one check table.
 
 The unirrep solver decides every verdict in integers, without the field, from
 what each ``CentralEigs`` caches: m1^2 and m2^2 (m1 and m2 on first read) and
@@ -23,17 +23,16 @@ is read.
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence
 
 from . import relations
 from .exact import Biquadratic, exact_sqrt, sqrt_sum_floor, sqrt_sum_sign
 from .levels import LevelTable, enumerate_levels
-from .report import CheckResult, VerificationReport
+from .report import VerificationReport, run_checks
 
 
 # -- central-element data ------------------------------------------------------
@@ -494,10 +493,10 @@ def _physical_branches(table: LevelTable):
 
 
 # Each check below yields one verdict per case, True (holds), False (fails) or
-# None (skipped), from the level table at the given couplings and the tables
-# of every split at c = 0.
+# None (skipped), from the c = 0 tables of every split, their physical branches
+# or those of the table at the given couplings.
 
-def _oscillator_counts(table: LevelTable, harmonic: list[LevelTable]):
+def _oscillator_counts(harmonic: list[LevelTable]):
     """At c = 0 the level E = hbar omega (l + N/2) of each split has the
     degeneracy C(l + N - 1, N - 1) of the isotropic oscillator, for each l
     up to the cut."""
@@ -508,68 +507,73 @@ def _oscillator_counts(table: LevelTable, harmonic: list[LevelTable]):
             yield counted.get(l, 0) == math.comb(l + split.N - 1, split.N - 1)
 
 
-def _harmonic_energies(table: LevelTable, harmonic: list[LevelTable]):
+def _harmonic_energies(branches: list):
     """At c = 0 each label's energy is hbar omega (2p + l_n + l_Nn + N/2)."""
-    for split in harmonic:
-        for p, ce, eps, _ in _physical_branches(split):
-            l = 2 * p + ce.l_n + ce.l_Nn
-            yield set_solution(1, *eps, p, ce)[1] == ce.hbar * ce.omega * (l + Fraction(ce.N, 2))
+    for p, ce, eps, _ in branches:
+        l = 2 * p + ce.l_n + ce.l_Nn
+        yield set_solution(1, *eps, p, ce)[1] == ce.hbar * ce.omega * (l + Fraction(ce.N, 2))
 
 
-def _energies(table: LevelTable, harmonic: list[LevelTable]):
+def _energies(branches: list):
     """The algebraic energy of each label is the exact energy of its level."""
-    for p, ce, eps, level in _physical_branches(table):
+    for p, ce, eps, level in branches:
         yield set_solution(1, *eps, p, ce)[1] == level.energy_exact
 
 
-def _structure_functions(table: LevelTable, harmonic: list[LevelTable]):
+def _structure_functions(branches: list):
     """The raw and factorized structure functions agree at each label."""
-    for p, ce, eps, _ in _physical_branches(table):
+    for p, ce, eps, _ in branches:
         u, energy = set_solution(1, *eps, p, ce)
         yield structure_functions_agree(structure_poly_raw(u, energy, ce),
                                         structure_poly_factored(u, energy, ce))
 
 
-def _recursions(table: LevelTable, harmonic: list[LevelTable]):
+def _recursions(branches: list):
     """The ladder recursion holds at each label; a label with fewer than two
     usable points (p = 0, or poles), which ``recursion_consistency`` fails, is
     skipped."""
-    for p, ce, eps, _ in _physical_branches(table):
+    for p, ce, eps, _ in branches:
         ok, ratios = recursion_consistency(p, ce, 1, eps)
         yield ok if len(ratios) >= 2 else None
 
 
-# Every spectrum check, in run order: its name, what one case is, and its verdicts.
+# Every spectrum check, in run order: its name, what one case is, its verdicts
+# and the key of their input in ``verify_spectrum``.
 _SPECTRUM_CHECKS = (
-    ("oscillator-count[c=0]", "(n, l) pairs", _oscillator_counts),
-    ("harmonic-limit[c=0]", "(n, p, l_n, l_Nn) labels", _harmonic_energies),
-    ("energies", "(p, l_n, l_Nn) labels", _energies),
-    ("structure-functions", "(p, l_n, l_Nn) labels", _structure_functions),
-    ("recursion", "(p, l_n, l_Nn) labels", _recursions),
+    ("oscillator-count[c=0]", "(n, l) pairs", _oscillator_counts, "harmonic"),
+    ("harmonic-limit[c=0]", "(n, p, l_n, l_Nn) labels", _harmonic_energies, "harmonic branches"),
+    ("energies", "(p, l_n, l_Nn) labels", _energies, "branches"),
+    ("structure-functions", "(p, l_n, l_Nn) labels", _structure_functions, "branches"),
+    ("recursion", "(p, l_n, l_Nn) labels", _recursions, "branches"),
 )
 
 
 def verify_spectrum(N: int, n: int, c1: Fraction | int = 0, c2: Fraction | int = 0,
                     e_cut: Fraction | int = 10, hbar: Fraction | int = 1,
                     omega: Fraction | int = 1) -> VerificationReport:
-    """Every check of ``_SPECTRUM_CHECKS`` up to ``e_cut``, each one timed: the
-    c = 0 ones over every split of N, the others over the labels of
+    """Every check of ``_SPECTRUM_CHECKS`` up to ``e_cut``, run by ``run_checks``:
+    the c = 0 ones over every split of N, the others over the labels of
     ``enumerate_levels`` at the split and couplings given, each on its physical
-    branch.  A record's ``residual_terms`` counts its failing cases and its
-    ``detail`` the cases checked (and skipped); a check of no case fails.
+    branch.  Each table's branches are listed once, for every check to share.
+    A record's ``residual_terms`` counts its failing cases and its ``detail``
+    the cases checked (and skipped); a check of no case fails.
     """
     table = enumerate_levels(N, n, c1, c2, e_cut, hbar, omega)
     if not table.levels:
         raise ValueError(f"no level lies at or below e_cut {e_cut}")
     harmonic = [enumerate_levels(N, split, e_cut=e_cut, hbar=hbar, omega=omega)
                 for split in range(1, N)]
-    report = VerificationReport(context={"family": "spectrum", "N": N, "n": n,
-                                         "c1": str(table.c1), "c2": str(table.c2)})
-    for name, cases, verdicts in _SPECTRUM_CHECKS:
-        start = time.perf_counter()
-        tally = Counter(verdicts(table, harmonic))
-        checked = tally[True] + tally[False]
+    inputs = {"harmonic": harmonic,
+              "harmonic branches": [b for split in harmonic for b in _physical_branches(split)],
+              "branches": list(_physical_branches(table))}
+
+    def check(verdicts, cases, read):
+        tally = Counter(verdicts(inputs[read]))
+        checked, failed = tally[True] + tally[False], tally[False]
         skipped = f", {tally[None]} skipped" if tally[None] else ""
-        report.add(CheckResult(name, checked > 0 and not tally[False], tally[False],
-                               time.perf_counter() - start, f"{checked} {cases} checked{skipped}"))
-    return report.finalize()
+        return checked > 0 and not failed, failed, f"{checked} {cases} checked{skipped}"
+
+    return run_checks(
+        {"family": "spectrum", "N": N, "n": n, "c1": str(table.c1), "c2": str(table.c2)},
+        ((name, partial(check, verdicts, cases, read))
+         for name, cases, verdicts, read in _SPECTRUM_CHECKS))

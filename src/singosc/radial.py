@@ -290,7 +290,7 @@ def _regularized_tridiagonals(spec: ComponentSpec, cells: list[int], r_max: floa
     at a stride, bit for bit, and so are the powers.
     """
     fine = cells[-1]
-    alpha = math.sqrt(float(spec.alpha_squared))
+    alpha = spec.alpha
     # the faces (even) and centers (odd) of the finest grid
     points = np.arange(0, 2 * fine + 1) * (r_max / (2 * fine))
     a_fine = points[::2] ** (2.0 * alpha + 1.0)

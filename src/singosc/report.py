@@ -1,7 +1,9 @@
 """Structured pass/fail reports of the check tables: the algebra and Poisson
-checks of ``opalg.verify`` and the spectrum checks of ``qalg``."""
+checks of ``opalg.verify`` and the spectrum checks of ``qalg``, all three
+verify commands run, timed and name-ordered by ``run_checks``."""
 
-from typing import NamedTuple
+import time
+from typing import Callable, Iterable, NamedTuple
 
 
 class CheckResult(NamedTuple):
@@ -13,32 +15,13 @@ class CheckResult(NamedTuple):
     wall_time: float
     detail: str = ""
 
-    def record(self, include_timing: bool = False) -> dict:
-        rec = {
-            "check": self.name,
-            "passed": self.passed,
-            "residual_terms": self.residual_terms,
-        }
-        if self.detail:
-            rec["detail"] = self.detail
-        if include_timing:
-            rec["wall_time_s"] = round(self.wall_time, 6)
-        return rec
-
 
 class VerificationReport:
     """A deterministic (name-ordered) collection of check results."""
 
-    def __init__(self, context: dict) -> None:
+    def __init__(self, context: dict, results: Iterable[CheckResult]) -> None:
         self.context = context
-        self.results: list[CheckResult] = []
-
-    def add(self, result: CheckResult) -> None:
-        self.results.append(result)
-
-    def finalize(self) -> "VerificationReport":
-        self.results.sort(key=lambda r: r.name)
-        return self
+        self.results = sorted(results, key=lambda r: r.name)
 
     @property
     def all_passed(self) -> bool:
@@ -47,12 +30,13 @@ class VerificationReport:
     def failures(self) -> list[CheckResult]:
         return [r for r in self.results if not r.passed]
 
-    def records(self, include_timing: bool = False) -> list[dict]:
-        base = dict(self.context)
+    def records(self) -> list[dict]:
         out = []
         for r in self.results:
-            rec = dict(base)
-            rec.update(r.record(include_timing=include_timing))
+            rec = {**self.context, "check": r.name, "passed": r.passed,
+                   "residual_terms": r.residual_terms}
+            if r.detail:
+                rec["detail"] = r.detail
             out.append(rec)
         return out
 
@@ -64,3 +48,14 @@ class VerificationReport:
 
     def total_time(self) -> float:
         return sum(r.wall_time for r in self.results)
+
+
+def run_checks(context: dict, checks: Iterable[tuple[str, Callable]]) -> VerificationReport:
+    """Each (name, check) of ``checks`` run in turn, its call timed: ``check()``
+    returns (passed, residual_terms, detail), and the report orders them by name."""
+    results = []
+    for name, check in checks:
+        start = time.perf_counter()
+        passed, terms, detail = check()
+        results.append(CheckResult(name, passed, terms, time.perf_counter() - start, detail))
+    return VerificationReport(context, results)

@@ -681,6 +681,21 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, line, argv):
     assert line.partition(" ")[0] in err
 
 
+def test_a_config_line_without_an_equals_sign_exits_2_naming_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\n\nN 4\n")
+    code, out, err = _run(capsys, ["--config", str(cfg), "spectrum", "--n", "2"])
+    assert (code, out) == (2, "")
+    assert f"{cfg}:3: expected key = value" in err
+
+
+def test_an_unreadable_config_exits_2_naming_its_path(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    code, out, err = _run(capsys, ["--config", str(missing), "spectrum", "--N", "4", "--n", "2"])
+    assert (code, out) == (2, "")
+    assert f"cannot read config {missing}" in err
+
+
 def test_required_options_may_come_from_the_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("N = 5\nn = 2\nc1 = 3/7\nc2 = 5\np_max = 6\nl_max = 3\n")

@@ -87,9 +87,10 @@ def test_a_short_r_max_grid_matches_a_dense_eigensolver():
 
 
 def _tridiagonal_by_grid(spec: ComponentSpec, M: int, r_max: float):
-    """Reference: one grid built on its own, with its own face powers."""
+    """Reference: one grid built on its own, with its own face powers and the
+    closed form's alpha."""
     h = r_max / M
-    alpha = math.sqrt(float(spec.alpha_squared))
+    alpha = spec.alpha
     centers = (np.arange(1, M + 1) - 0.5) * h
     faces = np.arange(0, M + 1) * h
     a_face = faces ** (2.0 * alpha + 1.0)
@@ -106,13 +107,18 @@ def _tridiagonal_by_grid(spec: ComponentSpec, M: int, r_max: float):
 
 def test_shared_face_powers_build_each_grid_bit_for_bit():
     rng = random.Random(28)
+    # alpha = 9/11 is the exact root, one ulp from sqrt(float(81/121)), and so
+    # are both face powers
+    pinned = ComponentSpec(m=2, c=Fraction(81, 242))
+    assert pinned.alpha == 9 / 11 != math.sqrt(float(pinned.alpha_squared))
     built = 0
-    while built < 40:
+    while built < 41:
         m = rng.randrange(1, 9)
-        spec = ComponentSpec(m=m, c=Fraction(rng.randrange(0, 60), rng.randrange(1, 8)),
-                             l=0 if m == 1 else rng.randrange(0, 4),
-                             hbar=Fraction(rng.randrange(1, 5), rng.randrange(1, 4)),
-                             omega=Fraction(rng.randrange(1, 5), rng.randrange(1, 4)))
+        spec = pinned if built == 40 else ComponentSpec(
+            m=m, c=Fraction(rng.randrange(0, 60), rng.randrange(1, 8)),
+            l=0 if m == 1 else rng.randrange(0, 4),
+            hbar=Fraction(rng.randrange(1, 5), rng.randrange(1, 4)),
+            omega=Fraction(rng.randrange(1, 5), rng.randrange(1, 4)))
         grid = GridSpec(nodes=rng.choice([64, 100, 128, 333, 512]),
                         r_max=rng.choice([None, rng.uniform(2.0, 30.0)]))
         try:

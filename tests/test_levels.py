@@ -26,6 +26,10 @@ def test_dim_harm_examples():
     assert dim_harm(4, 2) == 9
     assert dim_harm(2, 5) == 2
     assert dim_harm(1, 0) == 1 and dim_harm(1, 1) == 1 and dim_harm(1, 3) == 0
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        dim_harm(0, 0)
+    with pytest.raises(ValueError, match="l must be non-negative"):
+        dim_harm(3, -1)
 
 
 def test_dim_harm_against_laplace_kernel_oracle():
@@ -125,8 +129,10 @@ def test_one_coordinate_block_flagging():
     table = enumerate_levels(4, 1, Fraction(1), Fraction(0), e_cut=6.0)
     assert all("block1-half-line-regular-sector" in level.flags
                for level in table.levels)
+    assert all(rec["flags"] == "block1-half-line-regular-sector" for rec in table.records())
     clean = enumerate_levels(4, 1, Fraction(0), Fraction(0), e_cut=6.0)
     assert all(not level.flags for level in clean.levels)
+    assert all("flags" not in rec for rec in clean.records())
 
 
 def test_records_schema():

@@ -148,6 +148,10 @@ def test_solve_unirreps_boundaries_and_positivity():
     s3 = by_key[(3, 1, 1)]
     assert s3.admissible
     assert s3.energy == best.energy
+    with pytest.raises(ValueError, match="p must be non-negative"):
+        solve_unirreps(-1, ce)
+    with pytest.raises(ValueError, match="unknown set id 4"):
+        set_solution(4, 1, 1, 0, ce)
 
 
 def _admissibility(norm_values, energy, p):
@@ -439,12 +443,30 @@ def test_every_relation_constant_reaches_the_spectrum_side(ce, p, rational, monk
 def test_central_eigs_validation():
     with pytest.raises(ValueError):
         CentralEigs(N=4, n=0, l_n=0, l_Nn=0)
-    with pytest.raises(ValueError):
-        CentralEigs(N=4, n=1, l_n=2, l_Nn=0)
+    with pytest.raises(ValueError, match="angular numbers must be non-negative"):
+        CentralEigs(N=4, n=2, l_n=-1, l_Nn=0)
+    # a one-coordinate block 1 or block 2
+    for n, l_n, l_nn in ((1, 2, 0), (3, 0, 2)):
+        with pytest.raises(ValueError, match="only carries parity labels 0 and 1"):
+            CentralEigs(N=4, n=n, l_n=l_n, l_Nn=l_nn)
     with pytest.raises(ValueError):
         CentralEigs(N=4, n=2, l_n=0, l_Nn=0, c1=Fraction(-1))
+    with pytest.raises(ValueError, match="hbar and omega must be positive"):
+        CentralEigs(N=4, n=2, l_n=0, l_Nn=0, hbar=0)
     ce = CentralEigs(N=4, n=1, l_n=1, l_Nn=0)
     assert ce.j2 == 0  # parity label on a one-coordinate block keeps J2 = 0
+
+
+def test_the_spectrum_checks_share_one_central_eigs_per_table_and_label(monkeypatch):
+    # the pinned (5,2) input has 189 distinct (table, l_n, l_Nn): 41 at the
+    # given couplings and 148 over the c = 0 tables of the four splits
+    built = []
+    post_init = CentralEigs.__post_init__
+    monkeypatch.setattr(CentralEigs, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    report = verify_spectrum(5, 2, Fraction(3, 7), 5, e_cut=12)
+    assert report.all_passed
+    assert len(built) <= 189
 
 
 def test_exact_sqrt():

@@ -184,6 +184,8 @@ def test_fd_grid_errors():
         GridSpec(nodes=16)
     with pytest.raises(GridError):
         fd_eigenvalues(spec, GridSpec(nodes=64, r_max=40.0), count=8)
+    with pytest.raises(ValueError, match="need at least one eigenvalue"):
+        fd_eigenvalues(spec, count=0)
     # past radial.FD_MEMORY_LIMIT the grid is refused before any array is built
     assert radial._fd_grid(spec, GridSpec(nodes=2 ** 16), 3)[1][-1] == 2 ** 18
     for nodes, count in ((2 ** 16 + 1, 3), (2 ** 15, 12), (10 ** 8, 3)):
@@ -312,8 +314,8 @@ def test_wavefunction_matches_mpmath(spec):
             rs = [default_r_max(mode) * i / 16 for i in range(1, 17)]
             want = [_mp_wavefunction(mode, r) for r in rs]
             scale = max(abs(w) for w in want)
-            for r, w in zip(rs, want):
-                assert abs(wavefunction(mode, r) - w) <= 1e-12 * scale, (nr, r)
+            for r, got, w in zip(rs, wavefunction(mode, np.array(rs)).tolist(), want):
+                assert abs(got - w) <= 1e-12 * scale, (nr, r)
 
 
 def test_wavefunction_is_finite_at_every_radius():
@@ -321,7 +323,7 @@ def test_wavefunction_is_finite_at_every_radius():
     # Nr, and 0.0 only where e^(-u/2) is below the smallest float
     for nr in (0, 200, 2000):
         mode = closed_form(ComponentSpec(m=3, l=1), nr)
-        values = [wavefunction(mode, r) for r in (1e-200, 1.0, 30.0, 1e100, 1e200, math.inf)]
+        values = wavefunction(mode, np.array([1e-200, 1.0, 30.0, 1e100, 1e200, math.inf])).tolist()
         assert all(math.isfinite(v) for v in values)
         assert values[0] != 0 and values[1] != 0 and values[-3:] == [0.0] * 3
     mode = closed_form(ComponentSpec(m=2), 1)
@@ -337,10 +339,11 @@ def test_an_array_of_radii_gives_each_float_call_bit_for_bit(spec, nr):
     rs = np.r_[np.linspace(0.01, 1.5, 46) * default_r_max(mode), 1e-200, 1e100, 1e200, np.inf]
     got = wavefunction(mode, rs.reshape(2, 25))
     assert got.shape == (2, 25)
-    for r, value in zip(rs.tolist(), got.ravel().tolist()):
-        one = wavefunction(mode, r)
+    assert got.ravel().tolist() == wavefunction(mode, rs).tolist()
+    for i in (0, 23, 48):  # a small, a middle and a 0.0 sample
+        one = wavefunction(mode, float(rs[i]))
         assert type(one) is float
-        assert one == wavefunction(mode, np.array([r]))[0] == value
+        assert one == wavefunction(mode, rs[i:i + 1])[0] == got.flat[i]
     with pytest.raises(ValueError):
         wavefunction(mode, np.array([1.0, 0.0]))
 
@@ -389,6 +392,10 @@ def test_component_spec_validation():
         ComponentSpec(m=1, l=1)
     with pytest.raises(ValueError):
         ComponentSpec(m=2, c=Fraction(-1))
+    with pytest.raises(ValueError, match="angular number must be non-negative"):
+        ComponentSpec(m=3, l=-1)
+    with pytest.raises(ValueError, match="hbar and omega must be positive"):
+        ComponentSpec(m=3, hbar=0)
     spec = ComponentSpec(m=1, c=Fraction(1))
     assert spec.flags == ("half-line-regular-sector",)
     mode = closed_form(spec, 0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from singosc.opalg import (MUTABLE_CONSTANTS, QuadraticConstants, build_classica
                            build_quantum, combine, commutator, verify_q3, verify_qp3)
 from singosc.opalg import verify as verify_module
 from singosc.opalg.verify import _ProductCache, quadratic_ac_rhs, quadratic_bc_rhs
+from singosc.report import run_checks
 
 
 def test_small_split_passes_symbolically():
@@ -168,9 +170,34 @@ def test_report_is_name_ordered_and_serializable():
     assert names == sorted(names)
     recs = report.records()
     assert all("wall_time_s" not in r for r in recs)
-    timed = report.records(include_timing=True)
-    assert all("wall_time_s" in r for r in timed)
-    assert report.total_time() >= 0
+    assert [r["check"] for r in recs] == names
+    assert all(r.wall_time >= 0 for r in report.results)
+    assert report.total_time() == sum(r.wall_time for r in report.results)
+    with pytest.raises(KeyError, match="no-such-check"):
+        report["no-such-check"]
+
+
+def test_run_checks_times_each_call_and_orders_the_report_by_name():
+    calls = []
+
+    def check(passed, terms, detail="", sleep=0.0):
+        def run():
+            calls.append(detail)
+            time.sleep(sleep)
+            return passed, terms, detail
+        return run
+
+    report = run_checks({"family": "f"}, [("b", check(True, 0, sleep=0.02)),
+                                          ("a", check(False, 3, "x")), ("c", check(True, 0, "y"))])
+    assert calls == ["", "x", "y"]  # run in the order given
+    assert [r[:3] + r[4:] for r in report.results] == [
+        ("a", False, 3, "x"), ("b", True, 0, ""), ("c", True, 0, "y")]
+    assert report["b"].wall_time >= 0.02 and report["a"].wall_time >= 0
+    assert report.records() == [
+        {"family": "f", "check": "a", "passed": False, "residual_terms": 3, "detail": "x"},
+        {"family": "f", "check": "b", "passed": True, "residual_terms": 0},
+        {"family": "f", "check": "c", "passed": True, "residual_terms": 0, "detail": "y"}]
+    assert [r.name for r in report.failures()] == ["a"] and not report.all_passed
 
 
 def _count_derivatives(monkeypatch):
