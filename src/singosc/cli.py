@@ -9,9 +9,10 @@ three verify commands share one handler, which prints the records of a
 the check table of ``opalg.verify``, ``verify-spectrum`` that of ``qalg``.
 Bad input, such as a non-finite ``--r-max``, an ``--e-cut`` past
 ``levels.E_CUT_LIMIT`` or below the ground level, an FD grid past
-``radial.FD_MEMORY_LIMIT``, more than ``SAMPLES_LIMIT`` wavefunction samples,
-an ``--nr`` past ``radial.NR_LIMIT``, or an ``--output`` that cannot be
-written, exits 2 with a message.
+``radial.FD_MEMORY_LIMIT``, more than ``SAMPLES_LIMIT`` wavefunction samples
+or ``SPECTRUM_RECORDS_LIMIT`` spectrum records, an ``--nr`` past
+``radial.NR_LIMIT``, or an ``--output`` that cannot be written, exits 2 with a
+message.
 
 Each option is one ``_OPTIONS`` row and each subcommand one ``_COMMANDS`` row.
 A flag beats a ``--config`` file, whose values take their flag's type and
@@ -184,15 +185,28 @@ def _cmd_verify(command: str, opts: dict) -> tuple[list[dict], list[str]]:
     return report.records(), [r.name for r in report.failures()]
 
 
+# spectrum holds every record before it writes the first, about 1.1 KB and
+# 20 us each: (4,2) with --p-max 20 --l-max 27 prints 197,568 records in 4.1 s
+# at a 224 MB peak (2-CPU x86-64 VM), and the count grows as l_max^2.  The
+# README, CI and test commands print at most 1,344 records, and the timing run
+# in ROADMAP.md 18,228.
+SPECTRUM_RECORDS_LIMIT = 200_000
+
+
 def _cmd_spectrum(opts: dict) -> tuple[list[dict], list[str]]:
     from . import qalg
     N, n = opts["N"], opts["n"]
     for key in ("p_max", "l_max"):
         if opts[key] < 0:
             raise ConfigError(f"--{key.replace('_', '-')} must be at least 0, got {opts[key]}")
-    records = []
     l1_max = min(opts["l_max"], 1) if n == 1 else opts["l_max"]
     l2_max = min(opts["l_max"], 1) if N - n == 1 else opts["l_max"]
+    # solve_unirreps gives 12 (set, sign) branches per p
+    count = 12 * (opts["p_max"] + 1) * (l1_max + 1) * (l2_max + 1)
+    if count > SPECTRUM_RECORDS_LIMIT:
+        raise ConfigError(f"--p-max {opts['p_max']} and --l-max {opts['l_max']} give {count} "
+                          f"records, above the limit of {SPECTRUM_RECORDS_LIMIT}")
+    records = []
     for l_n in range(l1_max + 1):
         for l_nn in range(l2_max + 1):
             ce = qalg.CentralEigs(N=N, n=n, l_n=l_n, l_Nn=l_nn, c1=opts["c1"], c2=opts["c2"],

@@ -8,6 +8,14 @@ is -i L_ij, hence the angular Casimirs are J2 = -sum L_ij^2 over the first
 block and K2 = -sum L_ij^2 over the second, with non-negative spectrum
 hbar^2 l (l + m - 2).
 
+The integrals are built as the paper defines them.  Block 1 holds the
+coordinates 1..n and block 2 the rest; each has its Hamiltonian
+H_b = -(hbar^2/2) sum_{i in b} d_i^2 + (omega^2/2) rho_b + c_b/rho_b, and
+H = H_1 + H_2, B = H_1 - H_2.  Every rotation L_ij, i < j <= N, is built once,
+and J and K are those inside block 1 and block 2.  A = -(1/4) sum_{i<j} L_ij^2
++ (r^2/2)(c1/rho_1 + c2/rho_2) is the so(N) Casimir plus the singular term;
+it, J2 and K2 are each one ``combine`` word sum.
+
 The classical integrals are not written a second time: each is the leading
 hbar order of its operator (``classical.classical_limit``), and both kinds are
 one ``Generators`` type.  Order rule: a derivative d^beta of order m = |beta|
@@ -23,7 +31,7 @@ from typing import NamedTuple
 from .classical import PhaseFn, classical_limit
 from .diffop import DiffOp, combine
 from .poly import BlockLayout, BlockPoly
-from .scalars import ParamScalar
+from .scalars import ParamScalar, Rational
 
 
 Generator = DiffOp | PhaseFn
@@ -61,17 +69,6 @@ class Generators(NamedTuple):
                           J2=fn(self.J2), K2=fn(self.K2))
 
 
-def _rho(layout: BlockLayout, block: int) -> BlockPoly:
-    """r_block^2, the single monomial rho_block."""
-    return BlockPoly.monomial(layout, layout.rho_key(block))
-
-
-def _singular_terms(layout: BlockLayout, sign2: int = 1) -> BlockPoly:
-    """c1/r1^2 + sign2 * c2/r2^2 as a single canonical value."""
-    return (BlockPoly.monomial(layout, 0, ParamScalar.c1(), j=1)
-            + BlockPoly.monomial(layout, 0, ParamScalar.c2(1, sign2), k=1))
-
-
 def angular_momentum(layout: BlockLayout, i: int, jdx: int) -> DiffOp:
     """Real-form generator hbar (x_i d_j - x_j d_i), zero-based indices."""
     hbar = ParamScalar.hbar()
@@ -82,65 +79,44 @@ def angular_momentum(layout: BlockLayout, i: int, jdx: int) -> DiffOp:
     return DiffOp(layout, {ei: xi, ej: -xj})
 
 
+def _block_hamiltonian(layout: BlockLayout, coords: range, rho: BlockPoly,
+                       singular: BlockPoly) -> DiffOp:
+    """H_b = -(hbar^2/2) sum_{i in b} d_i^2 + (omega^2/2) rho_b + c_b/rho_b."""
+    kinetic = BlockPoly.scalar(layout, ParamScalar.hbar(2, Fraction(-1, 2)))
+    terms = {tuple(2 if t == i else 0 for t in range(layout.N)): kinetic for i in coords}
+    terms[(0,) * layout.N] = rho.scaled(ParamScalar.omega(2, Fraction(1, 2))) + singular
+    return DiffOp(layout, terms)
+
+
+def _squares(layout: BlockLayout, rotations: dict, scale: Rational, *extra: tuple) -> DiffOp:
+    """scale * sum L^2 over ``rotations`` plus the ``extra`` words, as one
+    ``combine`` word sum; zero when there is no word."""
+    words = [(scale, op, op) for op in rotations.values()] + list(extra)
+    return combine(words) if words else DiffOp.zero(layout)
+
+
 def build_quantum(N: int, n: int) -> Generators:
-    """Build H, A, B, the angular generators and their Casimirs for (N, n)."""
+    """Build H, A, B, the angular generators and their Casimirs for (N, n):
+    H = H_1 + H_2, B = H_1 - H_2, A = -(1/4) sum_{i<j<=N} L_ij^2
+    + (r^2/2)(c1/rho_1 + c2/rho_2), and J2, K2 = -sum L_ij^2 over J and K."""
     layout = BlockLayout(N, n)
-    hbar2 = ParamScalar.hbar(2)
-    omega2 = ParamScalar.omega(2)
-    zero_beta = (0,) * N
+    rho = (BlockPoly.monomial(layout, layout.rho_key(1)),
+           BlockPoly.monomial(layout, layout.rho_key(2)))
+    singular = (BlockPoly.monomial(layout, 0, ParamScalar.c1(), j=1),
+                BlockPoly.monomial(layout, 0, ParamScalar.c2(), k=1))
+    H1 = _block_hamiltonian(layout, range(n), rho[0], singular[0])
+    H2 = _block_hamiltonian(layout, range(n, N), rho[1], singular[1])
 
-    # H = -(hbar^2/2) sum_i d_i^2 + (omega^2/2) r^2 + c1/r1^2 + c2/r2^2
-    h_terms: dict[tuple[int, ...], BlockPoly] = {}
-    for i in range(N):
-        beta = tuple(2 if t == i else 0 for t in range(N))
-        h_terms[beta] = BlockPoly.scalar(layout, hbar2 * Fraction(-1, 2))
-    r1, r2 = _rho(layout, 1), _rho(layout, 2)
-    r2_all = r1 + r2
-    h_terms[zero_beta] = r2_all.scaled(omega2 * Fraction(1, 2)) + _singular_terms(layout)
-    H = DiffOp(layout, h_terms)
+    L = {(i + 1, jdx + 1): angular_momentum(layout, i, jdx)
+         for i in range(N) for jdx in range(i + 1, N)}
+    J = {key: op for key, op in L.items() if key[1] <= n}
+    K = {key: op for key, op in L.items() if key[0] > n}
+    potential = DiffOp.multiplication(
+        layout, ((rho[0] + rho[1]) * (singular[0] + singular[1])).scaled(Fraction(1, 2)))
+    A = _squares(layout, L, Fraction(-1, 4), (1, potential, None))
 
-    # A = -(hbar^2/4)[ sum_j (r^2 - x_j^2) d_j^2 - 2 sum_{i<j} x_i x_j d_i d_j
-    #                  - (N-1) sum_i x_i d_i ] + (r^2/2)(c1/r1^2 + c2/r2^2)
-    quarter = hbar2 * Fraction(-1, 4)
-    a_terms: dict[tuple[int, ...], BlockPoly] = {}
-    for jdx in range(N):
-        beta = tuple(2 if t == jdx else 0 for t in range(N))
-        coeff = r2_all - BlockPoly.monomial(layout, layout.x_key(jdx, 2))
-        a_terms[beta] = coeff.scaled(quarter)
-    for i in range(N):
-        for jdx in range(i + 1, N):
-            beta = tuple(1 if t in (i, jdx) else 0 for t in range(N))
-            mono = BlockPoly.monomial(layout, layout.x_key(i) + layout.x_key(jdx))
-            a_terms[beta] = mono.scaled(quarter * Fraction(-2))
-    for i in range(N):
-        beta = tuple(1 if t == i else 0 for t in range(N))
-        mono = BlockPoly.monomial(layout, layout.x_key(i))
-        a_terms[beta] = mono.scaled(quarter * Fraction(-(N - 1)))
-    a_terms[zero_beta] = (r2_all * _singular_terms(layout)).scaled(Fraction(1, 2))
-    A = DiffOp(layout, a_terms)
-
-    # B = H_1 - H_2 = -(hbar^2/2)(sum_{i<=n} d_i^2 - sum_{i>n} d_i^2)
-    #     + (omega^2/2)(r1^2 - r2^2) + c1/r1^2 - c2/r2^2
-    # (the antisymmetric singular sign is forced by [H, B] = 0)
-    b_terms: dict[tuple[int, ...], BlockPoly] = {}
-    for i in range(N):
-        beta = tuple(2 if t == i else 0 for t in range(N))
-        sign = Fraction(-1, 2) if i < n else Fraction(1, 2)
-        b_terms[beta] = BlockPoly.scalar(layout, hbar2 * sign)
-    b_terms[zero_beta] = ((r1 - r2).scaled(omega2 * Fraction(1, 2))
-                          + _singular_terms(layout, sign2=-1))
-    B = DiffOp(layout, b_terms)
-
-    J = {(i + 1, jdx + 1): angular_momentum(layout, i, jdx)
-         for i in range(n) for jdx in range(i + 1, n)}
-    K = {(i + 1, jdx + 1): angular_momentum(layout, i, jdx)
-         for i in range(n, N) for jdx in range(i + 1, N)}
-
-    # J2 = -sum L_ij^2 over a block, one word sum; a one-coordinate block has none
-    J2, K2 = (combine([(-1, op, op) for op in block.values()]) if block
-              else DiffOp.zero(layout) for block in (J, K))
-
-    return Generators(H=H, A=A, B=B, J=J, K=K, J2=J2, K2=K2)
+    return Generators(H=H1 + H2, A=A, B=H1 - H2, J=J, K=K,
+                      J2=_squares(layout, J, -1), K2=_squares(layout, K, -1))
 
 
 def build_classical(N: int, n: int) -> Generators:

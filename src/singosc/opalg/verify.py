@@ -191,7 +191,10 @@ _BLOCKS = {"block1": "J", "block2": "K"}
 
 
 def _so_detail(cache, key):
-    return "" if cache.classical else f"{len(getattr(cache.g, _BLOCKS[key]))} generators"
+    if cache.classical:
+        return ""
+    count = len(getattr(cache.g, _BLOCKS[key]))
+    return f"{count} generator{'' if count == 1 else 's'}"
 
 
 # Every check of both families, in run order: its (quantum, Poisson) name, the

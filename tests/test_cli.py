@@ -14,7 +14,8 @@ import pytest
 
 import singosc
 from singosc import levels, qalg, radial, relations
-from singosc.cli import _OPTIONS, CONFIG_KEYS, SUBCOMMANDS, _flags, main
+from singosc.cli import (_OPTIONS, CONFIG_KEYS, SPECTRUM_RECORDS_LIMIT, SUBCOMMANDS, ConfigError,
+                         _cmd_spectrum, _flags, main)
 from singosc.levels import enumerate_levels
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -46,6 +47,24 @@ def test_spectrum_with_negative_range_exits_2(capsys, flag):
     assert code == 2
     assert out == ""
     assert f"{flag} must be at least 0" in err
+
+
+@pytest.mark.parametrize("N, n, p_max, l_max, count", [
+    (4, 2, 20, 400, 40_521_852), (4, 2, 20, 28, 211_932), (4, 1, 20, 400, 202_104)])
+def test_spectrum_over_the_record_limit_is_refused_before_any_record(
+        monkeypatch, capsys, N, n, p_max, l_max, count):
+    # 12 records per (p, l_n, l_Nn); a one-coordinate block counts l up to 1
+    assert count > SPECTRUM_RECORDS_LIMIT
+    monkeypatch.setattr(qalg, "CentralEigs", None)  # building any record would fail
+    opts = {"N": N, "n": n, "p_max": p_max, "l_max": l_max, "c1": 0, "c2": 0, "hbar": 1,
+            "omega": 1}
+    with pytest.raises(ConfigError, match=f"--p-max {p_max} and --l-max {l_max} give {count} "
+                                          f"records, above the limit of {SPECTRUM_RECORDS_LIMIT}"):
+        _cmd_spectrum(opts)
+    code, out, err = _run(capsys, ["spectrum", "--N", str(N), "--n", str(n),
+                                   "--p-max", str(p_max), "--l-max", str(l_max)])
+    assert (code, out) == (2, "")
+    assert "--p-max" in err and "--l-max" in err
 
 
 @pytest.mark.parametrize("cut", ["0", "-3", "1"])

@@ -110,9 +110,8 @@ def test_normal_form_unique_across_build_routes():
     # the second-order generator equals -(1/4) sum of squared angular momenta
     # plus the singular potential, whichever way the product is associated
     from singosc.opalg import angular_momentum
-    from singosc.opalg.generators import _singular_terms
 
-    for N, n in [(3, 1), (4, 2), (5, 3)]:
+    for N, n in [(2, 1), (3, 1), (4, 1), (4, 2), (5, 3), (10, 5)]:
         gens = build_quantum(N, n)
         layout = gens.layout
         total = DiffOp.zero(layout)
@@ -123,8 +122,10 @@ def test_normal_form_unique_across_build_routes():
         r_squared = BlockPoly.zero(layout)
         for i in range(N):  # x_i^2 summed, not the rho monomials the generators use
             r_squared = r_squared + _x(layout, i, 2)
+        singular = (BlockPoly.monomial(layout, 0, ParamScalar.c1(), j=1)
+                    + BlockPoly.monomial(layout, 0, ParamScalar.c2(), k=1))
         potential = DiffOp.multiplication(
-            layout, (r_squared * _singular_terms(layout)).scaled(Fraction(1, 2)))
+            layout, (r_squared * singular).scaled(Fraction(1, 2)))
         rebuilt = total.scaled(Fraction(-1, 4)) + potential
         assert rebuilt == gens.A
 

@@ -49,6 +49,7 @@ def test_sampled_mode_checks_rotations_of_a_three_dimensional_block(seed):
     report = verify_q3(5, 2, casimir=False, substitutions=values)
     assert report.all_passed, [r.name for r in report.failures()]
     assert report["so-rotations[block2]"].detail == "3 generators"
+    assert report["so-rotations[block1]"].detail == "1 generator"
 
 
 @pytest.mark.parametrize("factor", [2, -1])
